@@ -128,6 +128,7 @@ use uavail_travel::evaluation::{
     figure11, figure11_parallel, figure12, figure12_parallel, figure12_resilient, figure13,
     figure_grid, min_web_servers_for, revenue_analysis, table8, FigurePoint, FigureReport,
 };
+use uavail_travel::fig2::Fig2Probabilities;
 use uavail_travel::functions::{self, TaFunction};
 use uavail_travel::report::{fmt_availability, fmt_unavailability, Table};
 use uavail_travel::sim_validation::{
@@ -944,7 +945,7 @@ fn print_loadgen(
 }
 
 /// One in-process benchmark measurement: a named case in `cold_build`,
-/// `context_reuse` or `batched` mode.
+/// `context_reuse`, `batched` or (memo-free paths) `cold` mode.
 struct BenchMeasurement {
     name: &'static str,
     mode: &'static str,
@@ -1119,6 +1120,19 @@ fn run_context_benches() -> Result<Vec<BenchMeasurement>, TravelError> {
             }),
         )?;
     }
+
+    // The Figure 2 fit as the `fit` artifact runs it. Nothing on this
+    // path is memoized, so every iteration is cold.
+    let (mean_ns, iters) = time(|| {
+        black_box(fit_fig2()?);
+        Ok(())
+    })?;
+    out.push(BenchMeasurement {
+        name: "fig2_fit",
+        mode: "cold",
+        mean_ns,
+        iters,
+    });
 
     // Batched twins: one long-lived BatchContext per case, warmed outside
     // the timed loop exactly like the context_reuse mode. The batched
@@ -2009,17 +2023,24 @@ fn print_ramp(csv: bool) -> Result<(), TravelError> {
     Ok(())
 }
 
-fn print_fit(csv: bool) -> Result<(), TravelError> {
+/// Fits the Figure 2 graph to Table 1's class A then class B on one
+/// seeded rng: the `fit` artifact's computation and the `fig2_fit` bench.
+fn fit_fig2() -> Result<[(Fig2Probabilities, f64); 2], TravelError> {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use uavail_travel::fig2::fit_to_table;
+    let mut rng = StdRng::seed_from_u64(20240601);
+    let a = fit_to_table(&mut rng, class_a().table(), 300, 80)?;
+    let b = fit_to_table(&mut rng, class_b().table(), 300, 80)?;
+    Ok([a, b])
+}
+
+fn print_fit(csv: bool) -> Result<(), TravelError> {
     let mut t = Table::new(
         "Extension — Figure 2 transition probabilities fitted to Table 1",
         vec!["parameter", "class A", "class B"],
     );
-    let mut rng = StdRng::seed_from_u64(20240601);
-    let (fit_a, err_a) = fit_to_table(&mut rng, class_a().table(), 300, 80)?;
-    let (fit_b, err_b) = fit_to_table(&mut rng, class_b().table(), 300, 80)?;
+    let [(fit_a, err_a), (fit_b, err_b)] = fit_fig2()?;
     let rows: [(&str, f64, f64); 8] = [
         ("P(Start -> Home)", fit_a.start_home, fit_b.start_home),
         ("P(Home -> Browse)", fit_a.home_browse, fit_b.home_browse),

@@ -1,7 +1,8 @@
+use std::cmp::Ordering;
 use std::collections::HashMap;
 
 use rand::Rng;
-use uavail_linalg::{Lu, Matrix};
+use uavail_linalg::{LinalgError, LuWorkspace, Matrix};
 use uavail_markov::{AbsorbingDtmc, Dtmc};
 
 use crate::ProfileError;
@@ -26,7 +27,6 @@ const MAX_FUNCTIONS_FOR_ENUMERATION: usize = 20;
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProfileGraph {
     functions: Vec<String>,
-    index: HashMap<String, usize>,
     /// `start[j]`: probability the session begins at function `j`.
     start: Vec<f64>,
     /// `trans[i][j]`: probability of moving from function `i` to `j`.
@@ -48,9 +48,8 @@ impl ProfileGraph {
             return Err(ProfileError::Empty);
         }
         let functions: Vec<String> = functions.into_iter().map(Into::into).collect();
-        let mut index = HashMap::with_capacity(functions.len());
         for (i, f) in functions.iter().enumerate() {
-            if index.insert(f.clone(), i).is_some() {
+            if functions[..i].contains(f) {
                 return Err(ProfileError::BadTable {
                     reason: format!("duplicate function name {f:?}"),
                 });
@@ -59,7 +58,6 @@ impl ProfileGraph {
         let n = functions.len();
         Ok(ProfileGraph {
             functions,
-            index,
             start: vec![0.0; n],
             trans: vec![vec![0.0; n]; n],
             exit: vec![0.0; n],
@@ -99,18 +97,20 @@ impl ProfileGraph {
     }
 
     fn resolve(&self, name: &str) -> Result<usize, ProfileError> {
-        self.index
-            .get(name)
-            .copied()
+        self.functions
+            .iter()
+            .position(|f| f == name)
             .ok_or_else(|| ProfileError::UnknownFunction { name: name.into() })
     }
 
-    fn check_probability(context: &str, p: f64) -> Result<(), ProfileError> {
+    /// Checks `p` is a probability; `context` names the edge and is only
+    /// formatted when the check fails.
+    fn check_probability(p: f64, context: impl FnOnce() -> String) -> Result<(), ProfileError> {
         if p.is_finite() && (0.0..=1.0).contains(&p) {
             Ok(())
         } else {
             Err(ProfileError::InvalidProbability {
-                context: context.to_string(),
+                context: context(),
                 value: p,
             })
         }
@@ -123,7 +123,7 @@ impl ProfileGraph {
     /// [`ProfileError::UnknownFunction`] / [`ProfileError::InvalidProbability`].
     pub fn set_start_transition(&mut self, function: &str, p: f64) -> Result<(), ProfileError> {
         let j = self.resolve(function)?;
-        Self::check_probability(&format!("Start -> {function}"), p)?;
+        Self::check_probability(p, || format!("Start -> {function}"))?;
         self.start[j] = p;
         Ok(())
     }
@@ -144,11 +144,11 @@ impl ProfileGraph {
         match to {
             Some(name) => {
                 let j = self.resolve(name)?;
-                Self::check_probability(&format!("{from} -> {name}"), p)?;
+                Self::check_probability(p, || format!("{from} -> {name}"))?;
                 self.trans[i][j] = p;
             }
             None => {
-                Self::check_probability(&format!("{from} -> Exit"), p)?;
+                Self::check_probability(p, || format!("{from} -> Exit"))?;
                 self.exit[i] = p;
             }
         }
@@ -373,31 +373,43 @@ impl ProfileGraph {
                 reason: format!("allowed mask has length {}, expected {n}", allowed.len()),
             });
         }
-        // h[i] = P(reach Exit staying within `allowed` | currently at
-        // function i), for i in the allowed set. Solve (I - T) h = e where
-        // T is the allowed-to-allowed transition block and e the exit
-        // column.
-        let members: Vec<usize> = (0..n).filter(|&i| allowed[i]).collect();
-        let m = members.len();
+        self.subset_probability_in(|i| allowed[i], &mut SubsetScratch::default())
+    }
+
+    /// [`ProfileGraph::subset_probability`] for the functions `i` with
+    /// `allowed(i)`, on an already validated graph, solving in `s`.
+    ///
+    /// `h[i]` = P(reach Exit staying within the allowed set | currently at
+    /// function `i`) solves `(I - T) h = e`, where `T` is the
+    /// allowed-to-allowed transition block and `e` the exit column.
+    fn subset_probability_in(
+        &self,
+        allowed: impl Fn(usize) -> bool,
+        s: &mut SubsetScratch,
+    ) -> Result<f64, ProfileError> {
+        s.members.clear();
+        s.members
+            .extend((0..self.num_functions()).filter(|&i| allowed(i)));
+        let m = s.members.len();
         if m == 0 {
             // No function allowed: a session always invokes at least one.
             return Ok(0.0);
         }
-        let mut a = Matrix::identity(m);
-        let mut b = vec![0.0; m];
-        for (r, &i) in members.iter().enumerate() {
-            for (c, &j) in members.iter().enumerate() {
-                a[(r, c)] -= self.trans[i][j];
+        s.a.reset_zeros(m, m);
+        s.b.clear();
+        for (r, &i) in s.members.iter().enumerate() {
+            s.a[(r, r)] = 1.0;
+            for (c, &j) in s.members.iter().enumerate() {
+                s.a[(r, c)] -= self.trans[i][j];
             }
-            b[r] = self.exit[i];
+            s.b.push(self.exit[i]);
         }
-        let h = Lu::new(&a)
-            .map_err(|e| ProfileError::Markov(e.into()))?
-            .solve(&b)
-            .map_err(|e| ProfileError::Markov(e.into()))?;
+        let markov = |e: LinalgError| ProfileError::Markov(e.into());
+        s.lu.factor(&s.a).map_err(markov)?;
+        s.lu.solve_into(&s.b, &mut s.h).map_err(markov)?;
         let mut total = 0.0;
-        for (r, &i) in members.iter().enumerate() {
-            total += self.start[i] * h[r];
+        for (r, &i) in s.members.iter().enumerate() {
+            total += self.start[i] * s.h[r];
         }
         Ok(total)
     }
@@ -412,13 +424,18 @@ impl ProfileGraph {
     /// bitmask over [`ProfileGraph::function_names`] indices.
     ///
     /// Computed by inclusion–exclusion over taboo-chain probabilities:
-    /// `P(= S) = Σ_{T ⊆ S} (-1)^{|S \ T|} P(⊆ T)`.
+    /// `P(= S) = Σ_{T ⊆ S} (-1)^{|S \ T|} P(⊆ T)`. The graph is validated
+    /// once; the `2ⁿ` taboo systems `P(⊆ T)` are then solved one after
+    /// another in a single reused workspace, so the enumeration allocates
+    /// nothing per subset.
     ///
     /// # Errors
     ///
     /// * [`ProfileError::BadTable`] when the profile has more than 20
     ///   functions (the enumeration is exponential).
-    /// * Propagated validation failures.
+    /// * [`ProfileError::InvalidProbability`] when a class probability is
+    ///   not finite (a near-singular subset solve).
+    /// * Propagated validation and subset-solve failures.
     pub fn scenario_class_probabilities(
         &self,
         threshold: f64,
@@ -436,9 +453,10 @@ impl ProfileGraph {
         let full = 1u32 << n;
         // Subset-reach probabilities for every mask.
         let mut subset = vec![0.0f64; full as usize];
+        let mut scratch = SubsetScratch::default();
         for mask in 0..full {
-            let allowed: Vec<bool> = (0..n).map(|i| mask & (1 << i) != 0).collect();
-            subset[mask as usize] = self.subset_probability(&allowed)?;
+            subset[mask as usize] =
+                self.subset_probability_in(|i| mask & (1 << i) != 0, &mut scratch)?;
         }
         // Möbius inversion (inclusion–exclusion) via the subset-sum
         // transform: exact[S] = Σ_{T⊆S} (-1)^{|S|-|T|} subset[T].
@@ -452,13 +470,20 @@ impl ProfileGraph {
                 }
             }
         }
+        if let Some((mask, &p)) = exact.iter().enumerate().find(|(_, p)| !p.is_finite()) {
+            return Err(ProfileError::InvalidProbability {
+                context: format!("scenario class {mask:#b}"),
+                value: p,
+            });
+        }
         let mut out: Vec<(u32, f64)> = exact
             .into_iter()
             .enumerate()
             .filter(|&(_, p)| p > threshold)
             .map(|(m, p)| (m as u32, p))
             .collect();
-        out.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite probabilities"));
+        // Every probability is finite here, so `partial_cmp` is total.
+        out.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(Ordering::Equal));
         Ok(out)
     }
 
@@ -578,6 +603,18 @@ impl ProfileGraph {
             .map(|(m, c)| (m, c as f64 / sessions as f64))
             .collect())
     }
+}
+
+/// Reusable storage for the taboo-chain solves of one scenario
+/// enumeration: the allowed members, the system `(I - T) h = e` and its
+/// LU factors.
+#[derive(Default)]
+struct SubsetScratch {
+    members: Vec<usize>,
+    a: Matrix,
+    b: Vec<f64>,
+    h: Vec<f64>,
+    lu: LuWorkspace,
 }
 
 #[cfg(test)]
@@ -771,6 +808,201 @@ mod tests {
         assert!(both.invokes("Search"));
         // Unreachable threshold.
         assert!(g.to_scenario_table(2.0).is_err());
+    }
+
+    /// The scenario enumeration as first written: every subset re-validates
+    /// the graph and solves through a freshly built `Vec<bool>`, identity
+    /// matrix and owned [`uavail_linalg::Lu`]. Kept only as the
+    /// bit-identity reference for the production path.
+    fn reference_classes(
+        g: &ProfileGraph,
+        threshold: f64,
+    ) -> Result<Vec<(u32, f64)>, ProfileError> {
+        fn subset(g: &ProfileGraph, allowed: &[bool]) -> Result<f64, ProfileError> {
+            g.validate()?;
+            let members: Vec<usize> = (0..g.num_functions()).filter(|&i| allowed[i]).collect();
+            let m = members.len();
+            if m == 0 {
+                return Ok(0.0);
+            }
+            let mut a = Matrix::identity(m);
+            let mut b = vec![0.0; m];
+            for (r, &i) in members.iter().enumerate() {
+                for (c, &j) in members.iter().enumerate() {
+                    a[(r, c)] -= g.trans[i][j];
+                }
+                b[r] = g.exit[i];
+            }
+            let h = uavail_linalg::Lu::new(&a)
+                .map_err(|e| ProfileError::Markov(e.into()))?
+                .solve(&b)
+                .map_err(|e| ProfileError::Markov(e.into()))?;
+            Ok(members
+                .iter()
+                .enumerate()
+                .fold(0.0, |total, (r, &i)| total + g.start[i] * h[r]))
+        }
+        g.validate()?;
+        let n = g.num_functions();
+        let full = 1u32 << n;
+        let mut exact = vec![0.0f64; full as usize];
+        for mask in 0..full {
+            let allowed: Vec<bool> = (0..n).map(|i| mask & (1 << i) != 0).collect();
+            exact[mask as usize] = subset(g, &allowed)?;
+        }
+        for bit in 0..n {
+            for mask in 0..full {
+                if mask & (1 << bit) != 0 {
+                    let lower = exact[(mask ^ (1 << bit)) as usize];
+                    exact[mask as usize] -= lower;
+                }
+            }
+        }
+        let mut out: Vec<(u32, f64)> = exact
+            .into_iter()
+            .enumerate()
+            .filter(|&(_, p)| p > threshold)
+            .map(|(m, p)| (m as u32, p))
+            .collect();
+        out.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite probabilities"));
+        Ok(out)
+    }
+
+    const FIG2: [&str; 5] = ["Home", "Browse", "Search", "Book", "Pay"];
+
+    /// Builds an unvalidated 5-function graph from raw weights: row 0 is
+    /// Start (5 weights), rows 1..=5 are the functions (5 transition
+    /// weights then Exit). Each row is normalized; an all-zero row is left
+    /// zero, so normalization and termination failures are generated too.
+    fn graph_from_weights(rows: &[Vec<f64>]) -> ProfileGraph {
+        let mut g = ProfileGraph::new(FIG2.to_vec()).unwrap();
+        let normalized = |row: &[f64]| -> Vec<f64> {
+            let sum: f64 = row.iter().sum();
+            row.iter()
+                .map(|w| if sum > 0.0 { w / sum } else { 0.0 })
+                .collect()
+        };
+        for (j, p) in normalized(&rows[0][..5]).into_iter().enumerate() {
+            g.set_start_transition(FIG2[j], p).unwrap();
+        }
+        for (i, row) in rows[1..].iter().enumerate() {
+            let p = normalized(row);
+            for (j, &pj) in p[..5].iter().enumerate() {
+                g.set_transition(FIG2[i], Some(FIG2[j]), pj).unwrap();
+            }
+            g.set_transition(FIG2[i], None, p[5]).unwrap();
+        }
+        g
+    }
+
+    fn assert_same_classes(
+        got: &Result<Vec<(u32, f64)>, ProfileError>,
+        want: &Result<Vec<(u32, f64)>, ProfileError>,
+    ) -> Result<(), String> {
+        match (got, want) {
+            (Ok(got), Ok(want)) => {
+                let bits = |v: &[(u32, f64)]| -> Vec<(u32, u64)> {
+                    v.iter().map(|&(m, p)| (m, p.to_bits())).collect()
+                };
+                if bits(got) == bits(want) {
+                    Ok(())
+                } else {
+                    Err(format!("classes differ: {got:?} vs reference {want:?}"))
+                }
+            }
+            (Err(got), Err(want)) if got == want => Ok(()),
+            _ => Err(format!("{got:?} vs reference {want:?}")),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256))]
+        #[test]
+        fn enumeration_is_bit_identical_to_per_mask_reference(
+            rows in proptest::prop::collection::vec(
+                proptest::prop::collection::vec(
+                    // Half the weights are exactly 0, so rows with a single
+                    // survivor carry an exact probability of 1.
+                    proptest::prop_oneof![
+                        proptest::strategy::Just(0.0),
+                        proptest::strategy::Just(0.0),
+                        proptest::strategy::Just(1.0),
+                        0.0f64..1.0,
+                    ],
+                    6,
+                ),
+                6,
+            ),
+            threshold in proptest::prop_oneof![
+                proptest::strategy::Just(0.0),
+                proptest::strategy::Just(-1.0),
+                0.0f64..0.05,
+            ],
+        ) {
+            let g = graph_from_weights(&rows);
+            let got = g.scenario_class_probabilities(threshold);
+            let want = reference_classes(&g, threshold);
+            if let Err(msg) = assert_same_classes(&got, &want) {
+                proptest::prop_assert!(false, "{msg}");
+            }
+        }
+    }
+
+    #[test]
+    fn unreachable_closed_loop_errors_like_reference() {
+        // Search <-> Book with probability 1 and no start mass: the graph
+        // validates (the loop is unreachable) but the taboo system of any
+        // subset holding both is singular.
+        let mut g = ProfileGraph::new(FIG2.to_vec()).unwrap();
+        g.set_start_transition("Home", 0.5).unwrap();
+        g.set_start_transition("Browse", 0.5).unwrap();
+        g.set_transition("Home", Some("Browse"), 0.25).unwrap();
+        g.set_transition("Home", None, 0.75).unwrap();
+        g.set_transition("Browse", None, 1.0).unwrap();
+        g.set_transition("Search", Some("Book"), 1.0).unwrap();
+        g.set_transition("Book", Some("Search"), 1.0).unwrap();
+        g.set_transition("Pay", None, 1.0).unwrap();
+        let g = g.validated().unwrap();
+        let got = g.scenario_class_probabilities(0.0);
+        assert!(matches!(got, Err(ProfileError::Markov(_))), "{got:?}");
+        assert_same_classes(&got, &reference_classes(&g, 0.0)).unwrap();
+    }
+
+    #[test]
+    fn non_finite_class_probability_is_an_error_not_a_panic() {
+        // A NaN start mass stands in for a non-finite subset solve: it
+        // passes the tolerance check of validation (every comparison with
+        // NaN is false) and poisons every class probability.
+        let mut g = simple();
+        g.start[0] = f64::NAN;
+        let err = g.scenario_class_probabilities(0.0).unwrap_err();
+        assert!(
+            matches!(&err, ProfileError::InvalidProbability { context, value }
+                if context.starts_with("scenario class") && value.is_nan()),
+            "{err:?}"
+        );
+        assert!(g.to_scenario_table(0.0).is_err());
+    }
+
+    #[test]
+    fn probability_errors_name_the_edge() {
+        let mut g = simple();
+        let err = g.set_transition("Home", Some("Search"), 1.5).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "invalid probability 1.5 for Home -> Search"
+        );
+        let err = g.set_transition("Search", None, -0.5).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "invalid probability -0.5 for Search -> Exit"
+        );
+        let err = g.set_start_transition("Home", f64::NAN).unwrap_err();
+        assert_eq!(err.to_string(), "invalid probability NaN for Start -> Home");
+        assert!(matches!(
+            g.set_transition("Nowhere", None, 0.5),
+            Err(ProfileError::UnknownFunction { .. })
+        ));
     }
 
     #[test]
