@@ -96,8 +96,10 @@ fn bench_extensions(c: &mut Criterion) {
 }
 
 fn bench_parallel_sweep(c: &mut Criterion) {
-    use uavail_travel::evaluation::{figure11_parallel, figure12_parallel};
+    use uavail_core::par::Exec;
+    use uavail_travel::evaluation::figure_sweep;
     use uavail_travel::webservice::reset_loss_cache;
+    use uavail_travel::Coverage;
     // Cold-cache runs so serial and parallel pay identical loss-model
     // work; the warm-cache benches above stay as-is.
     c.bench_function("figure_sweep/serial_cold_cache", |bench| {
@@ -109,7 +111,11 @@ fn bench_parallel_sweep(c: &mut Criterion) {
     c.bench_function("figure_sweep/parallel_cold_cache", |bench| {
         bench.iter(|| {
             reset_loss_cache();
-            black_box((figure11_parallel().unwrap(), figure12_parallel().unwrap()))
+            let exec = Exec::parallel();
+            black_box((
+                figure_sweep(Coverage::Perfect, &exec).unwrap(),
+                figure_sweep(Coverage::Imperfect, &exec).unwrap(),
+            ))
         })
     });
 }

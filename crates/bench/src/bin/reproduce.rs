@@ -1,7 +1,7 @@
 //! Regenerates every table and figure of the DSN 2003 travel-agency paper.
 //!
 //! ```text
-//! reproduce [ARTIFACT] [--csv] [--parallel] [--batch <n>]
+//! reproduce [ARTIFACT] [--csv] [--parallel]
 //!           [--metrics <path>] [--trace <path>] [--bench-json <path>]
 //!           [--inject <spec>] [--inject-seed <n>]
 //!           [--port <p>] [--iterations <n>] [--workers <n>] [--queue <n>]
@@ -13,20 +13,14 @@
 //!           speedup bench simgate resilient serve loadgen all
 //! ```
 //!
-//! `--parallel` routes the artifacts with parallel implementations
-//! (fig11, fig12, validate, session) through the multi-threaded engine;
-//! the figure output is bit-for-bit identical to the serial run, and the
+//! `--parallel` runs the artifacts that have a multi-threaded form
+//! (fig11, fig12, validate, session — and `all`, which includes the two
+//! figures) on every core; any other artifact rejects the flag. The
+//! figures are the one `figure_sweep` driver with more worker threads, so
+//! their output is bit-for-bit identical to the serial run; the
 //! simulations pool deterministic independent replications instead of one
 //! long stream. `speedup` times serial vs parallel on the Figure 11/12
 //! sweep and reports the ratio.
-//!
-//! `--batch <n>` routes the artifacts with batched implementations
-//! (fig11, fig12, table8, capacity) through the block-batched evaluation
-//! layer: the sweep grid is partitioned into blocks of up to `n` points
-//! and evaluated through a `BatchContext` that reuses block-invariant
-//! model structure (one M/M/c/K family solve per series, memoized series
-//! replays). Output is bit-for-bit identical to the unbatched run; with
-//! `--parallel`, the figure blocks are distributed over worker threads.
 //!
 //! `--metrics <path>` enables the `uavail-obs` recorder for the run and
 //! writes a JSON-lines artifact to `path`: one meta record, then one
@@ -58,19 +52,18 @@
 //! typed by the resilient layers, so the default per-panic backtrace would
 //! only be noise.
 //!
-//! `resilient` runs the Figure 12 sweep through the panic-isolated
-//! resilient engine and prints the report: every point that evaluated plus
+//! `resilient` runs the Figure 12 sweep on every core with the `Report`
+//! failure policy and prints the report: every point that evaluated plus
 //! a typed failure per point that did not, without aborting. It pairs with
 //! `--inject` in the CI injection matrix.
 //!
-//! `bench` times the `EvalContext` reuse and `BatchContext` batched paths
-//! against their cold-build twins (Figure 11, Figure 12, Table 8, plus a
-//! cold/reuse `sparse_farm` pair) in-process and prints the means;
+//! `bench` times the cold Figure 11, Figure 12 and Table 8 drivers, plus
+//! cold/reuse pairs for a `sparse_farm` solve and the
+//! `sim.farm_replication` kernel, in-process and prints the means;
 //! `--bench-json <path>` additionally writes the measurements as a
 //! JSON-lines artifact (schema `uavail-bench/v1`: one meta record, one
-//! record per benchmark with `name`/`mode`/`mean_ns`/`iters`, one derived
-//! `<name>.context_speedup` record per cold/reuse pair and one derived
-//! `<name>.batched_speedup` record per cold/batched pair). The flag
+//! record per benchmark with `name`/`mode`/`mean_ns`/`iters`, and one
+//! derived `<name>.context_speedup` record per cold/reuse pair). The flag
 //! implies the `bench` artifact when none is named; `bench` is excluded
 //! from `all` because it is a timing run, not a paper artifact.
 //!
@@ -117,16 +110,12 @@
 
 use std::process::ExitCode;
 
-use uavail_bench::{render, PAPER_A_WS, PAPER_TABLE8};
+use uavail_bench::render;
 use uavail_core::downtime::HOURS_PER_YEAR;
-use uavail_core::par::default_threads;
-use uavail_travel::batch::{
-    figure11_batched, figure11_parallel_batched, figure12_batched, figure12_parallel_batched,
-    min_web_servers_for_batched, table8_batched, BatchContext,
-};
+use uavail_core::par::{default_threads, Exec, OnFailure};
 use uavail_travel::evaluation::{
-    figure11, figure11_parallel, figure12, figure12_parallel, figure12_resilient, figure13,
-    figure_grid, min_web_servers_for, revenue_analysis, table8, FigurePoint, FigureReport,
+    figure11, figure12, figure13, figure_grid, figure_sweep, min_web_servers_for, revenue_analysis,
+    table8, FigurePoint, FigureReport, PAPER_A_WS, PAPER_TABLE8,
 };
 use uavail_travel::fig2::Fig2Probabilities;
 use uavail_travel::functions::{self, TaFunction};
@@ -146,7 +135,6 @@ fn main() -> ExitCode {
     let mut metrics: Option<String> = None;
     let mut trace: Option<String> = None;
     let mut bench_json: Option<String> = None;
-    let mut batch: Option<usize> = None;
     let mut inject: Option<String> = None;
     let mut inject_seed: Option<u64> = None;
     let mut port: Option<u16> = None;
@@ -223,22 +211,6 @@ fn main() -> ExitCode {
             }
         } else if let Some(path) = arg.strip_prefix("--bench-json=") {
             bench_json = Some(path.to_string());
-        } else if arg == "--batch" {
-            match args.next().map(|v| v.parse::<usize>()) {
-                Some(Ok(n)) if n >= 1 => batch = Some(n),
-                _ => {
-                    eprintln!("reproduce: --batch requires a block size of at least 1");
-                    return ExitCode::FAILURE;
-                }
-            }
-        } else if let Some(n_text) = arg.strip_prefix("--batch=") {
-            match n_text.parse::<usize>() {
-                Ok(n) if n >= 1 => batch = Some(n),
-                _ => {
-                    eprintln!("reproduce: --batch requires a block size of at least 1");
-                    return ExitCode::FAILURE;
-                }
-            }
         } else if arg == "--port" {
             match args.next().map(|v| v.parse::<u16>()) {
                 Some(Ok(p)) => port = Some(p),
@@ -415,9 +387,14 @@ fn main() -> ExitCode {
         eprintln!("reproduce: --inject-seed only applies together with --inject");
         return ExitCode::FAILURE;
     }
-    if batch.is_some() && !matches!(artifact.as_str(), "fig11" | "fig12" | "table8" | "capacity") {
+    if parallel
+        && !matches!(
+            artifact.as_str(),
+            "fig11" | "fig12" | "validate" | "session" | "all"
+        )
+    {
         eprintln!(
-            "reproduce: --batch only applies to the fig11, fig12, table8 and capacity artifacts"
+            "reproduce: --parallel only applies to the fig11, fig12, validate, session and all artifacts"
         );
         return ExitCode::FAILURE;
     }
@@ -516,9 +493,20 @@ fn main() -> ExitCode {
             eprintln!("reproduce: --bench-json only applies to the `bench` artifact");
             return ExitCode::FAILURE;
         }
+        // Every core, every point: failures are reported, never fatal.
+        let exec = Exec {
+            threads: default_threads(),
+            on_failure: OnFailure::Report,
+        };
         let report = {
             let _run = uavail_obs::span("reproduce");
-            figure12_resilient()
+            match figure_sweep(Coverage::Imperfect, &exec) {
+                Ok(report) => report,
+                Err(e) => {
+                    eprintln!("reproduce: {e}");
+                    return ExitCode::FAILURE;
+                }
+            }
         };
         print_resilient(&report, csv);
         if let Some(path) = metrics {
@@ -655,10 +643,7 @@ fn main() -> ExitCode {
     }
     let result = {
         let _run = uavail_obs::span("reproduce");
-        match batch {
-            Some(block) => run_batched(&artifact, csv, parallel, block),
-            None => run(&artifact, csv, parallel),
-        }
+        run(&artifact, csv, parallel)
     };
     if let Err(e) = result {
         eprintln!("reproduce: {e}");
@@ -945,7 +930,7 @@ fn print_loadgen(
 }
 
 /// One in-process benchmark measurement: a named case in `cold_build`,
-/// `context_reuse`, `batched` or (memo-free paths) `cold` mode.
+/// `context_reuse` or (memo-free paths) `cold` mode.
 struct BenchMeasurement {
     name: &'static str,
     mode: &'static str,
@@ -953,22 +938,17 @@ struct BenchMeasurement {
     iters: u64,
 }
 
-/// Times the cold-build, context-reuse and batched variants of the
-/// Figure 11, Figure 12 and Table 8 drivers in-process, plus a
-/// `sparse_farm` pair that solves a 2 000-server (4 001-state)
-/// imperfect-coverage farm through the sparse CTMC route and a
-/// `sim.farm_replication` pair that times the per-event replication
-/// baseline against the epoch-resolvent streaming path. Cold iterations
-/// reset the loss-probability memo and allocate everything fresh; reuse
-/// iterations run the `*_with` twins against one long-lived
-/// [`EvalContext`] and the warm memo; batched iterations run the
-/// `*_batched` twins against one long-lived `BatchContext`. The same
-/// methodology as `cargo bench -p uavail-bench --bench context`, shrunk
-/// to fit a reproduction run.
+/// Times the Figure 11, Figure 12 and Table 8 drivers cold (the loss
+/// memo reset before every iteration) in-process, plus a `sparse_farm`
+/// pair that solves a 2 000-server (4 001-state) imperfect-coverage farm
+/// through the sparse CTMC route and a `sim.farm_replication` pair that
+/// times the per-event replication baseline against the epoch-resolvent
+/// streaming path. Cold iterations allocate everything fresh; reuse
+/// iterations run against one long-lived workspace ([`EvalContext`] or
+/// `SimContext`) and its warm memo.
 fn run_context_benches() -> Result<Vec<BenchMeasurement>, TravelError> {
     use std::hint::black_box;
     use std::time::Instant;
-    use uavail_travel::evaluation::{figure11_with, figure12_with, table8_with};
     use uavail_travel::EvalContext;
 
     // One calibration call sizes the loop to roughly this much wall
@@ -988,7 +968,36 @@ fn run_context_benches() -> Result<Vec<BenchMeasurement>, TravelError> {
         Ok((start.elapsed().as_secs_f64() * 1e9 / iters as f64, iters))
     }
 
-    let mut out = Vec::with_capacity(8);
+    let mut out = Vec::with_capacity(10);
+    // The paper drivers as `reproduce` runs them, each iteration paying
+    // every loss-model miss.
+    type Driver = fn() -> Result<(), TravelError>;
+    let drivers: [(&'static str, Driver); 3] = [
+        ("figure11", || {
+            black_box(figure11()?);
+            Ok(())
+        }),
+        ("figure12", || {
+            black_box(figure12()?);
+            Ok(())
+        }),
+        ("table8", || {
+            black_box(table8()?);
+            Ok(())
+        }),
+    ];
+    for (name, driver) in drivers {
+        let (mean_ns, iters) = time(|| {
+            webservice::reset_loss_cache();
+            driver()
+        })?;
+        out.push(BenchMeasurement {
+            name,
+            mode: "cold_build",
+            mean_ns,
+            iters,
+        });
+    }
     let mut bench_pair = |name: &'static str,
                           mut cold: Box<dyn FnMut() -> Result<(), TravelError> + '_>,
                           mut warm: Box<dyn FnMut() -> Result<(), TravelError> + '_>|
@@ -1011,45 +1020,6 @@ fn run_context_benches() -> Result<Vec<BenchMeasurement>, TravelError> {
         Ok(())
     };
 
-    let mut ctx = EvalContext::new();
-    bench_pair(
-        "figure11",
-        Box::new(|| {
-            webservice::reset_loss_cache();
-            black_box(figure11()?);
-            Ok(())
-        }),
-        Box::new(|| {
-            black_box(figure11_with(&mut ctx)?);
-            Ok(())
-        }),
-    )?;
-    let mut ctx = EvalContext::new();
-    bench_pair(
-        "figure12",
-        Box::new(|| {
-            webservice::reset_loss_cache();
-            black_box(figure12()?);
-            Ok(())
-        }),
-        Box::new(|| {
-            black_box(figure12_with(&mut ctx)?);
-            Ok(())
-        }),
-    )?;
-    let mut ctx = EvalContext::new();
-    bench_pair(
-        "table8",
-        Box::new(|| {
-            webservice::reset_loss_cache();
-            black_box(table8()?);
-            Ok(())
-        }),
-        Box::new(|| {
-            black_box(table8_with(&mut ctx)?);
-            Ok(())
-        }),
-    )?;
     // A farm big enough to cross the sparse routing cutoff: 2 000
     // servers → 4 001 composite states, solved iteratively in CSR. The
     // rates keep n·λ below µ (the paper's operating regime) so the
@@ -1134,49 +1104,6 @@ fn run_context_benches() -> Result<Vec<BenchMeasurement>, TravelError> {
         iters,
     });
 
-    // Batched twins: one long-lived BatchContext per case, warmed outside
-    // the timed loop exactly like the context_reuse mode. The batched
-    // layer must beat plain context reuse — its series and table memos
-    // skip even the per-point parameter building and memo hashing the
-    // warm `*_with` paths still pay.
-    let mut bench_batched = |name: &'static str,
-                             mut f: Box<dyn FnMut() -> Result<(), TravelError> + '_>|
-     -> Result<(), TravelError> {
-        f()?; // warm the batch context's memos outside the timed loop
-        let (mean_ns, iters) = time(&mut *f)?;
-        out.push(BenchMeasurement {
-            name,
-            mode: "batched",
-            mean_ns,
-            iters,
-        });
-        Ok(())
-    };
-    let mut bctx = BatchContext::new();
-    bench_batched(
-        "figure11",
-        Box::new(|| {
-            black_box(figure11_batched(10, &mut bctx)?);
-            Ok(())
-        }),
-    )?;
-    let mut bctx = BatchContext::new();
-    bench_batched(
-        "figure12",
-        Box::new(|| {
-            black_box(figure12_batched(10, &mut bctx)?);
-            Ok(())
-        }),
-    )?;
-    let mut bctx = BatchContext::new();
-    bench_batched(
-        "table8",
-        Box::new(|| {
-            black_box(table8_batched(&mut bctx)?);
-            Ok(())
-        }),
-    )?;
-
     // Telemetry-plane hot paths: the sliding-window record (including
     // its occasional epoch rotation) and the SLO monitor's outcome fold.
     // One timed call is a batch of 1024 operations — a single operation
@@ -1240,22 +1167,19 @@ fn print_bench_table(measurements: &[BenchMeasurement], csv: bool) {
         ]);
     }
     print!("{}", render(&t, csv));
-    for (name, speedup) in mode_speedups(measurements, "context_reuse") {
+    for (name, speedup) in context_speedups(measurements) {
         println!("{name}: context reuse is {speedup:.2}x faster than cold build");
-    }
-    for (name, speedup) in mode_speedups(measurements, "batched") {
-        println!("{name}: batched evaluation is {speedup:.2}x faster than cold build");
     }
 }
 
-/// `(name, cold_mean / mode_mean)` for every case measured in both
-/// `cold_build` and `mode`.
-fn mode_speedups<'a>(measurements: &'a [BenchMeasurement], mode: &str) -> Vec<(&'a str, f64)> {
+/// `(name, cold_mean / reuse_mean)` for every case measured in both
+/// `cold_build` and `context_reuse` mode.
+fn context_speedups(measurements: &[BenchMeasurement]) -> Vec<(&str, f64)> {
     let mut out = Vec::new();
     for m in measurements.iter().filter(|m| m.mode == "cold_build") {
         if let Some(other) = measurements
             .iter()
-            .find(|w| w.name == m.name && w.mode == mode)
+            .find(|w| w.name == m.name && w.mode == "context_reuse")
         {
             out.push((m.name, m.mean_ns / other.mean_ns));
         }
@@ -1265,9 +1189,8 @@ fn mode_speedups<'a>(measurements: &'a [BenchMeasurement], mode: &str) -> Vec<(&
 
 /// Serializes bench measurements to `path` as JSON lines under the
 /// `uavail-bench/v1` schema: one meta record, one record per measurement,
-/// a derived `<name>.context_speedup` per cold/reuse pair and a derived
-/// `<name>.batched_speedup` per cold/batched pair. Validated by the
-/// in-tree JSON parser before anything touches the filesystem.
+/// and a derived `<name>.context_speedup` per cold/reuse pair. Validated
+/// by the in-tree JSON parser before anything touches the filesystem.
 fn write_bench_json(path: &str, measurements: &[BenchMeasurement]) -> Result<(), String> {
     use uavail_obs::json::JsonValue;
     let mut out = String::new();
@@ -1294,21 +1217,16 @@ fn write_bench_json(path: &str, measurements: &[BenchMeasurement]) -> Result<(),
         );
         out.push('\n');
     }
-    for (mode, suffix) in [
-        ("context_reuse", "context_speedup"),
-        ("batched", "batched_speedup"),
-    ] {
-        for (name, speedup) in mode_speedups(measurements, mode) {
-            out.push_str(
-                &JsonValue::object(vec![
-                    ("type", JsonValue::str("derived")),
-                    ("name", JsonValue::str(format!("{name}.{suffix}"))),
-                    ("value", JsonValue::Float(speedup)),
-                ])
-                .to_string(),
-            );
-            out.push('\n');
-        }
+    for (name, speedup) in context_speedups(measurements) {
+        out.push_str(
+            &JsonValue::object(vec![
+                ("type", JsonValue::str("derived")),
+                ("name", JsonValue::str(format!("{name}.context_speedup"))),
+                ("value", JsonValue::Float(speedup)),
+            ])
+            .to_string(),
+        );
+        out.push('\n');
     }
     let records = uavail_obs::json::validate_lines(&out)
         .map_err(|e| format!("bench artifact failed JSON validation: {e}"))?;
@@ -1457,80 +1375,6 @@ fn run(artifact: &str, csv: bool, parallel: bool) -> Result<(), TravelError> {
             Ok(())
         }
     }
-}
-
-/// `--batch` dispatch: the four batched artifacts, validated in `main`.
-/// Figures honor `--parallel` through the block-distributing parallel
-/// twins; output is bit-for-bit the unbatched artifact's.
-fn run_batched(artifact: &str, csv: bool, parallel: bool, block: usize) -> Result<(), TravelError> {
-    match artifact {
-        "fig11" => {
-            let points = if parallel {
-                figure11_parallel_batched(block)?
-            } else {
-                figure11_batched(block, &mut BatchContext::new())?
-            };
-            figure_table(
-                "Figure 11 — web service unavailability vs N_W (perfect coverage)",
-                &points,
-                csv,
-            );
-            println!("(batched evaluation, block size {block}; identical to the plain sweep)");
-        }
-        "fig12" => {
-            let points = if parallel {
-                figure12_parallel_batched(block)?
-            } else {
-                figure12_batched(block, &mut BatchContext::new())?
-            };
-            figure_table(
-                "Figure 12 — web service unavailability vs N_W (imperfect coverage)",
-                &points,
-                csv,
-            );
-            println!("(batched evaluation, block size {block}; identical to the plain sweep)");
-        }
-        "table8" => {
-            let rows = table8_batched(&mut BatchContext::new())?;
-            let mut t = Table::new(
-                "Table 8 — user availability vs N_F = N_H = N_C",
-                vec!["N", "A(A users)", "paper A", "A(B users)", "paper B"],
-            );
-            for (row, (n, pa, pb)) in rows.iter().zip(PAPER_TABLE8) {
-                assert_eq!(row.reservation_systems, n);
-                t.add_row(vec![
-                    n.to_string(),
-                    fmt_availability(row.class_a),
-                    fmt_availability(pa),
-                    fmt_availability(row.class_b),
-                    fmt_availability(pb),
-                ]);
-            }
-            print!("{}", render(&t, csv));
-            println!("(batched evaluation; identical to the plain table)");
-        }
-        "capacity" => {
-            let mut bctx = BatchContext::new();
-            let mut t = Table::new(
-                "Section 5.1 — minimum N_W for unavailability < 1e-5 (imperfect coverage)",
-                vec!["lambda (1/h)", "alpha (1/s)", "min N_W"],
-            );
-            for lambda in [1e-2, 1e-3, 1e-4] {
-                for alpha in [50.0, 100.0, 150.0] {
-                    let n = min_web_servers_for_batched(1e-5, lambda, alpha, 10, &mut bctx)?;
-                    t.add_row(vec![
-                        format!("{lambda:.0e}"),
-                        format!("{alpha:.0}"),
-                        n.map(|v| v.to_string()).unwrap_or_else(|| "-".into()),
-                    ]);
-                }
-            }
-            print!("{}", render(&t, csv));
-            println!("(batched evaluation; identical to the plain search)");
-        }
-        other => unreachable!("--batch artifact {other:?} rejected during flag validation"),
-    }
-    Ok(())
 }
 
 fn print_table1(csv: bool) -> Result<(), TravelError> {
@@ -1752,7 +1596,7 @@ fn print_fig12(csv: bool) -> Result<(), TravelError> {
 }
 
 fn print_fig11_parallel(csv: bool) -> Result<(), TravelError> {
-    let points = figure11_parallel()?;
+    let points = figure_sweep(Coverage::Perfect, &Exec::parallel())?.points;
     figure_table(
         "Figure 11 — web service unavailability vs N_W (perfect coverage)",
         &points,
@@ -1766,7 +1610,7 @@ fn print_fig11_parallel(csv: bool) -> Result<(), TravelError> {
 }
 
 fn print_fig12_parallel(csv: bool) -> Result<(), TravelError> {
-    let points = figure12_parallel()?;
+    let points = figure_sweep(Coverage::Imperfect, &Exec::parallel())?.points;
     figure_table(
         "Figure 12 — web service unavailability vs N_W (imperfect coverage)",
         &points,
@@ -2222,11 +2066,18 @@ fn print_speedup(csv: bool) -> Result<(), TravelError> {
     use std::hint::black_box;
     use std::time::Instant;
 
-    let threads = default_threads();
+    let exec = Exec::parallel();
+    let threads = exec.threads;
+    let parallel_sweeps = || -> Result<_, TravelError> {
+        Ok((
+            figure_sweep(Coverage::Perfect, &exec)?.points,
+            figure_sweep(Coverage::Imperfect, &exec)?.points,
+        ))
+    };
     // Correctness first: the parallel sweep must reproduce the serial
     // Figure 11/12 points bit for bit.
     let serial_points = (figure11()?, figure12()?);
-    let parallel_points = (figure11_parallel()?, figure12_parallel()?);
+    let parallel_points = parallel_sweeps()?;
     assert_eq!(
         serial_points, parallel_points,
         "parallel figure sweep diverged from the serial sweep"
@@ -2241,7 +2092,7 @@ fn print_speedup(csv: bool) -> Result<(), TravelError> {
         for _ in 0..reps {
             webservice::reset_loss_cache();
             if parallel {
-                black_box((figure11_parallel()?, figure12_parallel()?));
+                black_box(parallel_sweeps()?);
             } else {
                 black_box((figure11()?, figure12()?));
             }

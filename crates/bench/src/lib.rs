@@ -15,20 +15,6 @@ use uavail_travel::report::Table;
 
 pub mod diff;
 
-/// Paper-published Table 8 values `(N, class A, class B)` used for the
-/// side-by-side comparison columns.
-pub const PAPER_TABLE8: [(usize, f64, f64); 6] = [
-    (1, 0.84235, 0.76875),
-    (2, 0.96509, 0.95529),
-    (3, 0.97867, 0.97593),
-    (4, 0.98004, 0.97802),
-    (5, 0.98018, 0.97822),
-    (10, 0.98020, 0.97825),
-];
-
-/// The paper's headline web-service availability (Table 7).
-pub const PAPER_A_WS: f64 = 0.999995587;
-
 /// Renders a table as ASCII or CSV depending on the flag.
 pub fn render(table: &Table, csv: bool) -> String {
     if csv {
@@ -48,17 +34,5 @@ mod tests {
         t.add_row(vec!["1".into()]);
         assert!(render(&t, false).contains("== x =="));
         assert!(render(&t, true).starts_with("a\n"));
-    }
-
-    #[test]
-    fn paper_constants_sane() {
-        // Rows must be sorted by N and probabilities valid.
-        for w in PAPER_TABLE8.windows(2) {
-            assert!(w[1].0 > w[0].0);
-        }
-        for (_, a, b) in PAPER_TABLE8 {
-            assert!((0.0..=1.0).contains(&a) && (0.0..=1.0).contains(&b));
-        }
-        const { assert!(PAPER_A_WS > 0.99999 && PAPER_A_WS < 1.0) };
     }
 }

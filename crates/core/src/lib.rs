@@ -32,13 +32,13 @@
 //!   operator used by the paper's web service (equations 5 and 9).
 //! * [`downtime`] — availability ↔ downtime conversions and the revenue
 //!   -loss model of Section 5.2.
-//! * [`sweep`] — parameter-sweep and tornado sensitivity utilities used by
-//!   the evaluation section, with serial and parallel
-//!   ([`sweep::sweep_parallel`]) evaluation paths that produce identical
-//!   results.
-//! * [`par`] — the order-preserving scoped-thread parallel map the
-//!   parallel paths are built on, reusable for any embarrassingly
-//!   parallel evaluation (the simulation crates use it for independent
+//! * [`sweep`] — the parameter sweep and tornado sensitivity drivers used
+//!   by the evaluation section. Each is one function that takes a
+//!   [`par::Exec`] (worker threads, abort-or-report failure policy); every
+//!   option produces bit-for-bit the same points.
+//! * [`par`] — the order-preserving scoped-thread map and fold those
+//!   drivers are built on, reusable for any embarrassingly parallel
+//!   evaluation (the simulation crates use them for independent
 //!   replications).
 //!
 //! # Examples

@@ -1,24 +1,30 @@
-//! Order-preserving parallel map on `std::thread::scope`.
+//! Order-preserving parallel map and fold on `std::thread::scope`.
 //!
 //! The evaluation workloads in this workspace — figure sweeps, tornado
 //! diagrams, Monte-Carlo replications — are embarrassingly parallel maps
-//! over independent points. This module provides the one primitive they
-//! all share: [`par_map`], a chunked, work-stealing map that preserves
-//! input order and reproduces serial first-error semantics exactly, built
-//! on scoped threads so it needs no external dependencies and no `'static`
-//! bounds on the closure or its captures. For reductions too large to
-//! materialize, [`par_fold_threads_with`] streams the same ordered result
-//! sequence through a bounded ring into a fold on the calling thread.
+//! over independent points. This module provides the two primitives they
+//! share, both built on scoped threads so they need no external
+//! dependencies and no `'static` bounds on the closure or its captures:
+//!
+//! * [`par_map`], a chunked, work-stealing map that returns one outcome
+//!   per item in input order. How it runs is data, not a choice of
+//!   function: an [`Exec`] names the worker-thread cap and the
+//!   [`OnFailure`] policy (abort at the first failure, or report every
+//!   item's outcome).
+//! * [`par_fold`], which streams the same ordered result sequence through
+//!   a bounded ring into a fold on the calling thread, for reductions too
+//!   large to materialize.
 //!
 //! # Determinism
 //!
-//! `par_map(items, f)` returns bit-for-bit the same `Ok` vector as the
-//! serial `items.iter().map(f).collect()`: each output slot is written
-//! from exactly one evaluation of `f` on the corresponding input, and
-//! thread scheduling only decides *when* a slot is computed, never *what*
-//! is stored in it. On failure, the error with the **lowest input index**
-//! is returned — the same error the serial loop would have surfaced —
-//! even when a later point happens to fail first in wall-clock time.
+//! Each output slot is written from exactly one evaluation of `f` on the
+//! corresponding input; thread scheduling only decides *when* a slot is
+//! computed, never *what* is stored in it. So the outcomes are bit-for-bit
+//! those of the serial loop for any thread count. Under
+//! [`OnFailure::Abort`] the outcomes end right after the **lowest** failing
+//! index — collecting them into a `Result<Vec<_>, _>` surfaces the same
+//! error the serial loop would have, even when a later point happens to
+//! fail first in wall-clock time.
 //!
 //! # Panic isolation
 //!
@@ -26,10 +32,10 @@
 //! under `catch_unwind`, and a caught panic becomes a typed error via
 //! [`FromWorkerPanic`] carrying the input index and the panic payload, so
 //! it participates in the same lowest-index-wins error semantics as an
-//! ordinary `Err`. The serial fallback path applies the same isolation,
-//! keeping serial and parallel behavior identical. The
-//! `core.par.worker_panic` injection site (see `uavail-faultinject`) can
-//! force such panics deterministically to exercise this machinery.
+//! ordinary `Err`. The serial path applies the same isolation, keeping
+//! serial and parallel behavior identical. The `core.par.worker_panic`
+//! injection site (see `uavail-faultinject`) can force such panics
+//! deterministically to exercise this machinery.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -45,76 +51,101 @@ pub fn default_threads() -> usize {
     std::thread::available_parallelism().map_or(1, usize::from)
 }
 
-/// Maps `f` over `items` in parallel, preserving input order.
-///
-/// Uses [`default_threads`] workers. See [`par_map_threads`] for the
-/// semantics and error contract.
-///
-/// # Errors
-///
-/// Returns the error produced at the lowest failing input index, exactly
-/// as the serial map would.
-pub fn par_map<T, U, E, F>(items: &[T], f: F) -> Result<Vec<U>, E>
-where
-    T: Sync,
-    U: Send,
-    E: Send + FromWorkerPanic,
-    F: Fn(&T) -> Result<U, E> + Sync,
-{
-    par_map_threads(items, default_threads(), f)
+/// What a failing item does to the rest of a map, sweep or figure run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum OnFailure {
+    /// Stop at the first failure: serial first-error semantics.
+    Abort,
+    /// Evaluate every item and report each failure alongside the
+    /// successes — graceful degradation instead of an aborted study.
+    Report,
 }
 
-/// Maps `f` over `items` on up to `threads` scoped worker threads.
+/// Execution options shared by every parallel entry point: how many
+/// worker threads to use and what a failure does.
+///
+/// Options never change a result's bits — only how many items are
+/// evaluated (under [`OnFailure::Abort`], nothing past the lowest failing
+/// index is returned) and how fast.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Exec {
+    /// Upper bound on worker threads. `threads <= 1` (or fewer than two
+    /// items) runs serially on the calling thread and spawns nothing.
+    pub threads: usize,
+    /// What a failing item does to the rest of the run.
+    pub on_failure: OnFailure,
+}
+
+impl Exec {
+    /// One thread, abort at the first failure: the plain serial loop.
+    pub const fn serial() -> Self {
+        Exec {
+            threads: 1,
+            on_failure: OnFailure::Abort,
+        }
+    }
+
+    /// [`default_threads`] workers, abort at the first failure.
+    pub fn parallel() -> Self {
+        Exec {
+            threads: default_threads(),
+            on_failure: OnFailure::Abort,
+        }
+    }
+}
+
+/// One panic-isolated evaluation: `f` runs under `catch_unwind`, a caught
+/// panic becomes `E::from_worker_panic`, and the workspace — whose
+/// invariants the unwound closure may have broken — is dropped and rebuilt
+/// before the next item. The `core.par.worker_panic` injection site fires
+/// *inside* the guarded region, so an injected panic exercises exactly the
+/// recovery path a real one would.
+fn eval_isolated<T, U, E: FromWorkerPanic, W>(
+    workspace: &mut Option<W>,
+    make: &impl Fn() -> W,
+    f: &impl Fn(&mut W, &T) -> Result<U, E>,
+    index: usize,
+    item: &T,
+) -> Result<U, E> {
+    let ws = workspace.get_or_insert_with(make);
+    match catch_unwind(AssertUnwindSafe(|| {
+        if uavail_faultinject::fired("core.par.worker_panic") {
+            panic!("injected worker panic at input index {index}");
+        }
+        f(ws, item)
+    })) {
+        Ok(result) => result,
+        Err(payload) => {
+            *workspace = None;
+            Err(E::from_worker_panic(
+                index,
+                panic_payload_text(payload.as_ref()),
+            ))
+        }
+    }
+}
+
+/// Maps `f` over `items` on up to `exec.threads` scoped worker threads,
+/// returning one outcome per evaluated item, in input order.
 ///
 /// Work is distributed in contiguous chunks claimed from an atomic
-/// counter, so threads that finish early steal the remaining chunks. The
-/// output vector is identical to the serial map's output: order is
-/// preserved and every element is the result of one call of `f` on the
-/// matching input.
+/// counter, so threads that finish early steal the remaining chunks. Each
+/// worker gets a private workspace from `make`, created on the worker
+/// thread (so `W` needs neither `Send` nor `Sync`) and reused across every
+/// item it evaluates; the serial path uses a single workspace. The
+/// workspace must only provide reusable storage, never influence results.
 ///
-/// With `threads <= 1`, or fewer than two items, the map runs serially on
-/// the calling thread (no thread is ever spawned), so callers can use one
-/// code path for both modes.
+/// # Failures
 ///
-/// # Errors
-///
-/// When one or more evaluations fail, the error at the **lowest** failing
-/// index is returned. Chunks are claimed in increasing index order and
-/// every already-claimed chunk runs to completion, so all indices below
-/// the winning one were evaluated — matching what the serial loop, which
-/// stops at the first failure, would have reported. Remaining unclaimed
-/// chunks are skipped once a failure is recorded.
-pub fn par_map_threads<T, U, E, F>(items: &[T], threads: usize, f: F) -> Result<Vec<U>, E>
-where
-    T: Sync,
-    U: Send,
-    E: Send + FromWorkerPanic,
-    F: Fn(&T) -> Result<U, E> + Sync,
-{
-    par_map_threads_with(items, threads, || (), |(), item| f(item))
-}
-
-/// Like [`par_map_threads`], but hands each worker thread a private
-/// workspace created by `make` and passes it to every evaluation the worker
-/// performs, so per-point scratch allocations can be reused across points.
-///
-/// The workspace is created *on* the worker thread (so `W` needs neither
-/// `Send` nor `Sync`) and dropped when the worker runs out of chunks. In
-/// serial mode a single workspace serves the whole map. Determinism is
-/// unchanged from [`par_map_threads`] — the workspace must not influence
-/// results, only provide reusable storage; with such an `f`, output and
-/// error semantics are identical to the plain map.
-///
-/// # Errors
-///
-/// Exactly as [`par_map_threads`]: the error at the lowest failing input
-/// index wins.
-pub fn par_map_threads_with<T, U, E, W, M, F>(
-    items: &[T],
-    threads: usize,
-    make: M,
-    f: F,
-) -> Result<Vec<U>, E>
+/// Under [`OnFailure::Report`] every item is evaluated and the output has
+/// exactly `items.len()` outcomes. Under [`OnFailure::Abort`] workers stop
+/// claiming chunks once any item fails, and the output is truncated right
+/// after the **lowest** failing index: chunks are claimed in increasing
+/// index order and every claimed chunk runs to completion, so every index
+/// below it was evaluated — exactly what the serial loop, which stops at
+/// its first failure, would have seen. Collecting into
+/// `Result<Vec<U>, E>` therefore gives serial first-error semantics.
+pub fn par_map<T, U, E, W, M, F>(items: &[T], exec: &Exec, make: M, f: F) -> Vec<Result<U, E>>
 where
     T: Sync,
     U: Send,
@@ -123,39 +154,20 @@ where
     F: Fn(&mut W, &T) -> Result<U, E> + Sync,
 {
     let n = items.len();
-    let threads = threads.clamp(1, n.max(1));
-    // One panic-isolated evaluation: the closure runs under
-    // `catch_unwind`, a caught panic becomes `E::from_worker_panic`, and
-    // the workspace — whose invariants the unwound closure may have
-    // broken — is dropped and rebuilt before the next item. The
-    // `core.par.worker_panic` injection site fires *inside* the guarded
-    // region, so an injected panic exercises exactly the recovery path a
-    // real one would.
-    let eval_isolated = |workspace: &mut Option<W>, index: usize, item: &T| -> Result<U, E> {
-        let ws = workspace.get_or_insert_with(&make);
-        match catch_unwind(AssertUnwindSafe(|| {
-            if uavail_faultinject::fired("core.par.worker_panic") {
-                panic!("injected worker panic at input index {index}");
-            }
-            f(ws, item)
-        })) {
-            Ok(result) => result,
-            Err(payload) => {
-                *workspace = None;
-                Err(E::from_worker_panic(
-                    index,
-                    panic_payload_text(payload.as_ref()),
-                ))
-            }
-        }
-    };
+    let threads = exec.threads.clamp(1, n.max(1));
+    let abort = exec.on_failure == OnFailure::Abort;
+    let mut out = Vec::with_capacity(n);
     if threads <= 1 || n < 2 {
         let mut workspace = Some(make());
-        return items
-            .iter()
-            .enumerate()
-            .map(|(i, item)| eval_isolated(&mut workspace, i, item))
-            .collect();
+        for (i, item) in items.iter().enumerate() {
+            let result = eval_isolated(&mut workspace, &make, &f, i, item);
+            let stop = abort && result.is_err();
+            out.push(result);
+            if stop {
+                break;
+            }
+        }
+        return out;
     }
 
     // Several short chunks per thread so an expensive tail point cannot
@@ -167,7 +179,7 @@ where
 
     std::thread::scope(|scope| {
         for worker in 0..threads {
-            let (next, failed, slots, eval_isolated) = (&next, &failed, &slots, &eval_isolated);
+            let (next, failed, slots, make, f) = (&next, &failed, &slots, &make, &f);
             scope.spawn(move || {
                 {
                     // One trace span per worker lifetime, plus one per
@@ -191,8 +203,8 @@ where
                         );
                         let end = (start + chunk).min(n);
                         for (i, item) in items.iter().enumerate().take(end).skip(start) {
-                            let result = eval_isolated(&mut workspace, i, item);
-                            if result.is_err() {
+                            let result = eval_isolated(&mut workspace, make, f, i, item);
+                            if abort && result.is_err() {
                                 failed.store(true, Ordering::Relaxed);
                             }
                             *slots[i].lock().expect("no poisoned slot") = Some(result);
@@ -208,18 +220,21 @@ where
         }
     });
 
-    let mut out = Vec::with_capacity(n);
     for slot in slots {
-        match slot.into_inner().expect("no poisoned slot") {
-            // A hole can only sit above the lowest failing index (chunks
-            // are claimed in order; holes come from skipped chunks), so
-            // by the time we reach one, an error was already returned.
-            None => unreachable!("unevaluated slot without a preceding error"),
-            Some(Ok(value)) => out.push(value),
-            Some(Err(e)) => return Err(e),
+        // A hole can only sit above the lowest failing index (chunks are
+        // claimed in order; holes come from chunks skipped under `Abort`),
+        // so the loop has always stopped before reaching one.
+        let result = slot
+            .into_inner()
+            .expect("no poisoned slot")
+            .expect("unevaluated slot without a preceding failure");
+        let stop = abort && result.is_err();
+        out.push(result);
+        if stop {
+            break;
         }
     }
-    Ok(out)
+    out
 }
 
 /// Streaming ordered reduction: maps `f` over `items` on up to `threads`
@@ -244,7 +259,7 @@ where
 ///
 /// Each worker gets a private workspace from `make`, created on the worker
 /// thread and reused across every item that worker evaluates, exactly as
-/// in [`par_map_threads_with`]; the workspace must not influence results.
+/// in [`par_map`]; the workspace must not influence results.
 ///
 /// # Errors
 ///
@@ -253,8 +268,9 @@ where
 /// serial first-error semantics. All indices below it were evaluated and
 /// folded; results above it are discarded. Panicking evaluations become
 /// typed errors via [`FromWorkerPanic`] and compete on index like ordinary
-/// errors.
-pub fn par_fold_threads_with<T, U, E, W, A, M, F, G>(
+/// errors. A fold has nothing to report a failure into, so it always
+/// aborts and takes a plain thread cap rather than an [`Exec`].
+pub fn par_fold<T, U, E, W, A, M, F, G>(
     items: &[T],
     threads: usize,
     make: M,
@@ -272,38 +288,11 @@ where
 {
     let n = items.len();
     let threads = threads.clamp(1, n.max(1));
-    // Same panic-isolated evaluation as `par_map_threads_with`: a caught
-    // panic becomes `E::from_worker_panic` and the (possibly broken)
-    // workspace is rebuilt before the next item.
-    let eval_isolated = |workspace: &mut Option<W>, index: usize, item: &T| -> Result<U, E> {
-        let ws = workspace.get_or_insert_with(&make);
-        match catch_unwind(AssertUnwindSafe(|| {
-            if uavail_faultinject::fired("core.par.worker_panic") {
-                panic!("injected worker panic at input index {index}");
-            }
-            f(ws, item)
-        })) {
-            Ok(result) => result,
-            Err(payload) => {
-                *workspace = None;
-                Err(E::from_worker_panic(
-                    index,
-                    panic_payload_text(payload.as_ref()),
-                ))
-            }
-        }
-    };
     if threads <= 1 || n < 2 {
         let mut workspace = Some(make());
         let mut acc = init;
         for (i, item) in items.iter().enumerate() {
-            acc = match eval_isolated(&mut workspace, i, item) {
-                Ok(value) => {
-                    fold(&mut acc, value);
-                    acc
-                }
-                Err(e) => return Err(e),
-            };
+            fold(&mut acc, eval_isolated(&mut workspace, &make, &f, i, item)?);
         }
         return Ok(acc);
     }
@@ -332,8 +321,7 @@ where
 
     std::thread::scope(|scope| {
         for worker in 0..threads {
-            let (next, ring, space, ready, eval_isolated) =
-                (&next, &ring, &space, &ready, &eval_isolated);
+            let (next, ring, space, ready, make, f) = (&next, &ring, &space, &ready, &make, &f);
             scope.spawn(move || {
                 {
                     let _worker_span = uavail_obs::TraceSpan::enter_with_arg(
@@ -354,7 +342,7 @@ where
                         );
                         let end = (start + chunk).min(n);
                         for (i, item) in items.iter().enumerate().take(end).skip(start) {
-                            let result = eval_isolated(&mut workspace, i, item);
+                            let result = eval_isolated(&mut workspace, make, f, i, item);
                             let mut st = ring.lock().expect("no poisoned ring");
                             while !st.failed && i >= st.consumed + window {
                                 st = space.wait(st).expect("no poisoned ring");
@@ -368,7 +356,7 @@ where
                         }
                     }
                 }
-                // See par_map_threads_with: flush this worker's trace ring
+                // See par_map: flush this worker's trace ring
                 // before the scope join observes the closure returning.
                 uavail_obs::trace::flush_current_thread();
             });
@@ -407,99 +395,28 @@ where
     })
 }
 
-/// Like [`par_map_threads`], but returns every item's outcome instead of
-/// aborting at the lowest failing index: the output has one
-/// `Result<U, E>` per input, in input order, and **every** input is
-/// always evaluated. A caught panic — real or injected via
-/// `core.par.worker_panic` — becomes `E::from_worker_panic` for that item
-/// only and never tears the map down.
-///
-/// This is the primitive under the resilient sweeps: callers that must
-/// degrade gracefully need the full outcome vector, not first-error
-/// semantics.
-pub fn par_map_threads_capture<T, U, E, F>(items: &[T], threads: usize, f: F) -> Vec<Result<U, E>>
-where
-    T: Sync,
-    U: Send,
-    E: Send + FromWorkerPanic,
-    F: Fn(&T) -> Result<U, E> + Sync,
-{
-    let n = items.len();
-    let threads = threads.clamp(1, n.max(1));
-    let eval_captured = |index: usize, item: &T| -> Result<U, E> {
-        match catch_unwind(AssertUnwindSafe(|| {
-            if uavail_faultinject::fired("core.par.worker_panic") {
-                panic!("injected worker panic at input index {index}");
-            }
-            f(item)
-        })) {
-            Ok(result) => result,
-            Err(payload) => Err(E::from_worker_panic(
-                index,
-                panic_payload_text(payload.as_ref()),
-            )),
-        }
-    };
-    if threads <= 1 || n < 2 {
-        return items
-            .iter()
-            .enumerate()
-            .map(|(i, item)| eval_captured(i, item))
-            .collect();
-    }
-
-    let chunk = n.div_ceil(threads * 4).max(1);
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<Result<U, E>>>> = (0..n).map(|_| Mutex::new(None)).collect();
-
-    std::thread::scope(|scope| {
-        for worker in 0..threads {
-            let (next, slots, eval_captured) = (&next, &slots, &eval_captured);
-            scope.spawn(move || {
-                {
-                    let _worker_span = uavail_obs::TraceSpan::enter_with_arg(
-                        "par.worker",
-                        "worker",
-                        worker as f64,
-                    );
-                    loop {
-                        let start = next.fetch_add(chunk, Ordering::Relaxed);
-                        if start >= n {
-                            break;
-                        }
-                        let _chunk_span = uavail_obs::TraceSpan::enter_with_arg(
-                            "par.chunk",
-                            "start",
-                            start as f64,
-                        );
-                        let end = (start + chunk).min(n);
-                        for (i, item) in items.iter().enumerate().take(end).skip(start) {
-                            *slots[i].lock().expect("no poisoned slot") =
-                                Some(eval_captured(i, item));
-                        }
-                    }
-                }
-                // See par_map_threads_with: scope join does not wait for
-                // TLS teardown, so flush this worker's trace ring now.
-                uavail_obs::trace::flush_current_thread();
-            });
-        }
-    });
-
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("no poisoned slot")
-                .expect("every chunk is claimed, so every slot is evaluated")
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::CoreError;
+
+    fn abort(threads: usize) -> Exec {
+        Exec {
+            threads,
+            on_failure: OnFailure::Abort,
+        }
+    }
+
+    /// `par_map` without a workspace, collected with first-error semantics.
+    fn map<T: Sync, U: Send>(
+        items: &[T],
+        threads: usize,
+        f: impl Fn(&T) -> Result<U, CoreError> + Sync,
+    ) -> Result<Vec<U>, CoreError> {
+        par_map(items, &abort(threads), || (), |(), x| f(x))
+            .into_iter()
+            .collect()
+    }
 
     #[test]
     fn matches_serial_map_bit_for_bit() {
@@ -507,7 +424,7 @@ mod tests {
         let f = |x: &f64| -> Result<f64, CoreError> { Ok((x.sin() * 1e3).exp().ln_1p()) };
         let serial: Vec<f64> = items.iter().map(f).collect::<Result<_, _>>().unwrap();
         for threads in [1, 2, 3, 8] {
-            let parallel = par_map_threads(&items, threads, f).unwrap();
+            let parallel = map(&items, threads, f).unwrap();
             assert_eq!(serial.len(), parallel.len());
             for (s, p) in serial.iter().zip(&parallel) {
                 assert_eq!(s.to_bits(), p.to_bits(), "threads={threads}");
@@ -528,9 +445,12 @@ mod tests {
             }
         };
         for threads in [1, 4, 16] {
-            let err = par_map_threads(&items, threads, f).unwrap_err();
+            let outcomes = par_map(&items, &abort(threads), || (), |(), i| f(i));
+            // Truncated right after the lowest failing index.
+            assert_eq!(outcomes.len(), 38, "threads={threads}");
+            let err = outcomes.into_iter().collect::<Result<Vec<_>, _>>();
             assert_eq!(
-                err,
+                err.unwrap_err(),
                 CoreError::Undefined {
                     name: "item-37".into()
                 },
@@ -542,22 +462,23 @@ mod tests {
     #[test]
     fn empty_and_single_inputs() {
         let none: Vec<u32> = vec![];
-        let out = par_map(&none, |&x: &u32| Ok::<_, CoreError>(x)).unwrap();
+        let out = map(&none, 4, |&x: &u32| Ok(x)).unwrap();
         assert!(out.is_empty());
-        let one = par_map(&[5u32], |&x| Ok::<_, CoreError>(x * 2)).unwrap();
+        let one = map(&[5u32], 4, |&x| Ok(x * 2)).unwrap();
         assert_eq!(one, vec![10]);
     }
 
     #[test]
     fn oversubscribed_thread_count_is_clamped() {
         let items: Vec<usize> = (0..7).collect();
-        let out = par_map_threads(&items, 64, |&i| Ok::<_, CoreError>(i + 1)).unwrap();
+        let out = map(&items, 64, |&i| Ok(i + 1)).unwrap();
         assert_eq!(out, vec![1, 2, 3, 4, 5, 6, 7]);
     }
 
     #[test]
     fn default_threads_is_positive() {
         assert!(default_threads() >= 1);
+        assert_eq!(Exec::parallel().threads, default_threads());
     }
 
     #[test]
@@ -568,9 +489,9 @@ mod tests {
             .map(|x| (x.cos() * 1e2).exp().ln_1p())
             .collect();
         for threads in [1, 2, 8] {
-            let out = par_map_threads_with(
+            let out = par_map(
                 &items,
-                threads,
+                &abort(threads),
                 Vec::<f64>::new,
                 |scratch: &mut Vec<f64>, x: &f64| -> Result<f64, CoreError> {
                     // Use the scratch buffer the way a real workspace
@@ -579,10 +500,13 @@ mod tests {
                     scratch.push((x.cos() * 1e2).exp());
                     Ok(scratch[0].ln_1p())
                 },
-            )
-            .unwrap();
+            );
             for (s, p) in serial.iter().zip(&out) {
-                assert_eq!(s.to_bits(), p.to_bits(), "threads={threads}");
+                assert_eq!(
+                    s.to_bits(),
+                    p.as_ref().unwrap().to_bits(),
+                    "threads={threads}"
+                );
             }
         }
     }
@@ -598,7 +522,7 @@ mod tests {
         let threads = 4;
         uavail_obs::trace::reset();
         uavail_obs::set_trace_enabled(true);
-        let out = par_map_threads(&items, threads, |&i| Ok::<_, CoreError>(i * 2)).unwrap();
+        let out = map(&items, threads, |&i| Ok(i * 2)).unwrap();
         uavail_obs::set_trace_enabled(false);
         let data = uavail_obs::take_trace();
         assert_eq!(out[63], 126);
@@ -633,7 +557,7 @@ mod tests {
             Ok(i)
         };
         for threads in [1, 4] {
-            let err = par_map_threads(&items, threads, f).unwrap_err();
+            let err = map(&items, threads, f).unwrap_err();
             assert_eq!(
                 err,
                 CoreError::WorkerPanicked {
@@ -660,7 +584,7 @@ mod tests {
             }
         };
         for threads in [1, 8] {
-            let err = par_map_threads(&items, threads, f).unwrap_err();
+            let err = map(&items, threads, f).unwrap_err();
             assert_eq!(
                 err,
                 CoreError::Undefined {
@@ -679,7 +603,7 @@ mod tests {
             }
         };
         for threads in [1, 8] {
-            let err = par_map_threads(&items, threads, g).unwrap_err();
+            let err = map(&items, threads, g).unwrap_err();
             assert_eq!(
                 err,
                 CoreError::WorkerPanicked {
@@ -696,9 +620,13 @@ mod tests {
         // A panic mid-evaluation may leave the workspace inconsistent;
         // the next item on that worker must see a freshly built one.
         let items: Vec<usize> = (0..6).collect();
-        let out = par_map_threads_with(
+        let report = Exec {
+            threads: 1,
+            on_failure: OnFailure::Report,
+        };
+        let out = par_map(
             &items,
-            1,
+            &report,
             Vec::<usize>::new,
             |ws: &mut Vec<usize>, &i| -> Result<usize, CoreError> {
                 ws.push(i);
@@ -708,28 +636,20 @@ mod tests {
                 Ok(ws.len())
             },
         );
-        // Serial path: workspace grows 1, 2, 3(panic) then restarts.
+        // Serial path: workspace grows 1, 2, 3 (panic), then restarts.
         assert!(matches!(
-            out,
+            out[2],
             Err(CoreError::WorkerPanicked { index: 2, .. })
         ));
-        let partial = par_map_threads_with(
-            &items[3..],
-            1,
-            Vec::<usize>::new,
-            |ws: &mut Vec<usize>, &i| -> Result<usize, CoreError> {
-                ws.push(i);
-                Ok(ws.len())
-            },
-        )
-        .unwrap();
-        assert_eq!(partial, vec![1, 2, 3]);
+        let after: Vec<usize> = out[3..].iter().map(|r| *r.as_ref().unwrap()).collect();
+        assert_eq!(after, vec![1, 2, 3]);
+        assert_eq!(out[..2], [Ok(1), Ok(2)]);
     }
 
     #[test]
     fn capture_variant_records_every_outcome_without_aborting() {
-        // Errors *and* panics land in their own slot; unlike `par_map`,
-        // nothing is skipped and nothing unwinds out of the map.
+        // Under `OnFailure::Report`, errors *and* panics land in their own
+        // slot; nothing is skipped and nothing unwinds out of the map.
         let items: Vec<usize> = (0..100).collect();
         let f = |&i: &usize| -> Result<usize, CoreError> {
             match i % 30 {
@@ -741,7 +661,11 @@ mod tests {
             }
         };
         for threads in [1, 4] {
-            let out = par_map_threads_capture(&items, threads, f);
+            let exec = Exec {
+                threads,
+                on_failure: OnFailure::Report,
+            };
+            let out = par_map(&items, &exec, || (), |(), i| f(i));
             assert_eq!(out.len(), items.len(), "threads={threads}");
             for (i, outcome) in out.iter().enumerate() {
                 match i % 30 {
@@ -776,7 +700,7 @@ mod tests {
             serial = serial * 0.875 + f(x);
         }
         for threads in [1, 2, 3, 8] {
-            let folded = par_fold_threads_with(
+            let folded = par_fold(
                 &items,
                 threads,
                 || (),
@@ -803,8 +727,7 @@ mod tests {
         };
         for threads in [1, 4, 16] {
             let mut seen = Vec::new();
-            let err = par_fold_threads_with(&items, threads, || (), f, (), |(), i| seen.push(i))
-                .unwrap_err();
+            let err = par_fold(&items, threads, || (), f, (), |(), i| seen.push(i)).unwrap_err();
             assert_eq!(
                 err,
                 CoreError::Undefined {
@@ -821,7 +744,7 @@ mod tests {
     fn fold_panic_becomes_typed_error() {
         let items: Vec<usize> = (0..300).collect();
         for threads in [1, 4] {
-            let err = par_fold_threads_with(
+            let err = par_fold(
                 &items,
                 threads,
                 || (),
@@ -849,7 +772,7 @@ mod tests {
     #[test]
     fn fold_empty_and_single_inputs() {
         let none: Vec<u32> = vec![];
-        let sum = par_fold_threads_with(
+        let sum = par_fold(
             &none,
             4,
             || (),
@@ -859,7 +782,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(sum, 0);
-        let one = par_fold_threads_with(
+        let one = par_fold(
             &[5u32],
             4,
             || (),
@@ -880,7 +803,7 @@ mod tests {
         let built = AtomicUsize::new(0);
         let items: Vec<usize> = (0..4000).collect();
         let threads = 3;
-        let total = par_fold_threads_with(
+        let total = par_fold(
             &items,
             threads,
             || {
@@ -907,9 +830,9 @@ mod tests {
     fn workspace_variant_keeps_lowest_index_error() {
         let items: Vec<usize> = (0..300).collect();
         for threads in [1, 4] {
-            let err = par_map_threads_with(
+            let err = par_map(
                 &items,
-                threads,
+                &abort(threads),
                 || 0u32,
                 |_ws, &i| -> Result<usize, CoreError> {
                     if i % 90 == 53 {
@@ -921,6 +844,8 @@ mod tests {
                     }
                 },
             )
+            .into_iter()
+            .collect::<Result<Vec<_>, _>>()
             .unwrap_err();
             assert_eq!(
                 err,

@@ -4,13 +4,15 @@
 //! (web-server count, failure rate, arrival rate, number of reservation
 //! systems). This module provides small, composable helpers for generating
 //! sweep grids and running sensitivity studies over arbitrary models.
-
-use std::panic::{catch_unwind, AssertUnwindSafe};
+//!
+//! There is one sweep and one tornado driver. How they run — serially or
+//! on worker threads, aborting at the first failure or reporting every
+//! failing point — is an [`Exec`] value, never a different function, and
+//! no option changes a result's bits.
 
 use uavail_obs::json::JsonValue;
 
-use crate::error::panic_payload_text;
-use crate::par::{default_threads, par_map_threads, par_map_threads_capture, par_map_threads_with};
+use crate::par::{par_map, Exec, OnFailure};
 use crate::CoreError;
 
 /// A single point of a sweep: the swept value and the measured output.
@@ -40,349 +42,84 @@ fn at_tornado_point(name: &str, value: f64, source: CoreError) -> CoreError {
     }
 }
 
-/// Runs `f` over the given parameter values, collecting `(x, f(x))`.
+/// Runs `f` over the given parameter values on `exec`, collecting the
+/// `(x, f(x))` points into a [`SweepReport`].
+///
+/// Each worker thread builds one private workspace via `make` and reuses
+/// it for every point it claims (a serial run uses one), so per-point
+/// scratch — matrices, distribution buffers — is allocated once per
+/// thread. The workspace must only provide reusable storage, never
+/// influence the result; then the points are bit-for-bit the same for any
+/// thread count. The closure is `Fn + Sync` because it is shared across
+/// threads; model evaluations in this workspace are pure, so this is not
+/// restrictive in practice.
+///
+/// Under [`OnFailure::Report`] every point is evaluated, a failing point
+/// (including a caught panic) becomes a [`SweepFailure`], and the
+/// `core.sweep.resilient.{points,failures}` counters record the split.
 ///
 /// # Errors
 ///
-/// Propagates the first error from `f`, wrapped in [`CoreError::EvalAt`]
-/// naming the failing sweep value.
+/// Under [`OnFailure::Abort`], the error at the lowest failing value —
+/// the one a serial loop would hit first — wrapped in
+/// [`CoreError::EvalAt`] naming that value (a caught panic surfaces as
+/// [`CoreError::WorkerPanicked`]). Under `Report` the sweep never fails.
 ///
 /// # Examples
 ///
 /// ```
+/// use uavail_core::par::Exec;
 /// use uavail_core::sweep::sweep;
 ///
 /// # fn main() -> Result<(), uavail_core::CoreError> {
-/// let points = sweep(&[1.0, 2.0, 3.0], |x| Ok(x * x))?;
-/// assert_eq!(points[2].y, 9.0);
-/// # Ok(())
-/// # }
-/// ```
-pub fn sweep(
-    values: &[f64],
-    mut f: impl FnMut(f64) -> Result<f64, CoreError>,
-) -> Result<Vec<SweepPoint>, CoreError> {
-    let _span = uavail_obs::span("core.sweep");
-    uavail_obs::counter_add("core.sweep.points", values.len() as u64);
-    values
-        .iter()
-        .map(|&x| {
-            let _point = uavail_obs::Stopwatch::start("core.sweep.point_ns");
-            match f(x) {
-                Ok(y) => Ok(SweepPoint { x, y }),
-                Err(e) => Err(at_sweep_point(x, e)),
-            }
-        })
-        .collect()
-}
-
-/// Parallel [`sweep`]: evaluates the points on scoped worker threads
-/// (one per available core) while producing **bit-for-bit** the same
-/// result — same points in the same order on success, and on failure the
-/// same [`CoreError::EvalAt`] the serial sweep would have returned (the
-/// error at the lowest failing index).
+/// let report = sweep(&[1.0, 2.0, 3.0], &Exec::serial(), || (), |(), x| Ok(x * x))?;
+/// assert_eq!(report.points[2].y, 9.0);
 ///
-/// The closure is `Fn` (not `FnMut`) and `Sync` because it is shared
-/// across threads; model evaluations in this workspace are pure, so this
-/// is not restrictive in practice.
-///
-/// # Errors
-///
-/// Exactly the errors [`sweep`] would produce.
-///
-/// # Examples
-///
-/// ```
-/// use uavail_core::sweep::{sweep, sweep_parallel};
-///
-/// # fn main() -> Result<(), uavail_core::CoreError> {
+/// // Any thread count gives the same points, bit for bit.
 /// let xs: Vec<f64> = (1..=100).map(f64::from).collect();
-/// let f = |x: f64| Ok(1.0 / (1.0 + x));
-/// assert_eq!(sweep_parallel(&xs, f)?, sweep(&xs, f)?);
+/// let f = |_: &mut (), x: f64| Ok(1.0 / (1.0 + x));
+/// assert_eq!(
+///     sweep(&xs, &Exec::parallel(), || (), f)?,
+///     sweep(&xs, &Exec::serial(), || (), f)?
+/// );
 /// # Ok(())
 /// # }
 /// ```
-pub fn sweep_parallel(
+pub fn sweep<W>(
     values: &[f64],
-    f: impl Fn(f64) -> Result<f64, CoreError> + Sync,
-) -> Result<Vec<SweepPoint>, CoreError> {
-    sweep_parallel_threads(values, default_threads(), f)
-}
-
-/// [`sweep_parallel`] with an explicit worker-thread cap. `threads <= 1`
-/// evaluates serially on the calling thread.
-///
-/// # Errors
-///
-/// Exactly the errors [`sweep`] would produce.
-pub fn sweep_parallel_threads(
-    values: &[f64],
-    threads: usize,
-    f: impl Fn(f64) -> Result<f64, CoreError> + Sync,
-) -> Result<Vec<SweepPoint>, CoreError> {
-    let _span = uavail_obs::span("core.sweep_parallel");
-    uavail_obs::counter_add("core.sweep.points", values.len() as u64);
-    par_map_threads(values, threads, |&x| {
-        // A flat stopwatch, not a span: worker threads carry no span
-        // context, and the histogram keys serial and parallel runs alike.
-        let _point = uavail_obs::Stopwatch::start("core.sweep.point_ns");
-        match f(x) {
-            Ok(y) => Ok(SweepPoint { x, y }),
-            Err(e) => Err(at_sweep_point(x, e)),
-        }
-    })
-}
-
-/// [`sweep`] with a caller-owned workspace threaded through every
-/// evaluation, so per-point scratch (matrices, distribution buffers) is
-/// allocated once and reused across the whole sweep.
-///
-/// The workspace must only provide reusable storage, never influence the
-/// result; with such an `f`, the output is bit-for-bit the output of
-/// [`sweep`] with the equivalent workspace-free closure.
-///
-/// # Errors
-///
-/// Exactly the errors [`sweep`] would produce.
-///
-/// # Examples
-///
-/// ```
-/// use uavail_core::sweep::sweep_with;
-///
-/// # fn main() -> Result<(), uavail_core::CoreError> {
-/// let mut scratch: Vec<f64> = Vec::new();
-/// let points = sweep_with(&[1.0, 2.0], &mut scratch, |buf, x| {
-///     buf.clear();
-///     buf.push(x * x);
-///     Ok(buf[0])
-/// })?;
-/// assert_eq!(points[1].y, 4.0);
-/// # Ok(())
-/// # }
-/// ```
-pub fn sweep_with<W>(
-    values: &[f64],
-    workspace: &mut W,
-    mut f: impl FnMut(&mut W, f64) -> Result<f64, CoreError>,
-) -> Result<Vec<SweepPoint>, CoreError> {
+    exec: &Exec,
+    make: impl Fn() -> W + Sync,
+    f: impl Fn(&mut W, f64) -> Result<f64, CoreError> + Sync,
+) -> Result<SweepReport, CoreError> {
     let _span = uavail_obs::span("core.sweep");
     uavail_obs::counter_add("core.sweep.points", values.len() as u64);
-    values
-        .iter()
-        .map(|&x| {
-            let _point = uavail_obs::Stopwatch::start("core.sweep.point_ns");
-            match f(workspace, x) {
-                Ok(y) => Ok(SweepPoint { x, y }),
-                Err(e) => Err(at_sweep_point(x, e)),
-            }
-        })
-        .collect()
-}
-
-/// Parallel [`sweep_with`]: each worker thread builds one private
-/// workspace via `make` and reuses it for every point the worker claims.
-/// Uses [`default_threads`] workers.
-///
-/// # Errors
-///
-/// Exactly the errors [`sweep`] would produce.
-pub fn sweep_parallel_with<W>(
-    values: &[f64],
-    make: impl Fn() -> W + Sync,
-    f: impl Fn(&mut W, f64) -> Result<f64, CoreError> + Sync,
-) -> Result<Vec<SweepPoint>, CoreError> {
-    sweep_parallel_threads_with(values, default_threads(), make, f)
-}
-
-/// [`sweep_parallel_with`] with an explicit worker-thread cap.
-/// `threads <= 1` evaluates serially on the calling thread with a single
-/// workspace.
-///
-/// # Errors
-///
-/// Exactly the errors [`sweep`] would produce.
-pub fn sweep_parallel_threads_with<W>(
-    values: &[f64],
-    threads: usize,
-    make: impl Fn() -> W + Sync,
-    f: impl Fn(&mut W, f64) -> Result<f64, CoreError> + Sync,
-) -> Result<Vec<SweepPoint>, CoreError> {
-    let _span = uavail_obs::span("core.sweep_parallel");
-    uavail_obs::counter_add("core.sweep.points", values.len() as u64);
-    par_map_threads_with(values, threads, make, |workspace, &x| {
+    let outcomes = par_map(values, exec, make, |workspace, &x| {
         // A flat stopwatch, not a span: worker threads carry no span
         // context, and the histogram keys serial and parallel runs alike.
         let _point = uavail_obs::Stopwatch::start("core.sweep.point_ns");
-        match f(workspace, x) {
-            Ok(y) => Ok(SweepPoint { x, y }),
-            Err(e) => Err(at_sweep_point(x, e)),
-        }
-    })
-}
-
-/// Turns one evaluated block into its sweep points, enforcing the block
-/// evaluator contract: on `Ok` the evaluator must have appended exactly
-/// one output per input, and on `Err` the number of outputs already
-/// appended identifies the first failing input, which is named in the
-/// wrapped error exactly as [`sweep_with`] would name it.
-fn block_points(
-    xs: &[f64],
-    out: &[f64],
-    outcome: Result<(), CoreError>,
-) -> Result<Vec<SweepPoint>, CoreError> {
-    match outcome {
-        Ok(()) => {
-            if out.len() != xs.len() {
-                return Err(CoreError::BadWeights {
-                    reason: format!(
-                        "block evaluator produced {} outputs for {} inputs",
-                        out.len(),
-                        xs.len()
-                    ),
-                });
-            }
-            Ok(xs
-                .iter()
-                .zip(out)
-                .map(|(&x, &y)| SweepPoint { x, y })
-                .collect())
-        }
-        Err(e) => {
-            // A well-behaved evaluator fails before pushing the failing
-            // point's output; clamp in case it errored after the last push.
-            let failing = out.len().min(xs.len().saturating_sub(1));
-            Err(at_sweep_point(xs[failing], e))
+        f(workspace, x).map_err(|e| at_sweep_point(x, e))
+    });
+    let mut report = SweepReport::default();
+    for (index, (&x, outcome)) in values.iter().zip(outcomes).enumerate() {
+        match outcome {
+            Ok(y) => report.points.push(SweepPoint { x, y }),
+            Err(error) if exec.on_failure == OnFailure::Abort => return Err(error),
+            Err(error) => report.failures.push(SweepFailure { index, x, error }),
         }
     }
-}
-
-/// Validates a batched block size.
-fn check_block(block: usize) -> Result<(), CoreError> {
-    if block == 0 {
-        return Err(CoreError::BadWeights {
-            reason: "batched sweep block size must be at least 1".into(),
-        });
+    if exec.on_failure == OnFailure::Report {
+        // Recorded unconditionally (a zero is still a record), so a
+        // metrics artifact always shows whether the reporting path ran.
+        uavail_obs::counter_add("core.sweep.resilient.points", report.points.len() as u64);
+        uavail_obs::counter_add(
+            "core.sweep.resilient.failures",
+            report.failures.len() as u64,
+        );
     }
-    Ok(())
+    Ok(report)
 }
 
-/// Batched [`sweep_with`]: partitions `values` into contiguous blocks of
-/// up to `block` points and hands each *whole block* to the evaluator, so
-/// model structures that are invariant across neighboring points (an LU
-/// factorization, a CSR sparsity pattern, a state-space enumeration) can
-/// be computed once per block instead of once per point.
-///
-/// The evaluator receives the block slice and an output buffer, and must
-/// append exactly one `y` per `x`, in order. On failure it returns the
-/// error of the first point it could not evaluate; the number of outputs
-/// already appended tells the engine which point that was, so the error is
-/// wrapped in the same [`CoreError::EvalAt`] that [`sweep_with`] would
-/// produce for that point.
-///
-/// With an evaluator that computes each output exactly as the scalar
-/// closure would, the result is **bit-for-bit** the result of
-/// [`sweep_with`]; batching may only change *when* shared structure is
-/// built, never the floating-point operations behind each output.
-///
-/// # Errors
-///
-/// Exactly the errors [`sweep_with`] would produce, plus
-/// [`CoreError::BadWeights`] when `block == 0` or the evaluator breaks the
-/// one-output-per-input contract.
-///
-/// # Examples
-///
-/// ```
-/// use uavail_core::sweep::{sweep_batched, sweep_with};
-///
-/// # fn main() -> Result<(), uavail_core::CoreError> {
-/// let xs = [1.0, 2.0, 3.0, 4.0, 5.0];
-/// let mut ws = ();
-/// let batched = sweep_batched(&xs, 2, &mut ws, |_, block, out| {
-///     out.extend(block.iter().map(|x| x * x));
-///     Ok(())
-/// })?;
-/// let scalar = sweep_with(&xs, &mut ws, |_, x| Ok(x * x))?;
-/// assert_eq!(batched, scalar);
-/// # Ok(())
-/// # }
-/// ```
-pub fn sweep_batched<W>(
-    values: &[f64],
-    block: usize,
-    workspace: &mut W,
-    mut f: impl FnMut(&mut W, &[f64], &mut Vec<f64>) -> Result<(), CoreError>,
-) -> Result<Vec<SweepPoint>, CoreError> {
-    check_block(block)?;
-    let _span = uavail_obs::span("core.sweep_batched");
-    uavail_obs::counter_add("core.sweep.points", values.len() as u64);
-    uavail_obs::counter_add("core.sweep.blocks", values.len().div_ceil(block) as u64);
-    let mut points = Vec::with_capacity(values.len());
-    let mut out = Vec::with_capacity(block);
-    for xs in values.chunks(block) {
-        // Per-block timing, not per-point: the point of batching is that
-        // per-point cost is no longer separable.
-        let _block = uavail_obs::Stopwatch::start("core.sweep.block_ns");
-        out.clear();
-        let outcome = f(workspace, xs, &mut out);
-        points.extend(block_points(xs, &out, outcome)?);
-    }
-    Ok(points)
-}
-
-/// Parallel [`sweep_batched`]: blocks are distributed over
-/// [`default_threads`] scoped workers, each with a private workspace from
-/// `make`, and results are reassembled in input order.
-///
-/// # Errors
-///
-/// Exactly the errors [`sweep_batched`] would produce: blocks are claimed
-/// in increasing index order and the lowest-index failure wins, which is
-/// the first failure the serial batched sweep would have hit.
-pub fn sweep_parallel_batched<W>(
-    values: &[f64],
-    block: usize,
-    make: impl Fn() -> W + Sync,
-    f: impl Fn(&mut W, &[f64], &mut Vec<f64>) -> Result<(), CoreError> + Sync,
-) -> Result<Vec<SweepPoint>, CoreError> {
-    sweep_parallel_batched_threads(values, block, default_threads(), make, f)
-}
-
-/// [`sweep_parallel_batched`] with an explicit worker-thread cap.
-/// `threads <= 1` evaluates serially on the calling thread with a single
-/// workspace.
-///
-/// # Errors
-///
-/// Exactly the errors [`sweep_batched`] would produce.
-pub fn sweep_parallel_batched_threads<W>(
-    values: &[f64],
-    block: usize,
-    threads: usize,
-    make: impl Fn() -> W + Sync,
-    f: impl Fn(&mut W, &[f64], &mut Vec<f64>) -> Result<(), CoreError> + Sync,
-) -> Result<Vec<SweepPoint>, CoreError> {
-    check_block(block)?;
-    let _span = uavail_obs::span("core.sweep_parallel_batched");
-    uavail_obs::counter_add("core.sweep.points", values.len() as u64);
-    uavail_obs::counter_add("core.sweep.blocks", values.len().div_ceil(block) as u64);
-    let blocks: Vec<&[f64]> = values.chunks(block).collect();
-    let per_block = par_map_threads_with(
-        &blocks,
-        threads,
-        || (make(), Vec::with_capacity(block)),
-        |(workspace, out), &xs| {
-            let _block = uavail_obs::Stopwatch::start("core.sweep.block_ns");
-            out.clear();
-            let outcome = f(workspace, xs, out);
-            block_points(xs, out, outcome)
-        },
-    )?;
-    Ok(per_block.into_iter().flatten().collect())
-}
-
-/// One failed point of a resilient sweep: where it failed and why.
+/// One failed point of a reporting sweep: where it failed and why.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepFailure {
     /// Index of the failing value in the swept slice.
@@ -394,13 +131,13 @@ pub struct SweepFailure {
     pub error: CoreError,
 }
 
-/// Outcome of a resilient sweep: every point that evaluated successfully
-/// plus a typed record of every point that did not.
+/// Outcome of a sweep: every point that evaluated successfully plus a
+/// typed record of every point that did not.
 ///
-/// Unlike [`sweep`], which aborts at the first failure, the resilient
-/// twins degrade gracefully — the paper's own coverage argument applied
-/// to the evaluation stack: a fault at one point must not take down the
-/// whole study.
+/// Under [`OnFailure::Report`] a sweep degrades gracefully — the paper's
+/// own coverage argument applied to the evaluation stack: a fault at one
+/// point must not take down the whole study. Under [`OnFailure::Abort`]
+/// `failures` is always empty.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct SweepReport {
     /// Successfully evaluated points, in input order.
@@ -507,95 +244,6 @@ impl SweepReport {
     }
 }
 
-/// Evaluates one resilient sweep point: an `Err` from `f` is wrapped with
-/// its point context, and a panic inside `f` is caught and converted to
-/// [`CoreError::WorkerPanicked`], so the outer map never fails or unwinds.
-fn resilient_point(
-    index: usize,
-    x: f64,
-    f: impl FnOnce() -> Result<f64, CoreError>,
-) -> Result<f64, CoreError> {
-    let _point = uavail_obs::Stopwatch::start("core.sweep.point_ns");
-    match catch_unwind(AssertUnwindSafe(f)) {
-        Ok(Ok(y)) => Ok(y),
-        Ok(Err(e)) => Err(at_sweep_point(x, e)),
-        Err(payload) => Err(CoreError::WorkerPanicked {
-            index,
-            payload: panic_payload_text(payload.as_ref()),
-        }),
-    }
-}
-
-/// Splits per-point outcomes into a [`SweepReport`] and records the
-/// recovery counters shared by every resilient sweep path. The counters
-/// are recorded unconditionally (a zero is still a record), so a metrics
-/// artifact always shows whether the resilient machinery ran.
-fn collect_report(values: &[f64], outcomes: Vec<Result<f64, CoreError>>) -> SweepReport {
-    let mut report = SweepReport::default();
-    for (index, (&x, outcome)) in values.iter().zip(outcomes).enumerate() {
-        match outcome {
-            Ok(y) => report.points.push(SweepPoint { x, y }),
-            Err(error) => report.failures.push(SweepFailure { index, x, error }),
-        }
-    }
-    uavail_obs::counter_add("core.sweep.resilient.points", report.points.len() as u64);
-    uavail_obs::counter_add(
-        "core.sweep.resilient.failures",
-        report.failures.len() as u64,
-    );
-    report
-}
-
-/// Fault-tolerant [`sweep`]: evaluates every point, recording failures
-/// (including caught panics) into a [`SweepReport`] instead of aborting.
-///
-/// Points that evaluate successfully are bit-for-bit the points [`sweep`]
-/// would produce.
-pub fn sweep_resilient(
-    values: &[f64],
-    mut f: impl FnMut(f64) -> Result<f64, CoreError>,
-) -> SweepReport {
-    let _span = uavail_obs::span("core.sweep_resilient");
-    uavail_obs::counter_add("core.sweep.points", values.len() as u64);
-    let outcomes = values
-        .iter()
-        .enumerate()
-        .map(|(i, &x)| resilient_point(i, x, || f(x)))
-        .collect();
-    collect_report(values, outcomes)
-}
-
-/// Parallel [`sweep_resilient`] on one worker per available core.
-///
-/// The report is identical to the serial one: successful points in input
-/// order, failures in input order, panics caught per point.
-pub fn sweep_parallel_resilient(
-    values: &[f64],
-    f: impl Fn(f64) -> Result<f64, CoreError> + Sync,
-) -> SweepReport {
-    sweep_parallel_resilient_threads(values, default_threads(), f)
-}
-
-/// [`sweep_parallel_resilient`] with an explicit worker-thread cap.
-/// `threads <= 1` evaluates serially on the calling thread.
-pub fn sweep_parallel_resilient_threads(
-    values: &[f64],
-    threads: usize,
-    f: impl Fn(f64) -> Result<f64, CoreError> + Sync,
-) -> SweepReport {
-    let _span = uavail_obs::span("core.sweep_parallel_resilient");
-    uavail_obs::counter_add("core.sweep.points", values.len() as u64);
-    let indexed: Vec<(usize, f64)> = values.iter().copied().enumerate().collect();
-    // The capture map hands back one outcome per point: closure panics are
-    // caught by `resilient_point`, and a panic injected at the map layer
-    // itself (`core.par.worker_panic`) is captured into that point's slot
-    // as a typed `WorkerPanicked` — either way every point is evaluated
-    // and the sweep never aborts.
-    let outcomes =
-        par_map_threads_capture(&indexed, threads, |&(i, x)| resilient_point(i, x, || f(x)));
-    collect_report(values, outcomes)
-}
-
 /// Logarithmically spaced grid from `start` to `end` (inclusive), the
 /// natural axis for failure-rate sweeps like the paper's
 /// `λ ∈ {10⁻², 10⁻³, 10⁻⁴}`.
@@ -666,65 +314,35 @@ impl TornadoBar {
 /// evaluates `f(name, value)` at both ends while other parameters stay at
 /// their baseline (handled inside `f`), and ranks bars by swing.
 ///
+/// The `2 × ranges.len()` endpoint evaluations run on `exec`, in the
+/// order a serial loop performs them (low then high per range), so the
+/// bars — and the error — are the same for any thread count.
+///
 /// # Errors
 ///
-/// Propagates the first error from `f`, wrapped in [`CoreError::EvalAt`]
-/// naming the failing parameter and its value.
+/// The first error in that order, wrapped in [`CoreError::EvalAt`] naming
+/// the failing parameter and its value. A diagram needs every endpoint,
+/// so [`OnFailure::Report`] only changes how many endpoints are evaluated
+/// before the error is returned.
 pub fn tornado(
     ranges: &[(&str, f64, f64)],
-    mut f: impl FnMut(&str, f64) -> Result<f64, CoreError>,
+    exec: &Exec,
+    f: impl Fn(&str, f64) -> Result<f64, CoreError> + Sync,
 ) -> Result<Vec<TornadoBar>, CoreError> {
     let _span = uavail_obs::span("core.tornado");
     uavail_obs::counter_add("core.tornado.evaluations", 2 * ranges.len() as u64);
-    let mut bars = Vec::with_capacity(ranges.len());
-    for &(name, low, high) in ranges {
-        bars.push(TornadoBar {
-            name: name.to_string(),
-            low_output: f(name, low).map_err(|e| at_tornado_point(name, low, e))?,
-            high_output: f(name, high).map_err(|e| at_tornado_point(name, high, e))?,
-        });
-    }
-    sort_bars(&mut bars);
-    Ok(bars)
-}
-
-/// Parallel [`tornado`]: evaluates the `2 × ranges.len()` endpoint
-/// evaluations on scoped worker threads, returning exactly the bars (and
-/// exactly the errors) the serial [`tornado`] would.
-///
-/// # Errors
-///
-/// Exactly the errors [`tornado`] would produce.
-pub fn tornado_parallel(
-    ranges: &[(&str, f64, f64)],
-    f: impl Fn(&str, f64) -> Result<f64, CoreError> + Sync,
-) -> Result<Vec<TornadoBar>, CoreError> {
-    tornado_parallel_threads(ranges, default_threads(), f)
-}
-
-/// [`tornado_parallel`] with an explicit worker-thread cap. `threads <= 1`
-/// evaluates serially on the calling thread.
-///
-/// # Errors
-///
-/// Exactly the errors [`tornado`] would produce.
-pub fn tornado_parallel_threads(
-    ranges: &[(&str, f64, f64)],
-    threads: usize,
-    f: impl Fn(&str, f64) -> Result<f64, CoreError> + Sync,
-) -> Result<Vec<TornadoBar>, CoreError> {
-    let _span = uavail_obs::span("core.tornado_parallel");
-    uavail_obs::counter_add("core.tornado.evaluations", 2 * ranges.len() as u64);
-    // Flatten to one evaluation per endpoint, in the order the serial
-    // loop performs them (low then high per range), so the lowest-index
-    // error of the parallel map is the first error of the serial loop.
     let endpoints: Vec<(&str, f64)> = ranges
         .iter()
         .flat_map(|&(name, low, high)| [(name, low), (name, high)])
         .collect();
-    let outputs = par_map_threads(&endpoints, threads, |&(name, value)| {
-        f(name, value).map_err(|e| at_tornado_point(name, value, e))
-    })?;
+    let outputs = par_map(
+        &endpoints,
+        exec,
+        || (),
+        |(), &(name, value)| f(name, value).map_err(|e| at_tornado_point(name, value, e)),
+    )
+    .into_iter()
+    .collect::<Result<Vec<f64>, _>>()?;
     let mut bars: Vec<TornadoBar> = ranges
         .iter()
         .zip(outputs.chunks_exact(2))
@@ -734,34 +352,52 @@ pub fn tornado_parallel_threads(
             high_output: pair[1],
         })
         .collect();
-    sort_bars(&mut bars);
-    Ok(bars)
-}
-
-/// Ranks bars by swing, largest first — shared by the serial and parallel
-/// tornado paths so their outputs stay identical.
-fn sort_bars(bars: &mut [TornadoBar]) {
     bars.sort_by(|a, b| {
         b.swing()
             .partial_cmp(&a.swing())
             .expect("finite tornado outputs")
     });
+    Ok(bars)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn exec(threads: usize, on_failure: OnFailure) -> Exec {
+        Exec {
+            threads,
+            on_failure,
+        }
+    }
+
+    /// A workspace-free sweep of `f` on `threads` threads.
+    fn plain(
+        values: &[f64],
+        threads: usize,
+        on_failure: OnFailure,
+        f: impl Fn(f64) -> Result<f64, CoreError> + Sync,
+    ) -> Result<SweepReport, CoreError> {
+        sweep(values, &exec(threads, on_failure), || (), |(), x| f(x))
+    }
+
+    fn serial(
+        values: &[f64],
+        f: impl Fn(f64) -> Result<f64, CoreError> + Sync,
+    ) -> Result<Vec<SweepPoint>, CoreError> {
+        plain(values, 1, OnFailure::Abort, f).map(|r| r.points)
+    }
+
     #[test]
     fn sweep_collects_points() {
-        let pts = sweep(&[0.0, 0.5, 1.0], |x| Ok(1.0 - x)).unwrap();
+        let pts = serial(&[0.0, 0.5, 1.0], |x| Ok(1.0 - x)).unwrap();
         assert_eq!(pts.len(), 3);
         assert_eq!(pts[1], SweepPoint { x: 0.5, y: 0.5 });
     }
 
     #[test]
     fn sweep_propagates_errors() {
-        let result = sweep(&[1.0], |_| {
+        let result = serial(&[1.0], |_| {
             Err(CoreError::BadWeights {
                 reason: "boom".into(),
             })
@@ -771,7 +407,7 @@ mod tests {
 
     #[test]
     fn sweep_error_names_failing_point() {
-        let err = sweep(&[1.0, 2.5, 3.0], |x| {
+        let err = serial(&[1.0, 2.5, 3.0], |x| {
             if x > 2.0 {
                 Err(CoreError::BadWeights {
                     reason: "boom".into(),
@@ -799,12 +435,13 @@ mod tests {
                 Ok((1.0 - x).powi(3) / (1.0 + x))
             }
         };
-        let serial_err = sweep(&xs[..180], f).unwrap_err();
+        let serial_err = serial(&xs[..180], f).unwrap_err();
+        let ok_serial = serial(&xs[..170], f).unwrap();
         for threads in [1, 2, 7] {
-            let ok_serial = sweep(&xs[..170], f).unwrap();
-            let ok_parallel = sweep_parallel_threads(&xs[..170], threads, f).unwrap();
-            assert_eq!(ok_serial, ok_parallel, "threads={threads}");
-            let parallel_err = sweep_parallel_threads(&xs[..180], threads, f).unwrap_err();
+            let ok_parallel = plain(&xs[..170], threads, OnFailure::Abort, f).unwrap();
+            assert!(ok_parallel.is_complete());
+            assert_eq!(ok_serial, ok_parallel.points, "threads={threads}");
+            let parallel_err = plain(&xs[..180], threads, OnFailure::Abort, f).unwrap_err();
             assert_eq!(serial_err, parallel_err, "threads={threads}");
         }
     }
@@ -812,162 +449,51 @@ mod tests {
     #[test]
     fn workspace_sweeps_match_plain_sweeps_bit_for_bit() {
         let xs: Vec<f64> = (0..150).map(|i| 0.01 + i as f64 * 0.006).collect();
-        let plain = |x: f64| -> Result<f64, CoreError> { Ok((1.0 - x).powi(3) / (1.0 + x)) };
+        let expected = serial(&xs, |x| Ok((1.0 - x).powi(3) / (1.0 + x))).unwrap();
         let with_ws = |buf: &mut Vec<f64>, x: f64| -> Result<f64, CoreError> {
             buf.clear();
             buf.push((1.0 - x).powi(3));
             Ok(buf[0] / (1.0 + x))
         };
-        let serial = sweep(&xs, plain).unwrap();
-        let mut ws = Vec::new();
-        assert_eq!(serial, sweep_with(&xs, &mut ws, with_ws).unwrap());
         for threads in [1, 2, 7] {
-            assert_eq!(
-                serial,
-                sweep_parallel_threads_with(&xs, threads, Vec::new, with_ws).unwrap(),
-                "threads={threads}"
-            );
+            for on_failure in [OnFailure::Abort, OnFailure::Report] {
+                let report = sweep(&xs, &exec(threads, on_failure), Vec::new, with_ws).unwrap();
+                assert_eq!(expected, report.points, "threads={threads}");
+            }
         }
-        assert_eq!(serial, sweep_parallel_with(&xs, Vec::new, with_ws).unwrap());
     }
 
     #[test]
     fn workspace_sweep_error_names_failing_point() {
-        let mut ws = 0u8;
-        let err = sweep_with(&[1.0, 2.5], &mut ws, |_, x| {
-            Err(CoreError::BadWeights {
-                reason: format!("boom at {x}"),
-            })
-        })
+        let err = sweep(
+            &[1.0, 2.5],
+            &Exec::serial(),
+            || 0u8,
+            |_, x| {
+                Err(CoreError::BadWeights {
+                    reason: format!("boom at {x}"),
+                })
+            },
+        )
         .unwrap_err();
         assert!(err.to_string().contains("x = 1"), "{err}");
     }
 
-    /// Block evaluator used by the batched tests: same math as `scalar`,
-    /// failing on any `x > limit` exactly where the scalar closure would.
-    fn block_eval(limit: f64) -> impl Fn(&mut (), &[f64], &mut Vec<f64>) -> Result<(), CoreError> {
-        move |_, xs: &[f64], out: &mut Vec<f64>| {
-            for &x in xs {
-                if x > limit {
-                    return Err(CoreError::InvalidProbability {
-                        context: "batched test".into(),
-                        value: x,
-                    });
-                }
-                out.push((1.0 - x).powi(3) / (1.0 + x));
-            }
-            Ok(())
-        }
-    }
-
-    fn scalar(limit: f64) -> impl Fn(&mut (), f64) -> Result<f64, CoreError> {
-        move |_, x| {
-            if x > limit {
-                Err(CoreError::InvalidProbability {
-                    context: "batched test".into(),
-                    value: x,
-                })
-            } else {
-                Ok((1.0 - x).powi(3) / (1.0 + x))
-            }
-        }
-    }
-
-    #[test]
-    fn batched_sweep_matches_scalar_for_every_block_size() {
-        let xs: Vec<f64> = (0..97).map(|i| 0.001 + i as f64 * 0.0072).collect();
-        let mut ws = ();
-        let serial = sweep_with(&xs, &mut ws, scalar(f64::INFINITY)).unwrap();
-        for block in [1, 2, 3, 7, 10, 96, 97, 500] {
-            let batched = sweep_batched(&xs, block, &mut ws, block_eval(f64::INFINITY)).unwrap();
-            assert_eq!(serial.len(), batched.len(), "block={block}");
-            for (a, b) in serial.iter().zip(&batched) {
-                assert_eq!(a.x.to_bits(), b.x.to_bits(), "block={block}");
-                assert_eq!(a.y.to_bits(), b.y.to_bits(), "block={block}");
-            }
-            for threads in [1, 2, 7] {
-                let parallel = sweep_parallel_batched_threads(
-                    &xs,
-                    block,
-                    threads,
-                    || (),
-                    block_eval(f64::INFINITY),
-                )
-                .unwrap();
-                assert_eq!(serial, parallel, "block={block} threads={threads}");
-            }
-        }
-        assert_eq!(
-            serial,
-            sweep_parallel_batched(&xs, 8, || (), block_eval(f64::INFINITY)).unwrap()
-        );
-    }
-
-    #[test]
-    fn batched_sweep_error_matches_scalar_error() {
-        let xs: Vec<f64> = (0..50).map(|i| i as f64 * 0.01).collect();
-        let mut ws = ();
-        let serial_err = sweep_with(&xs, &mut ws, scalar(0.3)).unwrap_err();
-        for block in [1, 4, 13, 50] {
-            let batched_err = sweep_batched(&xs, block, &mut ws, block_eval(0.3)).unwrap_err();
-            assert_eq!(serial_err, batched_err, "block={block}");
-            for threads in [1, 3] {
-                let parallel_err =
-                    sweep_parallel_batched_threads(&xs, block, threads, || (), block_eval(0.3))
-                        .unwrap_err();
-                assert_eq!(serial_err, parallel_err, "block={block} threads={threads}");
-            }
-        }
-    }
-
-    #[test]
-    fn batched_sweep_rejects_zero_block_and_contract_violations() {
-        let xs = [1.0, 2.0];
-        let mut ws = ();
-        assert!(sweep_batched(&xs, 0, &mut ws, |_, _, _| Ok(())).is_err());
-        assert!(sweep_parallel_batched_threads(&xs, 0, 2, || (), |_, _, _| Ok(())).is_err());
-        // An evaluator that under- or over-produces is a typed error, not
-        // a silent misalignment of xs and ys.
-        let short = sweep_batched(&xs, 2, &mut ws, |_, _, out: &mut Vec<f64>| {
-            out.push(1.0);
-            Ok(())
-        })
-        .unwrap_err();
-        assert!(
-            short.to_string().contains("1 outputs for 2 inputs"),
-            "{short}"
-        );
-        let long = sweep_batched(&xs, 2, &mut ws, |_, _, out: &mut Vec<f64>| {
-            out.extend_from_slice(&[1.0, 2.0, 3.0]);
-            Ok(())
-        });
-        assert!(long.is_err());
-    }
-
-    #[test]
-    fn batched_sweep_on_empty_grid_is_empty() {
-        let mut ws = ();
-        assert!(sweep_batched(&[], 4, &mut ws, block_eval(1.0))
-            .unwrap()
-            .is_empty());
-        assert!(
-            sweep_parallel_batched_threads(&[], 4, 3, || (), block_eval(1.0))
-                .unwrap()
-                .is_empty()
-        );
-    }
-
     #[test]
     fn tornado_error_names_failing_parameter() {
-        let err = tornado(&[("ok", 0.0, 1.0), ("bad", 0.0, 2.0)], |_, v| {
-            if v > 1.5 {
-                Err(CoreError::BadWeights {
-                    reason: "out of range".into(),
-                })
-            } else {
-                Ok(v)
-            }
-        })
+        let err = tornado(
+            &[("ok", 0.0, 1.0), ("bad", 0.0, 2.0)],
+            &Exec::serial(),
+            |_, v| {
+                if v > 1.5 {
+                    Err(CoreError::BadWeights {
+                        reason: "out of range".into(),
+                    })
+                } else {
+                    Ok(v)
+                }
+            },
+        )
         .unwrap_err();
         let text = err.to_string();
         assert!(text.contains("\"bad\""), "{text}");
@@ -989,17 +515,14 @@ mod tests {
                 Ok(v * v + name.len() as f64)
             }
         };
-        let serial_ok = tornado(&ranges[..3], f).unwrap();
-        let serial_err = tornado(&ranges, f).unwrap_err();
+        let serial_ok = tornado(&ranges[..3], &Exec::serial(), f).unwrap();
+        let serial_err = tornado(&ranges, &Exec::serial(), f).unwrap_err();
         for threads in [1, 2, 8] {
-            assert_eq!(
-                serial_ok,
-                tornado_parallel_threads(&ranges[..3], threads, f).unwrap()
-            );
-            assert_eq!(
-                serial_err,
-                tornado_parallel_threads(&ranges, threads, f).unwrap_err()
-            );
+            for on_failure in [OnFailure::Abort, OnFailure::Report] {
+                let exec = exec(threads, on_failure);
+                assert_eq!(serial_ok, tornado(&ranges[..3], &exec, f).unwrap());
+                assert_eq!(serial_err, tornado(&ranges, &exec, f).unwrap_err());
+            }
         }
     }
 
@@ -1015,21 +538,20 @@ mod tests {
                 Ok(x * 2.0)
             }
         };
-        let serial = sweep_resilient(&xs, f);
-        assert_eq!(serial.points.len(), 96);
-        assert_eq!(serial.failures.len(), 4);
-        assert!(!serial.is_complete());
-        assert_eq!(serial.failures[0].index, 7);
-        assert_eq!(serial.failures[1].x, 32.0);
-        assert!(matches!(serial.failures[0].error, CoreError::EvalAt { .. }));
-        for threads in [1, 2, 8] {
+        let report = plain(&xs, 1, OnFailure::Report, f).unwrap();
+        assert_eq!(report.points.len(), 96);
+        assert_eq!(report.failures.len(), 4);
+        assert!(!report.is_complete());
+        assert_eq!(report.failures[0].index, 7);
+        assert_eq!(report.failures[1].x, 32.0);
+        assert!(matches!(report.failures[0].error, CoreError::EvalAt { .. }));
+        for threads in [2, 8] {
             assert_eq!(
-                serial,
-                sweep_parallel_resilient_threads(&xs, threads, f),
+                report,
+                plain(&xs, threads, OnFailure::Report, f).unwrap(),
                 "threads={threads}"
             );
         }
-        assert_eq!(serial, sweep_parallel_resilient(&xs, f));
     }
 
     #[test]
@@ -1042,7 +564,7 @@ mod tests {
             Ok(1.0 / (1.0 + x))
         };
         for threads in [1, 4] {
-            let report = sweep_parallel_resilient_threads(&xs, threads, f);
+            let report = plain(&xs, threads, OnFailure::Report, f).unwrap();
             assert_eq!(report.points.len(), 59, "threads={threads}");
             assert_eq!(report.failures.len(), 1);
             assert_eq!(
@@ -1059,11 +581,11 @@ mod tests {
     fn resilient_success_points_match_plain_sweep_bit_for_bit() {
         let xs: Vec<f64> = (0..90).map(|i| 0.01 + i as f64 * 0.01).collect();
         let f = |x: f64| -> Result<f64, CoreError> { Ok((1.0 - x).powi(3) / (1.0 + x)) };
-        let plain = sweep(&xs, f).unwrap();
-        let report = sweep_parallel_resilient(&xs, f);
+        let expected = serial(&xs, f).unwrap();
+        let report = plain(&xs, 4, OnFailure::Report, f).unwrap();
         assert!(report.is_complete());
-        assert_eq!(plain.len(), report.points.len());
-        for (a, b) in plain.iter().zip(&report.points) {
+        assert_eq!(expected.len(), report.points.len());
+        for (a, b) in expected.iter().zip(&report.points) {
             assert_eq!(a.y.to_bits(), b.y.to_bits());
         }
     }
@@ -1071,7 +593,7 @@ mod tests {
     #[test]
     fn sweep_report_round_trips_through_json() {
         let xs: Vec<f64> = (0..20).map(|i| i as f64 * 0.1).collect();
-        let report = sweep_resilient(&xs, |x| {
+        let report = plain(&xs, 1, OnFailure::Report, |x| {
             if x > 1.5 {
                 Err(CoreError::InvalidProbability {
                     context: "demo".into(),
@@ -1080,7 +602,8 @@ mod tests {
             } else {
                 Ok(x.exp())
             }
-        });
+        })
+        .unwrap();
         assert!(!report.is_complete());
         let text = report.to_json().to_string();
         let back = SweepReport::from_json_str(&text).unwrap();
@@ -1110,9 +633,11 @@ mod tests {
     #[test]
     fn tornado_ranks_by_swing() {
         // Output = value for "big", value/10 for "small".
-        let bars = tornado(&[("small", 0.0, 1.0), ("big", 0.0, 1.0)], |name, v| {
-            Ok(if name == "big" { v } else { v / 10.0 })
-        })
+        let bars = tornado(
+            &[("small", 0.0, 1.0), ("big", 0.0, 1.0)],
+            &Exec::serial(),
+            |name, v| Ok(if name == "big" { v } else { v / 10.0 }),
+        )
         .unwrap();
         assert_eq!(bars[0].name, "big");
         assert!((bars[0].swing() - 1.0).abs() < 1e-15);

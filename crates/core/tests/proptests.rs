@@ -193,17 +193,86 @@ proptest! {
 
 // --- Parallel-evaluation equivalence -----------------------------------
 
+fn exec(threads: usize, on_failure: uavail_core::par::OnFailure) -> uavail_core::par::Exec {
+    uavail_core::par::Exec {
+        threads,
+        on_failure,
+    }
+}
+
 proptest! {
-    /// `sweep_parallel` is observationally identical to `sweep` for any
-    /// input grid, thread count, and failure pattern: same points bit for
-    /// bit on success, the same `EvalAt` error otherwise.
+    /// `par_map` against the serial map, over random failure and panic
+    /// positions and thread counts. Under `Abort` the collected outcome is
+    /// exactly the serial map's, lowest-index error included; under
+    /// `Report` every item is evaluated and each outcome is the one the
+    /// item produces on its own.
+    #[test]
+    fn par_map_abort_equals_serial_and_report_evaluates_every_item(
+        len in 0usize..80,
+        threads in 1usize..9,
+        fail_at in prop::collection::vec(0usize..80, 0..4),
+        panic_at in prop::collection::vec(0usize..80, 0..3)
+    ) {
+        use uavail_core::par::{par_map, OnFailure};
+        use uavail_core::CoreError;
+        let items: Vec<usize> = (0..len).collect();
+        let f = |&i: &usize| -> Result<f64, CoreError> {
+            if panic_at.contains(&i) {
+                panic!("property panic at {i}");
+            }
+            if fail_at.contains(&i) {
+                return Err(CoreError::Undefined { name: format!("item-{i}") });
+            }
+            Ok((i as f64 * 0.37).sin() / (1.0 + i as f64))
+        };
+        // The serial reference, with a caught panic typed exactly as the
+        // map types it.
+        let own = |i: usize| -> Result<f64, CoreError> {
+            if panic_at.contains(&i) {
+                Err(CoreError::WorkerPanicked { index: i, payload: format!("property panic at {i}") })
+            } else {
+                f(&i)
+            }
+        };
+        let serial: Result<Vec<f64>, CoreError> = items.iter().map(|&i| own(i)).collect();
+
+        let aborted = par_map(&items, &exec(threads, OnFailure::Abort), || (), |(), i| f(i));
+        let first_failure = items.iter().position(|&i| own(i).is_err());
+        prop_assert_eq!(aborted.len(), first_failure.map_or(len, |k| k + 1));
+        let collected: Result<Vec<f64>, CoreError> = aborted.into_iter().collect();
+        match (&serial, &collected) {
+            (Ok(s), Ok(p)) => {
+                prop_assert_eq!(s.len(), p.len());
+                for (a, b) in s.iter().zip(p) {
+                    prop_assert_eq!(a.to_bits(), b.to_bits());
+                }
+            }
+            (Err(a), Err(b)) => prop_assert_eq!(a, b),
+            (s, p) => prop_assert!(false, "serial {:?} vs abort {:?}", s, p),
+        }
+
+        let reported = par_map(&items, &exec(threads, OnFailure::Report), || (), |(), i| f(i));
+        prop_assert_eq!(reported.len(), len);
+        for (i, outcome) in reported.into_iter().enumerate() {
+            match (own(i), outcome) {
+                (Ok(a), Ok(b)) => prop_assert_eq!(a.to_bits(), b.to_bits()),
+                (Err(a), Err(b)) => prop_assert_eq!(a, b),
+                (a, b) => prop_assert!(false, "item {}: own {:?} vs report {:?}", i, a, b),
+            }
+        }
+    }
+
+    /// `sweep` is observationally identical for any thread count and
+    /// failure pattern: same points bit for bit on success, the same
+    /// `EvalAt` error otherwise.
     #[test]
     fn sweep_parallel_equals_sweep(
         values in prop::collection::vec(-100.0f64..100.0, 0..60),
         threads in 1usize..9,
         fail_above in 0.0f64..120.0
     ) {
-        let f = |x: f64| -> Result<f64, uavail_core::CoreError> {
+        use uavail_core::par::OnFailure;
+        let f = |(): &mut (), x: f64| -> Result<f64, uavail_core::CoreError> {
             if x.abs() > fail_above {
                 Err(uavail_core::CoreError::InvalidProbability {
                     context: "property sweep".into(),
@@ -213,12 +282,13 @@ proptest! {
                 Ok((x * 0.1).sin() * (x * 0.01).exp())
             }
         };
-        let serial = uavail_core::sweep::sweep(&values, f);
-        let parallel = uavail_core::sweep::sweep_parallel_threads(&values, threads, f);
+        let serial = uavail_core::sweep::sweep(&values, &exec(1, OnFailure::Abort), || (), f);
+        let parallel =
+            uavail_core::sweep::sweep(&values, &exec(threads, OnFailure::Abort), || (), f);
         match (serial, parallel) {
             (Ok(s), Ok(p)) => {
-                prop_assert_eq!(s.len(), p.len());
-                for (a, b) in s.iter().zip(&p) {
+                prop_assert_eq!(s.points.len(), p.points.len());
+                for (a, b) in s.points.iter().zip(&p.points) {
                     prop_assert_eq!(a.x.to_bits(), b.x.to_bits());
                     prop_assert_eq!(a.y.to_bits(), b.y.to_bits());
                 }
@@ -237,6 +307,7 @@ proptest! {
         threads in 1usize..9,
         fail_above in 0.0f64..20.0
     ) {
+        use uavail_core::par::OnFailure;
         let names: Vec<String> = (0..lows.len().min(spans.len()))
             .map(|i| format!("param{i}"))
             .collect();
@@ -252,113 +323,13 @@ proptest! {
                 Ok(v * v + name.len() as f64)
             }
         };
-        let serial = uavail_core::sweep::tornado(&ranges, f);
+        let serial = uavail_core::sweep::tornado(&ranges, &exec(1, OnFailure::Abort), f);
         let parallel =
-            uavail_core::sweep::tornado_parallel_threads(&ranges, threads, f);
+            uavail_core::sweep::tornado(&ranges, &exec(threads, OnFailure::Abort), f);
         match (serial, parallel) {
             (Ok(s), Ok(p)) => prop_assert_eq!(s, p),
             (Err(a), Err(b)) => prop_assert_eq!(a, b),
             (s, p) => prop_assert!(false, "serial {:?} vs parallel {:?}", s, p),
-        }
-    }
-}
-
-// --- Batched-evaluation equivalence ------------------------------------
-
-/// The model function shared by the batched-equivalence properties: a
-/// nontrivial float pipeline with a failure threshold, evaluated by the
-/// scalar and block paths through identical operations.
-fn batched_model(x: f64, fail_above: f64) -> Result<f64, uavail_core::CoreError> {
-    if x.abs() > fail_above {
-        Err(uavail_core::CoreError::InvalidProbability {
-            context: "batched property".into(),
-            value: x,
-        })
-    } else {
-        Ok((x * 0.1).sin() * (x * 0.01).exp() / (2.0 + x.cos()))
-    }
-}
-
-proptest! {
-    /// `sweep_batched` (serial and parallel, any block size) is
-    /// observationally identical to `sweep_with`: bit-for-bit points on
-    /// success, the same `EvalAt` error at the same point otherwise.
-    #[test]
-    fn sweep_batched_equals_sweep_with(
-        values in prop::collection::vec(-100.0f64..100.0, 0..80),
-        block in 1usize..25,
-        threads in 1usize..9,
-        fail_above in 0.0f64..120.0
-    ) {
-        let block_eval = |_: &mut (), xs: &[f64], out: &mut Vec<f64>| {
-            for &x in xs {
-                out.push(batched_model(x, fail_above)?);
-            }
-            Ok(())
-        };
-        let mut ws = ();
-        let scalar = uavail_core::sweep::sweep_with(&values, &mut ws, |_, x| {
-            batched_model(x, fail_above)
-        });
-        let batched = uavail_core::sweep::sweep_batched(&values, block, &mut ws, block_eval);
-        let parallel = uavail_core::sweep::sweep_parallel_batched_threads(
-            &values, block, threads, || (), block_eval,
-        );
-        match (&scalar, &batched) {
-            (Ok(s), Ok(b)) => {
-                prop_assert_eq!(s.len(), b.len());
-                for (a, b) in s.iter().zip(b) {
-                    prop_assert_eq!(a.x.to_bits(), b.x.to_bits());
-                    prop_assert_eq!(a.y.to_bits(), b.y.to_bits());
-                }
-            }
-            (Err(a), Err(b)) => prop_assert_eq!(a, b),
-            (s, b) => prop_assert!(false, "scalar {:?} vs batched {:?}", s, b),
-        }
-        prop_assert_eq!(&batched, &parallel);
-    }
-
-    /// Interaction with the resilient engine: when the batched sweep
-    /// succeeds, the resilient report is complete with bit-identical
-    /// points; when it fails, the batched error names exactly the first
-    /// point the resilient report records as failed.
-    #[test]
-    fn sweep_batched_agrees_with_resilient_report(
-        values in prop::collection::vec(-100.0f64..100.0, 1..60),
-        block in 1usize..12,
-        fail_above in 0.0f64..120.0
-    ) {
-        let mut ws = ();
-        let batched = uavail_core::sweep::sweep_batched(
-            &values, block, &mut ws,
-            |_, xs: &[f64], out: &mut Vec<f64>| {
-                for &x in xs {
-                    out.push(batched_model(x, fail_above)?);
-                }
-                Ok(())
-            },
-        );
-        let report = uavail_core::sweep::sweep_resilient(&values, |x| {
-            batched_model(x, fail_above)
-        });
-        match batched {
-            Ok(points) => {
-                prop_assert!(report.is_complete());
-                prop_assert_eq!(points.len(), report.points.len());
-                for (a, b) in points.iter().zip(&report.points) {
-                    prop_assert_eq!(a.y.to_bits(), b.y.to_bits());
-                }
-            }
-            Err(e) => {
-                prop_assert!(!report.is_complete());
-                let first = &report.failures[0];
-                let text = e.to_string();
-                prop_assert!(
-                    text.contains(&format!("x = {}", first.x)),
-                    "batched error {} does not name first resilient failure x = {}",
-                    text, first.x
-                );
-            }
         }
     }
 }

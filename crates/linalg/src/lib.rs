@@ -35,7 +35,6 @@
 //! ```
 
 #![allow(clippy::needless_range_loop)] // index loops mirror the math
-pub mod batch;
 mod error;
 pub mod iterative;
 mod lu;
@@ -44,7 +43,6 @@ mod sparse;
 mod tridiagonal;
 pub mod vector;
 
-pub use batch::TridiagonalLanes;
 pub use error::LinalgError;
 pub use lu::{solve, Lu, LuWorkspace};
 pub use matrix::Matrix;

@@ -72,13 +72,6 @@ impl Tridiagonal {
         self.diag.len()
     }
 
-    /// Borrows the three diagonals as `(lower, diag, upper)` — the packing
-    /// order [`crate::TridiagonalLanes`] reads when laying a family of
-    /// systems out in lanes.
-    pub fn diagonals(&self) -> (&[f64], &[f64], &[f64]) {
-        (&self.lower, &self.diag, &self.upper)
-    }
-
     /// Solves `A·x = b` with the Thomas algorithm (no pivoting — requires
     /// the matrix to be diagonally dominant or positive definite, which
     /// shifted birth–death balance systems are).

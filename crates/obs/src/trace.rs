@@ -15,7 +15,7 @@
 //! dropping the newest keeps every retained per-thread sequence a
 //! contiguous, time-ordered prefix. Rings of exited threads flush into a
 //! global sink; [`take_trace`] drains that sink plus the calling thread's
-//! ring, which covers the scoped-worker pattern of `par_map_threads_with`
+//! ring, which covers the scoped-worker pattern of `par_map`
 //! (workers always exit before the harness exports).
 
 use crate::json::JsonValue;
@@ -469,14 +469,20 @@ mod tests {
     #[test]
     fn worker_threads_flush_on_exit_and_keep_distinct_tids() {
         let data = with_tracing(DEFAULT_TRACE_CAPACITY, || {
-            std::thread::scope(|scope| {
-                for _ in 0..3 {
-                    scope.spawn(|| {
+            // Plain spawn + join, not a scope: a scope can return before a
+            // worker's TLS destructor has flushed its ring, while `join`
+            // waits for the thread to exit.
+            let workers: Vec<_> = (0..3)
+                .map(|_| {
+                    std::thread::spawn(|| {
                         let _w = TraceSpan::enter("worker");
                         trace_instant("tick");
-                    });
-                }
-            });
+                    })
+                })
+                .collect();
+            for worker in workers {
+                worker.join().expect("worker thread");
+            }
             take_trace()
         });
         let tids: std::collections::BTreeSet<u64> = data.events.iter().map(|e| e.tid).collect();

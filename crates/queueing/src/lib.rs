@@ -41,7 +41,6 @@
 //! # }
 //! ```
 
-pub mod batch;
 mod birth_death_queue;
 pub mod erlang;
 mod error;
@@ -52,7 +51,6 @@ mod mmc;
 mod mmck;
 pub mod response_time;
 
-pub use batch::MmckFamily;
 pub use birth_death_queue::BirthDeathQueue;
 pub use error::QueueingError;
 pub use mg1::MG1;

@@ -20,7 +20,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use uavail_core::par::{default_threads, par_fold_threads_with, par_map_threads};
+use uavail_core::par::{default_threads, par_fold, par_map, Exec, OnFailure};
 use uavail_core::FromWorkerPanic;
 
 /// Derives the per-replication seed for replication `index` from a base
@@ -150,11 +150,22 @@ where
     let _span = uavail_obs::span("sim.replicate_parallel");
     record_batch_metrics(base_seed, count);
     let indices: Vec<usize> = injected_indices(count).unwrap_or_else(|| (0..count).collect());
-    par_map_threads(&indices, threads, |&i| {
-        let _rep = uavail_obs::Stopwatch::start("sim.replicate.replication_ns");
-        let mut rng = StdRng::seed_from_u64(replication_seed(base_seed, i));
-        f(&mut rng, i)
-    })
+    let exec = Exec {
+        threads,
+        on_failure: OnFailure::Abort,
+    };
+    par_map(
+        &indices,
+        &exec,
+        || (),
+        |(), &i| {
+            let _rep = uavail_obs::Stopwatch::start("sim.replicate.replication_ns");
+            let mut rng = StdRng::seed_from_u64(replication_seed(base_seed, i));
+            f(&mut rng, i)
+        },
+    )
+    .into_iter()
+    .collect()
 }
 
 /// Streaming [`replicate`]: runs `count` replications serially and folds
@@ -240,7 +251,7 @@ where
 /// [`crate::SimContext`] per worker, built on the worker thread, reused
 /// across all its replications), while the calling thread folds the
 /// observations **in replication-index order** through a bounded ring
-/// (`uavail_core::par::par_fold_threads_with`), so memory stays
+/// (`uavail_core::par::par_fold`), so memory stays
 /// `O(threads)` observations regardless of `count`.
 ///
 /// Because every replication owns a seed-derived RNG stream and the fold
@@ -275,7 +286,7 @@ where
     let _span = uavail_obs::span("sim.replicate_fold_parallel");
     record_batch_metrics(base_seed, count);
     let indices: Vec<usize> = injected_indices(count).unwrap_or_else(|| (0..count).collect());
-    par_fold_threads_with(
+    par_fold(
         &indices,
         threads,
         make,

@@ -1,19 +1,22 @@
-//! Reusable evaluation scratch for dense parameter sweeps.
+//! Reusable evaluation scratch for repeated what-if queries.
 //!
-//! Every point of a figure sweep rebuilds the same machinery: a CTMC
+//! Every web-service evaluation rebuilds the same machinery: a CTMC
 //! generator for the web-server farm, a GTH elimination scratch matrix, a
 //! stationary vector, an M/M/c/K state distribution, and a composite-state
-//! list. [`EvalContext`] owns all of those buffers so a sweep loop — or one
-//! worker thread of a parallel sweep — allocates them once and reuses them
-//! for every subsequent point.
+//! list. [`EvalContext`] owns all of those buffers so a query worker (the
+//! `/eval` plane gives each worker one) allocates them once and reuses
+//! them for every subsequent query.
 //!
 //! The context is transparent: the `*_with` evaluation paths in
-//! [`crate::webservice`] and [`crate::evaluation`] run the exact same
+//! [`crate::webservice`] and [`crate::user`] run the exact same
 //! floating-point operations as their allocating counterparts on a fresh
-//! buffer, and the context's private memos (per-point web availabilities,
-//! per-scenario service expansions) replay the exact bits of the first
-//! computation, so results are bit-for-bit identical (property-tested in
-//! the crate's integration tests). Reuse is instrumented through the
+//! buffer, fall back through the same solver chain when a solve is
+//! unhealthy, and the context's private memos (per-point web
+//! availabilities, per-scenario service expansions) replay the exact bits
+//! of the first computation, so results are bit-for-bit identical (pinned
+//! in the crate's integration tests). The paper's figure and table drivers
+//! in [`crate::evaluation`] do not use a context: they run the allocating
+//! path. Reuse is instrumented through the
 //! `uavail-obs` counters `travel.eval_context.created` and
 //! `travel.eval_context.reuses`.
 
@@ -108,12 +111,11 @@ impl FarmStructure {
 
 /// Per-thread scratch arena for the travel-agency evaluation paths.
 ///
-/// Thread one context through [`crate::evaluation::figure_sweep_with`],
-/// [`crate::evaluation::table8_with`] or the lower-level
-/// `*_availability_with` functions; for parallel sweeps, give each worker
-/// its own (e.g. via [`uavail_core::sweep::sweep_parallel_with`]'s `make`
-/// closure). A context is cheap to create — buffers grow lazily on first
-/// use.
+/// Thread one context through the `*_availability_with` functions and
+/// [`crate::user::user_availability_with`]; for parallel work, give each
+/// worker its own (e.g. via the `make` closure of
+/// [`uavail_core::sweep::sweep`]). A context is cheap to create — buffers
+/// grow lazily on first use.
 ///
 /// # Examples
 ///

@@ -4,17 +4,28 @@
 use std::collections::HashMap;
 
 use uavail_core::downtime::{RevenueModel, HOURS_PER_YEAR};
-use uavail_core::par::{
-    default_threads, par_map_threads, par_map_threads_capture, par_map_threads_with,
-};
+use uavail_core::par::{par_map, Exec, OnFailure};
 use uavail_obs::json::JsonValue;
 use uavail_profile::ScenarioCategory;
 
 use crate::user::{class_a, class_b, scenario_availability, UserClass};
-use crate::{
-    functions, services, user, webservice, Architecture, EvalContext, TaParameters,
-    TravelAgencyModel, TravelError,
-};
+use crate::{webservice, Architecture, Coverage, TaParameters, TravelAgencyModel, TravelError};
+
+/// The paper's published Table 8, `(N, class A, class B)` with
+/// `N = N_F = N_H = N_C`: the reference column every Table 8 reproduction
+/// is compared against.
+pub const PAPER_TABLE8: [(usize, f64, f64); 6] = [
+    (1, 0.84235, 0.76875),
+    (2, 0.96509, 0.95529),
+    (3, 0.97867, 0.97593),
+    (4, 0.98004, 0.97802),
+    (5, 0.98018, 0.97822),
+    (10, 0.98020, 0.97825),
+];
+
+/// The paper's headline web-service availability `A(WS)` at the Table 7
+/// parameters.
+pub const PAPER_A_WS: f64 = 0.999995587;
 
 /// One row of Table 8: user availability for both classes at a common
 /// reservation-system count.
@@ -51,72 +62,6 @@ pub fn table8() -> Result<Vec<Table8Row>, TravelError> {
     Ok(rows)
 }
 
-/// Reproduces Table 8 reusing `ctx`'s buffers for every row — the
-/// allocation-free twin of [`table8`], bit-for-bit identical.
-///
-/// The web-service availability does not depend on the reservation-system
-/// count, so it is solved once in `ctx` and shared by all six rows; the
-/// reservation-bank availabilities are recomputed per row exactly as the
-/// allocating path does. The user-scenario service expansions — also
-/// independent of the system counts — are expanded once into `ctx`'s memo
-/// and replayed against each row's environment.
-///
-/// # Errors
-///
-/// Propagates solver failures.
-pub fn table8_with(ctx: &mut EvalContext) -> Result<Vec<Table8Row>, TravelError> {
-    let _span = uavail_obs::span("travel.table8");
-    let counts = [1usize, 2, 3, 4, 5, 10];
-    uavail_obs::counter_add("travel.table8.rows", counts.len() as u64);
-
-    // The paper-reference architecture is the imperfect-coverage farm;
-    // its A(WS) is independent of N_F = N_H = N_C, so one context solve
-    // serves every row (the allocating path recomputes the same value —
-    // deterministically, hence bit-for-bit equal — per class and row).
-    let base = TaParameters::paper_defaults();
-    let a_web = webservice::redundant_imperfect_availability_with(&base, ctx)?;
-
-    let mut rows = Vec::with_capacity(counts.len());
-    let mut env = HashMap::new();
-    for n in counts {
-        let params = TaParameters::paper_defaults().with_reservation_systems(n);
-        params.validate()?;
-        // Same entries as `TravelAgencyModel::service_availabilities` for
-        // `Architecture::paper_reference()`, with the memoized A(WS).
-        env.clear();
-        env.insert(functions::SERVICE_NET.to_string(), params.a_net);
-        env.insert(functions::SERVICE_LAN.to_string(), params.a_lan);
-        env.insert(functions::SERVICE_WEB.to_string(), a_web);
-        env.insert(
-            functions::SERVICE_APP.to_string(),
-            services::application(&params, Architecture::paper_reference())?,
-        );
-        env.insert(
-            functions::SERVICE_DB.to_string(),
-            services::database(&params, Architecture::paper_reference())?,
-        );
-        env.insert(
-            functions::SERVICE_FLIGHT.to_string(),
-            services::flight(&params)?,
-        );
-        env.insert(
-            functions::SERVICE_HOTEL.to_string(),
-            services::hotel(&params)?,
-        );
-        env.insert(functions::SERVICE_CAR.to_string(), services::car(&params)?);
-        env.insert(
-            functions::SERVICE_PAYMENT.to_string(),
-            services::payment(&params),
-        );
-        rows.push(Table8Row {
-            reservation_systems: n,
-            class_a: user::user_availability_with(&class_a(), &params, &env, ctx)?,
-            class_b: user::user_availability_with(&class_b(), &params, &env, ctx)?,
-        });
-    }
-    Ok(rows)
-}
-
 /// One point of Figures 11–12: web-service unavailability at a given farm
 /// size for one (failure rate, arrival rate) pair.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -139,7 +84,7 @@ pub fn figure_grid() -> (Vec<f64>, Vec<f64>) {
 
 /// The flattened `(λ, α, N_W)` evaluation grid of Figures 11–12, in the
 /// order the serial sweep visits it.
-pub(crate) fn figure_points_grid() -> Vec<(f64, f64, usize)> {
+fn figure_points_grid() -> Vec<(f64, f64, usize)> {
     let (lambdas, alphas) = figure_grid();
     let mut grid = Vec::with_capacity(lambdas.len() * alphas.len() * 10);
     for &lambda in &lambdas {
@@ -152,10 +97,10 @@ pub(crate) fn figure_points_grid() -> Vec<(f64, f64, usize)> {
     grid
 }
 
-/// Evaluates one point of the Figure 11/12 grid — shared by the serial
-/// and parallel sweeps so both produce bit-for-bit identical points.
+/// Evaluates one point of the Figure 11/12 grid through the allocating
+/// solver path, whatever the sweep's execution options.
 fn figure_point(
-    perfect: bool,
+    coverage: Coverage,
     lambda: f64,
     alpha: f64,
     nw: usize,
@@ -167,40 +112,9 @@ fn figure_point(
         .failure_rate_per_hour(lambda)
         .arrival_rate_per_second(alpha)
         .build()?;
-    let a = if perfect {
-        webservice::redundant_perfect_availability(&params)?
-    } else {
-        webservice::redundant_imperfect_availability(&params)?
-    };
-    Ok(FigurePoint {
-        failure_rate_per_hour: lambda,
-        arrival_rate_per_second: alpha,
-        web_servers: nw,
-        unavailability: 1.0 - a,
-    })
-}
-
-/// Context-reusing twin of [`figure_point`] — same parameters, same
-/// instrumentation, bit-for-bit the same result, but every solver buffer
-/// comes from `ctx`.
-pub(crate) fn figure_point_with(
-    perfect: bool,
-    lambda: f64,
-    alpha: f64,
-    nw: usize,
-    ctx: &mut EvalContext,
-) -> Result<FigurePoint, TravelError> {
-    let _point = uavail_obs::Stopwatch::start("travel.figure.point_ns");
-    let _trace = uavail_obs::TraceSpan::enter_with_arg("travel.figure.point", "nw", nw as f64);
-    let params = TaParameters::builder()
-        .web_servers(nw)
-        .failure_rate_per_hour(lambda)
-        .arrival_rate_per_second(alpha)
-        .build()?;
-    let a = if perfect {
-        webservice::redundant_perfect_availability_with(&params, ctx)?
-    } else {
-        webservice::redundant_imperfect_availability_with(&params, ctx)?
+    let a = match coverage {
+        Coverage::Perfect => webservice::redundant_perfect_availability(&params)?,
+        Coverage::Imperfect => webservice::redundant_imperfect_availability(&params)?,
     };
     Ok(FigurePoint {
         failure_rate_per_hour: lambda,
@@ -212,151 +126,15 @@ pub(crate) fn figure_point_with(
 
 /// Counts the points of one figure sweep under the figure's own name, so
 /// the metrics artifact reports per-figure coverage.
-pub(crate) fn count_figure_points(perfect: bool, points: usize) {
-    let name = if perfect {
-        "travel.fig11.points"
-    } else {
-        "travel.fig12.points"
+fn count_figure_points(coverage: Coverage, points: usize) {
+    let name = match coverage {
+        Coverage::Perfect => "travel.fig11.points",
+        Coverage::Imperfect => "travel.fig12.points",
     };
     uavail_obs::counter_add(name, points as u64);
 }
 
-fn figure_sweep(perfect: bool) -> Result<Vec<FigurePoint>, TravelError> {
-    let _span = uavail_obs::span("travel.figure_sweep");
-    let grid = figure_points_grid();
-    count_figure_points(perfect, grid.len());
-    grid.into_iter()
-        .map(|(lambda, alpha, nw)| figure_point(perfect, lambda, alpha, nw))
-        .collect()
-}
-
-/// Parallel [`figure_sweep`]: evaluates the 90-point grid on up to
-/// `threads` scoped worker threads, returning exactly the serial result.
-pub(crate) fn figure_sweep_parallel_threads(
-    perfect: bool,
-    threads: usize,
-) -> Result<Vec<FigurePoint>, TravelError> {
-    let _span = uavail_obs::span("travel.figure_sweep_parallel");
-    let grid = figure_points_grid();
-    count_figure_points(perfect, grid.len());
-    par_map_threads(&grid, threads, |&(lambda, alpha, nw)| {
-        figure_point(perfect, lambda, alpha, nw)
-    })
-}
-
-/// Context-reusing twin of [`figure_sweep`]: every point of the 90-point
-/// grid is solved in `ctx`'s buffers, producing bit-for-bit the serial
-/// sweep's result without its per-point allocations.
-pub(crate) fn figure_sweep_with(
-    perfect: bool,
-    ctx: &mut EvalContext,
-) -> Result<Vec<FigurePoint>, TravelError> {
-    let _span = uavail_obs::span("travel.figure_sweep");
-    let grid = figure_points_grid();
-    count_figure_points(perfect, grid.len());
-    grid.into_iter()
-        .map(|(lambda, alpha, nw)| figure_point_with(perfect, lambda, alpha, nw, ctx))
-        .collect()
-}
-
-/// Context-reusing twin of [`figure_sweep_parallel_threads`]: each worker
-/// thread owns one [`EvalContext`] for its whole share of the grid.
-pub(crate) fn figure_sweep_parallel_threads_with(
-    perfect: bool,
-    threads: usize,
-) -> Result<Vec<FigurePoint>, TravelError> {
-    let _span = uavail_obs::span("travel.figure_sweep_parallel");
-    let grid = figure_points_grid();
-    count_figure_points(perfect, grid.len());
-    par_map_threads_with(
-        &grid,
-        threads,
-        EvalContext::new,
-        |ctx, &(lambda, alpha, nw)| figure_point_with(perfect, lambda, alpha, nw, ctx),
-    )
-}
-
-/// Reproduces Figure 11: web-service unavailability vs. `N_W` under
-/// **perfect** coverage, for the full λ × α grid.
-///
-/// # Errors
-///
-/// Propagates solver failures.
-pub fn figure11() -> Result<Vec<FigurePoint>, TravelError> {
-    figure_sweep(true)
-}
-
-/// Parallel [`figure11`]: same 90 points, bit for bit, computed on all
-/// available cores.
-///
-/// # Errors
-///
-/// Exactly the errors [`figure11`] would produce.
-pub fn figure11_parallel() -> Result<Vec<FigurePoint>, TravelError> {
-    figure_sweep_parallel_threads(true, default_threads())
-}
-
-/// Context-reusing [`figure11`]: same 90 points, bit for bit, computed in
-/// `ctx`'s buffers without per-point allocation.
-///
-/// # Errors
-///
-/// Exactly the errors [`figure11`] would produce.
-pub fn figure11_with(ctx: &mut EvalContext) -> Result<Vec<FigurePoint>, TravelError> {
-    figure_sweep_with(true, ctx)
-}
-
-/// Context-reusing [`figure11_parallel`]: one [`EvalContext`] per worker
-/// thread, bit-for-bit the serial result.
-///
-/// # Errors
-///
-/// Exactly the errors [`figure11`] would produce.
-pub fn figure11_parallel_with() -> Result<Vec<FigurePoint>, TravelError> {
-    figure_sweep_parallel_threads_with(true, default_threads())
-}
-
-/// Reproduces Figure 12: the same sweep under **imperfect** coverage
-/// (`c = 0.98`, `β = 12/h`).
-///
-/// # Errors
-///
-/// Propagates solver failures.
-pub fn figure12() -> Result<Vec<FigurePoint>, TravelError> {
-    figure_sweep(false)
-}
-
-/// Parallel [`figure12`]: same 90 points, bit for bit, computed on all
-/// available cores.
-///
-/// # Errors
-///
-/// Exactly the errors [`figure12`] would produce.
-pub fn figure12_parallel() -> Result<Vec<FigurePoint>, TravelError> {
-    figure_sweep_parallel_threads(false, default_threads())
-}
-
-/// Context-reusing [`figure12`]: same 90 points, bit for bit, computed in
-/// `ctx`'s buffers without per-point allocation.
-///
-/// # Errors
-///
-/// Exactly the errors [`figure12`] would produce.
-pub fn figure12_with(ctx: &mut EvalContext) -> Result<Vec<FigurePoint>, TravelError> {
-    figure_sweep_with(false, ctx)
-}
-
-/// Context-reusing [`figure12_parallel`]: one [`EvalContext`] per worker
-/// thread, bit-for-bit the serial result.
-///
-/// # Errors
-///
-/// Exactly the errors [`figure12`] would produce.
-pub fn figure12_parallel_with() -> Result<Vec<FigurePoint>, TravelError> {
-    figure_sweep_parallel_threads_with(false, default_threads())
-}
-
-/// One failed point of a resilient figure sweep: which grid point failed
+/// One failed point of a reporting figure sweep: which grid point failed
 /// and the typed error it failed with.
 #[derive(Debug)]
 pub struct FigureFailure {
@@ -373,10 +151,10 @@ pub struct FigureFailure {
     pub error: TravelError,
 }
 
-/// Outcome of a resilient figure sweep: every successfully evaluated
-/// point plus a typed record of every point that failed — the graceful
-/// degradation the paper argues for, applied to the evaluation stack
-/// itself.
+/// Outcome of a figure sweep: every successfully evaluated point plus a
+/// typed record of every point that failed — under
+/// [`OnFailure::Report`], the graceful degradation the paper argues for,
+/// applied to the evaluation stack itself.
 #[derive(Debug, Default)]
 pub struct FigureReport {
     /// Successfully evaluated points, in grid order.
@@ -443,22 +221,48 @@ impl FigureReport {
     }
 }
 
-/// Fault-tolerant figure sweep: evaluates the full 90-point grid,
-/// recording per-point failures (including caught panics) into a
-/// [`FigureReport`] instead of aborting at the first one. Points that
-/// evaluate successfully are bit-for-bit the points the plain sweep
-/// produces.
-pub(crate) fn figure_sweep_resilient_threads(perfect: bool, threads: usize) -> FigureReport {
-    let _span = uavail_obs::span("travel.figure_sweep_resilient");
+/// The Figure 11/12 sweep: web-service unavailability over the 90-point
+/// `(λ, α, N_W)` grid under `coverage`, evaluated on `exec`.
+///
+/// Every point runs the allocating solver path, so the points are
+/// bit-for-bit the same for any thread count and failure policy. Under
+/// [`OnFailure::Report`] every point is evaluated, each failure (including
+/// a caught panic) becomes a [`FigureFailure`], and the
+/// `travel.figure.resilient.{points,failures}` counters record the split.
+///
+/// # Errors
+///
+/// Under [`OnFailure::Abort`], the error at the first failing grid point
+/// in sweep order. Under `Report` the sweep never fails.
+///
+/// # Examples
+///
+/// ```
+/// use uavail_core::par::Exec;
+/// use uavail_travel::evaluation::{figure12, figure_sweep};
+/// use uavail_travel::Coverage;
+///
+/// # fn main() -> Result<(), uavail_travel::TravelError> {
+/// let report = figure_sweep(Coverage::Imperfect, &Exec::parallel())?;
+/// assert_eq!(report.points, figure12()?);
+/// # Ok(())
+/// # }
+/// ```
+pub fn figure_sweep(coverage: Coverage, exec: &Exec) -> Result<FigureReport, TravelError> {
+    let _span = uavail_obs::span("travel.figure_sweep");
     let grid = figure_points_grid();
-    count_figure_points(perfect, grid.len());
-    let outcomes = par_map_threads_capture(&grid, threads, |&(lambda, alpha, nw)| {
-        figure_point(perfect, lambda, alpha, nw)
-    });
+    count_figure_points(coverage, grid.len());
+    let outcomes = par_map(
+        &grid,
+        exec,
+        || (),
+        |(), &(lambda, alpha, nw)| figure_point(coverage, lambda, alpha, nw),
+    );
     let mut report = FigureReport::default();
     for (index, (&(lambda, alpha, nw), outcome)) in grid.iter().zip(outcomes).enumerate() {
         match outcome {
             Ok(point) => report.points.push(point),
+            Err(error) if exec.on_failure == OnFailure::Abort => return Err(error),
             Err(error) => report.failures.push(FigureFailure {
                 index,
                 failure_rate_per_hour: lambda,
@@ -468,22 +272,37 @@ pub(crate) fn figure_sweep_resilient_threads(perfect: bool, threads: usize) -> F
             }),
         }
     }
-    // Recorded unconditionally (a zero is still a record), so a metrics
-    // artifact always shows whether the resilient machinery ran.
-    uavail_obs::counter_add("travel.figure.resilient.points", report.points.len() as u64);
-    uavail_obs::counter_add(
-        "travel.figure.resilient.failures",
-        report.failures.len() as u64,
-    );
-    report
+    if exec.on_failure == OnFailure::Report {
+        // Recorded unconditionally (a zero is still a record), so a
+        // metrics artifact always shows whether the reporting path ran.
+        uavail_obs::counter_add("travel.figure.resilient.points", report.points.len() as u64);
+        uavail_obs::counter_add(
+            "travel.figure.resilient.failures",
+            report.failures.len() as u64,
+        );
+    }
+    Ok(report)
 }
 
-/// Resilient [`figure12`]: the imperfect-coverage sweep that degrades
-/// gracefully — every point that can be evaluated is, and every point
-/// that cannot is reported as a typed [`FigureFailure`] instead of
-/// aborting the study.
-pub fn figure12_resilient() -> FigureReport {
-    figure_sweep_resilient_threads(false, default_threads())
+/// Reproduces Figure 11: web-service unavailability vs. `N_W` under
+/// **perfect** coverage, for the full λ × α grid — [`figure_sweep`] run
+/// serially.
+///
+/// # Errors
+///
+/// Propagates solver failures.
+pub fn figure11() -> Result<Vec<FigurePoint>, TravelError> {
+    Ok(figure_sweep(Coverage::Perfect, &Exec::serial())?.points)
+}
+
+/// Reproduces Figure 12: the same sweep under **imperfect** coverage
+/// (`c = 0.98`, `β = 12/h`) — [`figure_sweep`] run serially.
+///
+/// # Errors
+///
+/// Propagates solver failures.
+pub fn figure12() -> Result<Vec<FigurePoint>, TravelError> {
+    Ok(figure_sweep(Coverage::Imperfect, &Exec::serial())?.points)
 }
 
 /// Per-category user-unavailability contributions (Figure 13) for one
@@ -602,50 +421,17 @@ pub fn min_web_servers_for(
     Ok(None)
 }
 
-/// Context-reusing twin of [`min_web_servers_for`]: every candidate farm
-/// size is evaluated in `ctx`'s buffers, with bit-for-bit the same
-/// threshold decisions.
-///
-/// # Errors
-///
-/// Propagates solver failures.
-pub fn min_web_servers_for_with(
-    target_unavailability: f64,
-    failure_rate_per_hour: f64,
-    arrival_rate_per_second: f64,
-    max_servers: usize,
-    ctx: &mut EvalContext,
-) -> Result<Option<usize>, TravelError> {
-    for nw in 1..=max_servers {
-        let params = TaParameters::builder()
-            .web_servers(nw)
-            // The paper holds K = 10 up to N_W = 10; for larger farms the
-            // buffer must at least hold one request per server.
-            .buffer_size(10.max(nw))
-            .failure_rate_per_hour(failure_rate_per_hour)
-            .arrival_rate_per_second(arrival_rate_per_second)
-            .build()?;
-        let a = webservice::redundant_imperfect_availability_with(&params, ctx)?;
-        if 1.0 - a < target_unavailability {
-            return Ok(Some(nw));
-        }
-    }
-    Ok(None)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use uavail_core::par::default_threads;
 
-    /// Paper Table 8 values for comparison (classes A and B).
-    const PAPER_TABLE8: [(usize, f64, f64); 6] = [
-        (1, 0.84235, 0.76875),
-        (2, 0.96509, 0.95529),
-        (3, 0.97867, 0.97593),
-        (4, 0.98004, 0.97802),
-        (5, 0.98018, 0.97822),
-        (10, 0.98020, 0.97825),
-    ];
+    fn exec(threads: usize, on_failure: OnFailure) -> Exec {
+        Exec {
+            threads,
+            on_failure,
+        }
+    }
 
     #[test]
     fn table8_reproduces_paper_within_tolerance() {
@@ -750,41 +536,49 @@ mod tests {
 
     #[test]
     fn parallel_figure_sweeps_match_serial_bit_for_bit() {
-        let s11 = figure11().unwrap();
-        let s12 = figure12().unwrap();
-        for threads in [2, 8] {
-            for (serial, parallel) in [
-                (&s11, figure_sweep_parallel_threads(true, threads).unwrap()),
-                (&s12, figure_sweep_parallel_threads(false, threads).unwrap()),
-            ] {
-                assert_eq!(serial.len(), parallel.len());
-                for (s, p) in serial.iter().zip(&parallel) {
-                    assert_eq!(s.web_servers, p.web_servers);
-                    assert_eq!(s.failure_rate_per_hour, p.failure_rate_per_hour);
-                    assert_eq!(s.arrival_rate_per_second, p.arrival_rate_per_second);
-                    assert_eq!(
-                        s.unavailability.to_bits(),
-                        p.unavailability.to_bits(),
-                        "threads={threads} N_W={} λ={} α={}",
-                        s.web_servers,
-                        s.failure_rate_per_hour,
-                        s.arrival_rate_per_second
-                    );
+        // Every execution option reproduces the serial figures bit for
+        // bit: both coverages × several thread counts × both failure
+        // policies.
+        for (coverage, serial) in [
+            (Coverage::Perfect, figure11().unwrap()),
+            (Coverage::Imperfect, figure12().unwrap()),
+        ] {
+            for threads in [1, 2, 3, default_threads()] {
+                for on_failure in [OnFailure::Abort, OnFailure::Report] {
+                    let report = figure_sweep(coverage, &exec(threads, on_failure)).unwrap();
+                    assert!(report.is_complete());
+                    assert_eq!(serial.len(), report.points.len());
+                    for (s, p) in serial.iter().zip(&report.points) {
+                        assert_eq!(s.web_servers, p.web_servers);
+                        assert_eq!(s.failure_rate_per_hour, p.failure_rate_per_hour);
+                        assert_eq!(s.arrival_rate_per_second, p.arrival_rate_per_second);
+                        assert_eq!(
+                            s.unavailability.to_bits(),
+                            p.unavailability.to_bits(),
+                            "{coverage} threads={threads} {on_failure:?} N_W={} λ={} α={}",
+                            s.web_servers,
+                            s.failure_rate_per_hour,
+                            s.arrival_rate_per_second
+                        );
+                    }
                 }
             }
         }
-        assert_eq!(s11, figure11_parallel().unwrap());
-        assert_eq!(s12, figure12_parallel().unwrap());
     }
 
     #[test]
     fn table7_headline_pinned_on_serial_and_parallel_paths() {
         // Table 7: A(WS) = 0.999995587 at λ = 1e-4, α = 100, N_W = 4 —
-        // that point sits on the Figure 12 grid, so both sweep paths must
+        // that point sits on the Figure 12 grid, so every sweep path must
         // reproduce it.
         for (label, points) in [
             ("serial", figure12().unwrap()),
-            ("parallel", figure12_parallel().unwrap()),
+            (
+                "parallel",
+                figure_sweep(Coverage::Imperfect, &Exec::parallel())
+                    .unwrap()
+                    .points,
+            ),
         ] {
             let p = points
                 .iter()
@@ -795,7 +589,7 @@ mod tests {
                 })
                 .unwrap();
             assert!(
-                (p.unavailability - (1.0 - 0.999995587)).abs() < 1e-8,
+                (p.unavailability - (1.0 - PAPER_A_WS)).abs() < 1e-8,
                 "{label}: U(WS) = {:.3e}",
                 p.unavailability
             );
@@ -804,7 +598,9 @@ mod tests {
 
     #[test]
     fn figure12_reversal_on_parallel_path() {
-        let points = figure12_parallel().unwrap();
+        let points = figure_sweep(Coverage::Imperfect, &Exec::parallel())
+            .unwrap()
+            .points;
         let series: Vec<&FigurePoint> = points
             .iter()
             .filter(|p| p.failure_rate_per_hour == 1e-2 && p.arrival_rate_per_second == 50.0)
@@ -821,7 +617,11 @@ mod tests {
 
     #[test]
     fn resilient_figure_sweep_is_complete_and_bit_for_bit_when_healthy() {
-        let report = figure12_resilient();
+        let report = figure_sweep(
+            Coverage::Imperfect,
+            &exec(default_threads(), OnFailure::Report),
+        )
+        .unwrap();
         assert!(report.is_complete(), "failures: {:?}", report.failures);
         let plain = figure12().unwrap();
         assert_eq!(report.points.len(), plain.len());

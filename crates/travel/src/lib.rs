@@ -37,7 +37,6 @@
 //! ```
 
 mod architecture;
-pub mod batch;
 pub mod context;
 mod error;
 pub mod evaluation;
@@ -59,7 +58,6 @@ pub mod user;
 pub mod webservice;
 
 pub use architecture::{Architecture, Coverage};
-pub use batch::BatchContext;
 pub use context::EvalContext;
 pub use error::TravelError;
 pub use model::TravelAgencyModel;

@@ -20,12 +20,12 @@ use std::sync::OnceLock;
 use uavail_core::composite::{
     composite_availability, composite_availability_from_iter, CompositeState,
 };
-use uavail_linalg::{CsrMatrix, Matrix};
+use uavail_linalg::CsrMatrix;
 use uavail_markov::{
-    gth_steady_state_into, steady_state_mass_drift, BirthDeath, CtmcBuilder, MarkovError,
-    SparseCtmc, STEADY_STATE_DRIFT_TOLERANCE,
+    gth_steady_state_into, steady_state_mass_drift, BirthDeath, Ctmc, CtmcBuilder, SparseCtmc,
+    STEADY_STATE_DRIFT_TOLERANCE,
 };
-use uavail_queueing::{MMcK, MmckFamily, MM1K};
+use uavail_queueing::{MMcK, MM1K};
 
 use crate::context::{EvalContext, FarmStructure};
 use crate::loss_cache::{LossKey, ShardedLossCache};
@@ -145,48 +145,6 @@ pub fn loss_probability_with(
     *dist_buf = q.into_distribution_buf();
     loss_cache().insert(key, p);
     Ok(p)
-}
-
-/// Primes the [`loss_probability`] memo for every operational server
-/// count `1 ..= max_servers` at `params`' `(α, ν, K)` with one batched
-/// [`MmckFamily`] solve (the structure-of-arrays recurrence in
-/// `uavail-queueing`), instead of `max_servers` independent incremental
-/// [`MMcK`] solves. Each lane is bit-identical to the scalar model, so
-/// priming is observationally transparent to every later
-/// [`loss_probability`] / [`loss_probability_with`] call. Keys already
-/// memoized are left untouched; the family solve is skipped entirely when
-/// nothing is missing.
-///
-/// `buf` is the family's weight workspace, reused across primings.
-///
-/// # Errors
-///
-/// Propagates parameter-domain failures from the queueing model.
-pub(crate) fn prime_loss_family(
-    params: &TaParameters,
-    max_servers: usize,
-    buf: &mut Vec<f64>,
-) -> Result<(), TravelError> {
-    let m = max_servers.min(params.buffer_size);
-    if m == 0 || (1..=m).all(|i| loss_cache().get(&loss_key(params, i)).is_some()) {
-        return Ok(());
-    }
-    let family = MmckFamily::with_buffer(
-        params.arrival_rate_per_second,
-        params.service_rate_per_second,
-        m,
-        params.buffer_size,
-        std::mem::take(buf),
-    )?;
-    for i in 1..=m {
-        let key = loss_key(params, i);
-        if loss_cache().get(&key).is_none() {
-            loss_cache().insert(key, family.loss_probability(i));
-        }
-    }
-    uavail_obs::counter_add("travel.batch.primed_families", 1);
-    *buf = family.into_buffer();
-    Ok(())
 }
 
 /// Farm state count (`2·N_W + 1`) above which the imperfect-coverage
@@ -510,9 +468,11 @@ fn farm_distribution_imperfect_compute(
     }
     gth_steady_state_into(&ctx.generator, &mut ctx.gth_scratch, &mut ctx.pi)?;
     if steady_state_mass_drift(&ctx.pi) > STEADY_STATE_DRIFT_TOLERANCE {
+        // The same LU → GTH → scaled-GTH chain the allocating path falls
+        // back to, so both paths accept and reject the same farms.
         uavail_obs::counter_add("travel.farm.pi_fallbacks", 1);
         uavail_obs::slo_degraded(1);
-        retry_scaled_gth(&ctx.generator, &mut ctx.gth_scratch, &mut ctx.pi)?;
+        ctx.pi = Ctmc::from_generator(ctx.generator.clone())?.steady_state_resilient()?;
         uavail_obs::counter_add("travel.farm.pi_recovered", 1);
     }
     ctx.farm_op.clear();
@@ -574,42 +534,6 @@ fn assemble_sparse_farm(
         }
         None => Ok(SparseCtmc::from_transitions(2 * n + 1, transitions)?),
     }
-}
-
-/// Second-chance GTH solve for the context path: rescale the generator by
-/// its largest diagonal magnitude (π is scale-invariant) and solve again.
-/// Besides reconditioning, the retry is a fresh solver invocation, so a
-/// transient fault injected into the first solve does not recur here.
-/// A still-unhealthy vector is reported as a typed structural error
-/// rather than propagated into the availability formulas.
-#[cold]
-fn retry_scaled_gth(
-    q: &Matrix,
-    scratch: &mut Matrix,
-    pi: &mut Vec<f64>,
-) -> Result<(), TravelError> {
-    let n = q.rows();
-    let scale = (0..n).map(|i| q[(i, i)].abs()).fold(0.0f64, f64::max);
-    if !(scale.is_finite() && scale > 0.0) {
-        return Err(MarkovError::BadStructure {
-            reason: "farm generator has no usable diagonal to rescale".into(),
-        }
-        .into());
-    }
-    let mut scaled = q.clone();
-    for r in 0..n {
-        for c in 0..n {
-            scaled[(r, c)] /= scale;
-        }
-    }
-    gth_steady_state_into(&scaled, scratch, pi)?;
-    if steady_state_mass_drift(pi) > STEADY_STATE_DRIFT_TOLERANCE {
-        return Err(MarkovError::BadStructure {
-            reason: "farm steady-state vector unhealthy even after a scaled retry".into(),
-        }
-        .into());
-    }
-    Ok(())
 }
 
 /// Closed-form state probabilities of the imperfect-coverage farm —
@@ -1183,27 +1107,22 @@ mod tests {
     }
 
     #[test]
-    fn primed_loss_family_is_transparent_to_scalar_lookups() {
-        // Prime with a fresh arrival rate (unique cache keys), then check
-        // every memoized lane against a direct incremental M/M/c/K solve.
-        let p = TaParameters::builder()
-            .web_servers(10)
-            .arrival_rate_per_second(123.456)
-            .build()
-            .unwrap();
-        let mut buf = Vec::new();
-        prime_loss_family(&p, 10, &mut buf).unwrap();
-        for i in 1..=10 {
-            let cached = loss_probability(&p, i).unwrap();
-            let direct = MMcK::new(
-                p.arrival_rate_per_second,
-                p.service_rate_per_second,
-                i,
-                p.buffer_size,
-            )
-            .unwrap()
-            .loss_probability();
-            assert_eq!(cached.to_bits(), direct.to_bits(), "lane {i}");
+    fn context_solve_recovers_wherever_the_allocating_solve_does() {
+        // Farms whose GTH vector drifts past the mass tolerance: the
+        // allocating path recovers through `steady_state_resilient`, and
+        // the context path must recover through the same chain to the
+        // same bits instead of failing.
+        for (lambda, nw) in [(1e-5, 89), (1e-4, 135), (1e-3, 346)] {
+            let p = TaParameters::builder()
+                .web_servers(nw)
+                .buffer_size(nw + 8)
+                .failure_rate_per_hour(lambda)
+                .build()
+                .unwrap();
+            let cold = redundant_imperfect_availability(&p).unwrap();
+            let warm = redundant_imperfect_availability_with(&p, &mut EvalContext::new())
+                .unwrap_or_else(|e| panic!("λ={lambda} N_W={nw}: {e}"));
+            assert_eq!(cold.to_bits(), warm.to_bits(), "λ={lambda} N_W={nw}");
         }
     }
 

@@ -1,125 +1,14 @@
-//! Bit-for-bit identity of the context-reusing evaluation paths.
+//! Bit-for-bit identity of the context-reusing web-service paths.
 //!
-//! The `EvalContext` plumbing (`*_with` drivers, `steady_state_into`
-//! solves, `MMcK::with_distribution_buf`) must be pure plumbing: every
-//! reuse path executes the same floating-point operations in the same
-//! order as its allocating twin, so results agree to the last bit — not
-//! merely within tolerance. These tests drive one long-lived context
-//! through every figure and table driver (serially and in parallel) and
-//! compare raw bit patterns, including the paper's pinned headline values.
+//! The `EvalContext` plumbing behind the `/eval` query plane
+//! (`*_availability_with`, `steady_state_into` solves,
+//! `MMcK::with_distribution_buf`) must be pure plumbing: every reuse path
+//! executes the same floating-point operations in the same order as its
+//! allocating twin, so results agree to the last bit — not merely within
+//! tolerance. These tests compare raw bit patterns, including the paper's
+//! pinned headline values.
 
-use uavail_travel::evaluation::{
-    figure11, figure11_parallel_with, figure11_with, figure12, figure12_parallel_with,
-    figure12_with, min_web_servers_for, min_web_servers_for_with, table8, table8_with, FigurePoint,
-};
 use uavail_travel::{webservice, EvalContext, TaParameters};
-
-fn assert_points_bit_identical(label: &str, cold: &[FigurePoint], warm: &[FigurePoint]) {
-    assert_eq!(cold.len(), warm.len(), "{label}: length mismatch");
-    for (c, w) in cold.iter().zip(warm) {
-        assert_eq!(c.web_servers, w.web_servers, "{label}");
-        assert_eq!(
-            c.failure_rate_per_hour.to_bits(),
-            w.failure_rate_per_hour.to_bits(),
-            "{label}"
-        );
-        assert_eq!(
-            c.arrival_rate_per_second.to_bits(),
-            w.arrival_rate_per_second.to_bits(),
-            "{label}"
-        );
-        assert_eq!(
-            c.unavailability.to_bits(),
-            w.unavailability.to_bits(),
-            "{label}: N_W={} λ={} α={}",
-            c.web_servers,
-            c.failure_rate_per_hour,
-            c.arrival_rate_per_second
-        );
-    }
-}
-
-#[test]
-fn figure_sweeps_with_context_are_bit_identical_serial_and_parallel() {
-    let cold11 = figure11().unwrap();
-    let cold12 = figure12().unwrap();
-
-    // One context reused across *both* figures: buffers carry Figure 11
-    // state into Figure 12 and must not contaminate results.
-    let mut ctx = EvalContext::new();
-    let warm11 = figure11_with(&mut ctx).unwrap();
-    let warm12 = figure12_with(&mut ctx).unwrap();
-    assert_points_bit_identical("figure11 serial", &cold11, &warm11);
-    assert_points_bit_identical("figure12 serial", &cold12, &warm12);
-    assert!(
-        ctx.reuse_count() >= 179,
-        "two 90-point sweeps through one context must reuse it: {}",
-        ctx.reuse_count()
-    );
-
-    // Parallel: one fresh context per worker thread.
-    assert_points_bit_identical(
-        "figure11 parallel",
-        &cold11,
-        &figure11_parallel_with().unwrap(),
-    );
-    assert_points_bit_identical(
-        "figure12 parallel",
-        &cold12,
-        &figure12_parallel_with().unwrap(),
-    );
-}
-
-#[test]
-fn repeated_context_sweeps_are_self_identical() {
-    // A second pass through an already-warmed context (loss cache hits,
-    // grown buffers) must still replay the exact same arithmetic.
-    let mut ctx = EvalContext::new();
-    let first = figure12_with(&mut ctx).unwrap();
-    let second = figure12_with(&mut ctx).unwrap();
-    assert_points_bit_identical("figure12 warm repeat", &first, &second);
-}
-
-#[test]
-fn table8_with_context_is_bit_identical() {
-    let cold = table8().unwrap();
-    let mut ctx = EvalContext::new();
-    for round in 0..2 {
-        let warm = table8_with(&mut ctx).unwrap();
-        assert_eq!(cold.len(), warm.len());
-        for (c, w) in cold.iter().zip(&warm) {
-            assert_eq!(c.reservation_systems, w.reservation_systems);
-            assert_eq!(
-                c.class_a.to_bits(),
-                w.class_a.to_bits(),
-                "round {round} N={} class A",
-                c.reservation_systems
-            );
-            assert_eq!(
-                c.class_b.to_bits(),
-                w.class_b.to_bits(),
-                "round {round} N={} class B",
-                c.reservation_systems
-            );
-        }
-    }
-}
-
-#[test]
-fn min_web_servers_with_context_matches() {
-    let mut ctx = EvalContext::new();
-    for (target, lambda, alpha) in [
-        (1e-5, 1e-3, 50.0),
-        (1e-5, 1e-3, 100.0),
-        (1.1e-5, 1e-3, 100.0),
-        (1e-5, 1e-4, 100.0),
-        (1e-5, 1e-2, 100.0),
-    ] {
-        let cold = min_web_servers_for(target, lambda, alpha, 10).unwrap();
-        let warm = min_web_servers_for_with(target, lambda, alpha, 10, &mut ctx).unwrap();
-        assert_eq!(cold, warm, "target={target} λ={lambda} α={alpha}");
-    }
-}
 
 #[test]
 fn context_path_pins_paper_headline_availability() {

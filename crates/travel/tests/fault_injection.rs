@@ -12,7 +12,7 @@
 //!    the paper's `A(WS) = 0.999995587` headline and the Figure 12
 //!    reversal.
 //! 2. **Panic isolation** — an injected worker panic degrades a
-//!    resilient sweep to a partial report with typed failures; the
+//!    reporting sweep to a partial report with typed failures; the
 //!    process never aborts.
 //! 3. **Fallback chain** — an injected GTH mass drift is detected by the
 //!    health gauge and recovered through the LU fallback, recorded by
@@ -22,11 +22,12 @@
 
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
-use uavail_core::sweep::sweep_parallel_resilient_threads;
+use uavail_core::par::{default_threads, Exec, OnFailure};
+use uavail_core::sweep::sweep;
 use uavail_core::CoreError;
-use uavail_travel::evaluation::{figure12, figure12_parallel, figure12_resilient};
+use uavail_travel::evaluation::{figure12, figure_sweep, FigureReport};
 use uavail_travel::webservice::{redundant_imperfect_availability, reset_loss_cache};
-use uavail_travel::{TaParameters, TravelError};
+use uavail_travel::{Coverage, TaParameters, TravelError};
 
 /// Table 7 headline availability for the paper's reference parameters.
 const HEADLINE: f64 = 0.999995587;
@@ -53,6 +54,15 @@ impl Drop for InjectionGuard {
         uavail_faultinject::reset();
         reset_loss_cache();
     }
+}
+
+/// The reporting Figure 12 sweep `reproduce resilient` runs.
+fn figure12_report() -> FigureReport {
+    let exec = Exec {
+        threads: default_threads(),
+        on_failure: OnFailure::Report,
+    };
+    figure_sweep(Coverage::Imperfect, &exec).expect("a reporting sweep never fails")
 }
 
 fn headline_availability() -> f64 {
@@ -87,7 +97,12 @@ fn armed_but_disabled_injection_is_bit_for_bit_inert() {
     reset_loss_cache();
     for (label, points) in [
         ("serial", figure12().unwrap()),
-        ("parallel", figure12_parallel().unwrap()),
+        (
+            "parallel",
+            figure_sweep(Coverage::Imperfect, &Exec::parallel())
+                .unwrap()
+                .points,
+        ),
     ] {
         assert_eq!(points.len(), baseline_fig.len());
         for (p, b) in points.iter().zip(&baseline_fig) {
@@ -128,7 +143,11 @@ fn worker_panic_injection_keeps_resilient_sweeps_alive() {
     // correct value, every injected panic is a typed failure, and the
     // process is still here to assert it.
     let xs: Vec<f64> = (0..200).map(|i| i as f64 * 0.5).collect();
-    let report = sweep_parallel_resilient_threads(&xs, 4, |x| Ok(x * 2.0));
+    let exec = Exec {
+        threads: 4,
+        on_failure: OnFailure::Report,
+    };
+    let report = sweep(&xs, &exec, || (), |(), x| Ok(x * 2.0)).unwrap();
     assert_eq!(report.points.len() + report.failures.len(), xs.len());
     assert!(
         !report.failures.is_empty(),
@@ -152,7 +171,7 @@ fn worker_panic_injection_keeps_resilient_sweeps_alive() {
 
     // Travel-level: the resilient figure sweep partitions the 90-point
     // grid into evaluated points and typed panic failures.
-    let fig = figure12_resilient();
+    let fig = figure12_report();
     assert_eq!(fig.points.len() + fig.failures.len(), 90);
     for failure in &fig.failures {
         assert!(
@@ -239,7 +258,7 @@ fn corrupted_queue_parameters_surface_as_typed_errors() {
     // failures without losing the unaffected points (there are none here
     // — every point needs the queueing model — so the report is all
     // failures, and still no abort).
-    let fig = figure12_resilient();
+    let fig = figure12_report();
     assert_eq!(fig.points.len() + fig.failures.len(), 90);
     assert!(!fig.failures.is_empty());
     for failure in &fig.failures {

@@ -8,11 +8,12 @@
 
 use std::sync::Mutex;
 
-use uavail_travel::evaluation::{figure11, figure12, figure12_parallel, table8};
+use uavail_core::par::Exec;
+use uavail_travel::evaluation::{figure11, figure12, figure_sweep, table8};
 use uavail_travel::sim_validation::{
     compressed_parameters, validate_web_service, validate_web_service_streaming,
 };
-use uavail_travel::webservice;
+use uavail_travel::{webservice, Coverage};
 
 static RECORDER_LOCK: Mutex<()> = Mutex::new(());
 
@@ -73,11 +74,15 @@ fn figure_sweeps_are_bit_identical_with_recording_on() {
 
 #[test]
 fn parallel_sweep_is_bit_identical_with_recording_on() {
-    let (off, on, snap) = with_and_without_recording(|| figure12_parallel().unwrap());
+    let (off, on, snap) = with_and_without_recording(|| {
+        figure_sweep(Coverage::Imperfect, &Exec::parallel())
+            .unwrap()
+            .points
+    });
     for (a, b) in off.iter().zip(&on) {
         assert_eq!(a.unavailability.to_bits(), b.unavailability.to_bits());
     }
-    assert_eq!(snap.spans["travel.figure_sweep_parallel"].count, 1);
+    assert_eq!(snap.spans["travel.figure_sweep"].count, 1);
     assert_eq!(snap.histograms["travel.figure.point_ns"].count, 90);
 }
 

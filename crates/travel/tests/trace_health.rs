@@ -8,8 +8,9 @@
 
 use std::sync::Mutex;
 
-use uavail_travel::evaluation::{figure12, figure12_parallel, table8};
-use uavail_travel::{webservice, TaParameters};
+use uavail_core::par::Exec;
+use uavail_travel::evaluation::{figure12, figure_sweep, table8};
+use uavail_travel::{webservice, Coverage, TaParameters};
 
 static RECORDER_LOCK: Mutex<()> = Mutex::new(());
 
@@ -56,7 +57,11 @@ fn serial_sweep_is_bit_identical_with_tracing_on() {
 
 #[test]
 fn parallel_sweep_is_bit_identical_with_tracing_on() {
-    let (off, on, data) = with_and_without_tracing(|| figure12_parallel().unwrap());
+    let (off, on, data) = with_and_without_tracing(|| {
+        figure_sweep(Coverage::Imperfect, &Exec::parallel())
+            .unwrap()
+            .points
+    });
     for (a, b) in off.iter().zip(&on) {
         assert_eq!(a.unavailability.to_bits(), b.unavailability.to_bits());
     }

@@ -1,5 +1,5 @@
 //! Allocation-free dense sweep: a 10,000-point Figure-11-style grid run
-//! through [`sweep_parallel_with`], with every worker thread reusing one
+//! through [`sweep`] on every core, with each worker thread reusing one
 //! [`EvalContext`] and all workers sharing the sharded loss-probability
 //! cache. The `uavail-obs` recorder is switched on so the run prints what
 //! the engine actually did: how often contexts were reused, and how the
@@ -9,8 +9,8 @@
 //! cargo run --release --example fast_sweep
 //! ```
 
-use uavail::core::par::default_threads;
-use uavail::core::sweep::sweep_parallel_with;
+use uavail::core::par::Exec;
+use uavail::core::sweep::sweep;
 use uavail::travel::{webservice, EvalContext, TaParameters, TravelError};
 
 fn main() -> Result<(), TravelError> {
@@ -23,7 +23,8 @@ fn main() -> Result<(), TravelError> {
     // the traffic exercises many shards of the loss cache.
     let farm_sizes = [2usize, 4, 6, 8];
     let alphas: Vec<f64> = (1..=2_500).map(|i| 0.1 * i as f64).collect();
-    let threads = default_threads();
+    let exec = Exec::parallel();
+    let threads = exec.threads;
     println!(
         "sweeping {} farm sizes x {} arrival rates = {} points on {threads} threads\n",
         farm_sizes.len(),
@@ -35,7 +36,7 @@ fn main() -> Result<(), TravelError> {
         // Each worker thread builds one EvalContext and keeps it for every
         // point it claims; results are bit-for-bit identical to the
         // allocating serial path.
-        let points = sweep_parallel_with(&alphas, EvalContext::new, |ctx, alpha| {
+        let points = sweep(&alphas, &exec, EvalContext::new, |ctx, alpha| {
             let params = TaParameters::builder()
                 .web_servers(nw)
                 .arrival_rate_per_second(alpha)
@@ -44,7 +45,8 @@ fn main() -> Result<(), TravelError> {
             let a = webservice::redundant_imperfect_availability_with(&params, ctx)
                 .expect("paper-domain parameters evaluate");
             Ok(1.0 - a)
-        })?;
+        })?
+        .points;
         let mid = &points[points.len() / 2];
         println!(
             "  N_W = {nw}: {} points, U(WS | alpha = {:>6.1}) = {:.3e}",

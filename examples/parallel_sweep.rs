@@ -6,12 +6,12 @@
 //! cargo run --example parallel_sweep
 //! ```
 
-use uavail::core::par::{default_threads, par_map};
-use uavail::core::sweep::{sweep, sweep_parallel};
+use uavail::core::par::{default_threads, par_map, Exec};
+use uavail::core::sweep::sweep;
 use uavail::sim::replicate::{replicate, replicate_parallel};
-use uavail::travel::evaluation::{figure12, figure12_parallel};
+use uavail::travel::evaluation::{figure12, figure_sweep};
 use uavail::travel::sim_validation::compressed_parameters;
-use uavail::travel::{webservice, TaParameters, TravelError};
+use uavail::travel::{webservice, Coverage, TaParameters, TravelError};
 
 fn main() -> Result<(), TravelError> {
     println!("worker threads: {}\n", default_threads());
@@ -20,7 +20,7 @@ fn main() -> Result<(), TravelError> {
     //    Determinism is a guarantee, not an accident: the parallel sweep
     //    preserves input order and first-error semantics exactly.
     let serial = figure12()?;
-    let parallel = figure12_parallel()?;
+    let parallel = figure_sweep(Coverage::Imperfect, &Exec::parallel())?.points;
     assert_eq!(serial, parallel);
     println!(
         "figure 12: {} points, parallel == serial: {}",
@@ -31,12 +31,19 @@ fn main() -> Result<(), TravelError> {
     // 2. A custom sweep over the travel model via the order-preserving
     //    parallel map: web-farm unavailability as the arrival rate grows.
     let alphas: Vec<f64> = (1..=19).map(|i| 10.0 * i as f64).collect();
-    let unavailabilities = par_map(&alphas, |&alpha| -> Result<f64, TravelError> {
-        let p = TaParameters::builder()
-            .arrival_rate_per_second(alpha)
-            .build()?;
-        Ok(1.0 - webservice::redundant_imperfect_availability(&p)?)
-    })?;
+    let unavailabilities = par_map(
+        &alphas,
+        &Exec::parallel(),
+        || (),
+        |(), &alpha| -> Result<f64, TravelError> {
+            let p = TaParameters::builder()
+                .arrival_rate_per_second(alpha)
+                .build()?;
+            Ok(1.0 - webservice::redundant_imperfect_availability(&p)?)
+        },
+    )
+    .into_iter()
+    .collect::<Result<Vec<f64>, _>>()?;
     for (alpha, u) in alphas.iter().zip(&unavailabilities).step_by(6) {
         println!("  U(WS | alpha = {alpha:>5.1}) = {u:.3e}");
     }
@@ -44,8 +51,11 @@ fn main() -> Result<(), TravelError> {
     // 3. The generic sweep engine: same points, same order, same errors
     //    as the serial run — `assert_eq!` holds by construction.
     let xs: Vec<f64> = (1..=200).map(f64::from).collect();
-    let f = |x: f64| Ok(1.0 / (1.0 + x * x));
-    assert_eq!(sweep_parallel(&xs, f)?, sweep(&xs, f)?);
+    let f = |_: &mut (), x: f64| Ok(1.0 / (1.0 + x * x));
+    assert_eq!(
+        sweep(&xs, &Exec::parallel(), || (), f)?,
+        sweep(&xs, &Exec::serial(), || (), f)?
+    );
     println!("\ngeneric sweep: 200 points, parallel == serial");
 
     // 4. Replicated discrete-event simulation: every replication owns an
