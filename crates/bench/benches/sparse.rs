@@ -9,19 +9,13 @@
 //! * `sparse_2000` / `sparse_8000` — 4 001 and 16 001 states: sparse
 //!   route; a dense generator for the 8 000-server case alone would be
 //!   2 GB, so these sizes are simply unreachable without the CSR path.
-//! * `context_reuse_2000` — the `EvalContext` twin of `sparse_2000`,
-//!   reusing the transition-list and distribution buffers (no memo:
-//!   every iteration re-runs the full solve).
 //!
 //! Quick mode (`UAVAIL_BENCH_QUICK=1`) shrinks the measurement windows
 //! for CI smoke runs, as with every bench in this harness.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use uavail_travel::webservice::{
-    farm_distribution_imperfect, farm_distribution_imperfect_sparse,
-    farm_distribution_imperfect_with,
-};
-use uavail_travel::{EvalContext, TaParameters};
+use uavail_travel::webservice::{farm_distribution_imperfect, farm_distribution_imperfect_sparse};
+use uavail_travel::TaParameters;
 
 /// Farm parameters in the paper's operating regime (n·λ < µ) at an
 /// arbitrary server count.
@@ -49,21 +43,5 @@ fn bench_farm_distribution(c: &mut Criterion) {
     }
 }
 
-fn bench_context_reuse(c: &mut Criterion) {
-    let params = farm(2_000);
-    let mut ctx = EvalContext::new();
-    // Warm the context's buffers outside the loop. Unlike the
-    // availability `_with` twin there is no result memo here: every
-    // iteration performs the full sparse solve, so the delta against
-    // `sparse_2000` is the pure allocation win.
-    farm_distribution_imperfect_with(&params, &mut ctx).unwrap();
-    c.bench_function("sparse/farm_distribution/context_reuse_2000", |b| {
-        b.iter(|| {
-            farm_distribution_imperfect_with(&params, &mut ctx).unwrap();
-            black_box(&ctx);
-        })
-    });
-}
-
-criterion_group!(sparse, bench_farm_distribution, bench_context_reuse);
+criterion_group!(sparse, bench_farm_distribution);
 criterion_main!(sparse);

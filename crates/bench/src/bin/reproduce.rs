@@ -9,7 +9,8 @@
 //!           [--spin-us <n>] [--seed <n>] [--deadline-ms <n>]
 //!
 //! ARTIFACT: table1 table2 table3 table4 table5 table6 table7 table8
-//!           fig11 fig12 fig13 revenue capacity ablation validate
+//!           fig11 fig12 fig13 revenue capacity ablation deadline
+//!           maintenance multisite ramp fit fta mttf validate session
 //!           speedup bench simgate resilient serve loadgen all
 //! ```
 //!
@@ -57,13 +58,15 @@
 //! a typed failure per point that did not, without aborting. It pairs with
 //! `--inject` in the CI injection matrix.
 //!
-//! `bench` times the cold Figure 11, Figure 12 and Table 8 drivers, plus
-//! cold/reuse pairs for a `sparse_farm` solve and the
-//! `sim.farm_replication` kernel, in-process and prints the means;
-//! `--bench-json <path>` additionally writes the measurements as a
-//! JSON-lines artifact (schema `uavail-bench/v1`: one meta record, one
-//! record per benchmark with `name`/`mode`/`mean_ns`/`iters`, and one
-//! derived `<name>.context_speedup` record per cold/reuse pair). The flag
+//! `bench` times the cold Figure 11, Figure 12 and Table 8 drivers, a
+//! cold 2 000-server `sparse_farm` solve, the cold Figure 2 fit, a
+//! cold/reuse pair for the `sim.farm_replication` kernel and two
+//! telemetry hot paths, in-process, and prints the means; no timed row
+//! replays a memo. `--bench-json <path>` additionally writes the
+//! measurements as a JSON-lines artifact (schema `uavail-bench/v1`: one
+//! meta record, one record per benchmark with
+//! `name`/`mode`/`mean_ns`/`iters`, and one derived
+//! `<name>.context_speedup` record per cold/reuse pair). The flag
 //! implies the `bench` artifact when none is named; `bench` is excluded
 //! from `all` because it is a timing run, not a paper artifact.
 //!
@@ -383,6 +386,20 @@ fn main() -> ExitCode {
             "all".to_string()
         }
     });
+    if !ARTIFACTS.iter().any(|(name, _)| *name == artifact)
+        && !DRIVER_ARTIFACTS.contains(&artifact.as_str())
+    {
+        let names: Vec<&str> = ARTIFACTS
+            .iter()
+            .map(|(name, _)| *name)
+            .chain(DRIVER_ARTIFACTS)
+            .collect();
+        eprintln!(
+            "reproduce: unknown artifact {artifact:?}; expected one of: {}",
+            names.join(", ")
+        );
+        return ExitCode::FAILURE;
+    }
     if inject_seed.is_some() && inject.is_none() {
         eprintln!("reproduce: --inject-seed only applies together with --inject");
         return ExitCode::FAILURE;
@@ -930,7 +947,8 @@ fn print_loadgen(
 }
 
 /// One in-process benchmark measurement: a named case in `cold_build`,
-/// `context_reuse` or (memo-free paths) `cold` mode.
+/// `context_reuse` (a warm `SimContext`) or (memo-free paths) `cold`
+/// mode.
 struct BenchMeasurement {
     name: &'static str,
     mode: &'static str,
@@ -939,17 +957,16 @@ struct BenchMeasurement {
 }
 
 /// Times the Figure 11, Figure 12 and Table 8 drivers cold (the loss
-/// memo reset before every iteration) in-process, plus a `sparse_farm`
-/// pair that solves a 2 000-server (4 001-state) imperfect-coverage farm
-/// through the sparse CTMC route and a `sim.farm_replication` pair that
-/// times the per-event replication baseline against the epoch-resolvent
-/// streaming path. Cold iterations allocate everything fresh; reuse
-/// iterations run against one long-lived workspace ([`EvalContext`] or
-/// `SimContext`) and its warm memo.
+/// memo reset before every iteration) in-process, plus a cold
+/// `sparse_farm` solve of a 2 000-server (4 001-state) imperfect-coverage
+/// farm through the sparse CTMC route and a `sim.farm_replication` pair
+/// that times the per-event replication baseline against the
+/// epoch-resolvent streaming path. Cold iterations allocate everything
+/// fresh; the reuse iteration runs on one long-lived `SimContext`, whose
+/// epoch tables are storage, not a result memo.
 fn run_context_benches() -> Result<Vec<BenchMeasurement>, TravelError> {
     use std::hint::black_box;
     use std::time::Instant;
-    use uavail_travel::EvalContext;
 
     // One calibration call sizes the loop to roughly this much wall
     // clock per case; small enough for CI, large enough to average out
@@ -998,56 +1015,30 @@ fn run_context_benches() -> Result<Vec<BenchMeasurement>, TravelError> {
             iters,
         });
     }
-    let mut bench_pair = |name: &'static str,
-                          mut cold: Box<dyn FnMut() -> Result<(), TravelError> + '_>,
-                          mut warm: Box<dyn FnMut() -> Result<(), TravelError> + '_>|
-     -> Result<(), TravelError> {
-        let (mean_ns, iters) = time(&mut *cold)?;
-        out.push(BenchMeasurement {
-            name,
-            mode: "cold_build",
-            mean_ns,
-            iters,
-        });
-        warm()?; // warm the context and the memo outside the timed loop
-        let (mean_ns, iters) = time(&mut *warm)?;
-        out.push(BenchMeasurement {
-            name,
-            mode: "context_reuse",
-            mean_ns,
-            iters,
-        });
-        Ok(())
-    };
-
     // A farm big enough to cross the sparse routing cutoff: 2 000
     // servers → 4 001 composite states, solved iteratively in CSR. The
     // rates keep n·λ below µ (the paper's operating regime) so the
-    // stationary mass stays at the all-up end. Cold allocates the
-    // transition list and distribution vectors every iteration and runs
-    // the full Gauss–Seidel solve; reuse serves the repeated point from
-    // the context's farm memo (the exact stored bits of its first
-    // solve), which is the production shape of a dense same-point sweep.
+    // stationary mass stays at the all-up end. Every iteration allocates
+    // the transition list and distribution vectors and runs the full
+    // Gauss–Seidel solve; nothing on this path is memoized.
     let sparse_params = TaParameters::builder()
         .web_servers(2_000)
         .buffer_size(2_000)
         .failure_rate_per_hour(1e-6)
         .repair_rate_per_hour(10.0)
         .build()?;
-    let mut ctx = EvalContext::new();
-    bench_pair(
-        "sparse_farm",
-        Box::new(|| {
-            black_box(webservice::farm_distribution_imperfect_sparse(
-                &sparse_params,
-            )?);
-            Ok(())
-        }),
-        Box::new(|| {
-            webservice::farm_distribution_imperfect_with(&sparse_params, &mut ctx)?;
-            Ok(())
-        }),
-    )?;
+    let (mean_ns, iters) = time(|| {
+        black_box(webservice::farm_distribution_imperfect_sparse(
+            &sparse_params,
+        )?);
+        Ok(())
+    })?;
+    out.push(BenchMeasurement {
+        name: "sparse_farm",
+        mode: "cold_build",
+        mean_ns,
+        iters,
+    });
 
     // Simulation replication throughput: cold is the per-event
     // linear-scan farm DES with a materialized replication history fed to
@@ -1064,31 +1055,42 @@ fn run_context_benches() -> Result<Vec<BenchMeasurement>, TravelError> {
         let farm = FarmSimulation::new(3, 0.02, 1.0, 0.9, 6.0, 300.0, 150.0, 8)?;
         let reps = 4usize;
         let horizon = 1_000.0;
+        let (mean_ns, iters) = time(|| {
+            let obs = replicate(20240601, reps, |rng, _| farm.run(rng, horizon))?;
+            let fractions: Vec<f64> = obs.iter().map(|o| o.loss_fraction()).collect();
+            black_box(batch_means(&fractions, reps));
+            Ok(())
+        })?;
+        out.push(BenchMeasurement {
+            name: "sim.farm_replication",
+            mode: "cold_build",
+            mean_ns,
+            iters,
+        });
         let mut ctx = SimContext::new();
-        bench_pair(
-            "sim.farm_replication",
-            Box::new(|| {
-                let obs = replicate(20240601, reps, |rng, _| farm.run(rng, horizon))?;
-                let fractions: Vec<f64> = obs.iter().map(|o| o.loss_fraction()).collect();
-                black_box(batch_means(&fractions, reps));
-                Ok(())
-            }),
-            Box::new(|| {
-                let stats = replicate_fold(
-                    20240601,
-                    reps,
-                    |rng, _| {
-                        farm.run_counts_with(&mut ctx, rng, horizon)
-                            .map(|c| c.loss_fraction())
-                    },
-                    StreamingBatchMeans::new(reps, reps)
-                        .ok_or(TravelError::Sim(SimError::NoObservations))?,
-                    |acc, x| acc.push(x),
-                )?;
-                black_box(stats.finish());
-                Ok(())
-            }),
-        )?;
+        let mut streaming = || {
+            let stats = replicate_fold(
+                20240601,
+                reps,
+                |rng, _| {
+                    farm.run_counts_with(&mut ctx, rng, horizon)
+                        .map(|c| c.loss_fraction())
+                },
+                StreamingBatchMeans::new(reps, reps)
+                    .ok_or(TravelError::Sim(SimError::NoObservations))?,
+                |acc, x| acc.push(x),
+            )?;
+            black_box(stats.finish());
+            Ok(())
+        };
+        streaming()?; // warm the context outside the timed loop
+        let (mean_ns, iters) = time(streaming)?;
+        out.push(BenchMeasurement {
+            name: "sim.farm_replication",
+            mode: "context_reuse",
+            mean_ns,
+            iters,
+        });
     }
 
     // The Figure 2 fit as the `fit` artifact runs it. Nothing on this
@@ -1155,7 +1157,7 @@ fn run_context_benches() -> Result<Vec<BenchMeasurement>, TravelError> {
 
 fn print_bench_table(measurements: &[BenchMeasurement], csv: bool) {
     let mut t = Table::new(
-        "Bench — cold build vs EvalContext reuse (in-process means)",
+        "Bench — cold builds and warm SimContext reuse (in-process means)",
         vec!["case", "mode", "mean (ms)", "iters"],
     );
     for m in measurements {
@@ -1309,6 +1311,38 @@ fn write_metrics(
 
 type ArtifactFn = fn(bool) -> Result<(), TravelError>;
 
+/// The artifacts [`run`] prints, in `all` order.
+const ARTIFACTS: &[(&str, ArtifactFn)] = &[
+    ("table1", print_table1),
+    ("table2", print_table2),
+    ("table3", print_table3),
+    ("table4", print_table4),
+    ("table5", print_table5),
+    ("table6", print_table6),
+    ("table7", print_table7),
+    ("table8", print_table8),
+    ("fig11", print_fig11),
+    ("fig12", print_fig12),
+    ("fig13", print_fig13),
+    ("revenue", print_revenue),
+    ("capacity", print_capacity),
+    ("ablation", print_ablation),
+    ("deadline", print_deadline),
+    ("maintenance", print_maintenance),
+    ("multisite", print_multisite),
+    ("ramp", print_ramp),
+    ("fit", print_fit),
+    ("fta", print_fta),
+    ("mttf", print_mttf),
+    ("validate", print_validate),
+    ("session", print_session),
+    ("speedup", print_speedup),
+];
+
+/// The artifacts `main` drives itself, because their exit code or output
+/// is more than a printed table.
+const DRIVER_ARTIFACTS: [&str; 6] = ["bench", "simgate", "resilient", "serve", "loadgen", "all"];
+
 /// Swaps in the multi-threaded implementation for the artifacts that have
 /// one when `--parallel` is requested; everything else runs as-is.
 fn select(name: &str, serial: ArtifactFn, parallel: bool) -> ArtifactFn {
@@ -1325,34 +1359,8 @@ fn select(name: &str, serial: ArtifactFn, parallel: bool) -> ArtifactFn {
 }
 
 fn run(artifact: &str, csv: bool, parallel: bool) -> Result<(), TravelError> {
-    let known: &[(&str, ArtifactFn)] = &[
-        ("table1", print_table1),
-        ("table2", print_table2),
-        ("table3", print_table3),
-        ("table4", print_table4),
-        ("table5", print_table5),
-        ("table6", print_table6),
-        ("table7", print_table7),
-        ("table8", print_table8),
-        ("fig11", print_fig11),
-        ("fig12", print_fig12),
-        ("fig13", print_fig13),
-        ("revenue", print_revenue),
-        ("capacity", print_capacity),
-        ("ablation", print_ablation),
-        ("deadline", print_deadline),
-        ("maintenance", print_maintenance),
-        ("multisite", print_multisite),
-        ("ramp", print_ramp),
-        ("fit", print_fit),
-        ("fta", print_fta),
-        ("mttf", print_mttf),
-        ("validate", print_validate),
-        ("session", print_session),
-        ("speedup", print_speedup),
-    ];
     if artifact == "all" {
-        for (name, f) in known {
+        for (name, f) in ARTIFACTS {
             if *name == "validate" || *name == "session" || *name == "speedup" {
                 // Simulations and timing runs take tens of seconds; only
                 // on request.
@@ -1364,17 +1372,11 @@ fn run(artifact: &str, csv: bool, parallel: bool) -> Result<(), TravelError> {
         }
         return Ok(());
     }
-    match known.iter().find(|(name, _)| *name == artifact) {
-        Some((name, f)) => select(name, *f, parallel)(csv),
-        None => {
-            eprintln!(
-                "unknown artifact {artifact:?}; expected one of: \
-                 table1..table8, fig11, fig12, fig13, revenue, capacity, ablation, validate, \
-                 speedup, bench, simgate, resilient, all"
-            );
-            Ok(())
-        }
-    }
+    let (name, f) = ARTIFACTS
+        .iter()
+        .find(|(name, _)| *name == artifact)
+        .expect("main rejects unknown artifacts");
+    select(name, *f, parallel)(csv)
 }
 
 fn print_table1(csv: bool) -> Result<(), TravelError> {
@@ -2142,7 +2144,7 @@ fn run_simgate(csv: bool) -> Result<bool, TravelError> {
     use uavail_queueing::BirthDeathQueue;
     use uavail_sim::replicate::replicate_fold_threads;
     use uavail_sim::stats::{Proportion, StreamingBatchMeans};
-    use uavail_sim::{QueueSimulation, SimContext, SimError};
+    use uavail_sim::{QueueSimulation, SimError};
 
     let threads = default_threads();
 
@@ -2212,8 +2214,8 @@ fn run_simgate(csv: bool) -> Result<bool, TravelError> {
         20240602,
         reps,
         threads,
-        SimContext::new,
-        |ctx, rng, _| qsim.run_with(ctx, rng, per_rep),
+        || (),
+        |(), rng, _| qsim.run(rng, per_rep),
         QueueAcc {
             arrivals: 0,
             losses: 0,

@@ -50,3 +50,19 @@ fn batch_is_an_unknown_flag() {
     let err = String::from_utf8(out.stderr).unwrap();
     assert!(err.contains("unknown flag \"--batch\""), "{err}");
 }
+
+#[test]
+fn unknown_artifact_fails_before_running_anything() {
+    let out = reproduce(&["tabel1"]);
+    assert_eq!(out.status.code(), Some(1));
+    assert!(out.stdout.is_empty(), "ran before rejecting");
+    let err = String::from_utf8(out.stderr).unwrap();
+    assert!(err.contains("unknown artifact \"tabel1\""), "{err}");
+    // The list of valid names comes from the artifact table, so it names
+    // every artifact, including the late additions.
+    for name in [
+        "table1", "deadline", "fta", "session", "serve", "loadgen", "all",
+    ] {
+        assert!(err.contains(name), "{name} missing from: {err}");
+    }
+}

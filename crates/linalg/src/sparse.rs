@@ -158,104 +158,6 @@ impl CsrMatrix {
         })
     }
 
-    /// Reassembles a CSR matrix from previously extracted raw parts — the
-    /// structure-reuse path for repeated assemblies that share a sparsity
-    /// pattern (e.g. one generator per sweep point with point-dependent
-    /// rates). [`CsrMatrix::raw_parts`] hands out the arrays; callers keep
-    /// `row_offsets`/`col_indices` and refill only `values`.
-    ///
-    /// Every invariant the sort-and-merge path establishes is re-validated
-    /// in O(nnz): consistent offsets, strictly increasing in-bounds columns
-    /// per row, finite values, and — because stored exact zeros would skew
-    /// any nnz-keyed solver heuristic — no `0.0` entries. Callers whose
-    /// refilled values may cancel to zero must fall back to
-    /// [`CsrMatrix::from_triplets`].
-    ///
-    /// # Errors
-    ///
-    /// * [`LinalgError::Empty`] when either dimension is zero.
-    /// * [`LinalgError::InvalidInput`] when the arrays violate any CSR
-    ///   invariant above.
-    pub fn from_raw_parts(
-        rows: usize,
-        cols: usize,
-        row_offsets: Vec<usize>,
-        col_indices: Vec<usize>,
-        values: Vec<f64>,
-    ) -> Result<Self, LinalgError> {
-        if rows == 0 || cols == 0 {
-            return Err(LinalgError::Empty);
-        }
-        if row_offsets.len() != rows + 1 || row_offsets[0] != 0 {
-            return Err(LinalgError::InvalidInput {
-                reason: format!(
-                    "row offsets must have length {} and start at 0 (got length {})",
-                    rows + 1,
-                    row_offsets.len()
-                ),
-            });
-        }
-        if col_indices.len() != values.len() || row_offsets[rows] != values.len() {
-            return Err(LinalgError::InvalidInput {
-                reason: format!(
-                    "offsets end at {} but {} columns and {} values were supplied",
-                    row_offsets[rows],
-                    col_indices.len(),
-                    values.len()
-                ),
-            });
-        }
-        for r in 0..rows {
-            let (lo, hi) = (row_offsets[r], row_offsets[r + 1]);
-            if lo > hi {
-                return Err(LinalgError::InvalidInput {
-                    reason: format!("row offsets decrease at row {r}"),
-                });
-            }
-            for k in lo..hi {
-                if col_indices[k] >= cols {
-                    return Err(LinalgError::InvalidInput {
-                        reason: format!(
-                            "column {} out of bounds for {rows}x{cols} in row {r}",
-                            col_indices[k]
-                        ),
-                    });
-                }
-                if k > lo && col_indices[k] <= col_indices[k - 1] {
-                    return Err(LinalgError::InvalidInput {
-                        reason: format!("columns not strictly increasing in row {r}"),
-                    });
-                }
-                if !values[k].is_finite() {
-                    return Err(LinalgError::InvalidInput {
-                        reason: format!("non-finite value in row {r}"),
-                    });
-                }
-                if values[k] == 0.0 {
-                    return Err(LinalgError::InvalidInput {
-                        reason: format!(
-                            "explicit zero in row {r}: raw-parts assembly must not store zeros"
-                        ),
-                    });
-                }
-            }
-        }
-        Ok(CsrMatrix {
-            rows,
-            cols,
-            row_offsets,
-            col_indices,
-            values,
-        })
-    }
-
-    /// Borrows the CSR arrays as `(row_offsets, col_indices, values)`, for
-    /// callers that cache the sparsity structure across same-shape
-    /// assemblies and rebuild with [`CsrMatrix::from_raw_parts`].
-    pub fn raw_parts(&self) -> (&[usize], &[usize], &[f64]) {
-        (&self.row_offsets, &self.col_indices, &self.values)
-    }
-
     /// Converts a dense matrix, dropping entries with absolute value below
     /// `drop_tol`.
     pub fn from_dense(m: &Matrix, drop_tol: f64) -> Self {
@@ -761,54 +663,6 @@ mod tests {
         assert!(b.push(2, 0, 1.0).is_err()); // out of bounds
         assert!(b.push(1, 1, f64::NAN).is_err());
         assert!(CsrBuilder::new(0, 2).finish().is_err());
-    }
-
-    #[test]
-    fn raw_parts_round_trip_is_identical() {
-        let m = sample();
-        let (ro, ci, va) = m.raw_parts();
-        let rebuilt =
-            CsrMatrix::from_raw_parts(3, 3, ro.to_vec(), ci.to_vec(), va.to_vec()).unwrap();
-        assert_eq!(rebuilt, m);
-        // Same structure, fresh values — the structure-cache refill path.
-        let scaled: Vec<f64> = va.iter().map(|v| v * 2.0).collect();
-        let refilled = CsrMatrix::from_raw_parts(3, 3, ro.to_vec(), ci.to_vec(), scaled).unwrap();
-        assert_eq!(refilled.get(0, 2), 4.0);
-        assert_eq!(refilled.nnz(), m.nnz());
-    }
-
-    #[test]
-    fn raw_parts_validation_rejects_broken_invariants() {
-        let ok = (vec![0usize, 1, 2], vec![0usize, 1], vec![1.0, 2.0]);
-        assert!(CsrMatrix::from_raw_parts(2, 2, ok.0.clone(), ok.1.clone(), ok.2.clone()).is_ok());
-        // Zero dimension.
-        assert!(matches!(
-            CsrMatrix::from_raw_parts(0, 2, vec![0], vec![], vec![]),
-            Err(LinalgError::Empty)
-        ));
-        // Offsets wrong length / wrong start / decreasing / wrong end.
-        assert!(CsrMatrix::from_raw_parts(2, 2, vec![0, 2], ok.1.clone(), ok.2.clone()).is_err());
-        assert!(
-            CsrMatrix::from_raw_parts(2, 2, vec![1, 1, 2], ok.1.clone(), ok.2.clone()).is_err()
-        );
-        assert!(
-            CsrMatrix::from_raw_parts(2, 2, vec![0, 2, 1], ok.1.clone(), ok.2.clone()).is_err()
-        );
-        assert!(
-            CsrMatrix::from_raw_parts(2, 2, vec![0, 1, 3], ok.1.clone(), ok.2.clone()).is_err()
-        );
-        // Out-of-bounds column, unsorted columns, duplicate columns.
-        assert!(CsrMatrix::from_raw_parts(2, 2, ok.0.clone(), vec![0, 2], ok.2.clone()).is_err());
-        assert!(CsrMatrix::from_raw_parts(1, 2, vec![0, 2], vec![1, 0], vec![1.0, 2.0]).is_err());
-        assert!(CsrMatrix::from_raw_parts(1, 2, vec![0, 2], vec![1, 1], vec![1.0, 2.0]).is_err());
-        // Non-finite and explicit-zero values.
-        assert!(
-            CsrMatrix::from_raw_parts(2, 2, ok.0.clone(), ok.1.clone(), vec![f64::NAN, 2.0])
-                .is_err()
-        );
-        assert!(
-            CsrMatrix::from_raw_parts(2, 2, ok.0.clone(), ok.1.clone(), vec![0.0, 2.0]).is_err()
-        );
     }
 
     #[test]

@@ -115,12 +115,6 @@ impl BirthDeath {
         }
     }
 
-    /// Consumes the process and returns its `(birth_rates, death_rates)`
-    /// vectors, letting sweep workspaces recycle the allocations.
-    pub fn into_rates(self) -> (Vec<f64>, Vec<f64>) {
-        (self.birth_rates, self.death_rates)
-    }
-
     /// Converts to an explicit [`Ctmc`] (states labeled `"0"`, `"1"`, ...),
     /// for cross-validation against the numerical solvers.
     ///
@@ -356,14 +350,6 @@ mod tests {
                 assert_eq!(l.to_bits(), r.to_bits());
             }
         }
-    }
-
-    #[test]
-    fn into_rates_round_trips() {
-        let bd = BirthDeath::new(vec![1.0, 2.0], vec![3.0, 4.0]).unwrap();
-        let (b, d) = bd.into_rates();
-        assert_eq!(b, vec![1.0, 2.0]);
-        assert_eq!(d, vec![3.0, 4.0]);
     }
 
     #[test]

@@ -262,22 +262,6 @@ impl Ctmc {
         self.steady_state_with(SteadyStateMethod::Gth)
     }
 
-    /// Allocation-free steady-state solve (GTH): the elimination runs in
-    /// `scratch` and the distribution is written into `pi`, reusing both
-    /// buffers. Bit-for-bit identical to [`Ctmc::steady_state`]; intended for
-    /// sweep loops that solve many same-sized chains.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Ctmc::steady_state`].
-    pub fn steady_state_into(
-        &self,
-        scratch: &mut Matrix,
-        pi: &mut Vec<f64>,
-    ) -> Result<(), MarkovError> {
-        crate::gth_steady_state_into(&self.q, scratch, pi)
-    }
-
     /// Steady-state distribution with an explicit method, letting callers
     /// cross-validate solvers (see the `solvers` bench).
     ///

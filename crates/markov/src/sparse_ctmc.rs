@@ -275,53 +275,6 @@ impl SparseCtmc {
         SparseCtmc::assemble(IxMap::new(), num_states, transitions)
     }
 
-    /// Wraps a pre-assembled CSR generator, skipping triplet sorting and
-    /// merging entirely — the structure-reuse path for sweeps that
-    /// evaluate many same-shape generators. Callers typically extract the
-    /// sparsity pattern of a first assembly via
-    /// [`CsrMatrix::raw_parts`][uavail_linalg::CsrMatrix::raw_parts],
-    /// refill only the values at each subsequent point, rebuild with
-    /// [`CsrMatrix::from_raw_parts`][uavail_linalg::CsrMatrix::from_raw_parts],
-    /// and hand the result here. When the supplied values carry the same
-    /// bits sorted-triplet assembly would have produced, every downstream
-    /// solve is bit-identical to the [`SparseCtmc::from_transitions`]
-    /// route.
-    ///
-    /// # Errors
-    ///
-    /// [`MarkovError::BadStructure`] when `q` is not square, a stored
-    /// off-diagonal entry is not strictly positive, or a stored diagonal
-    /// entry is not strictly negative — structural signs every
-    /// transition-assembled generator satisfies (merged positive rates,
-    /// negated outflow).
-    pub fn from_csr(q: CsrMatrix) -> Result<Self, MarkovError> {
-        let (rows, cols) = q.shape();
-        if rows != cols {
-            return Err(MarkovError::BadStructure {
-                reason: format!("generator must be square, got {rows}x{cols}"),
-            });
-        }
-        for r in 0..rows {
-            for (c, v) in q.row_entries(r) {
-                let ok = if c == r { v < 0.0 } else { v > 0.0 };
-                if !ok {
-                    return Err(MarkovError::BadStructure {
-                        reason: format!(
-                            "generator entry ({r}, {c}) = {v} has the wrong sign for a \
-                             transition-assembled generator"
-                        ),
-                    });
-                }
-            }
-        }
-        let max_exit = (0..rows).map(|i| -q.get(i, i)).fold(0.0, f64::max);
-        Ok(SparseCtmc {
-            ix: IxMap::new(),
-            q,
-            max_exit,
-        })
-    }
-
     fn assemble(
         ix: IxMap,
         num_states: usize,
@@ -789,75 +742,6 @@ mod tests {
         }
         assert!(sparse.transient(&initial, -1.0).is_err());
         assert!(sparse.transient(&[0.5, 0.1], 1.0).is_err());
-    }
-
-    #[test]
-    fn from_csr_refill_replays_the_triplet_route_bit_for_bit() {
-        // First assembly goes through from_transitions; later same-shape
-        // points extract the structure, refill values, and skip the sort.
-        let transitions = farm_transitions(6, 0.3, 1.7);
-        let first = SparseCtmc::from_transitions(7, &transitions).unwrap();
-        let (ro, ci, _) = first.generator().raw_parts();
-        let (ro, ci) = (ro.to_vec(), ci.to_vec());
-
-        // A second sweep point with different rates has the same sparsity
-        // structure; a cache re-accumulates values per slot (here taken
-        // from a ground-truth re-assembly) and skips the sort.
-        let scaled: Vec<(usize, usize, f64)> = transitions
-            .iter()
-            .map(|&(f, t, r)| (f, t, r * 1.5))
-            .collect();
-        let want = SparseCtmc::from_transitions(7, &scaled).unwrap();
-        let (want_ro, want_ci, want_va) = want.generator().raw_parts();
-        assert_eq!(want_ro, &ro[..], "structure must be point-invariant");
-        assert_eq!(want_ci, &ci[..]);
-        let q = uavail_linalg::CsrMatrix::from_raw_parts(7, 7, ro, ci, want_va.to_vec()).unwrap();
-        let refilled = SparseCtmc::from_csr(q).unwrap();
-
-        assert_eq!(refilled.nnz(), want.nnz());
-        assert_eq!(
-            refilled.max_exit_rate().to_bits(),
-            want.max_exit_rate().to_bits()
-        );
-        let a = refilled.steady_state().unwrap();
-        let b = want.steady_state().unwrap();
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
-    }
-
-    #[test]
-    fn from_csr_rejects_non_generators() {
-        // Not square.
-        let rect = uavail_linalg::CsrMatrix::from_triplets(
-            2,
-            3,
-            &[uavail_linalg::Triplet::new(0, 1, 1.0)],
-        )
-        .unwrap();
-        assert!(SparseCtmc::from_csr(rect).is_err());
-        // Positive diagonal.
-        let bad_diag = uavail_linalg::CsrMatrix::from_triplets(
-            2,
-            2,
-            &[
-                uavail_linalg::Triplet::new(0, 0, 1.0),
-                uavail_linalg::Triplet::new(0, 1, 1.0),
-            ],
-        )
-        .unwrap();
-        assert!(SparseCtmc::from_csr(bad_diag).is_err());
-        // Negative off-diagonal.
-        let bad_off = uavail_linalg::CsrMatrix::from_triplets(
-            2,
-            2,
-            &[
-                uavail_linalg::Triplet::new(0, 0, -1.0),
-                uavail_linalg::Triplet::new(0, 1, -1.0),
-            ],
-        )
-        .unwrap();
-        assert!(SparseCtmc::from_csr(bad_off).is_err());
     }
 
     #[test]

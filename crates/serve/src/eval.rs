@@ -17,7 +17,8 @@
 //!
 //! Each query starts from [`TaParameters::paper_defaults`] and applies
 //! the named overrides; unknown keys are rejected (a typo must not
-//! silently evaluate the defaults). `class` selects what is computed:
+//! silently evaluate the defaults), and so is a `buffer_size` above
+//! [`MAX_BUFFER_SIZE`]. `class` selects what is computed:
 //! `"ws"` (default) the web-service availability `A(WS)`, `"A"`/`"B"`
 //! the user-perceived availability of the paper's user classes.
 //! `spin_us` busy-spins per query — the service-time control knob for
@@ -34,6 +35,13 @@ use uavail_travel::{functions, services, user, Architecture, Coverage, EvalConte
 
 /// Most queries a single `/eval` batch may carry.
 pub const MAX_BATCH: usize = 256;
+
+/// Largest `buffer_size` (the M/M/i/K capacity `K`) a query may set.
+/// Evaluation allocates `K + 1` probabilities per loss model, so an
+/// unbounded `K` lets one query abort the process on allocation failure.
+/// Validation already requires `web_servers ≤ buffer_size`, so this bound
+/// caps the farm size too.
+pub const MAX_BUFFER_SIZE: usize = 10_000;
 
 /// Cap on the per-query `spin_us` service-time knob (50 ms).
 pub const MAX_SPIN_US: u64 = 50_000;
@@ -155,6 +163,12 @@ fn parse_query(value: &JsonValue) -> Result<EvalQuery, String> {
             _ => apply_override(&mut params, key, v)?,
         }
     }
+    if params.buffer_size > MAX_BUFFER_SIZE {
+        return Err(format!(
+            "\"buffer_size\" {} exceeds the {MAX_BUFFER_SIZE} cap",
+            params.buffer_size
+        ));
+    }
     params
         .validate()
         .map_err(|e| format!("invalid parameters: {e}"))?;
@@ -267,7 +281,8 @@ impl Fnv {
 /// Evaluates one query on a warm context. `"ws"` queries hit the
 /// context's availability memo directly; class queries additionally
 /// compose the service-level environment (the [`functions`] map) around
-/// the memoized farm solve.
+/// the memoized web-service availability and replay the context's
+/// scenario expansions.
 ///
 /// # Errors
 ///
@@ -416,6 +431,22 @@ mod tests {
         assert!(parse_eval_request(big.as_bytes()).is_err());
         let err = parse_eval_request(br#"{"queries":[{}],"spin_us":999999999}"#).expect_err("cap");
         assert!(err.contains("cap"), "{err}");
+    }
+
+    #[test]
+    fn buffer_size_is_capped() {
+        let at_cap = format!(r#"{{"queries":[{{"buffer_size":{MAX_BUFFER_SIZE}}}]}}"#);
+        let req = parse_eval_request(at_cap.as_bytes()).expect("at the cap");
+        assert_eq!(req.queries[0].params.buffer_size, MAX_BUFFER_SIZE);
+        let over = format!(
+            r#"{{"queries":[{{"buffer_size":{}}}]}}"#,
+            MAX_BUFFER_SIZE + 1
+        );
+        let err = parse_eval_request(over.as_bytes()).expect_err("over the cap");
+        assert!(
+            err.starts_with("query 0:") && err.contains("buffer_size"),
+            "{err}"
+        );
     }
 
     #[test]

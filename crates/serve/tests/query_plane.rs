@@ -180,6 +180,29 @@ fn protocol_errors_are_answered_not_dropped() {
 }
 
 #[test]
+fn oversized_buffer_query_gets_400_and_the_plane_keeps_serving() {
+    // A buffer this large would need an 8 TB M/M/c/K distribution; the
+    // allocation failure would abort the whole process, which no panic
+    // fence can catch. The parser must reject it up front.
+    let _guard = global_lock();
+    reset_all();
+    let server = ObsServer::start("127.0.0.1:0").expect("bind");
+    let addr = server.addr();
+
+    let (status, _, body) = post_eval(addr, r#"{"queries":[{"buffer_size":1000000000000}]}"#, None);
+    assert_eq!(status, "HTTP/1.1 400 Bad Request", "{body}");
+    assert!(body.contains("buffer_size"), "{body}");
+
+    let (status, _, body) = post_eval(addr, r#"{"queries":[{}]}"#, None);
+    assert_eq!(status, "HTTP/1.1 200 OK", "{body}");
+    let a_ws = availability_of(&body, 0);
+    assert!((a_ws - 0.999995587).abs() < 1e-9, "{body}");
+
+    server.shutdown();
+    reset_all();
+}
+
+#[test]
 fn full_admission_queue_sheds_with_503_and_retry_after() {
     let _guard = global_lock();
     reset_all();

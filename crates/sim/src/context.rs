@@ -1,55 +1,29 @@
-//! Preallocated per-replication scratch shared by every simulator.
+//! Preallocated per-replication scratch for the farm's epoch kernel.
 
-use std::collections::VecDeque;
-
-use crate::engine::EventQueue;
 use crate::farm::FarmScratch;
-use crate::queue_sim::QueueEvent;
-use crate::response_sim::ResponseEvent;
-use crate::rng::ExpZiggurat;
 
-/// Reusable simulation workspace — the simulation-side counterpart of
-/// travel's `EvalContext` memo arena.
+/// Reusable simulation workspace for
+/// [`crate::FarmSimulation::run_counts_with`].
 ///
 /// A replication loop creates one context (one per worker thread in
-/// parallel runs) and threads it through the `*_with` entry points
-/// ([`crate::FarmSimulation::run_counts_with`],
-/// [`crate::QueueSimulation::run_with`],
-/// [`crate::ResponseSimulation::run_with`],
-/// [`crate::AlternatingRenewal::run_with`]). Each run resets and reuses
-/// the context's event heaps, FIFO buffer, occupancy-time buffer, and the
-/// farm's alias-row cache, so steady-state replication performs no heap
-/// allocation per replication. The context also pins a reference to the
-/// process-wide ziggurat tables so hot loops skip the `OnceLock` check.
+/// parallel runs) and threads it through every replication. The context
+/// holds the farm's occupancy-time buffer and its epoch-resolvent tables,
+/// built lazily per up-server count and kept while the parameters stay
+/// the same, so steady-state replication performs no heap allocation per
+/// replication.
 ///
 /// Contexts are storage only: results are bit-identical whether a context
 /// is fresh or warm, which is what keeps serial and parallel replication
 /// streams interchangeable.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SimContext {
     pub(crate) farm: FarmScratch,
-    pub(crate) queue_events: EventQueue<QueueEvent>,
-    pub(crate) response_events: EventQueue<ResponseEvent>,
-    pub(crate) response_waiting: VecDeque<f64>,
-    pub(crate) zig: &'static ExpZiggurat,
 }
 
 impl SimContext {
-    /// Creates an empty context; arenas grow on first use and are kept
+    /// Creates an empty context; tables grow on first use and are kept
     /// across runs.
     pub fn new() -> Self {
-        SimContext {
-            farm: FarmScratch::default(),
-            queue_events: EventQueue::new(),
-            response_events: EventQueue::new(),
-            response_waiting: VecDeque::new(),
-            zig: ExpZiggurat::get(),
-        }
-    }
-}
-
-impl Default for SimContext {
-    fn default() -> Self {
-        SimContext::new()
+        SimContext::default()
     }
 }

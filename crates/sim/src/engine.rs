@@ -74,32 +74,6 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Creates an empty queue with room for `capacity` pending events, so
-    /// steady-state workloads below that bound never reallocate.
-    pub fn with_capacity(capacity: usize) -> Self {
-        EventQueue {
-            heap: BinaryHeap::with_capacity(capacity),
-            now: 0.0,
-            next_seq: 0,
-        }
-    }
-
-    /// Number of pending events the queue can hold without reallocating.
-    pub fn capacity(&self) -> usize {
-        self.heap.capacity()
-    }
-
-    /// Returns the queue to its freshly-created state — no pending events,
-    /// clock and sequence counter at zero — while keeping the allocated
-    /// heap storage. This is the arena-reuse entry point: a per-replication
-    /// scratch calls `reset` instead of building a new queue, so replicated
-    /// runs stop paying a heap allocation per replication.
-    pub fn reset(&mut self) {
-        self.heap.clear();
-        self.now = 0.0;
-        self.next_seq = 0;
-    }
-
     /// Current simulation time (the timestamp of the last popped event).
     pub fn now(&self) -> f64 {
         self.now
@@ -216,27 +190,6 @@ mod tests {
     fn rejects_nan() {
         let mut q = EventQueue::new();
         q.schedule(f64::NAN, ());
-    }
-
-    #[test]
-    fn reset_restores_fresh_state_and_keeps_storage() {
-        let mut q = EventQueue::with_capacity(16);
-        let cap = q.capacity();
-        assert!(cap >= 16);
-        for i in 0..10 {
-            q.schedule(i as f64, i);
-        }
-        q.pop();
-        q.reset();
-        assert!(q.is_empty());
-        assert_eq!(q.now(), 0.0);
-        assert_eq!(q.capacity(), cap, "reset must not shrink the arena");
-        // The sequence counter restarts: replays after reset are
-        // bit-identical to a fresh queue, including tie-breaking.
-        q.schedule(1.0, 100);
-        q.schedule(1.0, 200);
-        assert_eq!(q.pop(), Some((1.0, 100)));
-        assert_eq!(q.pop(), Some((1.0, 200)));
     }
 
     #[test]

@@ -127,92 +127,15 @@ impl FarmCounts {
     }
 }
 
-/// One cached transition race for a fixed `(operational, busy)` pair:
-/// prebuilt Walker/Vose alias rows over the five event outcomes plus the
-/// cached reciprocal of the total rate, so the hot loop samples the next
-/// event with one multiply and one alias draw — no rate-vector rebuild,
-/// no summation, no division.
-#[derive(Debug, Clone, Copy)]
-struct FarmRow {
-    prob: [f64; FARM_OUTCOMES],
-    alias: [u32; FARM_OUTCOMES],
-    inv_total: f64,
-    /// The up-server count the row was built for; rows are keyed on it
-    /// because every slow-event rate depends only on `operational` (and
-    /// the row index `busy`), so an up/down transition invalidates rows
-    /// lazily instead of rebuilding the whole cache.
-    built_for: usize,
-}
-
-const FARM_OUTCOMES: usize = 5;
-/// `built_for` sentinel: the row has never been built.
-const ROW_UNBUILT: usize = usize::MAX;
-
-impl FarmRow {
-    const EMPTY: FarmRow = FarmRow {
-        prob: [0.0; FARM_OUTCOMES],
-        alias: [0; FARM_OUTCOMES],
-        inv_total: 0.0,
-        built_for: ROW_UNBUILT,
-    };
-
-    /// Builds the race for `busy` customers in service with `operational`
-    /// servers up (not reconfiguring), entirely on the stack.
-    fn build(sim: &FarmSimulation, operational: usize, busy: usize) -> FarmRow {
-        debug_assert!(busy <= operational);
-        let rates = if operational > 0 {
-            [
-                sim.arrival_rate,
-                busy as f64 * sim.service_rate,
-                operational as f64 * sim.failure_rate,
-                if operational < sim.servers {
-                    sim.repair_rate
-                } else {
-                    0.0
-                },
-                0.0,
-            ]
-        } else {
-            [sim.arrival_rate, 0.0, 0.0, sim.repair_rate, 0.0]
-        };
-        FarmRow::from_rates(&rates, operational)
-    }
-
-    /// The race while reconfiguring: arrivals (all lost) vs. manual
-    /// reconfiguration completing. Independent of the up-server count.
-    fn build_reconfiguring(sim: &FarmSimulation) -> FarmRow {
-        let rates = [sim.arrival_rate, 0.0, 0.0, 0.0, sim.reconfiguration_rate];
-        FarmRow::from_rates(&rates, 0)
-    }
-
-    fn from_rates(rates: &[f64; FARM_OUTCOMES], built_for: usize) -> FarmRow {
-        let mut prob = [0.0; FARM_OUTCOMES];
-        let mut alias = [0u32; FARM_OUTCOMES];
-        let mut small = [0u32; FARM_OUTCOMES];
-        let mut large = [0u32; FARM_OUTCOMES];
-        let total = build_alias_into(rates, &mut prob, &mut alias, &mut small, &mut large)
-            .expect("validated farm rates are finite with a positive total");
-        FarmRow {
-            prob,
-            alias,
-            inv_total: total.recip(),
-            built_for,
-        }
-    }
-}
-
-/// Per-replication scratch for the fast farm paths, owned by
-/// [`SimContext`]: the alias-row cache (indexed by the number of busy
-/// servers), the reconfiguration race, the per-state occupancy-time
-/// buffer, and the epoch-resolvent tables for
-/// [`FarmSimulation::run_counts_with`]. Reusing it across replications
-/// makes both fast paths allocation-free after the first run and keeps
-/// warm rows valid across replications with identical parameters.
+/// Per-replication scratch for [`FarmSimulation::run_counts_with`], owned
+/// by [`SimContext`]: the per-state occupancy-time buffer and the
+/// epoch-resolvent tables. Reusing it across replications makes the
+/// kernel allocation-free after the first run and keeps built tables
+/// valid across replications with identical parameters.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct FarmScratch {
-    rows: Vec<FarmRow>,
-    reconfig_row: Option<FarmRow>,
-    /// Parameters the cached rows were built for; any change flushes them.
+    /// Parameters the epoch tables were built for; any change flushes
+    /// them.
     params: Option<FarmSimulation>,
     operational_time: Vec<f64>,
     /// Whether the epoch tables for a given up-server count were built —
@@ -238,14 +161,12 @@ pub(crate) struct FarmScratch {
 }
 
 impl FarmScratch {
-    /// Readies the scratch for one run of `sim`: flushes stale rows on a
-    /// parameter change, sizes the row cache and time buffer (allocating
-    /// only when the farm grows), and zeroes the time accumulator.
+    /// Readies the scratch for one run of `sim`: flushes stale epoch
+    /// tables on a parameter change, sizes them and the time buffer
+    /// (allocating only when the farm grows), and zeroes the time
+    /// accumulator.
     fn prepare(&mut self, sim: &FarmSimulation) {
         if self.params != Some(*sim) {
-            self.rows.clear();
-            self.rows.resize(sim.servers + 1, FarmRow::EMPTY);
-            self.reconfig_row = Some(FarmRow::build_reconfiguring(sim));
             let states = sim.capacity + 1;
             let levels = sim.servers + 1;
             self.epoch_built.clear();
@@ -520,137 +441,6 @@ impl FarmSimulation {
         })
     }
 
-    /// High-throughput twin of [`FarmSimulation::run`] on a reusable
-    /// [`SimContext`], returning the full observation (the per-state time
-    /// vector is copied out of the scratch).
-    ///
-    /// Same continuous-time model simulated event by event, different
-    /// (still deterministic-per-seed) draw sequence: transition races use
-    /// prebuilt Walker/Vose alias rows cached per busy-server count and
-    /// keyed on the up-server count, and holding times come from the
-    /// ziggurat sampler — so a step costs O(1) with no rate-vector
-    /// rebuild, no `ln`, and no division. Use `run` when a stream must
-    /// replay historical pinned seeds; use
-    /// [`FarmSimulation::run_counts_with`] when only the loss/availability
-    /// summary is needed and replication throughput matters.
-    ///
-    /// # Errors
-    ///
-    /// Exactly as [`FarmSimulation::run`].
-    pub fn run_with<R: Rng + ?Sized>(
-        &self,
-        ctx: &mut SimContext,
-        rng: &mut R,
-        horizon: f64,
-    ) -> Result<FarmObservation, SimError> {
-        if !(horizon.is_finite() && horizon > 0.0) {
-            return Err(SimError::InvalidParameter {
-                name: "horizon",
-                value: horizon,
-                requirement: "finite and > 0",
-            });
-        }
-        ctx.farm.prepare(self);
-        let zig = ctx.zig;
-        let FarmScratch {
-            rows,
-            reconfig_row,
-            operational_time,
-            ..
-        } = &mut ctx.farm;
-        let reconfig_row = reconfig_row.expect("prepare builds the reconfiguration row");
-
-        let n = self.servers;
-        let mut t = 0.0;
-        let mut operational = n;
-        let mut reconfiguring = false;
-        let mut in_system = 0usize;
-        let mut arrivals = 0u64;
-        let mut losses = 0u64;
-        let mut reconfiguration_time = 0.0;
-
-        const ARRIVAL: usize = 0;
-        const DEPARTURE: usize = 1;
-        const FAILURE: usize = 2;
-        const REPAIR: usize = 3;
-        const RECONFIG_END: usize = 4;
-
-        loop {
-            let row = if reconfiguring {
-                &reconfig_row
-            } else {
-                let busy = in_system.min(operational);
-                let row = &mut rows[busy];
-                if row.built_for != operational {
-                    // Lazy incremental rebuild: only the occupancy levels a
-                    // replication actually visits are rebuilt after an
-                    // up/down transition, and rows stay warm across
-                    // replications with unchanged parameters.
-                    *row = FarmRow::build(self, operational, busy);
-                }
-                &*row
-            };
-            let dt = zig.sample(rng) * row.inv_total;
-            let remaining = horizon - t;
-            if dt >= remaining {
-                if reconfiguring {
-                    reconfiguration_time += remaining;
-                } else {
-                    operational_time[operational] += remaining;
-                }
-                break;
-            }
-            if reconfiguring {
-                reconfiguration_time += dt;
-            } else {
-                operational_time[operational] += dt;
-            }
-            t += dt;
-            match alias_sample(rng, &row.prob, &row.alias) {
-                ARRIVAL => {
-                    arrivals += 1;
-                    let service_up = !reconfiguring && operational > 0;
-                    if !service_up || in_system >= self.capacity {
-                        losses += 1;
-                    } else {
-                        in_system += 1;
-                    }
-                }
-                DEPARTURE => {
-                    debug_assert!(in_system > 0);
-                    in_system -= 1;
-                }
-                FAILURE => {
-                    if bernoulli(rng, self.coverage) {
-                        operational -= 1;
-                    } else {
-                        reconfiguring = true;
-                    }
-                }
-                REPAIR => {
-                    operational += 1;
-                }
-                RECONFIG_END => {
-                    reconfiguring = false;
-                    // The failed server that triggered the reconfiguration
-                    // is disconnected once manual intervention completes.
-                    operational -= 1;
-                }
-                _ => unreachable!("rate race has five outcomes"),
-            }
-        }
-        if arrivals == 0 {
-            return Err(SimError::NoObservations);
-        }
-        Ok(FarmObservation {
-            arrivals,
-            losses,
-            operational_time: operational_time.clone(),
-            reconfiguration_time,
-            horizon,
-        })
-    }
-
     /// The streaming-replication entry point: the epoch-resolvent kernel.
     ///
     /// The farm's failure/repair/reconfiguration chain is *autonomous* —
@@ -864,38 +654,8 @@ mod tests {
             .run_counts_with(&mut ctx, &mut StdRng::seed_from_u64(0), -1.0)
             .is_err());
         assert!(sim
-            .run_with(&mut ctx, &mut StdRng::seed_from_u64(0), f64::NAN)
+            .run_counts_with(&mut ctx, &mut StdRng::seed_from_u64(0), f64::NAN)
             .is_err());
-    }
-
-    #[test]
-    fn fast_path_state_distribution_matches_birth_death() {
-        // Same analytic twin as the slow path's test: with perfect
-        // coverage the operational-server marginal is the birth-death
-        // distribution Pi_i ∝ (µ/λ)^i / i!.
-        let (n, lambda, mu) = (3usize, 0.2, 1.0);
-        let sim = FarmSimulation::new(n, lambda, mu, 1.0, 10.0, 5.0, 5.0, 6).unwrap();
-        let mut ctx = SimContext::new();
-        let mut rng = StdRng::seed_from_u64(77);
-        let obs = sim.run_with(&mut ctx, &mut rng, 200_000.0).unwrap();
-        let dist = obs.state_distribution();
-        let ratio: f64 = mu / lambda;
-        let mut weights = vec![1.0];
-        let mut fact = 1.0;
-        for i in 1..=n {
-            fact *= i as f64;
-            weights.push(ratio.powi(i as i32) / fact);
-        }
-        let z: f64 = weights.iter().sum();
-        for i in 0..=n {
-            let expected = weights[i] / z;
-            assert!(
-                (dist[i] - expected).abs() < 0.01,
-                "state {i}: sim {} vs analytic {expected}",
-                dist[i]
-            );
-        }
-        assert_eq!(obs.reconfiguration_time, 0.0);
     }
 
     #[test]
@@ -919,33 +679,6 @@ mod tests {
             flo <= hi && lo <= fhi,
             "slow [{lo}, {hi}] vs fast [{flo}, {fhi}]"
         );
-    }
-
-    #[test]
-    fn fast_path_is_deterministic_and_context_independent() {
-        let sim = FarmSimulation::new(3, 0.5, 1.0, 0.9, 2.0, 5.0, 5.0, 6).unwrap();
-        let mut warm = SimContext::new();
-        // Warm the context on different parameters first: stale rows must
-        // be flushed, never reused.
-        let other = FarmSimulation::new(4, 0.1, 2.0, 0.7, 1.0, 3.0, 2.0, 8).unwrap();
-        other
-            .run_counts_with(&mut warm, &mut StdRng::seed_from_u64(1), 1_000.0)
-            .unwrap();
-        let a = sim
-            .run_with(&mut warm, &mut StdRng::seed_from_u64(5), 10_000.0)
-            .unwrap();
-        let b = sim
-            .run_with(
-                &mut SimContext::new(),
-                &mut StdRng::seed_from_u64(5),
-                10_000.0,
-            )
-            .unwrap();
-        assert_eq!(a, b, "fresh and warm contexts must agree bit-for-bit");
-        let c = sim
-            .run_with(&mut warm, &mut StdRng::seed_from_u64(5), 10_000.0)
-            .unwrap();
-        assert_eq!(a, c, "reuse must agree bit-for-bit");
     }
 
     #[test]

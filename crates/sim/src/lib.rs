@@ -9,16 +9,15 @@
 //! confidence intervals.
 //!
 //! * [`EventQueue`] — a minimal future-event list (time-ordered heap) for
-//!   event-driven models, with arena reuse (`with_capacity`/`reset`) for
-//!   replicated runs.
-//! * [`SimContext`] — preallocated per-replication scratch (event heaps,
-//!   alias-row caches, occupancy buffers) threaded through the `*_with`
-//!   fast paths so steady-state replication runs allocation-free.
+//!   event-driven models.
+//! * [`SimContext`] — preallocated per-replication scratch (the farm's
+//!   occupancy buffer and epoch-resolvent tables) threaded through
+//!   [`FarmSimulation::run_counts_with`] so steady-state replication runs
+//!   allocation-free.
 //! * [`stats`] — online statistics: Welford mean/variance, binomial
 //!   confidence intervals, batch means (one-shot and streaming).
 //! * [`rng`] — sampling helpers on top of any [`rand::Rng`]: exponential
-//!   inversion, O(1) Walker/Vose alias tables, and a ziggurat Exp(1)
-//!   sampler for the hot paths.
+//!   inversion and O(1) Walker/Vose alias tables.
 //! * [`replicate`] — deterministic independent replications, serially or
 //!   on all cores with bit-for-bit identical results (each replication
 //!   owns an RNG stream derived from the base seed), including streaming

@@ -1,6 +1,5 @@
 use rand::Rng;
 
-use crate::context::SimContext;
 use crate::engine::EventQueue;
 use crate::error::check_rate;
 use crate::rng::exponential;
@@ -9,7 +8,7 @@ use crate::SimError;
 
 /// Event alphabet of the M/M/c/K simulation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum QueueEvent {
+enum QueueEvent {
     Arrival,
     Departure,
 }
@@ -116,36 +115,10 @@ impl QueueSimulation {
         rng: &mut R,
         target_arrivals: u64,
     ) -> Result<QueueObservation, SimError> {
-        let mut events: EventQueue<QueueEvent> = EventQueue::new();
-        self.run_core(rng, target_arrivals, &mut events)
-    }
-
-    /// [`QueueSimulation::run`] on a reusable [`SimContext`]: the event
-    /// heap is reset and reused instead of reallocated, and the results
-    /// are bit-identical to `run` on the same RNG stream.
-    ///
-    /// # Errors
-    ///
-    /// Exactly as [`QueueSimulation::run`].
-    pub fn run_with<R: Rng + ?Sized>(
-        &self,
-        ctx: &mut SimContext,
-        rng: &mut R,
-        target_arrivals: u64,
-    ) -> Result<QueueObservation, SimError> {
-        ctx.queue_events.reset();
-        self.run_core(rng, target_arrivals, &mut ctx.queue_events)
-    }
-
-    fn run_core<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        target_arrivals: u64,
-        events: &mut EventQueue<QueueEvent>,
-    ) -> Result<QueueObservation, SimError> {
         if target_arrivals == 0 {
             return Err(SimError::NoObservations);
         }
+        let mut events: EventQueue<QueueEvent> = EventQueue::new();
         let mut in_system = 0usize;
         let mut arrivals = 0u64;
         let mut losses = 0u64;
@@ -272,21 +245,6 @@ mod tests {
             "{}",
             obs.mean_customers
         );
-    }
-
-    #[test]
-    fn run_with_is_bit_identical_to_run() {
-        let sim = QueueSimulation::new(240.0, 100.0, 3, 8).unwrap();
-        let fresh = sim.run(&mut StdRng::seed_from_u64(5), 50_000).unwrap();
-        let mut ctx = SimContext::new();
-        // A warm (reused) arena must not change results — the context is
-        // storage only.
-        for round in 0..2 {
-            let warm = sim
-                .run_with(&mut ctx, &mut StdRng::seed_from_u64(5), 50_000)
-                .unwrap();
-            assert_eq!(warm, fresh, "round {round}");
-        }
     }
 
     #[test]

@@ -1,6 +1,5 @@
 use rand::Rng;
 
-use crate::context::SimContext;
 use crate::error::check_rate;
 use crate::rng::exponential;
 use crate::SimError;
@@ -93,53 +92,6 @@ impl AlternatingRenewal {
             horizon,
         })
     }
-
-    /// High-throughput twin of [`AlternatingRenewal::run`] on a
-    /// [`SimContext`]: sojourn times come from the ziggurat sampler
-    /// (cached reciprocal rates, no per-event `ln`). Same process, a
-    /// different — still deterministic-per-seed — draw sequence.
-    ///
-    /// # Errors
-    ///
-    /// Exactly as [`AlternatingRenewal::run`].
-    pub fn run_with<R: Rng + ?Sized>(
-        &self,
-        ctx: &mut SimContext,
-        rng: &mut R,
-        horizon: f64,
-    ) -> Result<RenewalObservation, SimError> {
-        if !(horizon.is_finite() && horizon > 0.0) {
-            return Err(SimError::InvalidParameter {
-                name: "horizon",
-                value: horizon,
-                requirement: "finite and > 0",
-            });
-        }
-        let zig = ctx.zig;
-        let inv_up = self.failure_rate.recip();
-        let inv_down = self.repair_rate.recip();
-        let mut t = 0.0;
-        let mut up_time = 0.0;
-        let mut failures = 0u64;
-        let mut up = true;
-        while t < horizon {
-            let sojourn = zig.sample(rng) * if up { inv_up } else { inv_down };
-            let end = (t + sojourn).min(horizon);
-            if up {
-                up_time += end - t;
-                if t + sojourn <= horizon {
-                    failures += 1;
-                }
-            }
-            t += sojourn;
-            up = !up;
-        }
-        Ok(RenewalObservation {
-            availability: up_time / horizon,
-            failures,
-            horizon,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -184,25 +136,6 @@ mod tests {
             "{} vs {expected}",
             obs.failures
         );
-    }
-
-    #[test]
-    fn fast_path_converges_to_analytic_availability() {
-        let mut ctx = SimContext::new();
-        let mut rng = StdRng::seed_from_u64(2024);
-        let sim = AlternatingRenewal::new(0.2, 1.0).unwrap();
-        let obs = sim.run_with(&mut ctx, &mut rng, 200_000.0).unwrap();
-        let analytic = sim.analytic_availability();
-        assert!(
-            (obs.availability - analytic).abs() < 0.005,
-            "sim {} vs analytic {analytic}",
-            obs.availability
-        );
-        // Deterministic per seed.
-        let again = sim
-            .run_with(&mut ctx, &mut StdRng::seed_from_u64(2024), 200_000.0)
-            .unwrap();
-        assert_eq!(again, obs);
     }
 
     #[test]

@@ -2,7 +2,6 @@ use std::collections::VecDeque;
 
 use rand::Rng;
 
-use crate::context::SimContext;
 use crate::engine::EventQueue;
 use crate::error::check_rate;
 use crate::rng::exponential;
@@ -73,7 +72,7 @@ impl ResponseObservation {
 }
 
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) enum ResponseEvent {
+enum ResponseEvent {
     Arrival,
     /// Completion of the customer that arrived at the carried time.
     Completion {
@@ -132,49 +131,6 @@ impl ResponseSimulation {
         target_arrivals: u64,
         deadline: f64,
     ) -> Result<ResponseObservation, SimError> {
-        let mut events: EventQueue<ResponseEvent> = EventQueue::new();
-        let mut waiting: VecDeque<f64> = VecDeque::new();
-        self.run_core(rng, target_arrivals, deadline, &mut events, &mut waiting)
-    }
-
-    /// [`ResponseSimulation::run`] on a reusable [`SimContext`]: the event
-    /// heap and the FCFS waiting buffer are reset and reused instead of
-    /// reallocated, bit-identical to `run` on the same RNG stream.
-    ///
-    /// # Errors
-    ///
-    /// Exactly as [`ResponseSimulation::run`].
-    pub fn run_with<R: Rng + ?Sized>(
-        &self,
-        ctx: &mut SimContext,
-        rng: &mut R,
-        target_arrivals: u64,
-        deadline: f64,
-    ) -> Result<ResponseObservation, SimError> {
-        ctx.response_events.reset();
-        ctx.response_waiting.clear();
-        let SimContext {
-            response_events,
-            response_waiting,
-            ..
-        } = ctx;
-        self.run_core(
-            rng,
-            target_arrivals,
-            deadline,
-            response_events,
-            response_waiting,
-        )
-    }
-
-    fn run_core<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        target_arrivals: u64,
-        deadline: f64,
-        events: &mut EventQueue<ResponseEvent>,
-        waiting: &mut VecDeque<f64>,
-    ) -> Result<ResponseObservation, SimError> {
         if target_arrivals == 0 {
             return Err(SimError::NoObservations);
         }
@@ -185,6 +141,8 @@ impl ResponseSimulation {
                 requirement: "finite and >= 0",
             });
         }
+        let mut events: EventQueue<ResponseEvent> = EventQueue::new();
+        let mut waiting: VecDeque<f64> = VecDeque::new();
         let mut busy = 0usize;
         let mut arrivals = 0u64;
         let mut losses = 0u64;
@@ -286,21 +244,6 @@ mod tests {
             "{} vs {expected}",
             obs.loss_fraction()
         );
-    }
-
-    #[test]
-    fn run_with_is_bit_identical_to_run() {
-        let sim = ResponseSimulation::new(200.0, 100.0, 2, 4).unwrap();
-        let fresh = sim
-            .run(&mut StdRng::seed_from_u64(11), 30_000, 0.05)
-            .unwrap();
-        let mut ctx = SimContext::new();
-        for round in 0..2 {
-            let warm = sim
-                .run_with(&mut ctx, &mut StdRng::seed_from_u64(11), 30_000, 0.05)
-                .unwrap();
-            assert_eq!(warm, fresh, "round {round}");
-        }
     }
 
     #[test]

@@ -5,15 +5,9 @@
 //! samplers whose seeded streams are pinned by regression tests. The
 //! production-throughput tier added for high-volume replication keeps the
 //! same distributions but removes the per-draw linear work:
-//!
-//! * [`AliasTable`] — Walker/Vose O(1) discrete sampling over a weight
-//!   vector, with a reusable [`AliasWorkspace`] so rebuilding a table for
-//!   new weights never reallocates once capacity is warm.
-//! * [`ExpZiggurat`] — a 256-layer ziggurat for Exp(1) draws that replaces
-//!   the per-event `ln` of inversion sampling with one table lookup and a
-//!   compare on ~98.9% of draws.
-
-use std::sync::OnceLock;
+//! [`AliasTable`] — Walker/Vose O(1) discrete sampling over a weight
+//! vector, with a reusable [`AliasWorkspace`] so rebuilding a table for
+//! new weights never reallocates once capacity is warm.
 
 use rand::Rng;
 
@@ -119,7 +113,8 @@ pub fn weighted_index<R: Rng + ?Sized>(rng: &mut R, weights: &[f64]) -> Option<u
 /// negative weight, which the scan merely documents away).
 ///
 /// This is the shared non-allocating core: [`AliasTable`] drives it with
-/// `Vec` storage, the farm simulation with fixed-size stack arrays.
+/// `Vec` storage, the farm's epoch kernel with slices of its flat
+/// end-state tables.
 pub fn build_alias_into(
     weights: &[f64],
     prob: &mut [f64],
@@ -320,88 +315,6 @@ impl AliasTable {
     }
 }
 
-/// Right boundary of the ziggurat base layer for Exp(1) with 256 layers
-/// (Marsaglia & Tsang's canonical constant).
-const ZIG_R: f64 = 7.697_117_470_131_487;
-/// Number of ziggurat layers (the low 8 bits of a draw pick one).
-const ZIG_LAYERS: usize = 256;
-
-/// Precomputed 256-layer ziggurat for standard-exponential sampling.
-///
-/// Layer boundaries `x[0] > x[1] = R > … > x[256] = 0` partition the area
-/// under `e^{-x}` into 256 equal-area strips (`x[0]` is the virtual width
-/// of the base strip including the tail); `f[i] = e^{-x[i]}`. A draw costs
-/// one `u64`: 8 bits choose the layer, 53 bits the position, and ~98.9% of
-/// draws accept immediately with no transcendental call. Rejections fall
-/// back to one wedge test (`exp`) or, for the base layer, an inversion
-/// draw shifted past `R` (exact by memorylessness).
-///
-/// Statistically exchangeable with [`exponential`] but a different draw
-/// sequence: fixed-seed callers of the inversion path are unaffected
-/// because nothing routes through here implicitly.
-#[derive(Debug)]
-pub struct ExpZiggurat {
-    x: [f64; ZIG_LAYERS + 1],
-    f: [f64; ZIG_LAYERS + 1],
-}
-
-impl ExpZiggurat {
-    fn build() -> ExpZiggurat {
-        let mut x = [0.0; ZIG_LAYERS + 1];
-        let mut f = [0.0; ZIG_LAYERS + 1];
-        // Common layer area, derived from R so the construction is
-        // self-consistent: V = R e^{-R} + tail = e^{-R} (R + 1).
-        let v = (-ZIG_R).exp() * (ZIG_R + 1.0);
-        x[0] = v * ZIG_R.exp(); // virtual base width V / f(R)
-        x[1] = ZIG_R;
-        for i in 2..ZIG_LAYERS {
-            // Equal areas: x[i-1] * (f(x[i]) - f(x[i-1])) = V.
-            x[i] = -((-x[i - 1]).exp() + v / x[i - 1]).ln();
-        }
-        x[ZIG_LAYERS] = 0.0;
-        for i in 0..=ZIG_LAYERS {
-            f[i] = (-x[i]).exp();
-        }
-        ExpZiggurat { x, f }
-    }
-
-    /// The process-wide tables (built once, ~4 KiB).
-    pub fn get() -> &'static ExpZiggurat {
-        static TABLES: OnceLock<ExpZiggurat> = OnceLock::new();
-        TABLES.get_or_init(ExpZiggurat::build)
-    }
-
-    /// Draws an Exp(1) variate. May return exactly `0.0` on the zero
-    /// lattice point; scale by `1/rate` for a general exponential.
-    #[inline]
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        loop {
-            let bits = rng.next_u64();
-            // Layer bits (0..8) and position bits (11..64) are disjoint.
-            let i = (bits & 0xFF) as usize;
-            let u = (bits >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
-            let x = u * self.x[i];
-            if x < self.x[i + 1] {
-                // Entirely below the next boundary: inside the rectangle
-                // portion of the layer that is fully under the curve.
-                return x;
-            }
-            if i == 0 {
-                // Base layer overflow: the tail beyond R restarts as a
-                // fresh exponential by memorylessness.
-                let u2: f64 = rng.random();
-                return ZIG_R - (1.0 - u2).ln();
-            }
-            // Wedge: y uniform over the layer's vertical extent
-            // [f(x[i]), f(x[i+1])], accepted under the density.
-            let u2: f64 = rng.random();
-            if self.f[i] + u2 * (self.f[i + 1] - self.f[i]) < (-x).exp() {
-                return x;
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -577,74 +490,5 @@ mod tests {
         for _ in 0..100 {
             assert_eq!(table.sample(&mut rng), 0);
         }
-    }
-
-    #[test]
-    fn ziggurat_tables_are_well_formed() {
-        let z = ExpZiggurat::get();
-        // Strictly decreasing boundaries down to exactly zero, with the
-        // canonical base constant in slot 1.
-        assert_eq!(z.x[1], ZIG_R);
-        assert_eq!(z.x[ZIG_LAYERS], 0.0);
-        for i in 1..=ZIG_LAYERS {
-            assert!(z.x[i - 1] > z.x[i], "x not decreasing at {i}");
-            assert!(z.f[i] > z.f[i - 1], "f not increasing at {i}");
-        }
-        assert_eq!(z.f[ZIG_LAYERS], 1.0);
-        // The recurrence must close: R is tuned so the boundary implied
-        // after layer 255 lands at the origin, i.e. the top layer's area
-        // exactly fills the remaining probability mass.
-        let v = (-ZIG_R).exp() * (ZIG_R + 1.0);
-        let closure = z.f[ZIG_LAYERS - 1] + v / z.x[ZIG_LAYERS - 1];
-        assert!((closure - 1.0).abs() < 1e-9, "closure {closure}");
-    }
-
-    #[test]
-    fn ziggurat_matches_exponential_distribution() {
-        let z = ExpZiggurat::get();
-        let mut rng = StdRng::seed_from_u64(2024);
-        let n = 1_000_000usize;
-        let mut sum = 0.0;
-        let mut sum_sq = 0.0;
-        let mut below = [0usize; 4];
-        let qs = [0.1f64, std::f64::consts::LN_2, 2.0, ZIG_R + 0.5];
-        for _ in 0..n {
-            let x = z.sample(&mut rng);
-            assert!(x >= 0.0);
-            sum += x;
-            sum_sq += x * x;
-            for (k, &q) in qs.iter().enumerate() {
-                if x < q {
-                    below[k] += 1;
-                }
-            }
-        }
-        let mean = sum / n as f64;
-        let var = sum_sq / n as f64 - mean * mean;
-        assert!((mean - 1.0).abs() < 0.005, "mean {mean}");
-        assert!((var - 1.0).abs() < 0.02, "variance {var}");
-        for (k, &q) in qs.iter().enumerate() {
-            let expected = 1.0 - (-q).exp();
-            let got = below[k] as f64 / n as f64;
-            let slack = 4.0 * (expected * (1.0 - expected) / n as f64).sqrt() + 1e-9;
-            assert!(
-                (got - expected).abs() <= slack,
-                "q={q}: {got} vs {expected}"
-            );
-        }
-    }
-
-    #[test]
-    fn ziggurat_is_deterministic_per_seed() {
-        let z = ExpZiggurat::get();
-        let a: Vec<u64> = {
-            let mut rng = StdRng::seed_from_u64(55);
-            (0..1000).map(|_| z.sample(&mut rng).to_bits()).collect()
-        };
-        let b: Vec<u64> = {
-            let mut rng = StdRng::seed_from_u64(55);
-            (0..1000).map(|_| z.sample(&mut rng).to_bits()).collect()
-        };
-        assert_eq!(a, b);
     }
 }

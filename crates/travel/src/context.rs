@@ -11,25 +11,26 @@
 //! [`crate::webservice`] and [`crate::user`] run the exact same
 //! floating-point operations as their allocating counterparts on a fresh
 //! buffer, fall back through the same solver chain when a solve is
-//! unhealthy, and the context's private memos (per-point web
-//! availabilities, per-scenario service expansions) replay the exact bits
-//! of the first computation, so results are bit-for-bit identical (pinned
-//! in the crate's integration tests). The paper's figure and table drivers
-//! in [`crate::evaluation`] do not use a context: they run the allocating
-//! path. Reuse is instrumented through the
-//! `uavail-obs` counters `travel.eval_context.created` and
+//! unhealthy, and the context's two memos replay the exact bits of the
+//! first computation, so results are bit-for-bit identical (pinned in the
+//! crate's integration tests). The memos are the ones measured `/eval`
+//! traffic hits: per-point web availabilities (every repeated ws query)
+//! and per-scenario service expansions (every class A/B query). The
+//! paper's figure and table drivers in [`crate::evaluation`] do not use a
+//! context: they run the allocating path. Reuse is instrumented through
+//! the `uavail-obs` counters `travel.eval_context.created` and
 //! `travel.eval_context.reuses`.
 
 use std::collections::HashMap;
 
 use uavail_core::composite::CompositeState;
-use uavail_linalg::{CsrMatrix, Matrix};
+use uavail_linalg::Matrix;
 
 use crate::TaParameters;
 
-/// Memo key for a redundant-farm availability: the architecture flavor
-/// plus the bit patterns of every parameter the result depends on.
-pub(crate) type AvailKey = (bool, usize, usize, [u64; 6]);
+/// Memo key for an imperfect-coverage farm availability: the bit patterns
+/// of every parameter the result depends on.
+pub(crate) type AvailKey = (usize, usize, [u64; 6]);
 
 /// Memo key for a user-scenario service expansion: the scenario's function
 /// list plus the path-choice probabilities (`q23`, `q24`, `q45`, `q47`)
@@ -44,74 +45,10 @@ const AVAIL_MEMO_CAP: usize = 1 << 14;
 /// classes; the cap only matters for callers sweeping the `q` parameters).
 const SCENARIO_MEMO_CAP: usize = 256;
 
-/// Memo key for one imperfect-farm solve: the farm size plus the bit
-/// patterns of the four rates the Figure 10 chain depends on
-/// (`λ`, `µ`, `c`, `β`).
-pub(crate) type FarmKey = (usize, [u64; 4]);
-
-/// Bound on the farm-solution memo. Entries for a sparse-cutoff farm hold
-/// `2n + 1` probabilities (~32 KiB at `n = 2000`), so the cap is kept far
-/// below the availability memo's.
-const FARM_MEMO_CAP: usize = 64;
-
-/// Cached CSR sparsity pattern of the Figure 10 farm generator.
-///
-/// The pattern depends only on the farm *shape* — the server count and
-/// whether covered-failure transitions exist (`c > 0`) — not on the rates,
-/// so consecutive same-shape sweep points can skip the triplet
-/// sort-and-merge assembly and refill a value buffer in place. `slots[k]`
-/// is the value index that triplet `k` of the canonical transition
-/// expansion accumulates into ([`crate::webservice`] pushes two triplets
-/// per transition: the off-diagonal rate, then its diagonal compensation).
-#[derive(Debug)]
-pub(crate) struct FarmStructure {
-    /// Farm size the pattern was extracted for.
-    pub(crate) web_servers: usize,
-    /// Whether covered-failure transitions were present (`c > 0`).
-    pub(crate) covered: bool,
-    /// CSR row offsets of the assembled generator.
-    pub(crate) row_offsets: Vec<usize>,
-    /// CSR column indices of the assembled generator.
-    pub(crate) col_indices: Vec<usize>,
-    /// Value index each canonical triplet accumulates into.
-    pub(crate) slots: Vec<usize>,
-}
-
-impl FarmStructure {
-    /// Extracts the sparsity pattern of `q` and the triplet→slot map for
-    /// the canonical `transitions` expansion. Returns `None` if any
-    /// coordinate is missing from the assembled matrix (possible only if
-    /// merged entries cancelled to exact zero and were dropped) — callers
-    /// then simply skip caching.
-    pub(crate) fn extract(
-        web_servers: usize,
-        covered: bool,
-        transitions: &[(usize, usize, f64)],
-        q: &CsrMatrix,
-    ) -> Option<Self> {
-        let (row_offsets, col_indices, _) = q.raw_parts();
-        let slot = |row: usize, col: usize| -> Option<usize> {
-            let (lo, hi) = (row_offsets[row], row_offsets[row + 1]);
-            col_indices[lo..hi].binary_search(&col).ok().map(|k| lo + k)
-        };
-        let mut slots = Vec::with_capacity(2 * transitions.len());
-        for &(from, to, _) in transitions {
-            slots.push(slot(from, to)?);
-            slots.push(slot(from, from)?);
-        }
-        Some(FarmStructure {
-            web_servers,
-            covered,
-            row_offsets: row_offsets.to_vec(),
-            col_indices: col_indices.to_vec(),
-            slots,
-        })
-    }
-}
-
 /// Per-thread scratch arena for the travel-agency evaluation paths.
 ///
-/// Thread one context through the `*_availability_with` functions and
+/// Thread one context through
+/// [`crate::webservice::redundant_imperfect_availability_with`] and
 /// [`crate::user::user_availability_with`]; for parallel work, give each
 /// worker its own (e.g. via the `make` closure of
 /// [`uavail_core::sweep::sweep`]). A context is cheap to create — buffers
@@ -147,21 +84,8 @@ pub struct EvalContext {
     pub(crate) states: Vec<CompositeState>,
     /// M/M/c/K state-distribution buffer.
     pub(crate) dist_buf: Vec<f64>,
-    /// Birth-death birth-rate buffer.
-    pub(crate) births: Vec<f64>,
-    /// Birth-death death-rate buffer.
-    pub(crate) deaths: Vec<f64>,
-    /// Transition-list buffer for the sparse farm assembly path (farms
-    /// past the sparse cutoff never touch the dense `generator` buffer).
-    pub(crate) farm_transitions: Vec<(usize, usize, f64)>,
-    /// Cached CSR pattern of the last sparse farm generator; reused for
-    /// every subsequent same-shape point.
-    pub(crate) farm_structure: Option<FarmStructure>,
-    /// Memoized imperfect-farm solutions `(farm_op, farm_y)`; values are
-    /// the exact bits of the first computation.
-    pub(crate) farm_memo: HashMap<FarmKey, (Vec<f64>, Vec<f64>)>,
-    /// Memoized redundant-farm availabilities, keyed by every parameter
-    /// bit the result depends on; values are the exact bits of the first
+    /// Memoized farm availabilities, keyed by every parameter bit the
+    /// result depends on; values are the exact bits of the first
     /// computation.
     pub(crate) avail_memo: HashMap<AvailKey, f64>,
     /// Memoized user-scenario service expansions: the DFS terminals of
@@ -186,10 +110,9 @@ impl EvalContext {
         self.reuses
     }
 
-    /// Memo key for one redundant-farm evaluation.
-    pub(crate) fn avail_key(perfect: bool, params: &TaParameters) -> AvailKey {
+    /// Memo key for one farm-availability evaluation.
+    pub(crate) fn avail_key(params: &TaParameters) -> AvailKey {
         (
-            perfect,
             params.web_servers,
             params.buffer_size,
             [
@@ -210,44 +133,6 @@ impl EvalContext {
             self.avail_memo.clear();
         }
         self.avail_memo.insert(key, value);
-    }
-
-    /// Memo key for one imperfect-farm solve.
-    pub(crate) fn farm_key(params: &TaParameters) -> FarmKey {
-        (
-            params.web_servers,
-            [
-                params.failure_rate_per_hour.to_bits(),
-                params.repair_rate_per_hour.to_bits(),
-                params.coverage.to_bits(),
-                params.reconfiguration_rate_per_hour.to_bits(),
-            ],
-        )
-    }
-
-    /// Copies a memoized farm solution into `farm_op` / `farm_y`. Returns
-    /// `false` (leaving the buffers untouched) on a miss.
-    pub(crate) fn recall_farm(&mut self, key: &FarmKey) -> bool {
-        match self.farm_memo.get(key) {
-            Some((op, y)) => {
-                self.farm_op.clear();
-                self.farm_op.extend_from_slice(op);
-                self.farm_y.clear();
-                self.farm_y.extend_from_slice(y);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Stores the current `farm_op` / `farm_y` under `key`, restarting the
-    /// memo at its (deliberately small) bound.
-    pub(crate) fn remember_farm(&mut self, key: FarmKey) {
-        if self.farm_memo.len() >= FARM_MEMO_CAP {
-            self.farm_memo.clear();
-        }
-        self.farm_memo
-            .insert(key, (self.farm_op.clone(), self.farm_y.clone()));
     }
 
     /// Stores a freshly expanded scenario, bounded like the availability

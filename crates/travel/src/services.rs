@@ -10,7 +10,9 @@ use uavail_rbd::{component, parallel, series, BlockDiagram};
 use crate::{Architecture, TaParameters, TravelError};
 
 /// Availability of a parallel bank of `n` identical systems each with
-/// availability `a` — Table 3's `1 − (1 − A)^n`.
+/// availability `a` — Table 3's `1 − (1 − A)^n`. Counts that fit an `i32`
+/// use `powi`; larger ones use `powf`, since `powi` takes an `i32`
+/// exponent and a cast would wrap.
 ///
 /// # Errors
 ///
@@ -31,7 +33,11 @@ pub fn parallel_bank(n: usize, a: f64) -> Result<f64, TravelError> {
             requirement: "within [0, 1]",
         });
     }
-    Ok(1.0 - (1.0 - a).powi(n as i32))
+    let down = match i32::try_from(n) {
+        Ok(n) => (1.0 - a).powi(n),
+        Err(_) => (1.0 - a).powf(n as f64),
+    };
+    Ok(1.0 - down)
 }
 
 /// Availability of the external flight-reservation service
@@ -126,6 +132,27 @@ mod tests {
         assert!((parallel_bank(3, 0.9).unwrap() - 0.999).abs() < 1e-15);
         assert!(parallel_bank(0, 0.9).is_err());
         assert!(parallel_bank(1, 1.5).is_err());
+    }
+
+    #[test]
+    fn parallel_bank_counts_past_i32_do_not_wrap() {
+        // (1 − 1e-10)^n stays well inside (0, 1) around n = 2³¹, so a
+        // wrapped exponent (negative, zero or one) shows up as a wrong
+        // value or a non-finite one.
+        let a = 1e-10;
+        // Below 2³¹ the bits are exactly the `powi` ones.
+        assert_eq!(
+            parallel_bank(i32::MAX as usize, a).unwrap().to_bits(),
+            (1.0 - (1.0 - a).powi(i32::MAX)).to_bits()
+        );
+        for n in [i32::MAX as usize, 1 << 31, 1 << 32, (1 << 32) + 1] {
+            let got = parallel_bank(n, a).unwrap();
+            let expected = 1.0 - (n as f64 * (1.0 - a).ln()).exp();
+            assert!(
+                (got - expected).abs() < 1e-8,
+                "n = {n}: {got} vs {expected}"
+            );
+        }
     }
 
     #[test]

@@ -192,11 +192,7 @@ fn expand_scenario(
 /// on the scenario's function list and the `q23`/`q24`/`q45`/`q47` branch
 /// probabilities, not on the service environment — is computed once and
 /// replayed for every subsequent environment, bit-for-bit.
-///
-/// # Errors
-///
-/// Propagates diagram failures and missing service availabilities.
-pub fn scenario_availability_with(
+fn scenario_availability_with(
     scenario: &Scenario,
     params: &TaParameters,
     services: &HashMap<String, f64>,
@@ -233,8 +229,10 @@ pub fn scenario_availability_with(
     Ok(total)
 }
 
-/// [`user_availability`] backed by `ctx`'s scenario-expansion memo — see
-/// [`scenario_availability_with`].
+/// [`user_availability`] backed by `ctx`'s scenario-expansion memo: each
+/// scenario's expansion over function path choices is computed once per
+/// `(functions, q23, q24, q45, q47)` and replayed for every later service
+/// environment, bit-for-bit.
 ///
 /// # Errors
 ///

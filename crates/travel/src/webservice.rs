@@ -20,14 +20,13 @@ use std::sync::OnceLock;
 use uavail_core::composite::{
     composite_availability, composite_availability_from_iter, CompositeState,
 };
-use uavail_linalg::CsrMatrix;
 use uavail_markov::{
     gth_steady_state_into, steady_state_mass_drift, BirthDeath, Ctmc, CtmcBuilder, SparseCtmc,
     STEADY_STATE_DRIFT_TOLERANCE,
 };
 use uavail_queueing::{MMcK, MM1K};
 
-use crate::context::{EvalContext, FarmStructure};
+use crate::context::EvalContext;
 use crate::loss_cache::{LossKey, ShardedLossCache};
 use crate::{TaParameters, TravelError};
 
@@ -120,12 +119,7 @@ pub fn loss_probability(params: &TaParameters, operational: usize) -> Result<f64
 /// model entirely and cached values are bit-for-bit those of the
 /// allocating path (misses run the exact same arithmetic via
 /// [`MMcK::with_distribution_buf`]).
-///
-/// # Errors
-///
-/// Propagates parameter-domain failures; `i` must satisfy
-/// `1 ≤ i ≤ buffer_size`.
-pub fn loss_probability_with(
+fn loss_probability_with(
     params: &TaParameters,
     operational: usize,
     dist_buf: &mut Vec<f64>,
@@ -221,33 +215,6 @@ pub fn farm_distribution_perfect(params: &TaParameters) -> Result<Vec<f64>, Trav
         params.failure_rate_per_hour,
         params.repair_rate_per_hour,
     )?)
-}
-
-/// Writes the perfect-coverage farm distribution into `ctx.farm_op`,
-/// reusing the context's birth/death-rate buffers — the allocation-free
-/// twin of [`farm_distribution_perfect`], bit-for-bit identical.
-fn farm_distribution_perfect_into(
-    params: &TaParameters,
-    ctx: &mut EvalContext,
-) -> Result<(), TravelError> {
-    let n = params.web_servers;
-    if n == 0 {
-        // Mirror `BirthDeath::shared_repair_farm`'s domain check.
-        BirthDeath::shared_repair_farm(0, 1.0, 1.0)?;
-        unreachable!("shared_repair_farm rejects n = 0");
-    }
-    let mut births = std::mem::take(&mut ctx.births);
-    let mut deaths = std::mem::take(&mut ctx.deaths);
-    births.clear();
-    births.resize(n, params.repair_rate_per_hour);
-    deaths.clear();
-    deaths.extend((1..=n).map(|i| i as f64 * params.failure_rate_per_hour));
-    let bd = BirthDeath::new(births, deaths)?;
-    bd.steady_state_into(&mut ctx.farm_op);
-    let (births, deaths) = bd.into_rates();
-    ctx.births = births;
-    ctx.deaths = deaths;
-    Ok(())
 }
 
 /// Steady-state solution of the imperfect-coverage farm
@@ -358,50 +325,11 @@ pub fn farm_distribution_imperfect_sparse(
     Ok((operational, reconfiguring))
 }
 
-/// Buffer-reusing twin of [`farm_distribution_imperfect`]: solves the
-/// farm into `ctx.farm_op` / `ctx.farm_y`, reusing the context's
-/// generator (small farms) or transition-list (large farms) buffers.
-/// Bit-for-bit identical to the allocating path. Like
-/// [`redundant_imperfect_availability_with`], a per-context memo fronts
-/// the solve: a repeated parameter point replays the exact stored bits of
-/// the first computation instead of re-running the solver, and
-/// same-shape large farms reuse the cached CSR sparsity pattern of the
-/// previous assembly.
-///
-/// # Errors
-///
-/// Propagates parameter-domain and chain-construction failures.
-pub fn farm_distribution_imperfect_with(
-    params: &TaParameters,
-    ctx: &mut EvalContext,
-) -> Result<(), TravelError> {
-    params.validate()?;
-    ctx.note_use();
-    farm_distribution_imperfect_into(params, ctx)
-}
-
-/// Memo-fronted farm solve: replays a stored solution when the parameter
-/// point has been seen before, otherwise computes and records it. The
-/// caller must have validated `params` already.
-fn farm_distribution_imperfect_into(
-    params: &TaParameters,
-    ctx: &mut EvalContext,
-) -> Result<(), TravelError> {
-    let key = EvalContext::farm_key(params);
-    if ctx.recall_farm(&key) {
-        uavail_obs::trace_instant("travel.farm.memo_hit");
-        uavail_obs::counter_add("travel.farm.memo_hits", 1);
-        return Ok(());
-    }
-    farm_distribution_imperfect_compute(params, ctx)?;
-    ctx.remember_farm(key);
-    Ok(())
-}
-
 /// Solves the imperfect-coverage farm into `ctx.farm_op` / `ctx.farm_y`,
-/// assembling the generator in `ctx.generator` and running GTH in
-/// `ctx.gth_scratch` — the allocation-free twin of
-/// [`farm_distribution_imperfect`], bit-for-bit identical.
+/// bit-for-bit identical to [`farm_distribution_imperfect`]. The dense
+/// chain is assembled in `ctx.generator` and solved with GTH in
+/// `ctx.gth_scratch`, allocation-free; perfect coverage and farms past the
+/// sparse cutoff take the allocating path itself.
 ///
 /// The caller must have validated `params` already. State indexing mirrors
 /// the builder path exactly: operational state `i` at row `i`
@@ -418,30 +346,10 @@ fn farm_distribution_imperfect_compute(
     let c = params.coverage;
     let beta = params.reconfiguration_rate_per_hour;
 
-    if c >= 1.0 {
-        // Perfect coverage: the y states are unreachable; Figure 10
-        // degenerates to Figure 9.
-        farm_distribution_perfect_into(params, ctx)?;
-        ctx.farm_y.clear();
-        ctx.farm_y.resize(n, 0.0);
-        return Ok(());
-    }
-    if 2 * n + 1 > SPARSE_FARM_CUTOFF {
-        // Large farm: assemble the transition list in the context's
-        // reusable buffer and solve through the sparse pipeline; the
-        // dense `generator`/`gth_scratch` buffers are never grown to
-        // O(n²). Same-shape points reuse the cached CSR pattern instead
-        // of re-running the triplet sort-and-merge.
-        let mut transitions = std::mem::take(&mut ctx.farm_transitions);
-        transitions.clear();
-        push_imperfect_transitions(params, &mut transitions);
-        let chain = assemble_sparse_farm(n, c, &transitions, ctx);
-        ctx.farm_transitions = transitions;
-        let pi = chain?.steady_state()?;
-        ctx.farm_op.clear();
-        ctx.farm_op.extend_from_slice(&pi[..=n]);
-        ctx.farm_y.clear();
-        ctx.farm_y.extend_from_slice(&pi[n + 1..]);
+    if c >= 1.0 || 2 * n + 1 > SPARSE_FARM_CUTOFF {
+        // No dense chain to solve: Figure 10 degenerates to Figure 9, or
+        // the farm is too large for the O(n²) `generator` buffer.
+        (ctx.farm_op, ctx.farm_y) = farm_distribution_imperfect(params)?;
         return Ok(());
     }
 
@@ -480,60 +388,6 @@ fn farm_distribution_imperfect_compute(
     ctx.farm_y.clear();
     ctx.farm_y.extend_from_slice(&ctx.pi[n + 1..]);
     Ok(())
-}
-
-/// Assembles the sparse farm generator, reusing the context's cached CSR
-/// pattern when the farm shape (server count, presence of covered-failure
-/// transitions) matches the previous assembly.
-///
-/// The cached-pattern refill replays [`CsrMatrix::from_triplets`]'
-/// duplicate merge bitwise: each stored value starts at `0.0` and
-/// accumulates its triplet contributions in insertion order, which is the
-/// exact sequence of additions the sort-and-merge performs (a leading
-/// `0.0 +` is exact for every non-zero addend). The refilled buffer is
-/// revalidated through [`CsrMatrix::from_raw_parts`]; if validation
-/// rejects it — only possible when rates cancel to an explicit stored
-/// zero — the full triplet assembly runs instead.
-fn assemble_sparse_farm(
-    n: usize,
-    coverage: f64,
-    transitions: &[(usize, usize, f64)],
-    ctx: &mut EvalContext,
-) -> Result<SparseCtmc, TravelError> {
-    let covered = coverage > 0.0;
-    let reusable = matches!(
-        &ctx.farm_structure,
-        Some(s) if s.web_servers == n
-            && s.covered == covered
-            && s.slots.len() == 2 * transitions.len()
-    );
-    if !reusable {
-        let chain = SparseCtmc::from_transitions(2 * n + 1, transitions)?;
-        ctx.farm_structure = FarmStructure::extract(n, covered, transitions, chain.generator());
-        return Ok(chain);
-    }
-    let s = ctx.farm_structure.as_ref().expect("checked above");
-    let mut values = vec![0.0; s.col_indices.len()];
-    for (k, &(_, _, rate)) in transitions.iter().enumerate() {
-        values[s.slots[2 * k]] += rate;
-        values[s.slots[2 * k + 1]] += -rate;
-    }
-    let refilled = CsrMatrix::from_raw_parts(
-        2 * n + 1,
-        2 * n + 1,
-        s.row_offsets.clone(),
-        s.col_indices.clone(),
-        values,
-    )
-    .ok()
-    .and_then(|q| SparseCtmc::from_csr(q).ok());
-    match refilled {
-        Some(chain) => {
-            uavail_obs::counter_add("travel.farm.csr_reuses", 1);
-            Ok(chain)
-        }
-        None => Ok(SparseCtmc::from_transitions(2 * n + 1, transitions)?),
-    }
 }
 
 /// Closed-form state probabilities of the imperfect-coverage farm —
@@ -610,44 +464,6 @@ pub fn redundant_perfect_availability(params: &TaParameters) -> Result<f64, Trav
     Ok(composite_availability(&states)?)
 }
 
-/// Redundant-farm web-service availability with perfect coverage,
-/// computed entirely in `ctx`'s reusable buffers — the allocation-free
-/// twin of [`redundant_perfect_availability`], bit-for-bit identical.
-///
-/// # Errors
-///
-/// Propagates parameter-domain failures.
-pub fn redundant_perfect_availability_with(
-    params: &TaParameters,
-    ctx: &mut EvalContext,
-) -> Result<f64, TravelError> {
-    params.validate()?;
-    ctx.note_use();
-    let key = EvalContext::avail_key(true, params);
-    if let Some(&a) = ctx.avail_memo.get(&key) {
-        uavail_obs::trace_instant("travel.eval_context.memo_hit");
-        return Ok(a);
-    }
-    farm_distribution_perfect_into(params, ctx)?;
-    let EvalContext {
-        farm_op,
-        states,
-        dist_buf,
-        ..
-    } = ctx;
-    states.clear();
-    states.push(CompositeState::new(farm_op[0], 0.0)); // all servers down
-    for (i, &p) in farm_op.iter().enumerate().skip(1) {
-        states.push(CompositeState::new(
-            p,
-            1.0 - loss_probability_with(params, i, dist_buf)?,
-        ));
-    }
-    let a = composite_availability(states)?;
-    ctx.remember_availability(key, a);
-    Ok(a)
-}
-
 /// Redundant-farm web-service availability with imperfect coverage —
 /// equation (9):
 /// `A(WS) = 1 − [Σ_i Π_i p_K(i) + Σ_i Π_{y_i} + Π_0]`.
@@ -682,12 +498,12 @@ pub fn redundant_imperfect_availability_with(
 ) -> Result<f64, TravelError> {
     params.validate()?;
     ctx.note_use();
-    let key = EvalContext::avail_key(false, params);
+    let key = EvalContext::avail_key(params);
     if let Some(&a) = ctx.avail_memo.get(&key) {
         uavail_obs::trace_instant("travel.eval_context.memo_hit");
         return Ok(a);
     }
-    farm_distribution_imperfect_into(params, ctx)?;
+    farm_distribution_imperfect_compute(params, ctx)?;
     let EvalContext {
         farm_op,
         farm_y,
@@ -1054,55 +870,6 @@ mod tests {
             } else {
                 assert!((a - b).abs() < 1e-12, "{a} vs {b}");
             }
-        }
-    }
-
-    #[test]
-    fn farm_memo_replays_exact_bits() {
-        // A repeated parameter point must replay the stored solution of
-        // the first computation bit for bit — and both must equal the
-        // cold allocating path.
-        let p = params();
-        let (op_cold, y_cold) = farm_distribution_imperfect(&p).unwrap();
-        let mut ctx = EvalContext::new();
-        for _ in 0..2 {
-            farm_distribution_imperfect_with(&p, &mut ctx).unwrap();
-            for (a, b) in ctx.farm_op.iter().zip(&op_cold) {
-                assert_eq!(a.to_bits(), b.to_bits());
-            }
-            for (a, b) in ctx.farm_y.iter().zip(&y_cold) {
-                assert_eq!(a.to_bits(), b.to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn sparse_structure_reuse_is_bit_identical_across_rate_changes() {
-        // 600 servers routes the context path through the sparse
-        // assembler. Two different failure rates share the farm shape, so
-        // the second solve refills the cached CSR pattern — and must
-        // still produce the exact bits of the from-scratch sparse path.
-        let point = |lambda: f64| {
-            TaParameters::builder()
-                .web_servers(600)
-                .buffer_size(600)
-                .failure_rate_per_hour(lambda)
-                .build()
-                .unwrap()
-        };
-        let mut ctx = EvalContext::new();
-        farm_distribution_imperfect_with(&point(1e-6), &mut ctx).unwrap();
-        assert!(
-            ctx.farm_structure.is_some(),
-            "first sparse solve must cache the CSR pattern"
-        );
-        farm_distribution_imperfect_with(&point(2e-6), &mut ctx).unwrap();
-        let (op_cold, y_cold) = farm_distribution_imperfect_sparse(&point(2e-6)).unwrap();
-        for (a, b) in ctx.farm_op.iter().zip(&op_cold) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-        for (a, b) in ctx.farm_y.iter().zip(&y_cold) {
-            assert_eq!(a.to_bits(), b.to_bits());
         }
     }
 

@@ -1,11 +1,11 @@
 //! Bit-for-bit identity of the context-reusing web-service paths.
 //!
 //! The `EvalContext` plumbing behind the `/eval` query plane
-//! (`*_availability_with`, `steady_state_into` solves,
-//! `MMcK::with_distribution_buf`) must be pure plumbing: every reuse path
-//! executes the same floating-point operations in the same order as its
-//! allocating twin, so results agree to the last bit — not merely within
-//! tolerance. These tests compare raw bit patterns, including the paper's
+//! (`redundant_imperfect_availability_with`, `gth_steady_state_into`
+//! solves, `MMcK::with_distribution_buf`) must be pure plumbing: every
+//! reuse path executes the same floating-point operations in the same
+//! order as its allocating twin, so results agree to the last bit — not
+//! merely within tolerance. These tests compare raw bit patterns, including the paper's
 //! pinned headline values.
 
 use uavail_travel::{webservice, EvalContext, TaParameters};
@@ -45,21 +45,6 @@ fn context_path_pins_figure12_reversal() {
         a10 < a4,
         "expected reversal on context path: A(10) = {a10} should be below A(4) = {a4}"
     );
-}
-
-#[test]
-fn perfect_coverage_context_path_is_bit_identical() {
-    let mut ctx = EvalContext::new();
-    for (nw, alpha) in [(1usize, 50.0), (4, 100.0), (7, 150.0)] {
-        let p = TaParameters::builder()
-            .web_servers(nw)
-            .arrival_rate_per_second(alpha)
-            .build()
-            .unwrap();
-        let cold = webservice::redundant_perfect_availability(&p).unwrap();
-        let warm = webservice::redundant_perfect_availability_with(&p, &mut ctx).unwrap();
-        assert_eq!(warm.to_bits(), cold.to_bits(), "N_W={nw} α={alpha}");
-    }
 }
 
 #[test]
