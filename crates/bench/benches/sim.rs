@@ -59,7 +59,7 @@ fn bench_replicate(c: &mut Criterion) {
     let (seed, reps, horizon) = (20240601, 4, 200.0);
     c.bench_function("sim/replicate/history", |b| {
         b.iter(|| {
-            let obs = replicate(seed, reps, |rng, _| sim.run(rng, horizon)).unwrap();
+            let obs = replicate(seed, reps, 1, |rng, _| sim.run(rng, horizon)).unwrap();
             let fractions: Vec<f64> = obs.iter().map(|o| o.loss_fraction()).collect();
             black_box(batch_means(&fractions, reps))
         })

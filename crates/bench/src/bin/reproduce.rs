@@ -1,12 +1,15 @@
 //! Regenerates every table and figure of the DSN 2003 travel-agency paper.
 //!
 //! ```text
-//! reproduce [ARTIFACT] [--csv] [--parallel]
-//!           [--metrics <path>] [--trace <path>] [--bench-json <path>]
-//!           [--inject <spec>] [--inject-seed <n>]
-//!           [--port <p>] [--iterations <n>] [--workers <n>] [--queue <n>]
+//! reproduce [ARTIFACT] [--csv]
+//!           [--metrics <path>] [--trace <path>]
+//!           [--inject <spec>] [--inject-seed <n>]        (all but loadgen)
+//!           [--parallel]                  (fig11 fig12 validate session all)
+//!           [--bench-json <path>]                                  (bench)
+//!           [--port <p>] [--iterations <n>] [--workers <n>]
+//!           [--queue <n>]                                          (serve)
 //!           [--addr <host:port>] [--requests <n>] [--clients <n>]
-//!           [--spin-us <n>] [--seed <n>] [--deadline-ms <n>]
+//!           [--spin-us <n>] [--seed <n>] [--deadline-ms <n>]     (loadgen)
 //!
 //! ARTIFACT: table1 table2 table3 table4 table5 table6 table7 table8
 //!           fig11 fig12 fig13 revenue capacity ablation deadline
@@ -14,14 +17,25 @@
 //!           speedup bench simgate resilient serve loadgen all
 //! ```
 //!
+//! The artifact defaults to `all`, or to `bench` when `--bench-json` is
+//! given. Every flag is one row of the `FLAGS` table, and the command
+//! line is checked against it before anything runs (a violation exits 1
+//! with empty stdout):
+//!
+//! * each flag names the artifacts it applies to, as grouped above
+//!   (`--csv` applies to every artifact);
+//! * a value is given either as `--name value` or as `--name=value`;
+//! * a flag may be given at most once;
+//! * a value may not be empty and may not start with `--`, so a flag
+//!   whose value is missing never swallows the flag after it.
+//!
 //! `--parallel` runs the artifacts that have a multi-threaded form
 //! (fig11, fig12, validate, session — and `all`, which includes the two
-//! figures) on every core; any other artifact rejects the flag. The
-//! figures are the one `figure_sweep` driver with more worker threads, so
-//! their output is bit-for-bit identical to the serial run; the
-//! simulations pool deterministic independent replications instead of one
-//! long stream. `speedup` times serial vs parallel on the Figure 11/12
-//! sweep and reports the ratio.
+//! figures) on every core. The figures are the one `figure_sweep` driver
+//! with more worker threads, so their output is bit-for-bit identical to
+//! the serial run; the simulations pool deterministic independent
+//! replications instead of one long stream. `speedup` times serial vs
+//! parallel on the Figure 11/12 sweep and reports the ratio.
 //!
 //! `--metrics <path>` enables the `uavail-obs` recorder for the run and
 //! writes a JSON-lines artifact to `path`: one meta record, then one
@@ -66,9 +80,8 @@
 //! measurements as a JSON-lines artifact (schema `uavail-bench/v1`: one
 //! meta record, one record per benchmark with
 //! `name`/`mode`/`mean_ns`/`iters`, and one derived
-//! `<name>.context_speedup` record per cold/reuse pair). The flag
-//! implies the `bench` artifact when none is named; `bench` is excluded
-//! from `all` because it is a timing run, not a paper artifact.
+//! `<name>.context_speedup` record per cold/reuse pair). `bench` is
+//! excluded from `all` because it is a timing run, not a paper artifact.
 //!
 //! `simgate` is the simulation statistical gate: it runs the joint farm
 //! simulator (streaming batch-means replication) and the M/M/c/K queue
@@ -111,6 +124,7 @@
 //! Wilson z = 3.9 band excludes the server's own M/M/c/K predicted
 //! loss.
 
+use std::error::Error;
 use std::process::ExitCode;
 
 use uavail_bench::render;
@@ -118,11 +132,14 @@ use uavail_core::downtime::HOURS_PER_YEAR;
 use uavail_core::par::{default_threads, Exec, OnFailure};
 use uavail_travel::evaluation::{
     figure11, figure12, figure13, figure_grid, figure_sweep, min_web_servers_for, revenue_analysis,
-    table8, FigurePoint, FigureReport, PAPER_A_WS, PAPER_TABLE8,
+    table8, FigurePoint, PAPER_A_WS, PAPER_TABLE8,
 };
 use uavail_travel::fig2::Fig2Probabilities;
 use uavail_travel::functions::{self, TaFunction};
 use uavail_travel::report::{fmt_availability, fmt_unavailability, Table};
+use uavail_travel::session_sim::{
+    simulate_user_availability, simulate_user_availability_replicated,
+};
 use uavail_travel::sim_validation::{
     compressed_parameters, validate_web_service, validate_web_service_replicated,
     validate_web_service_streaming, ValidationReport,
@@ -132,364 +149,251 @@ use uavail_travel::{
     services, webservice, Architecture, Coverage, TaParameters, TravelAgencyModel, TravelError,
 };
 
-fn main() -> ExitCode {
-    let mut csv = false;
-    let mut parallel = false;
-    let mut metrics: Option<String> = None;
-    let mut trace: Option<String> = None;
-    let mut bench_json: Option<String> = None;
-    let mut inject: Option<String> = None;
-    let mut inject_seed: Option<u64> = None;
-    let mut port: Option<u16> = None;
-    let mut iterations: Option<usize> = None;
-    let mut workers: Option<usize> = None;
-    let mut queue_slots: Option<usize> = None;
-    let mut addr: Option<String> = None;
-    let mut requests: Option<u64> = None;
-    let mut clients: Option<usize> = None;
-    let mut spin_us: Option<u64> = None;
-    let mut load_seed: Option<u64> = None;
-    let mut deadline_ms: Option<u64> = None;
-    let mut artifact: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        if arg == "--csv" {
-            csv = true;
-        } else if arg == "--parallel" {
-            parallel = true;
-        } else if arg == "--inject" {
-            match args.next() {
-                Some(spec) => inject = Some(spec),
-                None => {
-                    eprintln!("reproduce: --inject requires a site spec (e.g. gth:1.0,panic:0.1)");
-                    return ExitCode::FAILURE;
-                }
-            }
-        } else if let Some(spec) = arg.strip_prefix("--inject=") {
-            inject = Some(spec.to_string());
-        } else if arg == "--inject-seed" {
-            match args.next().map(|v| v.parse::<u64>()) {
-                Some(Ok(seed)) => inject_seed = Some(seed),
-                _ => {
-                    eprintln!("reproduce: --inject-seed requires an unsigned integer");
-                    return ExitCode::FAILURE;
-                }
-            }
-        } else if let Some(seed_text) = arg.strip_prefix("--inject-seed=") {
-            match seed_text.parse::<u64>() {
-                Ok(seed) => inject_seed = Some(seed),
-                Err(_) => {
-                    eprintln!("reproduce: --inject-seed requires an unsigned integer");
-                    return ExitCode::FAILURE;
-                }
-            }
-        } else if arg == "--metrics" {
-            // The path is a positional value of the flag, not an artifact.
-            match args.next() {
-                Some(path) => metrics = Some(path),
-                None => {
-                    eprintln!("reproduce: --metrics requires a file path");
-                    return ExitCode::FAILURE;
-                }
-            }
-        } else if let Some(path) = arg.strip_prefix("--metrics=") {
-            metrics = Some(path.to_string());
-        } else if arg == "--trace" {
-            match args.next() {
-                Some(path) => trace = Some(path),
-                None => {
-                    eprintln!("reproduce: --trace requires a file path");
-                    return ExitCode::FAILURE;
-                }
-            }
-        } else if let Some(path) = arg.strip_prefix("--trace=") {
-            trace = Some(path.to_string());
-        } else if arg == "--bench-json" {
-            match args.next() {
-                Some(path) => bench_json = Some(path),
-                None => {
-                    eprintln!("reproduce: --bench-json requires a file path");
-                    return ExitCode::FAILURE;
-                }
-            }
-        } else if let Some(path) = arg.strip_prefix("--bench-json=") {
-            bench_json = Some(path.to_string());
-        } else if arg == "--port" {
-            match args.next().map(|v| v.parse::<u16>()) {
-                Some(Ok(p)) => port = Some(p),
-                _ => {
-                    eprintln!("reproduce: --port requires a port number (0 for ephemeral)");
-                    return ExitCode::FAILURE;
-                }
-            }
-        } else if let Some(p_text) = arg.strip_prefix("--port=") {
-            match p_text.parse::<u16>() {
-                Ok(p) => port = Some(p),
-                Err(_) => {
-                    eprintln!("reproduce: --port requires a port number (0 for ephemeral)");
-                    return ExitCode::FAILURE;
-                }
-            }
-        } else if arg == "--iterations" {
-            match args.next().map(|v| v.parse::<usize>()) {
-                Some(Ok(n)) => iterations = Some(n),
-                _ => {
-                    eprintln!("reproduce: --iterations requires a round count (0 to skip rounds)");
-                    return ExitCode::FAILURE;
-                }
-            }
-        } else if let Some(n_text) = arg.strip_prefix("--iterations=") {
-            match n_text.parse::<usize>() {
-                Ok(n) => iterations = Some(n),
-                _ => {
-                    eprintln!("reproduce: --iterations requires a round count (0 to skip rounds)");
-                    return ExitCode::FAILURE;
-                }
-            }
-        } else if arg == "--workers" {
-            match args.next().map(|v| v.parse::<usize>()) {
-                Some(Ok(n)) if n >= 1 => workers = Some(n),
-                _ => {
-                    eprintln!("reproduce: --workers requires at least one worker");
-                    return ExitCode::FAILURE;
-                }
-            }
-        } else if let Some(n_text) = arg.strip_prefix("--workers=") {
-            match n_text.parse::<usize>() {
-                Ok(n) if n >= 1 => workers = Some(n),
-                _ => {
-                    eprintln!("reproduce: --workers requires at least one worker");
-                    return ExitCode::FAILURE;
-                }
-            }
-        } else if arg == "--queue" {
-            match args.next().map(|v| v.parse::<usize>()) {
-                Some(Ok(n)) => queue_slots = Some(n),
-                _ => {
-                    eprintln!("reproduce: --queue requires a waiting-slot count");
-                    return ExitCode::FAILURE;
-                }
-            }
-        } else if let Some(n_text) = arg.strip_prefix("--queue=") {
-            match n_text.parse::<usize>() {
-                Ok(n) => queue_slots = Some(n),
-                _ => {
-                    eprintln!("reproduce: --queue requires a waiting-slot count");
-                    return ExitCode::FAILURE;
-                }
-            }
-        } else if arg == "--addr" {
-            match args.next() {
-                Some(a) => addr = Some(a),
-                None => {
-                    eprintln!("reproduce: --addr requires a host:port");
-                    return ExitCode::FAILURE;
-                }
-            }
-        } else if let Some(a) = arg.strip_prefix("--addr=") {
-            addr = Some(a.to_string());
-        } else if arg == "--requests" {
-            match args.next().map(|v| v.parse::<u64>()) {
-                Some(Ok(n)) if n >= 1 => requests = Some(n),
-                _ => {
-                    eprintln!("reproduce: --requests requires a request count of at least 1");
-                    return ExitCode::FAILURE;
-                }
-            }
-        } else if let Some(n_text) = arg.strip_prefix("--requests=") {
-            match n_text.parse::<u64>() {
-                Ok(n) if n >= 1 => requests = Some(n),
-                _ => {
-                    eprintln!("reproduce: --requests requires a request count of at least 1");
-                    return ExitCode::FAILURE;
-                }
-            }
-        } else if arg == "--clients" {
-            match args.next().map(|v| v.parse::<usize>()) {
-                Some(Ok(n)) if n >= 1 => clients = Some(n),
-                _ => {
-                    eprintln!("reproduce: --clients requires at least one client thread");
-                    return ExitCode::FAILURE;
-                }
-            }
-        } else if let Some(n_text) = arg.strip_prefix("--clients=") {
-            match n_text.parse::<usize>() {
-                Ok(n) if n >= 1 => clients = Some(n),
-                _ => {
-                    eprintln!("reproduce: --clients requires at least one client thread");
-                    return ExitCode::FAILURE;
-                }
-            }
-        } else if arg == "--spin-us" {
-            match args.next().map(|v| v.parse::<u64>()) {
-                Some(Ok(n)) => spin_us = Some(n),
-                _ => {
-                    eprintln!("reproduce: --spin-us requires a microsecond count");
-                    return ExitCode::FAILURE;
-                }
-            }
-        } else if let Some(n_text) = arg.strip_prefix("--spin-us=") {
-            match n_text.parse::<u64>() {
-                Ok(n) => spin_us = Some(n),
-                _ => {
-                    eprintln!("reproduce: --spin-us requires a microsecond count");
-                    return ExitCode::FAILURE;
-                }
-            }
-        } else if arg == "--seed" {
-            match args.next().map(|v| v.parse::<u64>()) {
-                Some(Ok(n)) => load_seed = Some(n),
-                _ => {
-                    eprintln!("reproduce: --seed requires an unsigned integer");
-                    return ExitCode::FAILURE;
-                }
-            }
-        } else if let Some(n_text) = arg.strip_prefix("--seed=") {
-            match n_text.parse::<u64>() {
-                Ok(n) => load_seed = Some(n),
-                _ => {
-                    eprintln!("reproduce: --seed requires an unsigned integer");
-                    return ExitCode::FAILURE;
-                }
-            }
-        } else if arg == "--deadline-ms" {
-            match args.next().map(|v| v.parse::<u64>()) {
-                Some(Ok(n)) => deadline_ms = Some(n),
-                _ => {
-                    eprintln!("reproduce: --deadline-ms requires a millisecond budget");
-                    return ExitCode::FAILURE;
-                }
-            }
-        } else if let Some(n_text) = arg.strip_prefix("--deadline-ms=") {
-            match n_text.parse::<u64>() {
-                Ok(n) => deadline_ms = Some(n),
-                _ => {
-                    eprintln!("reproduce: --deadline-ms requires a millisecond budget");
-                    return ExitCode::FAILURE;
-                }
-            }
-        } else if arg.starts_with("--") {
-            eprintln!("reproduce: unknown flag {arg:?}");
-            return ExitCode::FAILURE;
-        } else if artifact.is_none() {
-            artifact = Some(arg);
-        } else {
-            eprintln!("reproduce: unexpected argument {arg:?}");
-            return ExitCode::FAILURE;
-        }
-    }
-    // `--bench-json` without an artifact means "run the benches".
-    let artifact = artifact.unwrap_or_else(|| {
-        if bench_json.is_some() {
-            "bench".to_string()
-        } else {
-            "all".to_string()
-        }
-    });
-    if !ARTIFACTS.iter().any(|(name, _)| *name == artifact)
-        && !DRIVER_ARTIFACTS.contains(&artifact.as_str())
-    {
-        let names: Vec<&str> = ARTIFACTS
+/// One command-line flag: its name, what its value must be, and the
+/// artifacts it applies to.
+struct Flag(&'static str, Value, Scope);
+
+/// What follows a flag, as `--name value` or `--name=value`. The text
+/// completes the error "`--name` requires …".
+enum Value {
+    /// Nothing: the flag is a switch.
+    Switch,
+    /// Any text, such as a path, a site spec or an address.
+    Text(&'static str),
+    /// An unsigned integer in `min..=max`.
+    Int(u64, u64, &'static str),
+}
+
+/// The artifacts a flag applies to.
+enum Scope {
+    Only(&'static [&'static str]),
+    Except(&'static [&'static str]),
+}
+
+/// The recorder, trace and injection flags act on this process; `loadgen`
+/// is a pure client, so they belong on the server it floods.
+const NOT_LOADGEN: Scope = Scope::Except(&["loadgen"]);
+const SERVE: Scope = Scope::Only(&["serve"]);
+const LOADGEN: Scope = Scope::Only(&["loadgen"]);
+const USIZE_MAX: u64 = usize::MAX as u64;
+
+/// Every flag `reproduce` accepts.
+const FLAGS: &[Flag] = &[
+    Flag("--csv", Value::Switch, Scope::Except(&[])),
+    Flag(
+        "--parallel",
+        Value::Switch,
+        Scope::Only(&["fig11", "fig12", "validate", "session", "all"]),
+    ),
+    Flag("--metrics", Value::Text("a file path"), NOT_LOADGEN),
+    Flag("--trace", Value::Text("a file path"), NOT_LOADGEN),
+    Flag(
+        "--bench-json",
+        Value::Text("a file path"),
+        Scope::Only(&["bench"]),
+    ),
+    Flag(
+        "--inject",
+        Value::Text("a site spec (e.g. gth:1.0,panic:0.1)"),
+        NOT_LOADGEN,
+    ),
+    Flag(
+        "--inject-seed",
+        Value::Int(0, u64::MAX, "an unsigned integer"),
+        NOT_LOADGEN,
+    ),
+    Flag(
+        "--port",
+        Value::Int(0, u16::MAX as u64, "a port number (0 for ephemeral)"),
+        SERVE,
+    ),
+    Flag(
+        "--iterations",
+        Value::Int(0, USIZE_MAX, "a round count (0 to skip rounds)"),
+        SERVE,
+    ),
+    Flag(
+        "--workers",
+        Value::Int(1, USIZE_MAX, "at least one worker"),
+        SERVE,
+    ),
+    Flag(
+        "--queue",
+        Value::Int(0, USIZE_MAX, "a waiting-slot count"),
+        SERVE,
+    ),
+    Flag("--addr", Value::Text("a host:port"), LOADGEN),
+    Flag(
+        "--requests",
+        Value::Int(1, u64::MAX, "a request count of at least 1"),
+        LOADGEN,
+    ),
+    Flag(
+        "--clients",
+        Value::Int(1, USIZE_MAX, "at least one client thread"),
+        LOADGEN,
+    ),
+    Flag(
+        "--spin-us",
+        Value::Int(0, u64::MAX, "a microsecond count"),
+        LOADGEN,
+    ),
+    Flag(
+        "--seed",
+        Value::Int(0, u64::MAX, "an unsigned integer"),
+        LOADGEN,
+    ),
+    Flag(
+        "--deadline-ms",
+        Value::Int(0, u64::MAX, "a millisecond budget"),
+        LOADGEN,
+    ),
+];
+
+/// A checked command line: the artifact, plus each given flag with its
+/// value (empty for a switch).
+struct Args {
+    artifact: String,
+    given: Vec<(&'static Flag, String)>,
+}
+
+impl Args {
+    /// The value of flag `name`, if it was given.
+    fn text(&self, name: &str) -> Option<&str> {
+        assert!(FLAGS.iter().any(|f| f.0 == name), "{name} is not in FLAGS");
+        self.given
             .iter()
-            .map(|(name, _)| *name)
-            .chain(DRIVER_ARTIFACTS)
-            .collect();
-        eprintln!(
-            "reproduce: unknown artifact {artifact:?}; expected one of: {}",
+            .find(|(flag, _)| flag.0 == name)
+            .map(|(_, value)| value.as_str())
+    }
+
+    fn has(&self, name: &str) -> bool {
+        self.text(name).is_some()
+    }
+
+    /// The value of integer flag `name`, if it was given.
+    fn int<T: TryFrom<u64>>(&self, name: &str) -> Option<T> {
+        self.text(name).map(|value| {
+            value
+                .parse::<u64>()
+                .ok()
+                .and_then(|n| T::try_from(n).ok())
+                .expect("parse_args checked the value against the flag's range")
+        })
+    }
+}
+
+/// Checks a command line against [`FLAGS`], [`ARTIFACTS`] and
+/// [`DRIVERS`], so every usage error surfaces before anything runs.
+fn parse_args(mut raw: impl Iterator<Item = String>) -> Result<Args, String> {
+    let mut artifact = None;
+    let mut given: Vec<(&'static Flag, String)> = Vec::new();
+    while let Some(arg) = raw.next() {
+        if !arg.starts_with("--") {
+            if artifact.is_some() {
+                return Err(format!("unexpected argument {arg:?}"));
+            }
+            artifact = Some(arg);
+            continue;
+        }
+        let (name, inline) = match arg.split_once('=') {
+            Some((name, value)) => (name, Some(value.to_string())),
+            None => (arg.as_str(), None),
+        };
+        let Some(flag) = FLAGS.iter().find(|f| f.0 == name) else {
+            return Err(format!("unknown flag {arg:?}"));
+        };
+        let value = match flag.1 {
+            Value::Switch if inline.is_some() => return Err(format!("{name} takes no value")),
+            Value::Switch => String::new(),
+            Value::Text(what) | Value::Int(_, _, what) => inline
+                .or_else(|| raw.next())
+                .filter(|v| !v.is_empty() && !v.starts_with("--"))
+                .filter(|v| match flag.1 {
+                    Value::Int(min, max, _) => v.parse().is_ok_and(|n| (min..=max).contains(&n)),
+                    _ => true,
+                })
+                .ok_or_else(|| format!("{name} requires {what}"))?,
+        };
+        if given.iter().any(|(f, _)| f.0 == name) {
+            return Err(format!("{name} given twice"));
+        }
+        given.push((flag, value));
+    }
+    let has = |name: &str| given.iter().any(|(f, _)| f.0 == name);
+    let artifact =
+        artifact.unwrap_or_else(|| if has("--bench-json") { "bench" } else { "all" }.to_string());
+    let names = ARTIFACTS
+        .iter()
+        .map(|(name, _)| *name)
+        .chain(DRIVERS.iter().map(|(name, _)| *name));
+    if !names.clone().any(|name| name == artifact) {
+        let names: Vec<&str> = names.collect();
+        return Err(format!(
+            "unknown artifact {artifact:?}; expected one of: {}",
             names.join(", ")
-        );
-        return ExitCode::FAILURE;
+        ));
     }
-    if inject_seed.is_some() && inject.is_none() {
-        eprintln!("reproduce: --inject-seed only applies together with --inject");
-        return ExitCode::FAILURE;
+    for (Flag(name, _, scope), _) in &given {
+        match scope {
+            Scope::Only(list) if !list.contains(&artifact.as_str()) => {
+                return Err(format!("{name} only applies to {}", list.join(", ")));
+            }
+            Scope::Except(list) if list.contains(&artifact.as_str()) => {
+                return Err(format!("{name} does not apply to {artifact}"));
+            }
+            _ => {}
+        }
     }
-    if parallel
-        && !matches!(
-            artifact.as_str(),
-            "fig11" | "fig12" | "validate" | "session" | "all"
-        )
+    if has("--inject-seed") && !has("--inject") {
+        return Err("--inject-seed only applies together with --inject".to_string());
+    }
+    Ok(Args { artifact, given })
+}
+
+/// How a run ended; [`run`] maps it to the exit code.
+enum Outcome {
+    /// Completed: exit 0, or the [`exit_verdict`] of an injection run.
+    Clean,
+    /// Completed with typed failures recorded: exit 2.
+    Degraded,
+    /// Completed, but the artifact's own gate failed: exit 1.
+    Failed,
+}
+
+fn main() -> ExitCode {
+    match parse_args(std::env::args().skip(1))
+        .map_err(Box::from)
+        .and_then(|args| run(&args))
     {
-        eprintln!(
-            "reproduce: --parallel only applies to the fig11, fig12, validate, session and all artifacts"
-        );
-        return ExitCode::FAILURE;
-    }
-    if (port.is_some() || iterations.is_some() || workers.is_some() || queue_slots.is_some())
-        && artifact != "serve"
-    {
-        eprintln!(
-            "reproduce: --port, --iterations, --workers and --queue only apply to the `serve` artifact"
-        );
-        return ExitCode::FAILURE;
-    }
-    if (addr.is_some()
-        || requests.is_some()
-        || clients.is_some()
-        || spin_us.is_some()
-        || load_seed.is_some()
-        || deadline_ms.is_some())
-        && artifact != "loadgen"
-    {
-        eprintln!(
-            "reproduce: --addr, --requests, --clients, --spin-us, --seed and --deadline-ms only apply to the `loadgen` artifact"
-        );
-        return ExitCode::FAILURE;
-    }
-    if artifact == "loadgen" {
-        if bench_json.is_some() {
-            eprintln!("reproduce: --bench-json only applies to the `bench` artifact");
-            return ExitCode::FAILURE;
+        Ok(code) => code,
+        Err(e) => {
+            eprintln!("reproduce: {e}");
+            ExitCode::FAILURE
         }
-        if inject.is_some() || metrics.is_some() || trace.is_some() {
-            eprintln!(
-                "reproduce: loadgen is a pure client; --inject, --metrics and --trace apply to the server process"
-            );
-            return ExitCode::FAILURE;
-        }
-        let Some(addr) = addr else {
-            eprintln!(
-                "reproduce: loadgen requires --addr <host:port> (printed by `reproduce serve` as its listening line)"
-            );
-            return ExitCode::FAILURE;
-        };
-        let cfg = uavail_serve::loadgen::LoadGenConfig {
-            addr,
-            requests: requests.unwrap_or(2000),
-            clients: clients.unwrap_or(16),
-            spin_us: spin_us.unwrap_or(2000),
-            seed: load_seed.unwrap_or(42),
-            deadline_ms,
-            ..uavail_serve::loadgen::LoadGenConfig::default()
-        };
-        let report = uavail_serve::loadgen::run(&cfg);
-        print_loadgen(&report, &cfg, csv);
-        let violations = report.violations();
-        if violations.is_empty() {
-            println!("loadgen: overload contract held");
-            return ExitCode::SUCCESS;
-        }
-        for violation in &violations {
-            eprintln!("reproduce: loadgen: {violation}");
-        }
-        return ExitCode::FAILURE;
     }
+}
+
+/// Turns on recording, tracing and injection as the flags ask, runs the
+/// artifact, writes `--metrics` and `--trace`, and maps the outcome to
+/// the exit code. An error is fatal: nothing more is written.
+fn run(args: &Args) -> Result<ExitCode, Box<dyn Error>> {
     // Injection runs always record, so the degraded/clean verdict (and any
-    // `--metrics` artifact) can read the fault and recovery counters.
-    if metrics.is_some() || inject.is_some() {
+    // `--metrics` artifact) can read the fault and recovery counters. The
+    // serve plane records by definition: without the recorder there is
+    // nothing to serve.
+    if args.has("--metrics") || args.has("--inject") || args.artifact == "serve" {
         uavail_obs::set_enabled(true);
         uavail_obs::reset();
     }
-    if trace.is_some() {
+    if args.has("--trace") {
         uavail_obs::set_trace_enabled(true);
         uavail_obs::trace::reset();
     }
-    if let Some(spec) = &inject {
-        uavail_faultinject::set_seed(inject_seed.unwrap_or(0));
-        if let Err(e) = uavail_faultinject::arm_spec(spec) {
-            eprintln!("reproduce: --inject: {e}");
-            return ExitCode::FAILURE;
-        }
+    if let Some(spec) = args.text("--inject") {
+        let seed = args.int("--inject-seed").unwrap_or(0);
+        uavail_faultinject::set_seed(seed);
+        uavail_faultinject::arm_spec(spec).map_err(|e| format!("--inject: {e}"))?;
         uavail_faultinject::set_enabled(true);
         // Injected worker panics are caught and surfaced as typed
         // failures; the default hook would still print one backtrace per
@@ -500,192 +404,40 @@ fn main() -> ExitCode {
             .map(|(site, rate)| format!("{site}:{rate}"))
             .collect::<Vec<_>>()
             .join(", ");
-        eprintln!(
-            "injection armed (seed {}): {armed}",
-            inject_seed.unwrap_or(0)
-        );
+        eprintln!("injection armed (seed {seed}): {armed}");
     }
-    if artifact == "resilient" {
-        if bench_json.is_some() {
-            eprintln!("reproduce: --bench-json only applies to the `bench` artifact");
-            return ExitCode::FAILURE;
-        }
-        // Every core, every point: failures are reported, never fatal.
-        let exec = Exec {
-            threads: default_threads(),
-            on_failure: OnFailure::Report,
-        };
-        let report = {
-            let _run = uavail_obs::span("reproduce");
-            match figure_sweep(Coverage::Imperfect, &exec) {
-                Ok(report) => report,
-                Err(e) => {
-                    eprintln!("reproduce: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-        };
-        print_resilient(&report, csv);
-        if let Some(path) = metrics {
-            if let Err(e) = write_metrics(&path, &artifact, parallel, inject.as_deref()) {
-                eprintln!("reproduce: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-        if let Some(path) = trace {
-            if let Err(e) = write_trace(&path) {
-                eprintln!("reproduce: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-        return if report.is_complete() {
-            exit_verdict(inject.is_some())
-        } else {
-            ExitCode::from(2)
-        };
-    }
-    if artifact == "simgate" {
-        if bench_json.is_some() {
-            eprintln!("reproduce: --bench-json only applies to the `bench` artifact");
-            return ExitCode::FAILURE;
-        }
-        // Handled here rather than in `run` because a statistical
-        // disagreement is a gate failure (nonzero exit), not a fatal
-        // error in the ordinary sense.
-        let verdict = {
-            let _run = uavail_obs::span("reproduce");
-            run_simgate(csv)
-        };
-        let agreed = match verdict {
-            Ok(agreed) => agreed,
-            Err(e) => {
-                eprintln!("reproduce: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        if let Some(path) = metrics {
-            if let Err(e) = write_metrics(&path, &artifact, parallel, inject.as_deref()) {
-                eprintln!("reproduce: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-        if let Some(path) = trace {
-            if let Err(e) = write_trace(&path) {
-                eprintln!("reproduce: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-        if !agreed {
-            eprintln!("reproduce: simgate: a simulator disagrees with its analytic twin");
-            return ExitCode::FAILURE;
-        }
-        return exit_verdict(inject.is_some());
-    }
-    if artifact == "serve" {
-        if bench_json.is_some() {
-            eprintln!("reproduce: --bench-json only applies to the `bench` artifact");
-            return ExitCode::FAILURE;
-        }
-        // The plane records by definition — without the recorder there is
-        // nothing to serve. (`--metrics`/`--inject` already enabled it.)
-        if metrics.is_none() && inject.is_none() {
-            uavail_obs::set_enabled(true);
-            uavail_obs::reset();
-        }
-        let result = {
-            let _run = uavail_obs::span("reproduce");
-            run_serve(
-                port.unwrap_or(0),
-                iterations.unwrap_or(6),
-                workers,
-                queue_slots,
-                csv,
-            )
-        };
-        if let Err(e) = result {
-            eprintln!("reproduce: {e}");
-            return ExitCode::FAILURE;
-        }
-        if let Some(path) = metrics {
-            if let Err(e) = write_metrics(&path, &artifact, parallel, inject.as_deref()) {
-                eprintln!("reproduce: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-        if let Some(path) = trace {
-            if let Err(e) = write_trace(&path) {
-                eprintln!("reproduce: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-        return exit_verdict(inject.is_some());
-    }
-    if artifact == "bench" {
-        // The bench artifact is handled here rather than in `run` because
-        // the JSON emitter needs the raw measurements, not just stdout.
-        let measurements = {
-            let _run = uavail_obs::span("reproduce");
-            match run_context_benches() {
-                Ok(m) => m,
-                Err(e) => {
-                    eprintln!("reproduce: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-        };
-        print_bench_table(&measurements, csv);
-        if let Some(path) = bench_json {
-            if let Err(e) = write_bench_json(&path, &measurements) {
-                eprintln!("reproduce: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-        if let Some(path) = metrics {
-            if let Err(e) = write_metrics(&path, &artifact, parallel, inject.as_deref()) {
-                eprintln!("reproduce: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-        if let Some(path) = trace {
-            if let Err(e) = write_trace(&path) {
-                eprintln!("reproduce: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-        return exit_verdict(inject.is_some());
-    }
-    if bench_json.is_some() {
-        eprintln!("reproduce: --bench-json only applies to the `bench` artifact");
-        return ExitCode::FAILURE;
-    }
-    let result = {
+    let outcome = {
         let _run = uavail_obs::span("reproduce");
-        run(&artifact, csv, parallel)
+        match DRIVERS.iter().find(|(name, _)| *name == args.artifact) {
+            Some((_, driver)) => driver(args)?,
+            None => {
+                let (_, print) = ARTIFACTS
+                    .iter()
+                    .find(|(name, _)| *name == args.artifact)
+                    .expect("parse_args accepts only known artifacts");
+                print(args)?;
+                Outcome::Clean
+            }
+        }
     };
-    if let Err(e) = result {
-        eprintln!("reproduce: {e}");
-        return ExitCode::FAILURE;
+    if let Some(path) = args.text("--metrics") {
+        write_metrics(path, args)?;
     }
-    if let Some(path) = metrics {
-        if let Err(e) = write_metrics(&path, &artifact, parallel, inject.as_deref()) {
-            eprintln!("reproduce: {e}");
-            return ExitCode::FAILURE;
-        }
+    if let Some(path) = args.text("--trace") {
+        write_trace(path)?;
     }
-    if let Some(path) = trace {
-        if let Err(e) = write_trace(&path) {
-            eprintln!("reproduce: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
-    exit_verdict(inject.is_some())
+    Ok(match outcome {
+        Outcome::Clean => exit_verdict(args.has("--inject")),
+        Outcome::Degraded => ExitCode::from(2),
+        Outcome::Failed => ExitCode::FAILURE,
+    })
 }
 
-/// Exit-code taxonomy: 0 clean, 1 fatal (returned as `ExitCode::FAILURE`
-/// before reaching this point), 2 completed-degraded. Degradation is read
-/// from the recorder — which injection runs always enable — as either a
-/// resilient engine that recorded typed failures or a steady-state
-/// fallback that had to rescue a solve.
+/// Exit-code taxonomy: 0 clean, 1 fatal (an error or a failed gate), 2
+/// completed-degraded. This is the code of a clean outcome: degradation
+/// is read from the recorder — which injection runs always enable — as
+/// either a resilient engine that recorded typed failures or a
+/// steady-state fallback that had to rescue a solve.
 fn exit_verdict(injecting: bool) -> ExitCode {
     if !injecting {
         return ExitCode::SUCCESS;
@@ -702,10 +454,17 @@ fn exit_verdict(injecting: bool) -> ExitCode {
     }
 }
 
-/// Renders the resilient Figure 12 report: the full grid when every point
-/// evaluated, otherwise a summary plus one typed failure row per point the
-/// sweep survived losing.
-fn print_resilient(report: &FigureReport, csv: bool) {
+/// `resilient`: the Figure 12 sweep on every core under the `Report`
+/// failure policy. Prints the full grid when every point evaluated,
+/// otherwise a summary plus one typed failure row per point the sweep
+/// survived losing (a degraded outcome, never a fatal one).
+fn run_resilient(args: &Args) -> Result<Outcome, Box<dyn Error>> {
+    let csv = args.has("--csv");
+    let exec = Exec {
+        threads: default_threads(),
+        on_failure: OnFailure::Report,
+    };
+    let report = figure_sweep(Coverage::Imperfect, &exec)?;
     if report.is_complete() {
         figure_table(
             "Figure 12 — resilient sweep (imperfect coverage), all points evaluated",
@@ -716,7 +475,7 @@ fn print_resilient(report: &FigureReport, csv: bool) {
             "(panic-isolated engine; 0 of {} points failed)",
             report.points.len()
         );
-        return;
+        return Ok(Outcome::Clean);
     }
     let mut t = Table::new(
         "Figure 12 — resilient sweep (imperfect coverage), degraded",
@@ -746,6 +505,7 @@ fn print_resilient(report: &FigureReport, csv: bool) {
         ]);
     }
     print!("{}", render(&f, csv));
+    Ok(Outcome::Degraded)
 }
 
 /// Drains the collected trace events and writes them as a Chrome-trace
@@ -778,35 +538,29 @@ const SERVE_SEED: u64 = 20240601;
 const SERVE_HORIZON: f64 = 200_000.0;
 const SERVE_REPLICATIONS: usize = 8;
 
-/// Runs the resident evaluator with the telemetry plane attached: binds
-/// the listener, prints the bound address (machine-parseable by the CI
-/// smoke job), runs `iterations` pinned-seed evaluation rounds feeding
-/// the SLO monitor and the sliding windows — one telemetry-clock second
-/// per round — prints the measured-vs-analytic summary, then serves
-/// until a client requests `/shutdown`.
-fn run_serve(
-    port: u16,
-    iterations: usize,
-    workers: Option<usize>,
-    queue_slots: Option<usize>,
-    csv: bool,
-) -> Result<(), String> {
+/// `serve`: runs the resident evaluator with the telemetry plane
+/// attached: binds the listener on `--port`, prints the bound address
+/// (machine-parseable by the CI smoke job), runs `--iterations`
+/// pinned-seed evaluation rounds feeding the SLO monitor and the sliding
+/// windows — one telemetry-clock second per round — prints the
+/// measured-vs-analytic summary, then serves until a client requests
+/// `/shutdown`.
+fn run_serve(args: &Args) -> Result<Outcome, Box<dyn Error>> {
     use std::time::Instant;
 
     let params = TaParameters::paper_defaults();
-    let analytic =
-        webservice::redundant_imperfect_availability(&params).map_err(|e| e.to_string())?;
+    let analytic = webservice::redundant_imperfect_availability(&params)?;
     uavail_obs::slo_configure(uavail_obs::SloConfig {
         target_availability: Some(analytic),
         ..uavail_obs::SloConfig::default()
     });
-    let mut plane = uavail_serve::QueryPlaneConfig::default();
-    if let Some(c) = workers {
-        plane.workers = c;
-    }
-    if let Some(slots) = queue_slots {
-        plane.queue_slots = slots;
-    }
+    let defaults = uavail_serve::QueryPlaneConfig::default();
+    let plane = uavail_serve::QueryPlaneConfig {
+        workers: args.int("--workers").unwrap_or(defaults.workers),
+        queue_slots: args.int("--queue").unwrap_or(defaults.queue_slots),
+        ..defaults
+    };
+    let port: u16 = args.int("--port").unwrap_or(0);
     let server = uavail_serve::ObsServer::start_with(("127.0.0.1", port), plane)
         .map_err(|e| format!("serve: {e}"))?;
     println!("uavail-serve listening on http://{}", server.addr());
@@ -816,6 +570,7 @@ fn run_serve(
     );
 
     let threads = default_threads();
+    let iterations: usize = args.int("--iterations").unwrap_or(6);
     const EPOCH_NS: u64 = 1_000_000_000;
     for round in 0..iterations {
         // The telemetry clock advances one epoch per round; the window
@@ -829,8 +584,7 @@ fn run_serve(
             SERVE_SEED.wrapping_add(round as u64),
             SERVE_REPLICATIONS,
             threads,
-        )
-        .map_err(|e| e.to_string())?;
+        )?;
         uavail_obs::window_record("serve.eval_ns", started.elapsed().as_nanos() as u64);
     }
 
@@ -855,14 +609,44 @@ fn run_serve(
         ]);
         t.add_row(vec!["requests observed".into(), slo.total.to_string()]);
         t.add_row(vec!["slo state".into(), slo.state.as_str().into()]);
-        print!("{}", render(&t, csv));
+        print!("{}", render(&t, args.has("--csv")));
     }
 
     // The rounds (if any) are done and the logical clock stays frozen,
     // so the windowed state a scraper sees is exactly the summary above.
     println!("serve: evaluation rounds complete; serving until GET /shutdown");
     server.join();
-    Ok(())
+    Ok(Outcome::Clean)
+}
+
+/// `loadgen`: floods a running `serve` process with the closed-loop
+/// client and fails unless the overload contract held.
+fn run_loadgen(args: &Args) -> Result<Outcome, Box<dyn Error>> {
+    use uavail_serve::loadgen::LoadGenConfig;
+    let addr = args.text("--addr").ok_or(
+        "loadgen requires --addr <host:port> (printed by `reproduce serve` as its listening line)",
+    )?;
+    let defaults = LoadGenConfig::default();
+    let cfg = LoadGenConfig {
+        addr: addr.to_string(),
+        requests: args.int("--requests").unwrap_or(defaults.requests),
+        clients: args.int("--clients").unwrap_or(defaults.clients),
+        spin_us: args.int("--spin-us").unwrap_or(defaults.spin_us),
+        seed: args.int("--seed").unwrap_or(defaults.seed),
+        deadline_ms: args.int("--deadline-ms"),
+        ..defaults
+    };
+    let report = uavail_serve::loadgen::run(&cfg);
+    print_loadgen(&report, &cfg, args.has("--csv"));
+    let violations = report.violations();
+    if violations.is_empty() {
+        println!("loadgen: overload contract held");
+        return Ok(Outcome::Clean);
+    }
+    for violation in &violations {
+        eprintln!("reproduce: loadgen: {violation}");
+    }
+    Ok(Outcome::Failed)
 }
 
 /// Renders the loadgen flood tally plus the server's post-flood
@@ -1056,7 +840,7 @@ fn run_context_benches() -> Result<Vec<BenchMeasurement>, TravelError> {
         let reps = 4usize;
         let horizon = 1_000.0;
         let (mean_ns, iters) = time(|| {
-            let obs = replicate(20240601, reps, |rng, _| farm.run(rng, horizon))?;
+            let obs = replicate(20240601, reps, 1, |rng, _| farm.run(rng, horizon))?;
             let fractions: Vec<f64> = obs.iter().map(|o| o.loss_fraction()).collect();
             black_box(batch_means(&fractions, reps));
             Ok(())
@@ -1155,12 +939,15 @@ fn run_context_benches() -> Result<Vec<BenchMeasurement>, TravelError> {
     Ok(out)
 }
 
-fn print_bench_table(measurements: &[BenchMeasurement], csv: bool) {
+/// `bench`: times the cold drivers and the telemetry hot paths, prints
+/// the means and writes them to `--bench-json`.
+fn run_bench(args: &Args) -> Result<Outcome, Box<dyn Error>> {
+    let measurements = run_context_benches()?;
     let mut t = Table::new(
         "Bench — cold builds and warm SimContext reuse (in-process means)",
         vec!["case", "mode", "mean (ms)", "iters"],
     );
-    for m in measurements {
+    for m in &measurements {
         t.add_row(vec![
             m.name.to_string(),
             m.mode.to_string(),
@@ -1168,10 +955,14 @@ fn print_bench_table(measurements: &[BenchMeasurement], csv: bool) {
             m.iters.to_string(),
         ]);
     }
-    print!("{}", render(&t, csv));
-    for (name, speedup) in context_speedups(measurements) {
+    print!("{}", render(&t, args.has("--csv")));
+    for (name, speedup) in context_speedups(&measurements) {
         println!("{name}: context reuse is {speedup:.2}x faster than cold build");
     }
+    if let Some(path) = args.text("--bench-json") {
+        write_bench_json(path, &measurements)?;
+    }
+    Ok(Outcome::Clean)
 }
 
 /// `(name, cold_mean / reuse_mean)` for every case measured in both
@@ -1241,23 +1032,18 @@ fn write_bench_json(path: &str, measurements: &[BenchMeasurement]) -> Result<(),
 /// the snapshot records (counters, gauges, spans, histograms, labels) and
 /// a derived loss-cache hit rate. The artifact is validated by the
 /// in-tree JSON parser before anything touches the filesystem.
-fn write_metrics(
-    path: &str,
-    artifact: &str,
-    parallel: bool,
-    inject: Option<&str>,
-) -> Result<(), String> {
+fn write_metrics(path: &str, args: &Args) -> Result<(), String> {
     use uavail_obs::json::JsonValue;
     let snap = uavail_obs::snapshot();
     let mut out = String::new();
     let mut meta = vec![
         ("type", JsonValue::str("meta")),
         ("schema", JsonValue::str("uavail-obs/v1")),
-        ("artifact", JsonValue::str(artifact)),
-        ("parallel", JsonValue::Bool(parallel)),
+        ("artifact", JsonValue::str(&args.artifact)),
+        ("parallel", JsonValue::Bool(args.has("--parallel"))),
         ("threads", JsonValue::UInt(default_threads() as u64)),
     ];
-    if let Some(spec) = inject {
+    if let Some(spec) = args.text("--inject") {
         meta.push(("inject", JsonValue::str(spec)));
     }
     out.push_str(&JsonValue::object(meta).to_string());
@@ -1309,9 +1095,9 @@ fn write_metrics(
     Ok(())
 }
 
-type ArtifactFn = fn(bool) -> Result<(), TravelError>;
+type ArtifactFn = fn(&Args) -> Result<(), TravelError>;
 
-/// The artifacts [`run`] prints, in `all` order.
+/// The artifacts that print tables, in `all` order.
 const ARTIFACTS: &[(&str, ArtifactFn)] = &[
     ("table1", print_table1),
     ("table2", print_table2),
@@ -1339,47 +1125,35 @@ const ARTIFACTS: &[(&str, ArtifactFn)] = &[
     ("speedup", print_speedup),
 ];
 
-/// The artifacts `main` drives itself, because their exit code or output
-/// is more than a printed table.
-const DRIVER_ARTIFACTS: [&str; 6] = ["bench", "simgate", "resilient", "serve", "loadgen", "all"];
+type DriverFn = fn(&Args) -> Result<Outcome, Box<dyn Error>>;
 
-/// Swaps in the multi-threaded implementation for the artifacts that have
-/// one when `--parallel` is requested; everything else runs as-is.
-fn select(name: &str, serial: ArtifactFn, parallel: bool) -> ArtifactFn {
-    if !parallel {
-        return serial;
-    }
-    match name {
-        "fig11" => print_fig11_parallel,
-        "fig12" => print_fig12_parallel,
-        "validate" => print_validate_parallel,
-        "session" => print_session_parallel,
-        _ => serial,
-    }
-}
+/// The artifacts whose outcome is more than a printed table.
+const DRIVERS: &[(&str, DriverFn)] = &[
+    ("bench", run_bench),
+    ("simgate", run_simgate),
+    ("resilient", run_resilient),
+    ("serve", run_serve),
+    ("loadgen", run_loadgen),
+    ("all", run_all),
+];
 
-fn run(artifact: &str, csv: bool, parallel: bool) -> Result<(), TravelError> {
-    if artifact == "all" {
-        for (name, f) in ARTIFACTS {
-            if *name == "validate" || *name == "session" || *name == "speedup" {
-                // Simulations and timing runs take tens of seconds; only
-                // on request.
-                println!("(skipping `{name}` in `all`; run `reproduce {name}`)\n");
-                continue;
-            }
-            select(name, *f, parallel)(csv)?;
-            println!();
+/// `all`: every artifact of [`ARTIFACTS`], in order, but `validate`,
+/// `session` and `speedup`.
+fn run_all(args: &Args) -> Result<Outcome, Box<dyn Error>> {
+    for (name, print) in ARTIFACTS {
+        if matches!(*name, "validate" | "session" | "speedup") {
+            // Simulation cross-checks and the timing run are not paper
+            // tables; they run only on request.
+            println!("(skipping `{name}` in `all`; run `reproduce {name}`)\n");
+            continue;
         }
-        return Ok(());
+        print(args)?;
+        println!();
     }
-    let (name, f) = ARTIFACTS
-        .iter()
-        .find(|(name, _)| *name == artifact)
-        .expect("main rejects unknown artifacts");
-    select(name, *f, parallel)(csv)
+    Ok(Outcome::Clean)
 }
 
-fn print_table1(csv: bool) -> Result<(), TravelError> {
+fn print_table1(args: &Args) -> Result<(), TravelError> {
     let mut t = Table::new(
         "Table 1 — user scenario probabilities (%)",
         vec!["scenario", "class A", "class B"],
@@ -1393,11 +1167,11 @@ fn print_table1(csv: bool) -> Result<(), TravelError> {
             format!("{:.1}", sb.probability * 100.0),
         ]);
     }
-    print!("{}", render(&t, csv));
+    print!("{}", render(&t, args.has("--csv")));
     Ok(())
 }
 
-fn print_table2(csv: bool) -> Result<(), TravelError> {
+fn print_table2(args: &Args) -> Result<(), TravelError> {
     let mut t = Table::new(
         "Table 2 — mapping between functions and services",
         vec!["function", "services"],
@@ -1405,11 +1179,11 @@ fn print_table2(csv: bool) -> Result<(), TravelError> {
     for (f, svcs) in functions::service_mapping() {
         t.add_row(vec![f.name().to_string(), svcs.join(", ")]);
     }
-    print!("{}", render(&t, csv));
+    print!("{}", render(&t, args.has("--csv")));
     Ok(())
 }
 
-fn print_table3(csv: bool) -> Result<(), TravelError> {
+fn print_table3(args: &Args) -> Result<(), TravelError> {
     let mut t = Table::new(
         "Table 3 — external service availability (A_sys = 0.9)",
         vec!["N_F = N_H = N_C", "A(Flight)=A(Hotel)=A(Car)", "A(Payment)"],
@@ -1422,11 +1196,11 @@ fn print_table3(csv: bool) -> Result<(), TravelError> {
             fmt_availability(services::payment(&p)),
         ]);
     }
-    print!("{}", render(&t, csv));
+    print!("{}", render(&t, args.has("--csv")));
     Ok(())
 }
 
-fn print_table4(csv: bool) -> Result<(), TravelError> {
+fn print_table4(args: &Args) -> Result<(), TravelError> {
     let p = TaParameters::paper_defaults();
     let mut t = Table::new(
         "Table 4 — application and database service availability",
@@ -1442,11 +1216,11 @@ fn print_table4(csv: bool) -> Result<(), TravelError> {
         fmt_availability(services::database(&p, Architecture::Basic)?),
         fmt_availability(services::database(&p, Architecture::paper_reference())?),
     ]);
-    print!("{}", render(&t, csv));
+    print!("{}", render(&t, args.has("--csv")));
     Ok(())
 }
 
-fn print_table5(csv: bool) -> Result<(), TravelError> {
+fn print_table5(args: &Args) -> Result<(), TravelError> {
     let p = TaParameters::paper_defaults();
     let mut t = Table::new(
         "Table 5 — web service availability (reference parameters)",
@@ -1466,7 +1240,7 @@ fn print_table5(csv: bool) -> Result<(), TravelError> {
             fmt_unavailability(1.0 - a),
         ]);
     }
-    print!("{}", render(&t, csv));
+    print!("{}", render(&t, args.has("--csv")));
     println!(
         "paper A(WS) = {PAPER_A_WS:.9}; reproduced = {imperfect:.9} \
          (delta {:.1e})",
@@ -1475,7 +1249,7 @@ fn print_table5(csv: bool) -> Result<(), TravelError> {
     Ok(())
 }
 
-fn print_table6(csv: bool) -> Result<(), TravelError> {
+fn print_table6(args: &Args) -> Result<(), TravelError> {
     let model = TravelAgencyModel::new(
         TaParameters::paper_defaults(),
         Architecture::paper_reference(),
@@ -1492,11 +1266,11 @@ fn print_table6(csv: bool) -> Result<(), TravelError> {
             format!("{:.1}", (1.0 - a) * HOURS_PER_YEAR),
         ]);
     }
-    print!("{}", render(&t, csv));
+    print!("{}", render(&t, args.has("--csv")));
     Ok(())
 }
 
-fn print_table7(csv: bool) -> Result<(), TravelError> {
+fn print_table7(args: &Args) -> Result<(), TravelError> {
     let p = TaParameters::paper_defaults();
     let mut t = Table::new("Table 7 — model parameters", vec!["parameter", "value"]);
     let rows: Vec<(&str, String)> = vec![
@@ -1524,11 +1298,11 @@ fn print_table7(csv: bool) -> Result<(), TravelError> {
     for (k, v) in rows {
         t.add_row(vec![k.into(), v]);
     }
-    print!("{}", render(&t, csv));
+    print!("{}", render(&t, args.has("--csv")));
     Ok(())
 }
 
-fn print_table8(csv: bool) -> Result<(), TravelError> {
+fn print_table8(args: &Args) -> Result<(), TravelError> {
     let rows = table8()?;
     let mut t = Table::new(
         "Table 8 — user availability vs N_F = N_H = N_C",
@@ -1544,7 +1318,7 @@ fn print_table8(csv: bool) -> Result<(), TravelError> {
             fmt_availability(pb),
         ]);
     }
-    print!("{}", render(&t, csv));
+    print!("{}", render(&t, args.has("--csv")));
     Ok(())
 }
 
@@ -1577,55 +1351,43 @@ fn figure_table(title: &str, points: &[FigurePoint], csv: bool) {
     print!("{}", render(&t, csv));
 }
 
-fn print_fig11(csv: bool) -> Result<(), TravelError> {
-    let points = figure11()?;
-    figure_table(
+fn print_fig11(args: &Args) -> Result<(), TravelError> {
+    print_figure(
         "Figure 11 — web service unavailability vs N_W (perfect coverage)",
-        &points,
-        csv,
-    );
-    Ok(())
+        Coverage::Perfect,
+        args,
+    )
 }
 
-fn print_fig12(csv: bool) -> Result<(), TravelError> {
-    let points = figure12()?;
-    figure_table(
+fn print_fig12(args: &Args) -> Result<(), TravelError> {
+    print_figure(
         "Figure 12 — web service unavailability vs N_W (imperfect coverage)",
-        &points,
-        csv,
-    );
+        Coverage::Imperfect,
+        args,
+    )
+}
+
+/// One figure sweep, on every core under `--parallel`: the points are
+/// bit-for-bit those of the serial sweep.
+fn print_figure(title: &str, coverage: Coverage, args: &Args) -> Result<(), TravelError> {
+    let parallel = args.has("--parallel");
+    let exec = if parallel {
+        Exec::parallel()
+    } else {
+        Exec::serial()
+    };
+    let points = figure_sweep(coverage, &exec)?.points;
+    figure_table(title, &points, args.has("--csv"));
+    if parallel {
+        println!(
+            "(computed on {} threads; identical to the serial sweep)",
+            exec.threads
+        );
+    }
     Ok(())
 }
 
-fn print_fig11_parallel(csv: bool) -> Result<(), TravelError> {
-    let points = figure_sweep(Coverage::Perfect, &Exec::parallel())?.points;
-    figure_table(
-        "Figure 11 — web service unavailability vs N_W (perfect coverage)",
-        &points,
-        csv,
-    );
-    println!(
-        "(computed on {} threads; identical to the serial sweep)",
-        default_threads()
-    );
-    Ok(())
-}
-
-fn print_fig12_parallel(csv: bool) -> Result<(), TravelError> {
-    let points = figure_sweep(Coverage::Imperfect, &Exec::parallel())?.points;
-    figure_table(
-        "Figure 12 — web service unavailability vs N_W (imperfect coverage)",
-        &points,
-        csv,
-    );
-    println!(
-        "(computed on {} threads; identical to the serial sweep)",
-        default_threads()
-    );
-    Ok(())
-}
-
-fn print_fig13(csv: bool) -> Result<(), TravelError> {
+fn print_fig13(args: &Args) -> Result<(), TravelError> {
     for class in [class_a(), class_b()] {
         let breakdown = figure13(&class)?;
         let mut t = Table::new(
@@ -1647,13 +1409,13 @@ fn print_fig13(csv: bool) -> Result<(), TravelError> {
             fmt_unavailability(breakdown.total_unavailability),
             format!("{:.1}", breakdown.total_unavailability * HOURS_PER_YEAR),
         ]);
-        print!("{}", render(&t, csv));
+        print!("{}", render(&t, args.has("--csv")));
         println!();
     }
     Ok(())
 }
 
-fn print_revenue(csv: bool) -> Result<(), TravelError> {
+fn print_revenue(args: &Args) -> Result<(), TravelError> {
     let mut t = Table::new(
         "Section 5.2 — revenue loss (100 tx/s, $100/tx)",
         vec![
@@ -1672,11 +1434,11 @@ fn print_revenue(csv: bool) -> Result<(), TravelError> {
             format!("{:.3e}", r.lost_revenue),
         ]);
     }
-    print!("{}", render(&t, csv));
+    print!("{}", render(&t, args.has("--csv")));
     Ok(())
 }
 
-fn print_capacity(csv: bool) -> Result<(), TravelError> {
+fn print_capacity(args: &Args) -> Result<(), TravelError> {
     let mut t = Table::new(
         "Section 5.1 — minimum N_W for unavailability < 1e-5 (imperfect coverage)",
         vec!["lambda (1/h)", "alpha (1/s)", "min N_W"],
@@ -1691,11 +1453,12 @@ fn print_capacity(csv: bool) -> Result<(), TravelError> {
             ]);
         }
     }
-    print!("{}", render(&t, csv));
+    print!("{}", render(&t, args.has("--csv")));
     Ok(())
 }
 
-fn print_ablation(csv: bool) -> Result<(), TravelError> {
+fn print_ablation(args: &Args) -> Result<(), TravelError> {
+    let csv = args.has("--csv");
     // Ablation 1: coverage sweep at N_W = 8 shows why imperfect coverage
     // reverses the redundancy benefit.
     let mut t = Table::new(
@@ -1758,7 +1521,7 @@ fn print_ablation(csv: bool) -> Result<(), TravelError> {
     Ok(())
 }
 
-fn print_deadline(csv: bool) -> Result<(), TravelError> {
+fn print_deadline(args: &Args) -> Result<(), TravelError> {
     // The paper's future-work measure: requests failing when slower than τ.
     let p = TaParameters::paper_defaults();
     let mut t = Table::new(
@@ -1774,7 +1537,7 @@ fn print_deadline(csv: bool) -> Result<(), TravelError> {
             format!("{:.9}", point.classical_availability),
         ]);
     }
-    print!("{}", render(&t, csv));
+    print!("{}", render(&t, args.has("--csv")));
     let strict = uavail_travel::extensions::min_web_servers_for_deadline(1e-3, 0.1, &p, 10)?;
     println!(
         "min N_W for unavailability < 1e-3 under a 100 ms deadline: {}",
@@ -1783,7 +1546,7 @@ fn print_deadline(csv: bool) -> Result<(), TravelError> {
     Ok(())
 }
 
-fn print_maintenance(csv: bool) -> Result<(), TravelError> {
+fn print_maintenance(args: &Args) -> Result<(), TravelError> {
     use uavail_travel::maintenance::{web_availability, RepairStrategy};
     // Visible failure dynamics so strategies separate.
     let p = TaParameters::builder()
@@ -1809,11 +1572,11 @@ fn print_maintenance(csv: bool) -> Result<(), TravelError> {
             fmt_unavailability(1.0 - a),
         ]);
     }
-    print!("{}", render(&t, csv));
+    print!("{}", render(&t, args.has("--csv")));
     Ok(())
 }
 
-fn print_multisite(csv: bool) -> Result<(), TravelError> {
+fn print_multisite(args: &Args) -> Result<(), TravelError> {
     use uavail_travel::multisite::MultiSiteModel;
     let mut t = Table::new(
         "Extension — geographically distributed sites (§3.3 option)",
@@ -1831,12 +1594,12 @@ fn print_multisite(csv: bool) -> Result<(), TravelError> {
             fmt_availability(m.user_availability(&class_b())?),
         ]);
     }
-    print!("{}", render(&t, csv));
+    print!("{}", render(&t, args.has("--csv")));
     println!("(conservative composition: per-site platform folded into one factor)");
     Ok(())
 }
 
-fn print_ramp(csv: bool) -> Result<(), TravelError> {
+fn print_ramp(args: &Args) -> Result<(), TravelError> {
     use uavail_travel::transient::user_availability_ramp;
     let mut t = Table::new(
         "Extension — transient user availability after deployment (µ = 1/h)",
@@ -1865,7 +1628,7 @@ fn print_ramp(csv: bool) -> Result<(), TravelError> {
             fmt_availability(pb.availability),
         ]);
     }
-    print!("{}", render(&t, csv));
+    print!("{}", render(&t, args.has("--csv")));
     Ok(())
 }
 
@@ -1881,7 +1644,7 @@ fn fit_fig2() -> Result<[(Fig2Probabilities, f64); 2], TravelError> {
     Ok([a, b])
 }
 
-fn print_fit(csv: bool) -> Result<(), TravelError> {
+fn print_fit(args: &Args) -> Result<(), TravelError> {
     let mut t = Table::new(
         "Extension — Figure 2 transition probabilities fitted to Table 1",
         vec!["parameter", "class A", "class B"],
@@ -1904,12 +1667,13 @@ fn print_fit(csv: bool) -> Result<(), TravelError> {
     for (name, a, b) in rows {
         t.add_row(vec![name.into(), format!("{a:.4}"), format!("{b:.4}")]);
     }
-    print!("{}", render(&t, csv));
+    print!("{}", render(&t, args.has("--csv")));
     println!("squared fit error: class A {err_a:.2e}, class B {err_b:.2e}");
     Ok(())
 }
 
-fn print_fta(csv: bool) -> Result<(), TravelError> {
+fn print_fta(args: &Args) -> Result<(), TravelError> {
+    let csv = args.has("--csv");
     use uavail_travel::fta::{failure_probabilities, function_fault_tree};
     let p = TaParameters::paper_defaults().with_reservation_systems(2);
     let arch = Architecture::paper_reference();
@@ -1949,7 +1713,7 @@ fn print_fta(csv: bool) -> Result<(), TravelError> {
     Ok(())
 }
 
-fn print_mttf(csv: bool) -> Result<(), TravelError> {
+fn print_mttf(args: &Args) -> Result<(), TravelError> {
     let mut t = Table::new(
         "Web-service MTTF (hours from all-up to service-down)",
         vec!["N_W", "coverage", "MTTF (h)", "MTTF (years)"],
@@ -1969,27 +1733,42 @@ fn print_mttf(csv: bool) -> Result<(), TravelError> {
             ]);
         }
     }
-    print!("{}", render(&t, csv));
+    print!("{}", render(&t, args.has("--csv")));
     Ok(())
 }
 
-fn print_session(csv: bool) -> Result<(), TravelError> {
+/// Under `--parallel` the same total session count (4 × 50 000) is
+/// pooled from deterministic replications on every core.
+fn print_session(args: &Args) -> Result<(), TravelError> {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    let parallel = args.has("--parallel");
+    let threads = default_threads();
     let params = TaParameters::paper_defaults();
+    let architecture = Architecture::paper_reference();
     let mut t = Table::new(
-        "Validation — equation (10) vs end-to-end session simulation",
+        if parallel {
+            "Validation — equation (10) vs pooled parallel session simulation"
+        } else {
+            "Validation — equation (10) vs end-to-end session simulation"
+        },
         vec!["class", "analytic A(user)", "simulated", "99.99% CI"],
     );
     for class in [class_a(), class_b()] {
-        let mut rng = StdRng::seed_from_u64(20240601);
-        let obs = uavail_travel::session_sim::simulate_user_availability(
-            &mut rng,
-            &class,
-            &params,
-            Architecture::paper_reference(),
-            200_000,
-        )?;
+        let obs = if parallel {
+            simulate_user_availability_replicated(
+                20240601,
+                &class,
+                &params,
+                architecture,
+                50_000,
+                4,
+                threads,
+            )?
+        } else {
+            let mut rng = StdRng::seed_from_u64(20240601);
+            simulate_user_availability(&mut rng, &class, &params, architecture, 200_000)?
+        };
         let (lo, hi) = obs.confidence_interval(3.9);
         t.add_row(vec![
             class.name().to_string(),
@@ -1998,73 +1777,40 @@ fn print_session(csv: bool) -> Result<(), TravelError> {
             format!("[{lo:.5}, {hi:.5}]"),
         ]);
     }
-    print!("{}", render(&t, csv));
+    print!("{}", render(&t, args.has("--csv")));
+    if parallel {
+        println!("(4 replications of 50000 sessions on {threads} threads)");
+    }
     Ok(())
 }
 
-fn print_validate(csv: bool) -> Result<(), TravelError> {
+/// Under `--parallel` the same simulated time budget (4 × 7 500 = 30 000
+/// units) is split into deterministic independent replications that run
+/// on every core and pool into one confidence interval.
+fn print_validate(args: &Args) -> Result<(), TravelError> {
     let params = compressed_parameters();
-    let report = validate_web_service(&params, 30_000.0, 20240601)?;
-    validation_table(
-        "Validation — analytic (eq. 9) vs joint discrete-event simulation",
-        &report,
-        csv,
-    );
-    Ok(())
-}
-
-fn print_validate_parallel(csv: bool) -> Result<(), TravelError> {
-    // Same simulated time budget as the serial artifact (4 × 7 500 =
-    // 30 000 units), split into deterministic independent replications
-    // that run on all cores and pool into one confidence interval.
-    let params = compressed_parameters();
-    let report = validate_web_service_replicated(&params, 7_500.0, 20240601, 4)?;
+    let csv = args.has("--csv");
+    if !args.has("--parallel") {
+        let report = validate_web_service(&params, 30_000.0, 20240601)?;
+        validation_table(
+            "Validation — analytic (eq. 9) vs joint discrete-event simulation",
+            &report,
+            csv,
+        );
+        return Ok(());
+    }
+    let threads = default_threads();
+    let report = validate_web_service_replicated(&params, 7_500.0, 20240601, 4, threads)?;
     validation_table(
         "Validation — analytic (eq. 9) vs 4 pooled parallel replications",
         &report,
         csv,
     );
-    println!(
-        "(4 replications of 7500 time units on {} threads)",
-        default_threads()
-    );
+    println!("(4 replications of 7500 time units on {threads} threads)");
     Ok(())
 }
 
-fn print_session_parallel(csv: bool) -> Result<(), TravelError> {
-    // Same total session count as the serial artifact (4 × 50 000),
-    // pooled from deterministic replications.
-    let params = TaParameters::paper_defaults();
-    let mut t = Table::new(
-        "Validation — equation (10) vs pooled parallel session simulation",
-        vec!["class", "analytic A(user)", "simulated", "99.99% CI"],
-    );
-    for class in [class_a(), class_b()] {
-        let obs = uavail_travel::session_sim::simulate_user_availability_replicated(
-            20240601,
-            &class,
-            &params,
-            Architecture::paper_reference(),
-            50_000,
-            4,
-        )?;
-        let (lo, hi) = obs.confidence_interval(3.9);
-        t.add_row(vec![
-            class.name().to_string(),
-            format!("{:.5}", obs.analytic),
-            format!("{:.5}", obs.availability()),
-            format!("[{lo:.5}, {hi:.5}]"),
-        ]);
-    }
-    print!("{}", render(&t, csv));
-    println!(
-        "(4 replications of 50000 sessions on {} threads)",
-        default_threads()
-    );
-    Ok(())
-}
-
-fn print_speedup(csv: bool) -> Result<(), TravelError> {
+fn print_speedup(args: &Args) -> Result<(), TravelError> {
     use std::hint::black_box;
     use std::time::Instant;
 
@@ -2122,7 +1868,7 @@ fn print_speedup(csv: bool) -> Result<(), TravelError> {
     ]);
     t.add_row(vec!["speedup".into(), format!("{speedup:.2}x")]);
     t.add_row(vec!["results identical".into(), "true".into()]);
-    print!("{}", render(&t, csv));
+    print!("{}", render(&t, args.has("--csv")));
     if threads >= 4 && speedup < 2.0 {
         eprintln!("warning: expected >= 2x speedup on {threads} threads, got {speedup:.2}x");
     }
@@ -2137,16 +1883,17 @@ fn print_speedup(csv: bool) -> Result<(), TravelError> {
 /// coverage) against both the pooled Wilson interval and the
 /// batch-means interval. Gate 2 runs the M/M/c/K queue simulator and
 /// checks the analytic Erlang blocking probability against the pooled
-/// Wilson interval over the replicated loss counts. Returns `Ok(false)`
-/// — which `main` turns into a nonzero exit — when either analytic twin
-/// falls outside its simulation interval.
-fn run_simgate(csv: bool) -> Result<bool, TravelError> {
+/// Wilson interval over the replicated loss counts. The outcome is
+/// `Failed` — a nonzero exit — when either analytic twin falls outside
+/// its simulation interval.
+fn run_simgate(args: &Args) -> Result<Outcome, Box<dyn Error>> {
     use uavail_queueing::BirthDeathQueue;
     use uavail_sim::replicate::replicate_fold_threads;
     use uavail_sim::stats::{Proportion, StreamingBatchMeans};
     use uavail_sim::{QueueSimulation, SimError};
 
     let threads = default_threads();
+    let csv = args.has("--csv");
 
     // The farm validator feeds its pooled outcomes straight into the
     // live SLO monitor (see `sim_validation`); configuring the monitor
@@ -2273,7 +2020,12 @@ fn run_simgate(csv: bool) -> Result<bool, TravelError> {
     if !slo_ok {
         eprintln!("simgate: the SLO monitor's verdict disagrees with the gate");
     }
-    Ok(farm_ok && queue_ok && slo_ok)
+    if farm_ok && queue_ok && slo_ok {
+        Ok(Outcome::Clean)
+    } else {
+        eprintln!("reproduce: simgate: a simulator disagrees with its analytic twin");
+        Ok(Outcome::Failed)
+    }
 }
 
 fn validation_table(title: &str, report: &ValidationReport, csv: bool) {

@@ -18,10 +18,11 @@
 //!   confidence intervals, batch means (one-shot and streaming).
 //! * [`rng`] — sampling helpers on top of any [`rand::Rng`]: exponential
 //!   inversion and O(1) Walker/Vose alias tables.
-//! * [`replicate`] — deterministic independent replications, serially or
-//!   on all cores with bit-for-bit identical results (each replication
-//!   owns an RNG stream derived from the base seed), including streaming
-//!   fold variants that never materialize per-replication histories.
+//! * [`replicate`] — deterministic independent replications on any
+//!   number of worker threads with bit-for-bit identical results (each
+//!   replication owns an RNG stream derived from the base seed): one
+//!   history driver, plus streaming fold drivers that never materialize
+//!   per-replication histories.
 //! * [`AlternatingRenewal`] — up/down component simulation; validates
 //!   two-state availability `µ/(λ+µ)`.
 //! * [`QueueSimulation`] — M/M/c/K loss simulation; validates the

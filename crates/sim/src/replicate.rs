@@ -6,21 +6,22 @@
 //! module does the standard thing instead: every replication gets its own
 //! generator, seeded from the base seed through a SplitMix64 scrambler,
 //! so replication `k` consumes an identical stream no matter which thread
-//! runs it or in which order. Serial and parallel execution are therefore
-//! **bit-for-bit identical**, and any single replication can be re-run in
-//! isolation for debugging.
+//! runs it or in which order. Results are therefore **bit-for-bit
+//! identical** for every thread count, and any single replication can be
+//! re-run in isolation for debugging.
 //!
-//! Two API families share those streams: the history-based
-//! [`replicate`] / [`replicate_parallel`] (one `Vec` of observations,
-//! right for small batches that need every value) and the streaming
-//! [`replicate_fold`] / [`replicate_fold_threads`] (observations folded
-//! in index order into online reducers such as
-//! [`crate::stats::StreamingBatchMeans`], right for production-scale
-//! batches where the history itself is the memory bill).
+//! Two drivers share those streams, each taking the worker-thread count:
+//! the history-based [`replicate`] (one `Vec` of observations, right for
+//! small batches that need every value) and the streaming
+//! [`replicate_fold_threads`] (observations folded in index order into
+//! online reducers such as [`crate::stats::StreamingBatchMeans`], right
+//! for production-scale batches where the history itself is the memory
+//! bill). [`replicate_fold`] is the serial streaming loop whose `FnMut`
+//! closure may own one warm workspace across calls.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use uavail_core::par::{default_threads, par_fold, par_map, Exec, OnFailure};
+use uavail_core::par::{par_fold, par_map, Exec, OnFailure};
 use uavail_core::FromWorkerPanic;
 
 /// Derives the per-replication seed for replication `index` from a base
@@ -46,30 +47,44 @@ pub fn replication_seeds(base_seed: u64, count: usize) -> Vec<u64> {
     (0..count).map(|i| replication_seed(base_seed, i)).collect()
 }
 
-/// Runs `count` independent replications serially.
+/// Runs `count` independent replications on up to `threads` workers
+/// (`threads <= 1` runs them serially on the calling thread) and returns
+/// one observation per replication, in index order.
 ///
 /// `f` receives a fresh [`StdRng`] (seeded via [`replication_seed`]) and
-/// the replication index, and returns one observation.
+/// the replication index, and returns one observation. Every evaluation
+/// is panic-isolated: a panicking replication becomes
+/// `E::from_worker_panic` at its index.
 ///
 /// # Errors
 ///
-/// Returns the first replication error, in index order.
-pub fn replicate<T, E, F>(base_seed: u64, count: usize, f: F) -> Result<Vec<T>, E>
+/// Returns the error at the lowest failing replication index, for any
+/// thread count.
+pub fn replicate<T, E, F>(base_seed: u64, count: usize, threads: usize, f: F) -> Result<Vec<T>, E>
 where
-    F: Fn(&mut StdRng, usize) -> Result<T, E>,
+    T: Send,
+    E: Send + FromWorkerPanic,
+    F: Fn(&mut StdRng, usize) -> Result<T, E> + Sync,
 {
     let _span = uavail_obs::span("sim.replicate");
     record_batch_metrics(base_seed, count);
-    let run = |i: usize| {
-        let _rep = uavail_obs::Stopwatch::start("sim.replicate.replication_ns");
-        let mut rng = StdRng::seed_from_u64(replication_seed(base_seed, i));
-        f(&mut rng, i)
+    let indices: Vec<usize> = injected_indices(count).unwrap_or_else(|| (0..count).collect());
+    let exec = Exec {
+        threads,
+        on_failure: OnFailure::Abort,
     };
-    match injected_indices(count) {
-        // The common path: injection disabled, no index vector built.
-        None => (0..count).map(run).collect(),
-        Some(indices) => indices.into_iter().map(run).collect(),
-    }
+    par_map(
+        &indices,
+        &exec,
+        || (),
+        |(), &i| {
+            let _rep = uavail_obs::Stopwatch::start("sim.replicate.replication_ns");
+            let mut rng = StdRng::seed_from_u64(replication_seed(base_seed, i));
+            f(&mut rng, i)
+        },
+    )
+    .into_iter()
+    .collect()
 }
 
 /// The replication schedule under fault injection: `None` (run `0..count`
@@ -114,63 +129,9 @@ fn record_batch_metrics(base_seed: u64, count: usize) {
     }
 }
 
-/// Parallel [`replicate`] on one worker per available core: same
-/// observations, same order, same error behavior, just faster.
-///
-/// # Errors
-///
-/// Exactly the error [`replicate`] would return: the one at the lowest
-/// failing replication index.
-pub fn replicate_parallel<T, E, F>(base_seed: u64, count: usize, f: F) -> Result<Vec<T>, E>
-where
-    T: Send,
-    E: Send + FromWorkerPanic,
-    F: Fn(&mut StdRng, usize) -> Result<T, E> + Sync,
-{
-    replicate_parallel_threads(base_seed, count, default_threads(), f)
-}
-
-/// [`replicate_parallel`] with an explicit worker-thread cap.
-/// `threads <= 1` runs serially on the calling thread.
-///
-/// # Errors
-///
-/// Exactly the error [`replicate`] would return.
-pub fn replicate_parallel_threads<T, E, F>(
-    base_seed: u64,
-    count: usize,
-    threads: usize,
-    f: F,
-) -> Result<Vec<T>, E>
-where
-    T: Send,
-    E: Send + FromWorkerPanic,
-    F: Fn(&mut StdRng, usize) -> Result<T, E> + Sync,
-{
-    let _span = uavail_obs::span("sim.replicate_parallel");
-    record_batch_metrics(base_seed, count);
-    let indices: Vec<usize> = injected_indices(count).unwrap_or_else(|| (0..count).collect());
-    let exec = Exec {
-        threads,
-        on_failure: OnFailure::Abort,
-    };
-    par_map(
-        &indices,
-        &exec,
-        || (),
-        |(), &i| {
-            let _rep = uavail_obs::Stopwatch::start("sim.replicate.replication_ns");
-            let mut rng = StdRng::seed_from_u64(replication_seed(base_seed, i));
-            f(&mut rng, i)
-        },
-    )
-    .into_iter()
-    .collect()
-}
-
-/// Streaming [`replicate`]: runs `count` replications serially and folds
-/// each observation into `init` as it is produced, so no per-replication
-/// history vector is ever materialized.
+/// Serial streaming [`replicate`]: runs `count` replications on the
+/// calling thread and folds each observation into `init` as it is
+/// produced, so no per-replication history vector is ever materialized.
 ///
 /// `f` may be a `FnMut` capturing a single reusable workspace (e.g. a
 /// [`crate::SimContext`]) — the serial loop owns it for the whole batch.
@@ -222,31 +183,7 @@ where
     Ok(acc)
 }
 
-/// Parallel [`replicate_fold`] on one worker per available core. See
-/// [`replicate_fold_threads`] for the semantics and error contract.
-///
-/// # Errors
-///
-/// Exactly as [`replicate_fold_threads`].
-pub fn replicate_fold_parallel<A, W, T, E, M, F, G>(
-    base_seed: u64,
-    count: usize,
-    make: M,
-    f: F,
-    init: A,
-    fold: G,
-) -> Result<A, E>
-where
-    T: Send,
-    E: Send + FromWorkerPanic,
-    M: Fn() -> W + Sync,
-    F: Fn(&mut W, &mut StdRng, usize) -> Result<T, E> + Sync,
-    G: FnMut(&mut A, T),
-{
-    replicate_fold_threads(base_seed, count, default_threads(), make, f, init, fold)
-}
-
-/// Parallel streaming replication with an explicit worker-thread cap:
+/// Streaming replication on up to `threads` workers:
 /// workers run replications on private workspaces from `make` (one
 /// [`crate::SimContext`] per worker, built on the worker thread, reused
 /// across all its replications), while the calling thread folds the
@@ -261,7 +198,7 @@ where
 ///
 /// The fault-injection schedule (`sim.replicate.event_drop` / `event_dup`)
 /// is decided on the calling thread before any worker starts, exactly as
-/// in [`replicate_parallel_threads`].
+/// in [`replicate`].
 ///
 /// # Errors
 ///
@@ -329,9 +266,9 @@ mod tests {
             }
             Ok(acc)
         };
-        let serial = replicate(7, 33, f).unwrap();
-        for threads in [1, 2, 8] {
-            let parallel = replicate_parallel_threads(7, 33, threads, f).unwrap();
+        let serial = replicate(7, 33, 1, f).unwrap();
+        for threads in [2, 8] {
+            let parallel = replicate(7, 33, threads, f).unwrap();
             assert_eq!(serial.len(), parallel.len());
             for (s, p) in serial.iter().zip(&parallel) {
                 assert_eq!(s.to_bits(), p.to_bits(), "threads={threads}");
@@ -348,11 +285,29 @@ mod tests {
                 Ok(())
             }
         };
-        assert_eq!(replicate(1, 40, f).unwrap_err(), SimError::NoObservations);
-        assert_eq!(
-            replicate_parallel_threads(1, 40, 4, f).unwrap_err(),
-            SimError::NoObservations
-        );
+        for threads in [1, 4] {
+            assert_eq!(
+                replicate(1, 40, threads, f).unwrap_err(),
+                SimError::NoObservations
+            );
+        }
+    }
+
+    #[test]
+    fn a_panicking_replication_is_a_typed_error_at_any_thread_count() {
+        let f = |_: &mut StdRng, i: usize| -> Result<usize, SimError> {
+            assert!(i != 10, "replication {i} blew up");
+            Ok(i)
+        };
+        for threads in [1, 4] {
+            match replicate(1, 40, threads, f) {
+                Err(SimError::WorkerPanicked { index, payload }) => {
+                    assert_eq!(index, 10, "threads={threads}");
+                    assert!(payload.contains("blew up"), "{payload}");
+                }
+                other => panic!("threads={threads}: expected a caught panic, got {other:?}"),
+            }
+        }
     }
 
     #[test]
@@ -366,7 +321,7 @@ mod tests {
             }
             Ok(acc)
         };
-        let history = replicate(11, 40, f).unwrap();
+        let history = replicate(11, 40, 1, f).unwrap();
         let mut expected = crate::stats::OnlineStats::new();
         for &x in &history {
             expected.push(x);
@@ -433,7 +388,7 @@ mod tests {
         use crate::{FarmSimulation, SimContext};
         let sim = FarmSimulation::new(3, 0.02, 1.0, 0.9, 6.0, 300.0, 150.0, 8).unwrap();
         let (seed, reps, batches, horizon) = (2024u64, 48usize, 8usize, 400.0);
-        let history = replicate(seed, reps, |rng, _| {
+        let history = replicate(seed, reps, 1, |rng, _| {
             let mut ctx = SimContext::new();
             sim.run_counts_with(&mut ctx, rng, horizon)
                 .map(|c| c.loss_fraction())
@@ -480,7 +435,7 @@ mod tests {
         // Re-running a single replication in isolation reproduces the
         // value it had inside the batch.
         let f = |rng: &mut StdRng, _: usize| -> Result<u64, SimError> { Ok(rng.random()) };
-        let batch = replicate_parallel(99, 16, f).unwrap();
+        let batch = replicate(99, 16, 4, f).unwrap();
         let mut rng = StdRng::seed_from_u64(replication_seed(99, 11));
         assert_eq!(batch[11], rng.random::<u64>());
     }

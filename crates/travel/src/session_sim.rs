@@ -13,13 +13,12 @@
 
 use std::collections::HashMap;
 
-use rand::rngs::StdRng;
 use rand::Rng;
 
-use uavail_core::par::default_threads;
-use uavail_sim::replicate::{replicate, replicate_parallel_threads};
+use uavail_sim::replicate::replicate;
 use uavail_sim::rng::exponential;
 use uavail_sim::stats::Proportion;
+use uavail_sim::SimError;
 
 use crate::functions::{self, TaFunction};
 use crate::user::UserClass;
@@ -220,45 +219,22 @@ pub fn simulate_user_availability<R: Rng + ?Sized>(
 }
 
 /// Replicated [`simulate_user_availability`]: runs `replications`
-/// independent batches of `sessions_per_replication` sessions on all
-/// available cores and pools the success counts.
+/// independent batches of `sessions_per_replication` sessions on up to
+/// `threads` workers (`threads <= 1` runs them serially) and pools the
+/// success counts.
 ///
 /// Each replication owns a deterministic RNG stream derived from
 /// `base_seed` (see [`uavail_sim::replicate`]), so the pooled observation
-/// is identical regardless of thread count or scheduling — and identical
-/// to running the batches one after another.
+/// is identical regardless of thread count or scheduling.
 ///
 /// # Errors
 ///
 /// * [`TravelError::InvalidParameter`] for `replications == 0` or
 ///   `sessions_per_replication == 0`.
+/// * [`SimError::NoObservations`] when fault injection drops every
+///   replication.
 /// * Propagated model failures.
 pub fn simulate_user_availability_replicated(
-    base_seed: u64,
-    class: &UserClass,
-    params: &TaParameters,
-    architecture: Architecture,
-    sessions_per_replication: u64,
-    replications: usize,
-) -> Result<SessionObservation, TravelError> {
-    simulate_user_availability_replicated_threads(
-        base_seed,
-        class,
-        params,
-        architecture,
-        sessions_per_replication,
-        replications,
-        default_threads(),
-    )
-}
-
-/// [`simulate_user_availability_replicated`] with an explicit
-/// worker-thread cap; `threads <= 1` runs the batches serially.
-///
-/// # Errors
-///
-/// See [`simulate_user_availability_replicated`].
-pub fn simulate_user_availability_replicated_threads(
     base_seed: u64,
     class: &UserClass,
     params: &TaParameters,
@@ -275,18 +251,18 @@ pub fn simulate_user_availability_replicated_threads(
         });
     }
     let _span = uavail_obs::span("travel.session_sim");
-    let run = |rng: &mut StdRng, _: usize| {
+    let observations = replicate(base_seed, replications, threads, |rng, _| {
         simulate_user_availability(rng, class, params, architecture, sessions_per_replication)
-    };
-    let observations = if threads <= 1 {
-        replicate(base_seed, replications, run)?
-    } else {
-        replicate_parallel_threads(base_seed, replications, threads, run)?
-    };
+    })?;
+    // Fault injection can drop every replication of the schedule.
+    let analytic = observations
+        .first()
+        .ok_or(TravelError::Sim(SimError::NoObservations))?
+        .analytic;
     Ok(SessionObservation {
         sessions: observations.iter().map(|o| o.sessions).sum(),
         successes: observations.iter().map(|o| o.successes).sum(),
-        analytic: observations[0].analytic,
+        analytic,
     })
 }
 
@@ -353,7 +329,7 @@ mod tests {
     #[test]
     fn replicated_sessions_parallel_matches_serial() {
         let params = TaParameters::paper_defaults();
-        let serial = simulate_user_availability_replicated_threads(
+        let serial = simulate_user_availability_replicated(
             3,
             &class_a(),
             &params,
@@ -364,7 +340,7 @@ mod tests {
         )
         .unwrap();
         for threads in [2, 4] {
-            let parallel = simulate_user_availability_replicated_threads(
+            let parallel = simulate_user_availability_replicated(
                 3,
                 &class_a(),
                 &params,
@@ -389,6 +365,7 @@ mod tests {
             Architecture::paper_reference(),
             100,
             0,
+            1,
         )
         .is_err());
     }

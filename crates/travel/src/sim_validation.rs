@@ -12,10 +12,9 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use uavail_core::par::default_threads;
-use uavail_sim::replicate::{replicate, replicate_fold_threads, replicate_parallel_threads};
+use uavail_sim::replicate::{replicate, replicate_fold_threads};
 use uavail_sim::stats::{OnlineStats, StreamingBatchMeans};
-use uavail_sim::{FarmObservation, FarmSimulation, SimContext};
+use uavail_sim::{FarmObservation, FarmSimulation, SimContext, SimError};
 
 use crate::{webservice, TaParameters, TravelError};
 
@@ -122,41 +121,22 @@ fn pooled_report(
 }
 
 /// Replicated [`validate_web_service`]: runs `replications` independent
-/// simulations of `horizon` time units each — on all available cores —
-/// and pools their arrival/loss counts into one report with a
-/// correspondingly tighter confidence interval.
+/// simulations of `horizon` time units each on up to `threads` workers
+/// (`threads <= 1` runs them serially) and pools their arrival/loss
+/// counts into one report with a correspondingly tighter confidence
+/// interval.
 ///
 /// Each replication owns an RNG stream derived from `base_seed` (see
 /// [`uavail_sim::replicate`]), so the pooled counts are identical no
-/// matter how many threads run the batch, and identical to running the
-/// replications one after another.
+/// matter how many threads run the batch.
 ///
 /// # Errors
 ///
 /// Propagates analytic and simulation failures (the error of the lowest
-/// failing replication index).
+/// failing replication index); [`SimError::NoObservations`] when no
+/// replication ran (`replications == 0`, or fault injection dropped every
+/// one).
 pub fn validate_web_service_replicated(
-    params: &TaParameters,
-    horizon: f64,
-    base_seed: u64,
-    replications: usize,
-) -> Result<ValidationReport, TravelError> {
-    validate_web_service_replicated_threads(
-        params,
-        horizon,
-        base_seed,
-        replications,
-        default_threads(),
-    )
-}
-
-/// [`validate_web_service_replicated`] with an explicit worker-thread
-/// cap; `threads <= 1` runs the replications serially.
-///
-/// # Errors
-///
-/// Propagates analytic and simulation failures.
-pub fn validate_web_service_replicated_threads(
     params: &TaParameters,
     horizon: f64,
     base_seed: u64,
@@ -166,14 +146,15 @@ pub fn validate_web_service_replicated_threads(
     let _span = uavail_obs::span("travel.validate");
     let analytic = 1.0 - webservice::redundant_imperfect_availability(params)?;
     let sim = farm_simulation(params)?;
-    let run = |rng: &mut StdRng, _: usize| sim.run(rng, horizon);
-    let observations = if threads <= 1 {
-        replicate(base_seed, replications, run)?
-    } else {
-        replicate_parallel_threads(base_seed, replications, threads, run)?
-    };
+    let observations = replicate(base_seed, replications, threads, |rng, _| {
+        sim.run(rng, horizon)
+    })?;
+    if observations.is_empty() {
+        return Err(TravelError::Sim(SimError::NoObservations));
+    }
     Ok(pooled_report(params, analytic, &observations))
 }
+
 /// Result of the streaming analytic-vs-simulation comparison: the pooled
 /// Wilson report plus batch-means statistics over the per-replication
 /// loss fractions, the two interval constructions the CI gate checks.
@@ -228,7 +209,7 @@ impl StreamingValidationReport {
 /// # Errors
 ///
 /// Propagates analytic and simulation failures;
-/// [`uavail_sim::SimError::NoObservations`] when `replications == 0`.
+/// [`SimError::NoObservations`] when `replications == 0`.
 pub fn validate_web_service_streaming(
     params: &TaParameters,
     horizon: f64,
@@ -242,7 +223,7 @@ pub fn validate_web_service_streaming(
     // At most 10 batches, never more than one replication per batch.
     let batches = replications.clamp(1, 10);
     let reducer = StreamingBatchMeans::new(replications, batches)
-        .ok_or(TravelError::Sim(uavail_sim::SimError::NoObservations))?;
+        .ok_or(TravelError::Sim(SimError::NoObservations))?;
     struct Acc {
         arrivals: f64,
         losses: f64,
@@ -350,10 +331,9 @@ mod tests {
     #[test]
     fn replicated_validation_parallel_matches_serial() {
         let params = compressed_parameters();
-        let serial = validate_web_service_replicated_threads(&params, 800.0, 11, 5, 1).unwrap();
+        let serial = validate_web_service_replicated(&params, 800.0, 11, 5, 1).unwrap();
         for threads in [2, 4] {
-            let parallel =
-                validate_web_service_replicated_threads(&params, 800.0, 11, 5, threads).unwrap();
+            let parallel = validate_web_service_replicated(&params, 800.0, 11, 5, threads).unwrap();
             assert_eq!(serial, parallel, "threads={threads}");
         }
         assert!(serial.arrivals > 100_000);
@@ -362,7 +342,7 @@ mod tests {
     #[test]
     fn replicated_validation_agrees_with_analytic() {
         let params = compressed_parameters();
-        let report = validate_web_service_replicated(&params, 5_000.0, 20240601, 6).unwrap();
+        let report = validate_web_service_replicated(&params, 5_000.0, 20240601, 6, 2).unwrap();
         assert!(report.arrivals > 1_000_000);
         assert!(
             report.agrees(0.15),
@@ -409,6 +389,19 @@ mod tests {
             report.report.simulated_unavailability,
             report.report.confidence_interval
         );
+    }
+
+    #[test]
+    fn replicated_validation_rejects_zero_replications() {
+        // Zero replications is no evidence, not an agreement.
+        let params = compressed_parameters();
+        for threads in [1, 4] {
+            let result = validate_web_service_replicated(&params, 100.0, 1, 0, threads);
+            assert!(
+                matches!(result, Err(TravelError::Sim(SimError::NoObservations))),
+                "threads={threads}: {result:?}"
+            );
+        }
     }
 
     #[test]

@@ -309,7 +309,7 @@ fn replication_drop_and_dup_reshape_the_schedule_deterministically() {
     uavail_faultinject::set_enabled(true);
 
     let run = |threads: usize| -> Vec<usize> {
-        uavail_sim::replicate::replicate_parallel_threads(99, 64, threads, |_rng, i| {
+        uavail_sim::replicate::replicate(99, 64, threads, |_rng, i| {
             Ok::<usize, uavail_sim::SimError>(i)
         })
         .unwrap()
@@ -330,7 +330,43 @@ fn replication_drop_and_dup_reshape_the_schedule_deterministically() {
     uavail_faultinject::arm("dup", 0.3).unwrap();
     uavail_faultinject::set_enabled(true);
     let duped =
-        uavail_sim::replicate::replicate(7, 64, |_rng, i| Ok::<usize, uavail_sim::SimError>(i))
+        uavail_sim::replicate::replicate(7, 64, 1, |_rng, i| Ok::<usize, uavail_sim::SimError>(i))
             .unwrap();
     assert!(duped.len() > 64, "dup rate 0.3 duplicated nothing in 64");
+}
+
+#[test]
+fn replicated_validators_reject_a_fully_dropped_schedule() {
+    use uavail_sim::SimError;
+    use uavail_travel::session_sim::simulate_user_availability_replicated;
+    use uavail_travel::sim_validation::{compressed_parameters, validate_web_service_replicated};
+    use uavail_travel::user::class_a;
+    use uavail_travel::Architecture;
+
+    let _guard = InjectionGuard::acquire();
+    uavail_faultinject::arm("drop", 1.0).unwrap();
+    uavail_faultinject::set_enabled(true);
+    // Every replication dropped is no evidence: a typed error, never an
+    // agreeing report built from zero requests or an index panic.
+    for threads in [1, 4] {
+        let report =
+            validate_web_service_replicated(&compressed_parameters(), 100.0, 1, 4, threads);
+        assert!(
+            matches!(report, Err(TravelError::Sim(SimError::NoObservations))),
+            "threads={threads}: {report:?}"
+        );
+        let sessions = simulate_user_availability_replicated(
+            1,
+            &class_a(),
+            &TaParameters::paper_defaults(),
+            Architecture::paper_reference(),
+            100,
+            4,
+            threads,
+        );
+        assert!(
+            matches!(sessions, Err(TravelError::Sim(SimError::NoObservations))),
+            "threads={threads}: {sessions:?}"
+        );
+    }
 }

@@ -8,7 +8,7 @@
 
 use uavail::core::par::{default_threads, par_map, Exec};
 use uavail::core::sweep::sweep;
-use uavail::sim::replicate::{replicate, replicate_parallel};
+use uavail::sim::replicate::replicate;
 use uavail::travel::evaluation::{figure12, figure_sweep};
 use uavail::travel::sim_validation::compressed_parameters;
 use uavail::travel::{webservice, Coverage, TaParameters, TravelError};
@@ -73,8 +73,8 @@ fn main() -> Result<(), TravelError> {
         sim_params.buffer_size,
     )?;
     let run = |rng: &mut rand::rngs::StdRng, _: usize| sim.run(rng, 500.0);
-    let serial = replicate(42, 8, run)?;
-    let parallel = replicate_parallel(42, 8, run)?;
+    let serial = replicate(42, 8, 1, run)?;
+    let parallel = replicate(42, 8, default_threads(), run)?;
     assert_eq!(serial.len(), parallel.len());
     assert!(serial.iter().zip(&parallel).all(|(s, p)| s == p));
     let losses: u64 = parallel.iter().map(|o| o.losses).sum();
