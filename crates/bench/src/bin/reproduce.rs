@@ -72,11 +72,10 @@
 //! a typed failure per point that did not, without aborting. It pairs with
 //! `--inject` in the CI injection matrix.
 //!
-//! `bench` times the cold Figure 11, Figure 12 and Table 8 drivers, a
-//! cold 2 000-server `sparse_farm` solve, the cold Figure 2 fit, a
-//! cold/reuse pair for the `sim.farm_replication` kernel and two
-//! telemetry hot paths, in-process, and prints the means; no timed row
-//! replays a memo. `--bench-json <path>` additionally writes the
+//! `bench` times the cold Figure 11, Figure 12 and Table 8 drivers, the
+//! cold Figure 2 fit, a cold/reuse pair for the `sim.farm_replication`
+//! kernel and two telemetry hot paths, in-process, and prints the means;
+//! no timed row replays a memo. `--bench-json <path>` additionally writes the
 //! measurements as a JSON-lines artifact (schema `uavail-bench/v1`: one
 //! meta record, one record per benchmark with
 //! `name`/`mode`/`mean_ns`/`iters`, and one derived
@@ -741,13 +740,11 @@ struct BenchMeasurement {
 }
 
 /// Times the Figure 11, Figure 12 and Table 8 drivers cold (the loss
-/// memo reset before every iteration) in-process, plus a cold
-/// `sparse_farm` solve of a 2 000-server (4 001-state) imperfect-coverage
-/// farm through the sparse CTMC route and a `sim.farm_replication` pair
-/// that times the per-event replication baseline against the
-/// epoch-resolvent streaming path. Cold iterations allocate everything
-/// fresh; the reuse iteration runs on one long-lived `SimContext`, whose
-/// epoch tables are storage, not a result memo.
+/// memo reset before every iteration) in-process, plus a
+/// `sim.farm_replication` pair that times the per-event replication
+/// baseline against the epoch-resolvent streaming path. Cold iterations
+/// allocate everything fresh; the reuse iteration runs on one long-lived
+/// `SimContext`, whose epoch tables are storage, not a result memo.
 fn run_context_benches() -> Result<Vec<BenchMeasurement>, TravelError> {
     use std::hint::black_box;
     use std::time::Instant;
@@ -769,7 +766,7 @@ fn run_context_benches() -> Result<Vec<BenchMeasurement>, TravelError> {
         Ok((start.elapsed().as_secs_f64() * 1e9 / iters as f64, iters))
     }
 
-    let mut out = Vec::with_capacity(10);
+    let mut out = Vec::with_capacity(8);
     // The paper drivers as `reproduce` runs them, each iteration paying
     // every loss-model miss.
     type Driver = fn() -> Result<(), TravelError>;
@@ -799,31 +796,6 @@ fn run_context_benches() -> Result<Vec<BenchMeasurement>, TravelError> {
             iters,
         });
     }
-    // A farm big enough to cross the sparse routing cutoff: 2 000
-    // servers → 4 001 composite states, solved iteratively in CSR. The
-    // rates keep n·λ below µ (the paper's operating regime) so the
-    // stationary mass stays at the all-up end. Every iteration allocates
-    // the transition list and distribution vectors and runs the full
-    // Gauss–Seidel solve; nothing on this path is memoized.
-    let sparse_params = TaParameters::builder()
-        .web_servers(2_000)
-        .buffer_size(2_000)
-        .failure_rate_per_hour(1e-6)
-        .repair_rate_per_hour(10.0)
-        .build()?;
-    let (mean_ns, iters) = time(|| {
-        black_box(webservice::farm_distribution_imperfect_sparse(
-            &sparse_params,
-        )?);
-        Ok(())
-    })?;
-    out.push(BenchMeasurement {
-        name: "sparse_farm",
-        mode: "cold_build",
-        mean_ns,
-        iters,
-    });
-
     // Simulation replication throughput: cold is the per-event
     // linear-scan farm DES with a materialized replication history fed to
     // one-shot batch means; reuse is the epoch-resolvent counting kernel

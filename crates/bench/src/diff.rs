@@ -385,18 +385,18 @@ mod tests {
         // A 3x slowdown is within the generous 10x default, but the
         // budgeted case is held to 2x and must fail.
         let old = artifact(&[
-            ("sparse_farm", "context_reuse", 1e3),
+            ("sim.farm_replication", "context_reuse", 1e3),
             ("figure11", "cold_build", 1e6),
         ]);
         let new = artifact(&[
-            ("sparse_farm", "context_reuse", 3e3),
+            ("sim.farm_replication", "context_reuse", 3e3),
             ("figure11", "cold_build", 3e6),
         ]);
-        let budgets = vec![("sparse_farm/context_reuse".to_string(), 2.0)];
+        let budgets = vec![("sim.farm_replication/context_reuse".to_string(), 2.0)];
         let report = diff_artifacts_with_budgets(&old, &new, 10.0, &budgets).unwrap();
         let regressed: Vec<&DiffEntry> = report.regressions().collect();
         assert_eq!(regressed.len(), 1);
-        assert_eq!(regressed[0].name, "sparse_farm");
+        assert_eq!(regressed[0].name, "sim.farm_replication");
         assert_eq!(regressed[0].threshold, 2.0);
         // The unbudgeted case keeps the default bound.
         assert_eq!(report.entries[1].threshold, 10.0);

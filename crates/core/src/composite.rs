@@ -37,12 +37,15 @@ impl CompositeState {
 
 /// Combines availability-state probabilities with per-state service
 /// probabilities into the composite service availability
-/// `Σ_i π_i · service_i`.
+/// `Σ_i π_i · service_i`, accumulated in one pass in slice order. Every
+/// farm size of equations (5) and (9) goes through it, from the paper's
+/// 9 states to the 20 001 of a 10 000-server farm.
 ///
 /// # Errors
 ///
-/// * [`CoreError::BadWeights`] when the state probabilities do not form a
-///   distribution (negative, or not summing to 1 within a tolerance of
+/// * [`CoreError::BadWeights`] when `states` is empty or the state
+///   probabilities do not form a distribution (negative, or not summing
+///   to 1 within a tolerance of
 ///   `max(1e-6, states.len() × 1e-7)` — roundoff in the underlying
 ///   steady-state solve grows with the number of states, so the cutoff
 ///   scales with the model instead of rejecting large valid models).
@@ -66,27 +69,14 @@ impl CompositeState {
 /// # }
 /// ```
 pub fn composite_availability(states: &[CompositeState]) -> Result<f64, CoreError> {
-    composite_availability_from_iter(states.iter().copied())
-}
-
-/// Streaming twin of [`composite_availability`]: consumes the composite
-/// states from an iterator instead of a slice, so callers enumerating a
-/// large structural state space (e.g. a 10⁵-state sparse farm model) can
-/// fold it without materializing a `Vec<CompositeState>`. Runs the exact
-/// same accumulation in the same order, so results are bit-for-bit
-/// identical to the slice path.
-///
-/// # Errors
-///
-/// As for [`composite_availability`].
-pub fn composite_availability_from_iter<I>(states: I) -> Result<f64, CoreError>
-where
-    I: IntoIterator<Item = CompositeState>,
-{
-    let mut count = 0usize;
+    if states.is_empty() {
+        return Err(CoreError::BadWeights {
+            reason: "no composite states".into(),
+        });
+    }
     let mut total_probability = 0.0;
     let mut availability = 0.0;
-    for (i, s) in states.into_iter().enumerate() {
+    for (i, s) in states.iter().enumerate() {
         if !(s.probability.is_finite() && s.probability >= 0.0) {
             return Err(CoreError::BadWeights {
                 reason: format!("state {i} has probability {}", s.probability),
@@ -100,13 +90,8 @@ where
         }
         total_probability += s.probability;
         availability += s.probability * s.service_probability;
-        count = i + 1;
     }
-    if count == 0 {
-        return Err(CoreError::BadWeights {
-            reason: "no composite states".into(),
-        });
-    }
+    let count = states.len();
     // Normalization tolerance scales with the state count: each π_i from
     // a numerical steady-state solve carries roundoff of a few ulps, and
     // those errors add across states, so a fixed cutoff that is fine for

@@ -123,8 +123,11 @@ impl InteractionDiagram {
         out
     }
 
+    /// Accepts `0 ≤ p ≤ 1` (with 1e-12 of slack above 1), the rule the
+    /// profile graph and the travel parameters apply. A zero-probability
+    /// edge is kept and its scenarios add an exact `+0.0` term.
     fn check_probability(&self, context: &str, p: f64) -> Result<(), CoreError> {
-        if p.is_finite() && p > 0.0 && p <= 1.0 + 1e-12 {
+        if (0.0..=1.0 + 1e-12).contains(&p) {
             Ok(())
         } else {
             Err(CoreError::InvalidProbability {
@@ -431,10 +434,28 @@ mod tests {
     fn rejects_bad_probabilities_and_nodes() {
         let mut d = InteractionDiagram::new();
         let s = d.add_stage(vec!["A"]);
-        assert!(d.connect_begin(s, 0.0).is_err());
+        assert!(d.connect_begin(s, -0.1).is_err());
+        assert!(d.connect_begin(s, 1.5).is_err());
         assert!(d.connect_begin(s, f64::NAN).is_err());
         assert!(d.connect_begin(NodeId(9), 1.0).is_err());
         assert!(d.connect(s, NodeId(9), 1.0).is_err());
+    }
+
+    #[test]
+    fn zero_probability_edge_adds_an_exact_zero_term() {
+        let mut d = InteractionDiagram::new();
+        let s = d.add_stage(vec!["A"]);
+        let never = d.add_stage(vec!["B"]);
+        d.connect_begin(s, 1.0).unwrap();
+        d.connect_end(s, 1.0).unwrap();
+        d.connect(s, never, 0.0).unwrap();
+        d.connect_end(never, 1.0).unwrap();
+        let a = d
+            .compile()
+            .unwrap()
+            .eval(&env(&[("A", 0.5), ("B", 0.25)]))
+            .unwrap();
+        assert_eq!(a.to_bits(), 0.5f64.to_bits());
     }
 
     #[test]

@@ -1,8 +1,6 @@
-//! Iterative solvers: Jacobi, Gauss–Seidel, SOR for `A·x = b`, power
+//! Iterative solvers: Jacobi, Gauss–Seidel, SOR for `A·x = b`, and power
 //! iteration for dominant-eigenvector problems (`x ← x·P` for stochastic
-//! `P`), and stationary sweeps ([`stationary_jacobi`],
-//! [`stationary_gauss_seidel`]) solving `π·Q = 0` for a CTMC generator
-//! supplied as `Qᵀ` in CSR form.
+//! `P`).
 //!
 //! These are the sparse counterparts to the dense [`crate::Lu`] path. For the
 //! moderately sized, diagonally structured systems produced by availability
@@ -286,153 +284,6 @@ pub fn power_stationary(p: &CsrMatrix, opts: IterOptions) -> Result<IterSolution
     })
 }
 
-/// Shape/diagonal validation shared by the stationary sweeps; returns the
-/// diagonal of `Qᵀ` (the per-state exit rates, negated).
-fn check_stationary(qt: &CsrMatrix) -> Result<Vec<f64>, LinalgError> {
-    if qt.rows() != qt.cols() {
-        return Err(LinalgError::NotSquare { shape: qt.shape() });
-    }
-    if qt.rows() == 0 {
-        return Err(LinalgError::Empty);
-    }
-    let diag = qt.diagonal();
-    if let Some(i) = diag.iter().position(|&d| d == 0.0) {
-        // A zero diagonal means state `i` is absorbing; the stationary
-        // sweeps assume an irreducible generator.
-        return Err(LinalgError::Singular { pivot: i });
-    }
-    Ok(diag)
-}
-
-/// Jacobi sweep for the stationary distribution of a CTMC generator:
-/// solves `π·Q = 0`, `Σπ = 1` given the **transposed** generator `Qᵀ` in
-/// CSR form (row `i` of `qt` holds the rates *into* state `i`).
-///
-/// Each sweep computes `π'ᵢ = (1-ω)·πᵢ + ω·(Σ_{j≠i} πⱼ·qⱼᵢ) / (−qᵢᵢ)` and
-/// then renormalizes to unit L1 mass, so stiff chains whose stationary mass
-/// spans hundreds of orders of magnitude neither overflow nor drift.
-///
-/// The undamped sweep (`ω = 1`) is power iteration on a similarity
-/// transform of the embedded jump chain, so a *periodic* jump chain (e.g. a
-/// 2-state chain with equal rates) oscillates forever. Set
-/// [`IterOptions::relaxation`] below 1 to damp it: any `ω ∈ (0, 1)` mixes
-/// in the identity and restores aperiodicity, guaranteeing convergence for
-/// irreducible generators.
-///
-/// # Errors
-///
-/// * [`LinalgError::NotSquare`] / [`LinalgError::Empty`] for bad shapes.
-/// * [`LinalgError::Singular`] when a diagonal entry of `Qᵀ` is zero
-///   (an absorbing state — the chain is not irreducible).
-/// * [`LinalgError::NotConverged`] when the cap is reached.
-///
-/// # Examples
-///
-/// ```
-/// use uavail_linalg::{CsrMatrix, Matrix};
-/// use uavail_linalg::iterative::{stationary_jacobi, IterOptions};
-///
-/// # fn main() -> Result<(), uavail_linalg::LinalgError> {
-/// // Qᵀ for a 2-state chain with rates 1 (up→down) and 3 (down→up).
-/// let qt = CsrMatrix::from_dense(
-///     &Matrix::from_rows(&[&[-1.0, 3.0], &[1.0, -3.0]])?, 0.0);
-/// let sol = stationary_jacobi(&qt, IterOptions::new().relaxation(0.5))?;
-/// assert!((sol.x[0] - 0.75).abs() < 1e-9);
-/// # Ok(())
-/// # }
-/// ```
-pub fn stationary_jacobi(qt: &CsrMatrix, opts: IterOptions) -> Result<IterSolution, LinalgError> {
-    let diag = check_stationary(qt)?;
-    let n = qt.rows();
-    let omega = opts.relaxation;
-    let mut x = vec![1.0 / n as f64; n];
-    let mut next = vec![0.0; n];
-    let mut residual = f64::INFINITY;
-    for it in 1..=opts.max_iterations {
-        for (i, slot) in next.iter_mut().enumerate() {
-            let mut sum = 0.0;
-            for (j, v) in qt.row_entries(i) {
-                if j != i {
-                    sum += v * x[j];
-                }
-            }
-            *slot = (1.0 - omega) * x[i] + omega * sum / (-diag[i]);
-        }
-        normalize_probability(&mut next).map_err(|_| LinalgError::InvalidInput {
-            reason: "stationary iterate lost all probability mass".into(),
-        })?;
-        residual = max_abs_diff(&x, &next);
-        std::mem::swap(&mut x, &mut next);
-        if residual <= opts.tolerance {
-            return Ok(IterSolution {
-                x,
-                iterations: it,
-                residual,
-            });
-        }
-    }
-    Err(LinalgError::NotConverged {
-        iterations: opts.max_iterations,
-        residual,
-        tolerance: opts.tolerance,
-    })
-}
-
-/// Gauss–Seidel sweep for the stationary distribution of a CTMC generator:
-/// same contract as [`stationary_jacobi`] (pass `Qᵀ` in CSR form), but each
-/// state update sees the already-updated values of earlier states.
-///
-/// The in-place sweep propagates probability mass across the whole state
-/// space in a single pass, which is decisive on long birth–death chains:
-/// Jacobi and power iteration move mass one transition per sweep, so a
-/// 10⁵-state farm chain needs ~10⁵ sweeps before mass even reaches the far
-/// end, while Gauss–Seidel converges in a handful. The sweep is also
-/// immune to jump-chain periodicity, so no damping is required (though
-/// [`IterOptions::relaxation`] still applies as plain SOR).
-///
-/// # Errors
-///
-/// Same contract as [`stationary_jacobi`].
-pub fn stationary_gauss_seidel(
-    qt: &CsrMatrix,
-    opts: IterOptions,
-) -> Result<IterSolution, LinalgError> {
-    let diag = check_stationary(qt)?;
-    let n = qt.rows();
-    let omega = opts.relaxation;
-    let mut x = vec![1.0 / n as f64; n];
-    let mut prev = vec![0.0; n];
-    let mut residual = f64::INFINITY;
-    for it in 1..=opts.max_iterations {
-        prev.copy_from_slice(&x);
-        for i in 0..n {
-            let mut sum = 0.0;
-            for (j, v) in qt.row_entries(i) {
-                if j != i {
-                    sum += v * x[j];
-                }
-            }
-            x[i] = (1.0 - omega) * x[i] + omega * sum / (-diag[i]);
-        }
-        normalize_probability(&mut x).map_err(|_| LinalgError::InvalidInput {
-            reason: "stationary iterate lost all probability mass".into(),
-        })?;
-        residual = max_abs_diff(&prev, &x);
-        if residual <= opts.tolerance {
-            return Ok(IterSolution {
-                x,
-                iterations: it,
-                residual,
-            });
-        }
-    }
-    Err(LinalgError::NotConverged {
-        iterations: opts.max_iterations,
-        residual,
-        tolerance: opts.tolerance,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -527,86 +378,5 @@ mod tests {
     #[should_panic(expected = "relaxation")]
     fn invalid_relaxation_panics() {
         let _ = IterOptions::new().relaxation(2.5);
-    }
-
-    /// Qᵀ for a 3-state birth–death chain with birth rate `lam` and death
-    /// rate `mu`; stationary distribution is geometric in `lam/mu`.
-    fn birth_death_qt(lam: f64, mu: f64) -> CsrMatrix {
-        CsrMatrix::from_dense(
-            &Matrix::from_rows(&[&[-lam, mu, 0.0], &[lam, -(lam + mu), mu], &[0.0, lam, -mu]])
-                .unwrap(),
-            0.0,
-        )
-    }
-
-    fn birth_death_pi(lam: f64, mu: f64) -> [f64; 3] {
-        let r = lam / mu;
-        let z = 1.0 + r + r * r;
-        [1.0 / z, r / z, r * r / z]
-    }
-
-    #[test]
-    fn stationary_jacobi_matches_closed_form() {
-        let qt = birth_death_qt(1.0, 4.0);
-        let want = birth_death_pi(1.0, 4.0);
-        let sol = stationary_jacobi(&qt, IterOptions::new().tolerance(1e-14)).unwrap();
-        assert!(max_abs_diff(&sol.x, &want) < 1e-10);
-    }
-
-    #[test]
-    fn stationary_gauss_seidel_matches_closed_form() {
-        let qt = birth_death_qt(2.0, 3.0);
-        let want = birth_death_pi(2.0, 3.0);
-        let sol = stationary_gauss_seidel(&qt, IterOptions::new().tolerance(1e-14)).unwrap();
-        assert!(max_abs_diff(&sol.x, &want) < 1e-10);
-        // Gauss–Seidel propagates mass in one sweep; it should need no
-        // more iterations than damped Jacobi on the same chain.
-        let j =
-            stationary_jacobi(&qt, IterOptions::new().tolerance(1e-14).relaxation(0.5)).unwrap();
-        assert!(sol.iterations <= j.iterations);
-    }
-
-    #[test]
-    fn stationary_damping_handles_periodic_jump_chain() {
-        // Equal rates make the embedded jump chain periodic; damped Jacobi
-        // (ω < 1) and Gauss–Seidel must both still converge to (1/2, 1/2).
-        let qt = CsrMatrix::from_dense(
-            &Matrix::from_rows(&[&[-5.0, 5.0], &[5.0, -5.0]]).unwrap(),
-            0.0,
-        );
-        let opts = IterOptions::new().tolerance(1e-14);
-        let j = stationary_jacobi(&qt, opts.relaxation(0.5)).unwrap();
-        assert!((j.x[0] - 0.5).abs() < 1e-12);
-        let gs = stationary_gauss_seidel(&qt, opts).unwrap();
-        assert!((gs.x[0] - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn stationary_rejects_absorbing_state() {
-        let qt = CsrMatrix::from_dense(
-            &Matrix::from_rows(&[&[0.0, 1.0], &[0.0, -1.0]]).unwrap(),
-            0.0,
-        );
-        assert!(matches!(
-            stationary_jacobi(&qt, IterOptions::new()),
-            Err(LinalgError::Singular { pivot: 0 })
-        ));
-        assert!(matches!(
-            stationary_gauss_seidel(&qt, IterOptions::new()),
-            Err(LinalgError::Singular { pivot: 0 })
-        ));
-    }
-
-    #[test]
-    fn stationary_shape_checks() {
-        let rect = CsrMatrix::from_dense(&Matrix::zeros(2, 3), 0.0);
-        assert!(matches!(
-            stationary_jacobi(&rect, IterOptions::new()),
-            Err(LinalgError::NotSquare { .. })
-        ));
-        assert!(matches!(
-            stationary_gauss_seidel(&rect, IterOptions::new()),
-            Err(LinalgError::NotSquare { .. })
-        ));
     }
 }

@@ -1,22 +1,11 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use uavail_linalg::iterative::{
-    power_stationary, stationary_gauss_seidel, stationary_jacobi, IterOptions,
-};
+use uavail_linalg::iterative::{power_stationary, IterOptions};
 use uavail_linalg::vector::is_probability_vector;
 use uavail_linalg::{CsrBuilder, CsrMatrix, Lu, Matrix};
 
-use crate::sparse_ctmc::uniformization_rate;
 use crate::{gth_steady_state, MarkovError};
-
-/// State count above which [`Ctmc::steady_state_resilient`] tries a
-/// sparse Gauss–Seidel sweep before the dense LU → GTH → scaled-GTH
-/// chain. Below the cutoff the resilient chain is untouched, so every
-/// pinned result of the dense pipeline keeps its exact bits; above it
-/// the O(n³) dense solves become the bottleneck and the nnz-proportional
-/// sweep usually answers first.
-const RESILIENT_SPARSE_CUTOFF: usize = 2048;
 
 /// Opaque handle to a state added through [`CtmcBuilder::add_state`].
 ///
@@ -49,13 +38,6 @@ pub enum SteadyStateMethod {
     DirectLu,
     /// Power iteration on the uniformized DTMC.
     PowerUniformized,
-    /// Sparse Gauss–Seidel sweeps on `π·Q = 0` (the generator is
-    /// sparsified, never densified further); candidates are gated on the
-    /// relative residual `‖π·Q‖∞ / max exit rate`.
-    SparseGaussSeidel,
-    /// Sparse damped Jacobi sweeps (`ω = 0.5`), gated like
-    /// [`SteadyStateMethod::SparseGaussSeidel`].
-    SparseJacobi,
 }
 
 /// Builder for [`Ctmc`] with human-readable state labels.
@@ -274,8 +256,6 @@ impl Ctmc {
             SteadyStateMethod::Gth => gth_steady_state(&self.q),
             SteadyStateMethod::DirectLu => self.steady_state_lu(),
             SteadyStateMethod::PowerUniformized => self.steady_state_power(1e-13),
-            SteadyStateMethod::SparseGaussSeidel => self.steady_state_sparse(true),
-            SteadyStateMethod::SparseJacobi => self.steady_state_sparse(false),
         }
     }
 
@@ -283,14 +263,6 @@ impl Ctmc {
     /// **LU → GTH → scaled GTH retry**, each stage health-checked on the
     /// probability-mass drift `|Σπ − 1|` (and non-negativity) of its
     /// candidate vector before it is accepted.
-    ///
-    /// The chain is keyed on state count: past 2048 states a sparse
-    /// Gauss–Seidel pre-stage (nnz-proportional work instead of O(n³))
-    /// runs first, gated on the same mass-drift health check *and* a
-    /// relative-residual bound; a failure there falls through to the
-    /// dense stages unchanged. At or below the cutoff the pre-stage is
-    /// skipped entirely, so small-chain results keep the exact bits the
-    /// dense pipeline has always produced.
     ///
     /// The chain exists for degraded conditions — an injected or genuine
     /// numerical fault in one solver (see the `linalg.lu.*` and
@@ -328,15 +300,6 @@ impl Ctmc {
                 }
             }
             pi
-        }
-        if self.num_states() > RESILIENT_SPARSE_CUTOFF {
-            if let Ok(pi) = self.steady_state_sparse(true) {
-                if healthy(&pi) {
-                    return Ok(sanitize(pi));
-                }
-            }
-            uavail_obs::counter_add("markov.steady_state.fallbacks", 1);
-            uavail_obs::slo_degraded(1);
         }
         if let Ok(pi) = self.steady_state_lu() {
             if healthy(&pi) {
@@ -404,41 +367,6 @@ impl Ctmc {
             IterOptions::new().tolerance(tol).max_iterations(10_000_000),
         )?;
         Ok(sol.x)
-    }
-
-    /// Sparse stationary sweep on the (sparsified, transposed) generator:
-    /// Gauss–Seidel when `gs`, damped Jacobi (`ω = 0.5`) otherwise.
-    /// Candidates are gated on the relative residual
-    /// `‖π·Q‖∞ / max exit rate ≤ 1e-8`, recorded on the
-    /// `markov.sparse.residual` health channel.
-    fn steady_state_sparse(&self, gs: bool) -> Result<Vec<f64>, MarkovError> {
-        let q = CsrMatrix::from_dense(&self.q, 0.0);
-        let qt = q.transpose();
-        let opts = IterOptions::new().tolerance(1e-14);
-        let sol = if gs {
-            stationary_gauss_seidel(&qt, opts.max_iterations(20_000))?
-        } else {
-            stationary_jacobi(&qt, opts.max_iterations(500_000).relaxation(0.5))?
-        };
-        let max_exit = (0..self.num_states())
-            .map(|i| -self.q[(i, i)])
-            .fold(0.0, f64::max);
-        let residual = q
-            .vec_mul(&sol.x)?
-            .iter()
-            .fold(0.0f64, |a, v| a.max(v.abs()));
-        let scale = if max_exit > 0.0 { max_exit } else { 1.0 };
-        let relative = residual / scale;
-        uavail_obs::health_record("markov.sparse.residual", relative);
-        if relative <= 1e-8 {
-            Ok(sol.x)
-        } else {
-            Err(MarkovError::BadStructure {
-                reason: format!(
-                    "sparse stationary candidate rejected: relative residual {relative:.3e}"
-                ),
-            })
-        }
     }
 
     /// Uniformized DTMC `P = I + Q/Λ`. When `rate` is `None`, Λ is chosen as
@@ -646,6 +574,30 @@ impl Ctmc {
     /// Same contract as [`Ctmc::expected_sojourns_before`].
     pub fn mean_time_to(&self, start: StateId, targets: &[StateId]) -> Result<f64, MarkovError> {
         Ok(self.expected_sojourns_before(start, targets)?.iter().sum())
+    }
+}
+
+/// Uniformization-rate selection with the strict-margin rule shared by
+/// [`Ctmc::uniformized`] and [`Ctmc::uniformized_csr`].
+fn uniformization_rate(max_exit: f64, rate: Option<f64>) -> Result<f64, MarkovError> {
+    match rate {
+        Some(l) => {
+            if l <= max_exit {
+                Err(MarkovError::InvalidValue {
+                    context: "uniformization rate must strictly exceed max exit rate".into(),
+                    value: l,
+                })
+            } else {
+                Ok(l)
+            }
+        }
+        None => {
+            if max_exit == 0.0 {
+                Ok(1.0)
+            } else {
+                Ok(max_exit * 1.02)
+            }
+        }
     }
 }
 
@@ -927,22 +879,5 @@ mod tests {
         assert_eq!(sparse.nnz(), expected_nnz);
         assert!(sparse.nnz() < chain.num_states() * chain.num_states());
         assert!(lambda > chain.max_exit_rate());
-    }
-
-    #[test]
-    fn sparse_methods_agree_with_gth() {
-        let q =
-            Matrix::from_rows(&[&[-3.0, 2.0, 1.0], &[4.0, -5.0, 1.0], &[1.0, 1.0, -2.0]]).unwrap();
-        let chain = Ctmc::from_generator(q).unwrap();
-        let gth = chain.steady_state().unwrap();
-        for method in [
-            SteadyStateMethod::SparseGaussSeidel,
-            SteadyStateMethod::SparseJacobi,
-        ] {
-            let pi = chain.steady_state_with(method).unwrap();
-            for (a, b) in pi.iter().zip(&gth) {
-                assert!((a - b).abs() < 1e-9, "{method:?}: {a} vs {b}");
-            }
-        }
     }
 }

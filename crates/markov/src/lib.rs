@@ -50,7 +50,6 @@ mod dtmc;
 mod error;
 mod gth;
 pub mod reward;
-mod sparse_ctmc;
 pub mod transient;
 
 pub use absorbing::{AbsorbingAnalysis, AbsorbingDtmc};
@@ -60,9 +59,6 @@ pub use dtmc::Dtmc;
 pub use error::MarkovError;
 pub use gth::{
     gth_steady_state, gth_steady_state_into, steady_state_mass_drift, STEADY_STATE_DRIFT_TOLERANCE,
-};
-pub use sparse_ctmc::{
-    IxMap, SparseCtmc, SparseCtmcBuilder, SparseSteadyStateMethod, SPARSE_DENSE_CUTOFF,
 };
 
 /// Tolerance used when validating stochastic matrices and generators.

@@ -3,10 +3,7 @@
 
 use proptest::prelude::*;
 use uavail_linalg::Matrix;
-use uavail_markov::{
-    gth_steady_state, BirthDeath, Ctmc, CtmcBuilder, Dtmc, SparseCtmc, SparseSteadyStateMethod,
-    SteadyStateMethod,
-};
+use uavail_markov::{gth_steady_state, BirthDeath, Ctmc, Dtmc, SteadyStateMethod};
 
 /// Strategy: a random irreducible-ish row-stochastic matrix (all entries
 /// strictly positive, so irreducibility and aperiodicity are guaranteed).
@@ -41,44 +38,6 @@ fn generator(n: usize) -> impl Strategy<Value = Matrix> {
         }
         q
     })
-}
-
-/// Strategy: a random irreducible birth–death transition list over
-/// `len + 1` states, rates spanning three orders of magnitude.
-fn birth_death_transitions(
-    len: std::ops::Range<usize>,
-) -> impl Strategy<Value = Vec<(usize, usize, f64)>> {
-    prop::collection::vec((0.01f64..10.0, 0.01f64..10.0), len).prop_map(|rates| {
-        let mut t = Vec::with_capacity(2 * rates.len());
-        for (i, &(birth, death)) in rates.iter().enumerate() {
-            t.push((i, i + 1, birth));
-            t.push((i + 1, i, death));
-        }
-        t
-    })
-}
-
-/// Strategy: a composite-structured (Figure 10 style) transition list —
-/// `n + 1` operational states plus `n` reconfiguration states, with
-/// random failure/repair/reconfiguration rates and coverage.
-fn composite_transitions() -> impl Strategy<Value = (usize, Vec<(usize, usize, f64)>)> {
-    (
-        2usize..8,
-        0.01f64..2.0,
-        0.1f64..10.0,
-        0.1f64..20.0,
-        0.05f64..0.95,
-    )
-        .prop_map(|(n, lambda, mu, beta, c)| {
-            let mut t = Vec::with_capacity(4 * n);
-            for i in 1..=n {
-                t.push((i, i - 1, i as f64 * c * lambda));
-                t.push((i, n + i, i as f64 * (1.0 - c) * lambda));
-                t.push((n + i, i - 1, beta));
-                t.push((i - 1, i, mu));
-            }
-            (2 * n + 1, t)
-        })
 }
 
 proptest! {
@@ -173,94 +132,5 @@ proptest! {
         let sum: f64 = pi.iter().sum();
         prop_assert!((sum - 1.0).abs() < 1e-12);
         prop_assert!(pi.iter().all(|&v| v > 0.0)); // irreducible => all positive
-    }
-
-    #[test]
-    fn sparse_assembly_is_bit_identical_to_dense_builder(
-        transitions in prop::collection::vec(
-            (0usize..5, 0usize..5, 0.01f64..100.0), 1..30
-        ).prop_map(|ts| {
-            // Self-loops are rejected by both builders; redirect them.
-            ts.into_iter()
-                .map(|(f, t, r)| if f == t { (f, (t + 1) % 5, r) } else { (f, t, r) })
-                .collect::<Vec<_>>()
-        })
-    ) {
-        // Duplicates are frequent here by construction, exercising the
-        // stable merge; the assembled generator must carry exactly the
-        // bits of the dense += / -= accumulation, which pins the dense
-        // path as untouched by the sparse backend.
-        let sparse = SparseCtmc::from_transitions(5, &transitions).unwrap();
-        let mut b = CtmcBuilder::new();
-        let ids: Vec<_> = (0..5).map(|i| b.add_state(format!("s{i}"))).collect();
-        for &(from, to, rate) in &transitions {
-            b.add_transition(ids[from], ids[to], rate).unwrap();
-        }
-        let dense = b.build().unwrap();
-        let d = sparse.to_dense_generator();
-        for r in 0..5 {
-            for c in 0..5 {
-                prop_assert_eq!(
-                    d[(r, c)].to_bits(),
-                    dense.generator()[(r, c)].to_bits(),
-                    "({}, {})", r, c
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn sparse_solvers_agree_with_dense_on_birth_death(
-        transitions in birth_death_transitions(2..10)
-    ) {
-        let n = transitions.len() / 2 + 1;
-        let sparse = SparseCtmc::from_transitions(n, &transitions).unwrap();
-        let dense_pi = gth_steady_state(&sparse.to_dense_generator()).unwrap();
-        for method in [
-            SparseSteadyStateMethod::Dense,
-            SparseSteadyStateMethod::GaussSeidel,
-            SparseSteadyStateMethod::Power,
-            SparseSteadyStateMethod::Jacobi,
-        ] {
-            let pi = sparse.steady_state_with(method).unwrap();
-            for (a, b) in pi.iter().zip(&dense_pi) {
-                prop_assert!((a - b).abs() < 1e-8, "{:?}: {} vs {}", method, a, b);
-            }
-        }
-    }
-
-    #[test]
-    fn sparse_solvers_agree_with_dense_on_composite_chains(
-        (n, transitions) in composite_transitions()
-    ) {
-        let sparse = SparseCtmc::from_transitions(n, &transitions).unwrap();
-        let dense_pi = gth_steady_state(&sparse.to_dense_generator()).unwrap();
-        for method in [
-            SparseSteadyStateMethod::GaussSeidel,
-            SparseSteadyStateMethod::Power,
-            SparseSteadyStateMethod::Jacobi,
-        ] {
-            let pi = sparse.steady_state_with(method).unwrap();
-            for (a, b) in pi.iter().zip(&dense_pi) {
-                prop_assert!((a - b).abs() < 1e-8, "{:?}: {} vs {}", method, a, b);
-            }
-        }
-    }
-
-    #[test]
-    fn sparse_uniformized_transient_matches_dense(
-        transitions in birth_death_transitions(2..6),
-        t in 0.0f64..10.0
-    ) {
-        let n = transitions.len() / 2 + 1;
-        let sparse = SparseCtmc::from_transitions(n, &transitions).unwrap();
-        let dense = Ctmc::from_generator(sparse.to_dense_generator()).unwrap();
-        let mut initial = vec![0.0; n];
-        initial[0] = 1.0;
-        let a = sparse.transient(&initial, t).unwrap();
-        let b = dense.transient(&initial, t).unwrap();
-        for (x, y) in a.iter().zip(&b) {
-            prop_assert!((x - y).abs() < 1e-10, "{} vs {}", x, y);
-        }
     }
 }

@@ -38,9 +38,22 @@ pub struct MMcK {
     mean_customers: f64,
 }
 
+/// Unnormalized term above which [`fill_distribution`] rescales: 2^512.
+const RESCALE_ABOVE: f64 = f64::from_bits((1023 + 512) << 52);
+/// Exact power-of-two factor [`fill_distribution`] rescales by: 2^-512.
+const RESCALE_BY: f64 = f64::from_bits((1023 - 512) << 52);
+
 /// Fills `out` with the steady-state distribution `p_0 ..= p_K` by the
-/// birth–death recurrence `p_{n+1} = p_n · a / min(n + 1, c)` with running
-/// normalization, reusing `out`'s allocation.
+/// birth–death recurrence `p_{n+1} = p_n · a / min(n + 1, c)` on
+/// unnormalized terms, normalized once at the end, reusing `out`'s
+/// allocation.
+///
+/// The terms grow like `(a/c)^n`, which overflows for large `K` under
+/// overload (`a = 10`, `c = 1` at `K = 309`). Whenever the running term
+/// passes 2^512, it and every stored term are multiplied by 2^-512. A
+/// power-of-two scaling of normal numbers is exact, and a recurrence
+/// that stays finite without it rescales at most once and produces no
+/// subnormals, so its result keeps the same bits.
 fn fill_distribution(offered_load: f64, servers: usize, capacity: usize, out: &mut Vec<f64>) {
     let a = offered_load;
     let c = servers;
@@ -53,6 +66,13 @@ fn fill_distribution(offered_load: f64, servers: usize, capacity: usize, out: &m
     for n in 0..k {
         let effective_servers = (n + 1).min(c) as f64;
         w *= a / effective_servers;
+        if w > RESCALE_ABOVE {
+            w *= RESCALE_BY;
+            max *= RESCALE_BY;
+            for v in out.iter_mut() {
+                *v *= RESCALE_BY;
+            }
+        }
         out.push(w);
         max = max.max(w);
     }
@@ -208,10 +228,11 @@ impl MMcK {
     /// Full steady-state distribution `p_0 ..= p_K` as an owned vector.
     ///
     /// Computed once at construction by the birth–death recurrence
-    /// `p_{n+1} = p_n · a / min(n + 1, c)` with running normalization, which
-    /// is numerically stable for any load (including the paper's `ρ = 1`
-    /// and overload cases). Prefer [`MMcK::distribution`] to borrow it
-    /// without cloning.
+    /// `p_{n+1} = p_n · a / min(n + 1, c)` on terms rescaled by exact
+    /// powers of two before they overflow and normalized at the end, so
+    /// it stays finite for any offered load below 2^512 (including the
+    /// paper's `ρ = 1` and overload cases). Prefer [`MMcK::distribution`]
+    /// to borrow it without cloning.
     pub fn state_distribution(&self) -> Vec<f64> {
         self.distribution.clone()
     }
@@ -354,11 +375,51 @@ mod tests {
     fn no_constructor_path_yields_nan_metrics() {
         // Every successfully constructed queue has a clean distribution:
         // degraded inputs must error out above, never produce NaN here.
-        for &(a, v, c, k) in &[(0.0, 1.0, 1, 1), (1e5, 1.0, 2, 64), (50.0, 100.0, 4, 10)] {
+        for &(a, v, c, k) in &[
+            (0.0, 1.0, 1, 1),
+            (1e5, 1.0, 2, 64),
+            (50.0, 100.0, 4, 10),
+            (1000.0, 100.0, 1, 309),
+            (1e6, 100.0, 1, 10_000),
+        ] {
             let q = MMcK::new(a, v, c, k).unwrap();
             assert!(q.loss_probability().is_finite(), "a={a} v={v}");
             assert!(q.mean_customers().is_finite(), "a={a} v={v}");
             assert!(q.throughput().is_finite(), "a={a} v={v}");
+        }
+        // (a/c)^K overflows f64 here; the loss is 1 − 1/ρ up to ρ^−K.
+        let q = MMcK::new(1000.0, 100.0, 1, 309).unwrap();
+        assert!((q.loss_probability() - 0.9).abs() < 1e-12);
+    }
+
+    #[test]
+    fn rescaling_keeps_the_bits_of_the_plain_recurrence() {
+        // The recurrence as it reads on paper, normalized at the end;
+        // wherever it stays finite the rescaled one must match it bit for
+        // bit, including runs whose terms pass 2^512.
+        fn plain(a: f64, c: usize, k: usize) -> Vec<f64> {
+            let mut w = vec![1.0f64];
+            for n in 0..k {
+                w.push(w[n] * (a / (n + 1).min(c) as f64));
+            }
+            let max = w.iter().cloned().fold(1.0, f64::max);
+            let total: f64 = w.iter().map(|v| v / max).sum();
+            w.iter().map(|v| (v / max) / total).collect()
+        }
+        for &(a, c, k) in &[
+            (1.0, 4, 10),
+            (0.5, 3, 12),
+            (1e5, 2, 64),
+            (10.0, 1, 300),
+            (150.0, 100, 400),
+            (2.0, 1, 1020),
+        ] {
+            let want = plain(a, c, k);
+            assert!(want.iter().all(|p| p.is_finite()), "a={a} c={c} K={k}");
+            let got = MMcK::new(a, 1.0, c, k).unwrap();
+            for (x, y) in got.distribution().iter().zip(&want) {
+                assert_eq!(x.to_bits(), y.to_bits(), "a={a} c={c} K={k}");
+            }
         }
     }
 

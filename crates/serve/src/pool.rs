@@ -662,9 +662,7 @@ fn degraded_fallback_events() -> u64 {
         return 0;
     }
     let snap = uavail_obs::snapshot();
-    snap.counter("travel.farm.pi_fallbacks")
-        + snap.counter("markov.steady_state.fallbacks")
-        + snap.counter("markov.sparse.steady_state.fallbacks")
+    snap.counter("travel.farm.pi_fallbacks") + snap.counter("markov.steady_state.fallbacks")
 }
 
 /// The `/slo` `queueing` block: measured admission-queue behavior next

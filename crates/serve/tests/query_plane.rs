@@ -97,9 +97,15 @@ fn eval_batch_matches_direct_computation_bit_for_bit() {
     let _guard = global_lock();
     reset_all();
     let server = ObsServer::start("127.0.0.1:0").expect("bind");
+    // After the paper's queries: a 10 000-server farm past the dense
+    // cutoff, an overloaded M/M/c/K whose unnormalized terms overflow
+    // f64, and a zero-probability Browse branch.
     let (status, _, body) = post_eval(
         server.addr(),
-        r#"{"queries":[{},{"class":"A"},{"class":"B"},{"web_servers":6}]}"#,
+        r#"{"queries":[{},{"class":"A"},{"class":"B"},{"web_servers":6},
+            {"web_servers":10000,"buffer_size":10000,"coverage":0},
+            {"web_servers":4,"buffer_size":400,"arrival_rate_per_second":1000},
+            {"class":"A","q23":1,"q24":0}]}"#,
         None,
     );
     assert_eq!(status, "HTTP/1.1 200 OK", "{body}");
@@ -122,11 +128,38 @@ fn eval_batch_matches_direct_computation_bit_for_bit() {
     let mut six = defaults.clone();
     six.web_servers = 6;
     let a_six = redundant_imperfect_availability(&six).expect("A(WS), N_W=6");
+    let mut large = defaults.clone();
+    (large.web_servers, large.buffer_size, large.coverage) = (10_000, 10_000, 0.0);
+    let a_large = redundant_imperfect_availability(&large).expect("A(WS), N_W=10 000");
+    let mut overload = defaults.clone();
+    overload.buffer_size = 400;
+    overload.arrival_rate_per_second = 1000.0;
+    let a_overload = redundant_imperfect_availability(&overload).expect("A(WS), ρ = 10");
+    let mut all_cached = defaults.clone();
+    (all_cached.q23, all_cached.q24) = (1.0, 0.0);
+    let a_all_cached =
+        TravelAgencyModel::new(all_cached, Architecture::Redundant(Coverage::Imperfect))
+            .expect("model, q24 = 0")
+            .user_availability(&uavail_travel::user::class_a())
+            .expect("class A, q24 = 0");
 
-    assert_eq!(availability_of(&body, 0).to_bits(), a_ws.to_bits());
-    assert_eq!(availability_of(&body, 1).to_bits(), a_class_a.to_bits());
-    assert_eq!(availability_of(&body, 2).to_bits(), a_class_b.to_bits());
-    assert_eq!(availability_of(&body, 3).to_bits(), a_six.to_bits());
+    let expected = [
+        a_ws,
+        a_class_a,
+        a_class_b,
+        a_six,
+        a_large,
+        a_overload,
+        a_all_cached,
+    ];
+    for (index, want) in expected.into_iter().enumerate() {
+        let got = availability_of(&body, index);
+        assert!(
+            got.is_finite() && (0.0..=1.0).contains(&got),
+            "{index}: {got}"
+        );
+        assert_eq!(got.to_bits(), want.to_bits(), "query {index}");
+    }
     assert!(body.contains("\"degraded\":false"), "{body}");
     assert!(body.contains("\"partial\":false"), "{body}");
 

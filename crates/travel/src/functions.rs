@@ -249,14 +249,25 @@ mod tests {
 
     #[test]
     fn browse_matches_table6_formula() {
-        // A(Browse) = Anet ALAN A(WS)[q23 + A(AS)(q24 q45 + q24 q47 A(DS))].
+        // A(Browse) = Anet ALAN A(WS)[q23 + A(AS)(q24 q45 + q24 q47 A(DS))],
+        // also where a branch probability is zero.
         let env = service_env();
-        let p = params();
-        let a = availability(TaFunction::Browse, &p, &env).unwrap();
-        let (ws, asv, ds) = (env[SERVICE_WEB], env[SERVICE_APP], env[SERVICE_DB]);
-        let bracket = p.q23 + asv * (p.q24 * p.q45 + p.q24 * p.q47 * ds);
-        let expected = 0.9966 * 0.9966 * ws * bracket;
-        assert!((a - expected).abs() < 1e-12);
+        let mut all_cached = params();
+        (all_cached.q23, all_cached.q24) = (1.0, 0.0);
+        let mut always_db = params();
+        (always_db.q45, always_db.q47) = (0.0, 1.0);
+        for p in [params(), all_cached, always_db] {
+            let a = availability(TaFunction::Browse, &p, &env).unwrap();
+            let (ws, asv, ds) = (env[SERVICE_WEB], env[SERVICE_APP], env[SERVICE_DB]);
+            let bracket = p.q23 + asv * (p.q24 * p.q45 + p.q24 * p.q47 * ds);
+            let expected = 0.9966 * 0.9966 * ws * bracket;
+            assert!(
+                (a - expected).abs() < 1e-12,
+                "q23={} q45={}: {a} vs {expected}",
+                p.q23,
+                p.q45
+            );
+        }
     }
 
     #[test]

@@ -11,17 +11,17 @@
 //!   (6)–(9), the Markov chain of Figure 10 including the manual-
 //!   reconfiguration down states `y_i`.
 //!
-//! Every steady-state distribution is computed twice internally — by the
-//! paper's closed forms and by solving the explicit CTMC with GTH — and
-//! the closed forms are asserted against the numeric solution in tests.
+//! Farms of up to 1 024 composite states, every size the paper uses, are
+//! solved by GTH on the explicit CTMC; larger imperfect-coverage farms
+//! take the product-form closed form of equations (6)–(8) directly. The
+//! tests check the closed form against GTH at farm sizes up to that
+//! cutoff and against the balance equations past it.
 
 use std::sync::OnceLock;
 
-use uavail_core::composite::{
-    composite_availability, composite_availability_from_iter, CompositeState,
-};
+use uavail_core::composite::{composite_availability, CompositeState};
 use uavail_markov::{
-    gth_steady_state_into, steady_state_mass_drift, BirthDeath, Ctmc, CtmcBuilder, SparseCtmc,
+    gth_steady_state_into, steady_state_mass_drift, BirthDeath, Ctmc, CtmcBuilder,
     STEADY_STATE_DRIFT_TOLERANCE,
 };
 use uavail_queueing::{MMcK, MM1K};
@@ -142,44 +142,30 @@ fn loss_probability_with(
 }
 
 /// Farm state count (`2·N_W + 1`) above which the imperfect-coverage
-/// chain is assembled and solved through the sparse pipeline instead of
-/// the dense GTH path. At or below the cutoff the dense path runs
-/// unchanged, so every pinned paper value keeps its exact bits.
-const SPARSE_FARM_CUTOFF: usize = 1024;
+/// farm is solved by its closed form instead of by GTH on the dense
+/// generator. At or below the cutoff the dense path runs unchanged, so
+/// every pinned paper value keeps its exact bits.
+const DENSE_FARM_CUTOFF: usize = 1024;
 
-/// Stationary mass below which [`redundant_imperfect_availability_sparse`]
-/// treats a farm state's service contribution as zero instead of
-/// evaluating its M/M/i/K loss probability. The resulting availability
-/// underestimate is bounded by `(2·N_W + 1) × NEGLIGIBLE_MASS` — around
-/// 1e-10 even for a 10⁵-state farm, far below the solver tolerance.
+/// Stationary mass below which equation (9) treats a farm state's
+/// service contribution as zero instead of evaluating its M/M/i/K loss
+/// probability; applied past [`DENSE_FARM_CUTOFF`] only. The resulting
+/// availability underestimate is bounded by `(2·N_W + 1) × NEGLIGIBLE_MASS`
+/// — at most 2e-11 for the largest farm `/eval` accepts.
 const NEGLIGIBLE_MASS: f64 = 1e-15;
 
-/// Appends the Figure 10 transitions in the canonical order of the dense
-/// builder path: operational state `i` at row `i` (`0 ..= N_W`),
-/// reconfiguration state `y_i` at row `N_W + i` (`1 ..= N_W`). Keeping
-/// the insertion order identical to [`CtmcBuilder::build`]'s accumulation
-/// makes the sparse generator bit-identical to the dense one.
-fn push_imperfect_transitions(params: &TaParameters, out: &mut Vec<(usize, usize, f64)>) {
-    let n = params.web_servers;
-    let lambda = params.failure_rate_per_hour;
-    let mu = params.repair_rate_per_hour;
-    let c = params.coverage;
-    let beta = params.reconfiguration_rate_per_hour;
-    for i in 1..=n {
-        if c > 0.0 {
-            out.push((i, i - 1, i as f64 * c * lambda));
-        }
-        if c < 1.0 {
-            out.push((i, n + i, i as f64 * (1.0 - c) * lambda));
-            out.push((n + i, i - 1, beta));
-        }
-        out.push((i - 1, i, mu));
-    }
+/// Whether a farm of `web_servers` servers has more composite states than
+/// [`DENSE_FARM_CUTOFF`].
+fn past_dense_cutoff(web_servers: usize) -> bool {
+    2 * web_servers + 1 > DENSE_FARM_CUTOFF
 }
 
-/// Splits a Figure 10 stationary vector into `(operational, reconfiguring)`.
-fn split_farm_pi(n: usize, pi: &[f64]) -> (Vec<f64>, Vec<f64>) {
-    (pi[..=n].to_vec(), pi[n + 1..].to_vec())
+/// Whether equation (9) counts farm state `Π_i = p` as serving nothing
+/// instead of solving its M/M/i/K model: past the dense cutoff, when `p`
+/// is below [`NEGLIGIBLE_MASS`]. Both equation (9) paths apply this one
+/// rule, so they keep returning the same bits.
+fn loss_solve_skipped(web_servers: usize, p: f64) -> bool {
+    past_dense_cutoff(web_servers) && p < NEGLIGIBLE_MASS
 }
 
 fn loss_key(params: &TaParameters, operational: usize) -> LossKey {
@@ -225,12 +211,16 @@ pub fn farm_distribution_perfect(params: &TaParameters) -> Result<Vec<f64>, Trav
 /// `reconfiguring[i]` is `Π_{y_i}` for `i = 1 ..= N_W` (stored at
 /// `i - 1`), the down states awaiting manual reconfiguration.
 ///
-/// The chain is solved numerically with GTH rather than by the printed
-/// closed forms; the closed forms of equations (6)–(7) are verified
-/// against this solution in the crate tests (the paper's printed
-/// summation bound `N_W − 2` in equations (7)–(9) is a typographical slip
-/// — reproducing `A(WS) = 0.999995587` from Table 7 requires including
-/// every `y_i` state, which this solver does by construction).
+/// Farms of up to 1 024 composite states (`N_W ≤ 511`) are solved
+/// numerically with GTH on the explicit chain, which is what every
+/// table and figure of the paper runs. Larger farms return
+/// [`farm_distribution_imperfect_closed_form`], in O(N_W) time and memory:
+/// the dense generator would need O(N_W²) memory and O(N_W³) time. The
+/// tests check the two against each other at sizes up to the cutoff.
+/// (The paper's printed summation bound `N_W − 2` in equations
+/// (7)–(9) is a typographical slip — reproducing `A(WS) = 0.999995587`
+/// from Table 7 requires including every `y_i` state, which both
+/// solvers do by construction.)
 ///
 /// # Errors
 ///
@@ -250,10 +240,8 @@ pub fn farm_distribution_imperfect(
         // degenerates to Figure 9.
         return Ok((farm_distribution_perfect(params)?, vec![0.0; n]));
     }
-    if 2 * n + 1 > SPARSE_FARM_CUTOFF {
-        // Large farm: a dense generator would need O(n²) memory; the
-        // sparse pipeline assembles and solves it in O(nnz).
-        return farm_distribution_imperfect_sparse(params);
+    if past_dense_cutoff(n) {
+        return farm_distribution_imperfect_closed_form(params);
     }
 
     let mut b = CtmcBuilder::new();
@@ -295,41 +283,11 @@ pub fn farm_distribution_imperfect(
     Ok((operational, reconfiguring))
 }
 
-/// Sparse solution of the imperfect-coverage farm: the generator is
-/// assembled straight into CSR form ([`SparseCtmc::from_transitions`],
-/// same state layout and insertion order as the dense path, so the
-/// generators are bit-identical) and solved through the state-count-keyed
-/// sparse solver heuristic. No dense `(2N_W+1)²` matrix is ever
-/// allocated, which is what lets farms with 10⁵+ composite states solve
-/// in seconds.
-///
-/// [`farm_distribution_imperfect`] routes here automatically past 1024
-/// states; calling this directly forces the sparse path on any size.
-///
-/// # Errors
-///
-/// Propagates parameter-domain and chain-construction failures.
-pub fn farm_distribution_imperfect_sparse(
-    params: &TaParameters,
-) -> Result<(Vec<f64>, Vec<f64>), TravelError> {
-    params.validate()?;
-    let n = params.web_servers;
-    if params.coverage >= 1.0 {
-        return Ok((farm_distribution_perfect(params)?, vec![0.0; n]));
-    }
-    let mut transitions = Vec::with_capacity(4 * n);
-    push_imperfect_transitions(params, &mut transitions);
-    let chain = SparseCtmc::from_transitions(2 * n + 1, &transitions)?;
-    let pi = chain.steady_state()?;
-    let (operational, reconfiguring) = split_farm_pi(n, &pi);
-    Ok((operational, reconfiguring))
-}
-
 /// Solves the imperfect-coverage farm into `ctx.farm_op` / `ctx.farm_y`,
 /// bit-for-bit identical to [`farm_distribution_imperfect`]. The dense
 /// chain is assembled in `ctx.generator` and solved with GTH in
 /// `ctx.gth_scratch`, allocation-free; perfect coverage and farms past the
-/// sparse cutoff take the allocating path itself.
+/// dense cutoff take the allocating path itself.
 ///
 /// The caller must have validated `params` already. State indexing mirrors
 /// the builder path exactly: operational state `i` at row `i`
@@ -346,9 +304,9 @@ fn farm_distribution_imperfect_compute(
     let c = params.coverage;
     let beta = params.reconfiguration_rate_per_hour;
 
-    if c >= 1.0 || 2 * n + 1 > SPARSE_FARM_CUTOFF {
+    if c >= 1.0 || past_dense_cutoff(n) {
         // No dense chain to solve: Figure 10 degenerates to Figure 9, or
-        // the farm is too large for the O(n²) `generator` buffer.
+        // the farm takes the closed form.
         (ctx.farm_op, ctx.farm_y) = farm_distribution_imperfect(params)?;
         return Ok(());
     }
@@ -394,8 +352,11 @@ fn farm_distribution_imperfect_compute(
 /// the corrected equations (6)–(8): `Π_i = (1/i!)(µ/λ)^i Π_0` and
 /// `Π_{y_i} = µ(1−c)/(β(i−1)!) (µ/λ)^{i−1} Π_0` for `i = 1 ..= N_W`.
 ///
-/// Exists to cross-check the numeric solver; see
-/// [`farm_distribution_imperfect`].
+/// Runs in O(N_W) time, in log space so that extreme `µ/λ` ratios and
+/// large farms neither overflow nor underflow before normalization.
+/// [`farm_distribution_imperfect`] returns it for farms past its dense
+/// cutoff; below the cutoff it is the reference the GTH solution is
+/// tested against.
 ///
 /// # Errors
 ///
@@ -409,30 +370,24 @@ pub fn farm_distribution_imperfect_closed_form(
     let c = params.coverage;
     let mu = params.repair_rate_per_hour;
     let beta = params.reconfiguration_rate_per_hour;
-    // Work relative to Π_0 = 1, normalize at the end. Use logs to survive
-    // extreme µ/λ ratios.
+    // Work relative to Π_0 = 1, normalize at the end.
     let mut log_op = Vec::with_capacity(n + 1);
+    let mut log_y = Vec::with_capacity(n);
+    // ln(i!) so far; just before ln i is added it holds ln((i−1)!), the
+    // factorial Π_{y_i} needs.
     let mut log_fact = 0.0;
     for i in 0..=n {
         if i > 0 {
+            // µ(1-c)/β · (µ/λ)^{i-1} / (i-1)!
+            log_y.push(if (1.0 - c) == 0.0 {
+                f64::NEG_INFINITY
+            } else {
+                (mu * (1.0 - c) / beta).ln() + (i as f64 - 1.0) * ratio.ln() - log_fact
+            });
             log_fact += (i as f64).ln();
         }
         log_op.push(i as f64 * ratio.ln() - log_fact);
     }
-    let log_y: Vec<f64> = (1..=n)
-        .map(|i| {
-            // µ(1-c)/β · (µ/λ)^{i-1} / (i-1)!
-            let mut lf = 0.0;
-            for k in 2..i {
-                lf += (k as f64).ln();
-            }
-            if (1.0 - c) == 0.0 {
-                f64::NEG_INFINITY
-            } else {
-                (mu * (1.0 - c) / beta).ln() + (i as f64 - 1.0) * ratio.ln() - lf
-            }
-        })
-        .collect();
     let max = log_op
         .iter()
         .chain(log_y.iter())
@@ -468,6 +423,12 @@ pub fn redundant_perfect_availability(params: &TaParameters) -> Result<f64, Trav
 /// equation (9):
 /// `A(WS) = 1 − [Σ_i Π_i p_K(i) + Σ_i Π_{y_i} + Π_0]`.
 ///
+/// On farms past the dense cutoff (`N_W ≥ 512`), a state with
+/// `Π_i < 1e-15` counts as serving nothing and its M/M/i/K model is not
+/// solved, so the cost follows the states that carry mass rather than
+/// `N_W × K`. The availability this underestimates is bounded by
+/// `(2·N_W + 1) × 1e-15`.
+///
 /// # Errors
 ///
 /// Propagates parameter-domain failures.
@@ -477,7 +438,12 @@ pub fn redundant_imperfect_availability(params: &TaParameters) -> Result<f64, Tr
     let mut states = Vec::with_capacity(op.len() + y.len());
     states.push(CompositeState::new(op[0], 0.0));
     for (i, &p) in op.iter().enumerate().skip(1) {
-        states.push(CompositeState::new(p, 1.0 - loss_probability(params, i)?));
+        let served = if loss_solve_skipped(params.web_servers, p) {
+            0.0
+        } else {
+            1.0 - loss_probability(params, i)?
+        };
+        states.push(CompositeState::new(p, served));
     }
     for &p in &y {
         states.push(CompositeState::new(p, 0.0)); // reconfiguration = down
@@ -514,10 +480,12 @@ pub fn redundant_imperfect_availability_with(
     states.clear();
     states.push(CompositeState::new(farm_op[0], 0.0));
     for (i, &p) in farm_op.iter().enumerate().skip(1) {
-        states.push(CompositeState::new(
-            p,
-            1.0 - loss_probability_with(params, i, dist_buf)?,
-        ));
+        let served = if loss_solve_skipped(params.web_servers, p) {
+            0.0
+        } else {
+            1.0 - loss_probability_with(params, i, dist_buf)?
+        };
+        states.push(CompositeState::new(p, served));
     }
     for &p in farm_y.iter() {
         states.push(CompositeState::new(p, 0.0)); // reconfiguration = down
@@ -525,47 +493,6 @@ pub fn redundant_imperfect_availability_with(
     let a = composite_availability(states)?;
     ctx.remember_availability(key, a);
     Ok(a)
-}
-
-/// Redundant-farm availability with imperfect coverage — equation (9) —
-/// evaluated end to end through the sparse pipeline for large farms.
-///
-/// Differs from [`redundant_imperfect_availability`] in two ways that
-/// matter past ~10³ states:
-///
-/// 1. the farm chain is always solved sparsely
-///    ([`farm_distribution_imperfect_sparse`]);
-/// 2. states whose stationary mass is below `1e-15` contribute service
-///    `0.0` without evaluating their M/M/i/K loss model, so the cost of
-///    the performance layer scales with the states that actually carry
-///    mass (a handful near all-up for the paper's stiff rates) instead
-///    of with `N_W × K`. The availability underestimate this introduces
-///    is bounded by `(2·N_W + 1) × 1e-15`.
-///
-/// The composite combination itself streams through
-/// [`composite_availability_from_iter`] without materializing the
-/// `2·N_W + 1` composite states.
-///
-/// # Errors
-///
-/// Propagates parameter-domain failures.
-pub fn redundant_imperfect_availability_sparse(params: &TaParameters) -> Result<f64, TravelError> {
-    params.validate()?;
-    let (op, y) = farm_distribution_imperfect_sparse(params)?;
-    // Evaluate the performance model only where the availability model
-    // leaves non-negligible mass; state 0 (all down) serves nothing.
-    let mut service = vec![0.0f64; op.len()];
-    for (i, &p) in op.iter().enumerate().skip(1) {
-        if p >= NEGLIGIBLE_MASS {
-            service[i] = 1.0 - loss_probability(params, i)?;
-        }
-    }
-    let states = op
-        .iter()
-        .enumerate()
-        .map(|(i, &p)| CompositeState::new(p, service[i]))
-        .chain(y.iter().map(|&p| CompositeState::new(p, 0.0)));
-    Ok(composite_availability_from_iter(states)?)
 }
 
 /// Mean time (hours) from the all-up state until the web service is
@@ -715,6 +642,33 @@ mod tests {
                 );
             }
         }
+        // Every farm size up to the cutoff's neighbourhood: states with
+        // real mass agree in relative terms, negligible ones absolutely.
+        let paper_coverage = (1..=128).chain([256, 511]).map(|nw| (nw, 0.98));
+        let no_coverage = (1..=64).map(|nw| (nw, 0.0));
+        for (nw, coverage) in paper_coverage.chain(no_coverage) {
+            assert!(!past_dense_cutoff(nw));
+            let p = TaParameters::builder()
+                .web_servers(nw)
+                .buffer_size(nw.max(10))
+                .coverage(coverage)
+                .build()
+                .unwrap();
+            let (op, y) = farm_distribution_imperfect(&p).unwrap();
+            let (op_cf, y_cf) = farm_distribution_imperfect_closed_form(&p).unwrap();
+            for (a, b) in op.iter().zip(&op_cf).chain(y.iter().zip(&y_cf)) {
+                assert!(
+                    (a - b).abs() <= 1e-12,
+                    "N_W = {nw}, c = {coverage}: {a} vs {b}"
+                );
+                if *b > 1e-9 {
+                    assert!(
+                        ((a - b) / b).abs() <= 1e-6,
+                        "N_W = {nw}, c = {coverage}: {a} vs {b}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
@@ -824,52 +778,95 @@ mod tests {
         assert!(mttf(4) > mttf(3));
     }
 
-    #[test]
-    fn sparse_farm_distribution_is_bit_identical_to_dense() {
-        // Below the sparse heuristic's dense cutoff the sparse path
-        // densifies a bit-identical generator and runs the same GTH, so
-        // the distributions must match bit for bit.
-        let p = params();
-        let (op_d, y_d) = farm_distribution_imperfect(&p).unwrap();
-        let (op_s, y_s) = farm_distribution_imperfect_sparse(&p).unwrap();
-        for (a, b) in op_d.iter().zip(&op_s) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-        for (a, b) in y_d.iter().zip(&y_s) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-    }
-
-    #[test]
-    fn sparse_availability_matches_dense_on_small_farm() {
-        let p = params();
-        let dense = redundant_imperfect_availability(&p).unwrap();
-        let sparse = redundant_imperfect_availability_sparse(&p).unwrap();
-        assert_eq!(dense.to_bits(), sparse.to_bits());
-    }
-
-    #[test]
-    fn large_farm_routes_sparse_and_matches_closed_form() {
-        // 600 servers → 1201 composite states: past the sparse cutoff,
-        // so farm_distribution_imperfect itself takes the sparse route.
-        let p = TaParameters::builder()
-            .web_servers(600)
-            .buffer_size(600)
-            .build()
-            .unwrap();
-        let (op, y) = farm_distribution_imperfect(&p).unwrap();
-        let (op_cf, y_cf) = farm_distribution_imperfect_closed_form(&p).unwrap();
-        assert_eq!(op.len(), 601);
-        assert_eq!(y.len(), 600);
-        // States carrying real mass must agree tightly in relative
-        // terms; negligible-mass states only need absolute agreement
-        // (their relative error is irrelevant to any availability sum).
-        for (a, b) in op.iter().zip(&op_cf).chain(y.iter().zip(&y_cf)) {
-            if *b > 1e-9 {
-                assert!(((a - b) / b).abs() < 1e-6, "{a} vs {b}");
-            } else {
-                assert!((a - b).abs() < 1e-12, "{a} vs {b}");
+    /// `(‖πQ‖∞, max exit rate)` of the Figure 10 generator at
+    /// `π = (op, y)`, accumulated transition by transition in O(N_W).
+    fn balance_residual(p: &TaParameters, op: &[f64], y: &[f64]) -> (f64, f64) {
+        let n = p.web_servers;
+        let lambda = p.failure_rate_per_hour;
+        let c = p.coverage;
+        let pi: Vec<f64> = op.iter().chain(y).copied().collect();
+        let mut flow = vec![0.0; pi.len()];
+        let mut exit = vec![0.0; pi.len()];
+        // Operational state i sits at index i, y_i at index n + i.
+        let mut edge = |from: usize, to: usize, rate: f64| {
+            flow[to] += pi[from] * rate;
+            flow[from] -= pi[from] * rate;
+            exit[from] += rate;
+        };
+        for i in 1..=n {
+            if c > 0.0 {
+                edge(i, i - 1, i as f64 * c * lambda);
             }
+            if c < 1.0 {
+                edge(i, n + i, i as f64 * (1.0 - c) * lambda);
+                edge(n + i, i - 1, p.reconfiguration_rate_per_hour);
+            }
+            edge(i - 1, i, p.repair_rate_per_hour);
+        }
+        let residual = flow.iter().fold(0.0f64, |a, v| a.max(v.abs()));
+        (residual, exit.iter().fold(0.0, |a: f64, &v| a.max(v)))
+    }
+
+    #[test]
+    fn large_farms_take_the_closed_form_and_satisfy_balance() {
+        for nw in [512, 2_000, 10_000, 50_000] {
+            for coverage in [0.0, 0.98] {
+                let p = TaParameters::builder()
+                    .web_servers(nw)
+                    .buffer_size(nw)
+                    .coverage(coverage)
+                    .build()
+                    .unwrap();
+                let (op, y) = farm_distribution_imperfect(&p).unwrap();
+                let (op_cf, y_cf) = farm_distribution_imperfect_closed_form(&p).unwrap();
+                assert_eq!((op.len(), y.len()), (nw + 1, nw));
+                for (a, b) in op.iter().zip(&op_cf).chain(y.iter().zip(&y_cf)) {
+                    assert_eq!(a.to_bits(), b.to_bits(), "N_W = {nw}, c = {coverage}");
+                }
+                let mass = op.iter().sum::<f64>() + y.iter().sum::<f64>();
+                assert!(
+                    (mass - 1.0).abs() <= 1e-12,
+                    "N_W = {nw}, c = {coverage}: mass {mass}"
+                );
+                let (residual, max_exit) = balance_residual(&p, &op, &y);
+                assert!(
+                    residual / max_exit <= 1e-12,
+                    "N_W = {nw}, c = {coverage}: ‖πQ‖∞ / max exit = {:e}",
+                    residual / max_exit
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn skipped_loss_solves_stay_within_the_stated_bound() {
+        let nw = 2_000;
+        for coverage in [0.0, 0.98] {
+            let p = TaParameters::builder()
+                .web_servers(nw)
+                .buffer_size(nw)
+                .coverage(coverage)
+                .build()
+                .unwrap();
+            let skipped = redundant_imperfect_availability(&p).unwrap();
+            // Equation (9) in full: every operational state's M/M/i/K.
+            let (op, y) = farm_distribution_imperfect(&p).unwrap();
+            assert!(op.iter().any(|&pi| pi < NEGLIGIBLE_MASS), "nothing skipped");
+            let mut states = vec![CompositeState::new(op[0], 0.0)];
+            for (i, &pi) in op.iter().enumerate().skip(1) {
+                states.push(CompositeState::new(
+                    pi,
+                    1.0 - loss_probability(&p, i).unwrap(),
+                ));
+            }
+            states.extend(y.iter().map(|&pi| CompositeState::new(pi, 0.0)));
+            let full = composite_availability(&states).unwrap();
+            let bound = (2 * nw + 1) as f64 * NEGLIGIBLE_MASS;
+            assert!(
+                (full - skipped).abs() <= bound,
+                "c = {coverage}: |ΔA| = {:e} > {bound:e}",
+                (full - skipped).abs()
+            );
         }
     }
 

@@ -57,3 +57,23 @@ fn full_coverage_degenerate_case_matches_on_context_path() {
     let cold = webservice::redundant_imperfect_availability(&p).unwrap();
     assert_eq!(warm.to_bits(), cold.to_bits());
 }
+
+#[test]
+fn context_path_matches_allocating_path_on_large_farms() {
+    // Past the dense cutoff both paths take the closed form and apply
+    // the same negligible-mass skip rule to the M/M/i/K solves; small
+    // enough that the allocating path stays fast.
+    let params = TaParameters::builder()
+        .web_servers(700)
+        .buffer_size(700)
+        .build()
+        .unwrap();
+    let direct = webservice::redundant_imperfect_availability(&params).unwrap();
+    let mut ctx = EvalContext::new();
+    let warm = webservice::redundant_imperfect_availability_with(&params, &mut ctx).unwrap();
+    assert_eq!(direct.to_bits(), warm.to_bits());
+    // A second call on the same, now warm, context.
+    let again = webservice::redundant_imperfect_availability_with(&params, &mut ctx).unwrap();
+    assert_eq!(direct.to_bits(), again.to_bits());
+    assert!(ctx.reuse_count() >= 1);
+}
