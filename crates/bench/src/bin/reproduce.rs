@@ -73,8 +73,10 @@
 //! `--inject` in the CI injection matrix.
 //!
 //! `bench` times the cold Figure 11, Figure 12 and Table 8 drivers, the
-//! cold Figure 2 fit, a cold/reuse pair for the `sim.farm_replication`
-//! kernel and two telemetry hot paths, in-process, and prints the means;
+//! cold Figure 2 fit, the `/eval` worker's web-service evaluation on
+//! distinct farms (`ws_context/cold`), a cold/reuse pair for the
+//! `sim.farm_replication` kernel and two telemetry hot paths, in-process,
+//! and prints the means;
 //! no timed row replays a memo. `--bench-json <path>` additionally writes the
 //! measurements as a JSON-lines artifact (schema `uavail-bench/v1`: one
 //! meta record, one record per benchmark with
@@ -145,7 +147,8 @@ use uavail_travel::sim_validation::{
 };
 use uavail_travel::user::{class_a, class_b};
 use uavail_travel::{
-    services, webservice, Architecture, Coverage, TaParameters, TravelAgencyModel, TravelError,
+    services, webservice, Architecture, Coverage, EvalContext, TaParameters, TravelAgencyModel,
+    TravelError,
 };
 
 /// One command-line flag: its name, what its value must be, and the
@@ -740,7 +743,8 @@ struct BenchMeasurement {
 }
 
 /// Times the Figure 11, Figure 12 and Table 8 drivers cold (the loss
-/// memo reset before every iteration) in-process, plus a
+/// memo reset before every iteration) in-process, the `/eval` worker's
+/// web-service evaluation on distinct farms, plus a
 /// `sim.farm_replication` pair that times the per-event replication
 /// baseline against the epoch-resolvent streaming path. Cold iterations
 /// allocate everything fresh; the reuse iteration runs on one long-lived
@@ -793,6 +797,41 @@ fn run_context_benches() -> Result<Vec<BenchMeasurement>, TravelError> {
             name,
             mode: "cold_build",
             mean_ns,
+            iters,
+        });
+    }
+    // The `/eval` worker's web-service evaluation as distinct farms reach
+    // it: 8 to 80 servers, λ from 1e-4 to 1e-3 per hour, α from 50 to 150
+    // per second. A fresh context and an empty loss memo each iteration,
+    // so every farm pays its farm solve and its M/M/i/K solves; the mean
+    // is per farm.
+    {
+        let farms: Vec<TaParameters> = (0..32)
+            .map(|k| {
+                let servers = 8 + (k * 7) % 73;
+                TaParameters {
+                    web_servers: servers,
+                    buffer_size: servers + 8,
+                    failure_rate_per_hour: 10f64.powf(-4.0 + k as f64 / 31.0),
+                    arrival_rate_per_second: 50.0 + 100.0 * ((k * 13) % 32) as f64 / 31.0,
+                    ..TaParameters::paper_defaults()
+                }
+            })
+            .collect();
+        let (mean_ns, iters) = time(|| {
+            webservice::reset_loss_cache();
+            let mut ctx = EvalContext::new();
+            for p in &farms {
+                black_box(webservice::redundant_imperfect_availability_with(
+                    p, &mut ctx,
+                )?);
+            }
+            Ok(())
+        })?;
+        out.push(BenchMeasurement {
+            name: "ws_context",
+            mode: "cold",
+            mean_ns: mean_ns / farms.len() as f64,
             iters,
         });
     }

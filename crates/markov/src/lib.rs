@@ -58,7 +58,8 @@ pub use ctmc::{Ctmc, CtmcBuilder, StateId, SteadyStateMethod};
 pub use dtmc::Dtmc;
 pub use error::MarkovError;
 pub use gth::{
-    gth_steady_state, gth_steady_state_into, steady_state_mass_drift, STEADY_STATE_DRIFT_TOLERANCE,
+    gth_imperfect_coverage_farm, gth_steady_state, steady_state_mass_drift,
+    STEADY_STATE_DRIFT_TOLERANCE,
 };
 
 /// Tolerance used when validating stochastic matrices and generators.

@@ -1,20 +1,23 @@
 //! Reusable evaluation scratch for repeated what-if queries.
 //!
-//! Every web-service evaluation rebuilds the same machinery: a CTMC
-//! generator for the web-server farm, a GTH elimination scratch matrix, a
-//! stationary vector, an M/M/c/K state distribution, and a composite-state
-//! list. [`EvalContext`] owns all of those buffers so a query worker (the
-//! `/eval` plane gives each worker one) allocates them once and reuses
-//! them for every subsequent query.
+//! Every web-service evaluation fills the same buffers: the web-server
+//! farm's stationary vector and its split into operational and
+//! reconfiguration states, an M/M/c/K state distribution, and a
+//! composite-state list. [`EvalContext`] owns all of those buffers so a
+//! query worker (the `/eval` plane gives each worker one) allocates them
+//! once and reuses them for every subsequent query. The farm itself is
+//! solved in O(N_W) by `uavail_markov::gth_imperfect_coverage_farm`, so
+//! no buffer grows with N_W².
 //!
 //! The context is transparent: the `*_with` evaluation paths in
 //! [`crate::webservice`] and [`crate::user`] run the exact same
-//! floating-point operations as their allocating counterparts on a fresh
-//! buffer, fall back through the same solver chain when a solve is
-//! unhealthy, and the context's two memos replay the exact bits of the
-//! first computation, so results are bit-for-bit identical (pinned in the
-//! crate's integration tests). The memos are the ones measured `/eval`
-//! traffic hits: per-point web availabilities (every repeated ws query)
+//! floating-point operations as their allocating counterparts, hand any
+//! farm the structured solve declines to the allocating path, fall back
+//! through the same solver chain when a solve is unhealthy, and the
+//! context's two memos replay the exact bits of the first computation,
+//! so results are bit-for-bit identical (pinned in the crate's
+//! integration tests). The memos are the ones measured `/eval` traffic
+//! hits: per-point web availabilities (every repeated ws query)
 //! and per-scenario service expansions (every class A/B query). The
 //! paper's figure and table drivers in [`crate::evaluation`] do not use a
 //! context: they run the allocating path. Reuse is instrumented through
@@ -24,7 +27,6 @@
 use std::collections::HashMap;
 
 use uavail_core::composite::CompositeState;
-use uavail_linalg::Matrix;
 
 use crate::TaParameters;
 
@@ -70,11 +72,8 @@ const SCENARIO_MEMO_CAP: usize = 256;
 /// ```
 #[derive(Debug, Default)]
 pub struct EvalContext {
-    /// Generator assembly for the imperfect-coverage farm CTMC.
-    pub(crate) generator: Matrix,
-    /// GTH elimination scratch.
-    pub(crate) gth_scratch: Matrix,
-    /// Stationary-distribution output.
+    /// Stationary vector of the imperfect-coverage farm, operational
+    /// states `0 ..= N_W` then reconfiguration states `y_1 ..= y_{N_W}`.
     pub(crate) pi: Vec<f64>,
     /// Farm operational-state probabilities `Π_0 ..= Π_{N_W}`.
     pub(crate) farm_op: Vec<f64>,

@@ -15,13 +15,16 @@
 //! solved by GTH on the explicit CTMC; larger imperfect-coverage farms
 //! take the product-form closed form of equations (6)–(8) directly. The
 //! tests check the closed form against GTH at farm sizes up to that
-//! cutoff and against the balance equations past it.
+//! cutoff and against the balance equations past it. The `/eval`
+//! worker's path, [`redundant_imperfect_availability_with`], runs the
+//! same GTH on the chain's non-zero entries only
+//! ([`gth_imperfect_coverage_farm`]), in O(N_W) and to the same bits.
 
 use std::sync::OnceLock;
 
 use uavail_core::composite::{composite_availability, CompositeState};
 use uavail_markov::{
-    gth_steady_state_into, steady_state_mass_drift, BirthDeath, Ctmc, CtmcBuilder,
+    gth_imperfect_coverage_farm, steady_state_mass_drift, BirthDeath, Ctmc, CtmcBuilder, StateId,
     STEADY_STATE_DRIFT_TOLERANCE,
 };
 use uavail_queueing::{MMcK, MM1K};
@@ -230,12 +233,7 @@ pub fn farm_distribution_imperfect(
 ) -> Result<(Vec<f64>, Vec<f64>), TravelError> {
     params.validate()?;
     let n = params.web_servers;
-    let lambda = params.failure_rate_per_hour;
-    let mu = params.repair_rate_per_hour;
-    let c = params.coverage;
-    let beta = params.reconfiguration_rate_per_hour;
-
-    if c >= 1.0 {
+    if params.coverage >= 1.0 {
         // Perfect coverage: the y states are unreachable; Figure 10
         // degenerates to Figure 9.
         return Ok((farm_distribution_perfect(params)?, vec![0.0; n]));
@@ -244,26 +242,7 @@ pub fn farm_distribution_imperfect(
         return farm_distribution_imperfect_closed_form(params);
     }
 
-    let mut b = CtmcBuilder::new();
-    let op: Vec<_> = (0..=n).map(|i| b.add_state(format!("up{i}"))).collect();
-    let y: Vec<_> = (1..=n).map(|i| b.add_state(format!("y{i}"))).collect();
-    for i in 1..=n {
-        // Covered failure: i -> i-1 at rate i·c·λ.
-        if c > 0.0 {
-            b.add_transition(op[i], op[i - 1], i as f64 * c * lambda)?;
-        }
-        // Uncovered failure: i -> y_i at rate i·(1-c)·λ.
-        if c < 1.0 {
-            b.add_transition(op[i], y[i - 1], i as f64 * (1.0 - c) * lambda)?;
-        }
-        // Manual reconfiguration: y_i -> i-1 at rate β.
-        if c < 1.0 {
-            b.add_transition(y[i - 1], op[i - 1], beta)?;
-        }
-        // Shared repair: i-1 -> i at rate µ.
-        b.add_transition(op[i - 1], op[i], mu)?;
-    }
-    let chain = b.build()?;
+    let (chain, op, y) = imperfect_farm_chain(params)?;
     // Health-gated solve: the default (GTH) solution is accepted only when
     // its probability mass survived intact; otherwise fall through to the
     // LU → GTH → scaled-GTH chain. On the healthy path this recomputes
@@ -283,62 +262,89 @@ pub fn farm_distribution_imperfect(
     Ok((operational, reconfiguring))
 }
 
+/// The imperfect-coverage farm chain of Figure 10 for `c < 1`, with the
+/// handles of its operational states `0 ..= N_W` and of its
+/// reconfiguration states `y_1 ..= y_{N_W}`, added in that order.
+fn imperfect_farm_chain(
+    params: &TaParameters,
+) -> Result<(Ctmc, Vec<StateId>, Vec<StateId>), TravelError> {
+    let n = params.web_servers;
+    let c = params.coverage;
+    let mut b = CtmcBuilder::new();
+    let op: Vec<_> = (0..=n).map(|i| b.add_state(format!("up{i}"))).collect();
+    let y: Vec<_> = (1..=n).map(|i| b.add_state(format!("y{i}"))).collect();
+    for i in 1..=n {
+        let (covered, uncovered) = failure_rates(params, i);
+        // Covered failure: i -> i-1 at rate i·c·λ.
+        if c > 0.0 {
+            b.add_transition(op[i], op[i - 1], covered)?;
+        }
+        // Uncovered failure: i -> y_i at rate i·(1-c)·λ.
+        b.add_transition(op[i], y[i - 1], uncovered)?;
+        // Manual reconfiguration: y_i -> i-1 at rate β.
+        b.add_transition(y[i - 1], op[i - 1], params.reconfiguration_rate_per_hour)?;
+        // Shared repair: i-1 -> i at rate µ.
+        b.add_transition(op[i - 1], op[i], params.repair_rate_per_hour)?;
+    }
+    Ok((b.build()?, op, y))
+}
+
+/// Covered (`i·c·λ`, `0.0` when `c = 0`) and uncovered (`i·(1−c)·λ`)
+/// failure rates out of the farm state with `i` operational servers.
+fn failure_rates(params: &TaParameters, i: usize) -> (f64, f64) {
+    let lambda = params.failure_rate_per_hour;
+    let c = params.coverage;
+    let covered = if c > 0.0 { i as f64 * c * lambda } else { 0.0 };
+    (covered, i as f64 * (1.0 - c) * lambda)
+}
+
+/// Solves the farm of `params` (`c < 1`) into `pi` by
+/// [`gth_imperfect_coverage_farm`], in the layout of
+/// [`imperfect_farm_chain`]. Returns `false` when that solve declines, and
+/// also when the builder would reject a failure rate that underflowed to
+/// zero, so every farm this answers is one the allocating path solves,
+/// to the same bits.
+fn structured_farm_solve(params: &TaParameters, pi: &mut Vec<f64>) -> bool {
+    // Both rates grow with i, so the one-server rates are the smallest.
+    let (covered, uncovered) = failure_rates(params, 1);
+    if uncovered == 0.0 || (params.coverage > 0.0 && covered == 0.0) {
+        return false;
+    }
+    gth_imperfect_coverage_farm(
+        params.web_servers,
+        |i| failure_rates(params, i),
+        params.repair_rate_per_hour,
+        params.reconfiguration_rate_per_hour,
+        pi,
+    )
+}
+
 /// Solves the imperfect-coverage farm into `ctx.farm_op` / `ctx.farm_y`,
-/// bit-for-bit identical to [`farm_distribution_imperfect`]. The dense
-/// chain is assembled in `ctx.generator` and solved with GTH in
-/// `ctx.gth_scratch`, allocation-free; perfect coverage and farms past the
-/// dense cutoff take the allocating path itself.
+/// bit-for-bit identical to [`farm_distribution_imperfect`], in O(N_W)
+/// time and without allocating once `ctx` is warm.
 ///
-/// The caller must have validated `params` already. State indexing mirrors
-/// the builder path exactly: operational state `i` at row `i`
-/// (`0 ..= N_W`), reconfiguration state `y_i` at row `N_W + i`
-/// (`1 ..= N_W`), and the generator accumulates transitions in the same
-/// insertion order as [`CtmcBuilder::build`].
+/// The caller must have validated `params` already. The farm is solved by
+/// [`structured_farm_solve`], which runs the same floating-point
+/// operations as GTH on the builder's generator. Perfect coverage, farms
+/// past the dense cutoff and farms the structured solve declines take
+/// the allocating path itself, so every solve fires the
+/// `markov.gth.mass_drift` injection site exactly once.
 fn farm_distribution_imperfect_compute(
     params: &TaParameters,
     ctx: &mut EvalContext,
 ) -> Result<(), TravelError> {
     let n = params.web_servers;
-    let lambda = params.failure_rate_per_hour;
-    let mu = params.repair_rate_per_hour;
-    let c = params.coverage;
-    let beta = params.reconfiguration_rate_per_hour;
-
-    if c >= 1.0 || past_dense_cutoff(n) {
-        // No dense chain to solve: Figure 10 degenerates to Figure 9, or
-        // the farm takes the closed form.
+    if params.coverage >= 1.0 || past_dense_cutoff(n) || !structured_farm_solve(params, &mut ctx.pi)
+    {
         (ctx.farm_op, ctx.farm_y) = farm_distribution_imperfect(params)?;
         return Ok(());
     }
-
-    let q = &mut ctx.generator;
-    q.reset_zeros(2 * n + 1, 2 * n + 1);
-    // Same transition order as the builder path; op state i sits at row i,
-    // y_i at row n + i. Each transition adds to (from, to) and subtracts
-    // from the diagonal, exactly like `CtmcBuilder::build`.
-    let mut apply = |from: usize, to: usize, rate: f64| {
-        q[(from, to)] += rate;
-        q[(from, from)] -= rate;
-    };
-    for i in 1..=n {
-        if c > 0.0 {
-            apply(i, i - 1, i as f64 * c * lambda);
-        }
-        if c < 1.0 {
-            apply(i, n + i, i as f64 * (1.0 - c) * lambda);
-        }
-        if c < 1.0 {
-            apply(n + i, i - 1, beta);
-        }
-        apply(i - 1, i, mu);
-    }
-    gth_steady_state_into(&ctx.generator, &mut ctx.gth_scratch, &mut ctx.pi)?;
     if steady_state_mass_drift(&ctx.pi) > STEADY_STATE_DRIFT_TOLERANCE {
         // The same LU → GTH → scaled-GTH chain the allocating path falls
         // back to, so both paths accept and reject the same farms.
         uavail_obs::counter_add("travel.farm.pi_fallbacks", 1);
         uavail_obs::slo_degraded(1);
-        ctx.pi = Ctmc::from_generator(ctx.generator.clone())?.steady_state_resilient()?;
+        ctx.pi = imperfect_farm_chain(params)?.0.steady_state_resilient()?;
         uavail_obs::counter_add("travel.farm.pi_recovered", 1);
     }
     ctx.farm_op.clear();
@@ -510,10 +516,8 @@ pub fn mean_time_to_web_down(params: &TaParameters) -> Result<f64, TravelError> 
     let n = params.web_servers;
     let lambda = params.failure_rate_per_hour;
     let mu = params.repair_rate_per_hour;
-    let c = params.coverage;
-    let beta = params.reconfiguration_rate_per_hour;
 
-    if c >= 1.0 {
+    if params.coverage >= 1.0 {
         // Pure birth-death descent: use the numerically stable closed
         // form — at λ = 1e-4, µ = 1 and N_W ≥ 6 the MTTF exceeds 1e20 h
         // and dense hitting-time solvers cancel catastrophically.
@@ -522,20 +526,7 @@ pub fn mean_time_to_web_down(params: &TaParameters) -> Result<f64, TravelError> 
         return Ok(BirthDeath::new(births, deaths)?.mean_passage_to_zero(n)?);
     }
 
-    let mut b = CtmcBuilder::new();
-    let op: Vec<_> = (0..=n).map(|i| b.add_state(format!("up{i}"))).collect();
-    let y: Vec<_> = (1..=n).map(|i| b.add_state(format!("y{i}"))).collect();
-    for i in 1..=n {
-        if c > 0.0 {
-            b.add_transition(op[i], op[i - 1], i as f64 * c * lambda)?;
-        }
-        if c < 1.0 {
-            b.add_transition(op[i], y[i - 1], i as f64 * (1.0 - c) * lambda)?;
-            b.add_transition(y[i - 1], op[i - 1], beta)?;
-        }
-        b.add_transition(op[i - 1], op[i], mu)?;
-    }
-    let chain = b.build()?;
+    let (chain, op, y) = imperfect_farm_chain(params)?;
     // Down = state 0 plus every reconfiguration state.
     let mut targets = vec![op[0]];
     targets.extend(y.iter().copied());
@@ -868,6 +859,73 @@ mod tests {
                 (full - skipped).abs()
             );
         }
+    }
+
+    #[test]
+    fn structured_farm_solve_matches_dense_gth_bit_for_bit() {
+        // Rates from subnormal to near overflow. Wherever dense GTH on the
+        // builder's generator is healthy, the structured solve must give
+        // the same bits; it may decline only where dense GTH fails or
+        // drifts, or where the builder rejects a rate. Farms past 64
+        // servers get a thinner grid: their dense solves dominate a debug
+        // build's time.
+        let coverages = [0.0, 1e-12, 0.5, 0.98, 0.999999];
+        let full = (
+            &[1e-320, 1e-300, 1e-4, 1e2, 1e306][..],
+            &[1e-300, 1.0, 1e3, 1e300][..],
+            &[1e-310, 1e-2, 12.0, 1e300][..],
+        );
+        let thin = (&[1e-4, 1e-2][..], &[1.0, 1e3][..], &[12.0][..]);
+        let sizes = (1..=64)
+            .map(|nw| (nw, full))
+            .chain([128, 255, 511].map(|nw| (nw, thin)));
+        let (mut identical, mut declined, mut rejected) = (0, 0, 0);
+        let mut pi = Vec::new();
+        for (nw, (lambdas, mus, betas)) in sizes {
+            for &c in &coverages {
+                for &lambda in lambdas {
+                    for &mu in mus {
+                        for &beta in betas {
+                            let p = TaParameters {
+                                web_servers: nw,
+                                buffer_size: nw,
+                                coverage: c,
+                                failure_rate_per_hour: lambda,
+                                repair_rate_per_hour: mu,
+                                reconfiguration_rate_per_hour: beta,
+                                ..TaParameters::paper_defaults()
+                            };
+                            let case = format!("N_W={nw} c={c} λ={lambda} µ={mu} β={beta}");
+                            let solved = structured_farm_solve(&p, &mut pi);
+                            let Ok((chain, _, _)) = imperfect_farm_chain(&p) else {
+                                assert!(!solved, "{case}: answered a farm the builder rejects");
+                                rejected += 1;
+                                continue;
+                            };
+                            match uavail_markov::gth_steady_state(chain.generator()) {
+                                Ok(dense)
+                                    if steady_state_mass_drift(&dense)
+                                        <= STEADY_STATE_DRIFT_TOLERANCE =>
+                                {
+                                    assert!(solved, "{case}: declined a healthy farm");
+                                    assert_eq!(pi.len(), dense.len());
+                                    for (k, (s, d)) in pi.iter().zip(&dense).enumerate() {
+                                        assert_eq!(s.to_bits(), d.to_bits(), "{case}, state {k}");
+                                    }
+                                    identical += 1;
+                                }
+                                _ => {
+                                    assert!(!solved, "{case}: answered an unhealthy farm");
+                                    declined += 1;
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(identical > 0 && declined > 0 && rejected > 0);
+        eprintln!("{identical} identical, {declined} declined, {rejected} rejected by the builder");
     }
 
     #[test]

@@ -1,14 +1,27 @@
 //! Bit-for-bit identity of the context-reusing web-service paths.
 //!
 //! The `EvalContext` plumbing behind the `/eval` query plane
-//! (`redundant_imperfect_availability_with`, `gth_steady_state_into`
-//! solves, `MMcK::with_distribution_buf`) must be pure plumbing: every
-//! reuse path executes the same floating-point operations in the same
-//! order as its allocating twin, so results agree to the last bit — not
-//! merely within tolerance. These tests compare raw bit patterns, including the paper's
-//! pinned headline values.
+//! (`redundant_imperfect_availability_with`, the O(N_W)
+//! `gth_imperfect_coverage_farm` farm solve, `MMcK::with_distribution_buf`)
+//! must be pure plumbing: every reuse path executes the same
+//! floating-point operations in the same order as its allocating twin,
+//! and hands any farm its structured solve declines to that twin, so
+//! results agree to the last bit — not merely within tolerance, and
+//! errors are the same errors. These tests compare raw bit patterns,
+//! including the paper's pinned headline values.
 
 use uavail_travel::{webservice, EvalContext, TaParameters};
+
+/// The paper's reference parameters with the given farm rates.
+fn farm(lambda: f64, mu: f64, coverage: f64, beta: f64) -> TaParameters {
+    TaParameters {
+        failure_rate_per_hour: lambda,
+        repair_rate_per_hour: mu,
+        coverage,
+        reconfiguration_rate_per_hour: beta,
+        ..TaParameters::paper_defaults()
+    }
+}
 
 #[test]
 fn context_path_pins_paper_headline_availability() {
@@ -76,4 +89,53 @@ fn context_path_matches_allocating_path_on_large_farms() {
     let again = webservice::redundant_imperfect_availability_with(&params, &mut ctx).unwrap();
     assert_eq!(direct.to_bits(), again.to_bits());
     assert!(ctx.reuse_count() >= 1);
+}
+
+#[test]
+fn context_path_answers_wherever_the_allocating_path_falls_back() {
+    // Farms on which dense GTH fails outright — a zero pivot at
+    // λ = 5e-324, an overflowing factor µ/d_k at the other two — are
+    // rescued by the allocating path's LU → GTH → scaled-GTH chain. The
+    // context path must reach the same answer, not return the raw GTH
+    // error.
+    let paper = TaParameters::paper_defaults();
+    let (mu, c, beta) = (
+        paper.repair_rate_per_hour,
+        paper.coverage,
+        paper.reconfiguration_rate_per_hour,
+    );
+    for params in [
+        farm(5e-324, mu, 0.0, beta),
+        farm(1e-320, mu, 0.0, 1e3),
+        farm(1e-300, 1e300, c, beta),
+    ] {
+        let cold = webservice::redundant_imperfect_availability(&params).unwrap();
+        let warm =
+            webservice::redundant_imperfect_availability_with(&params, &mut EvalContext::new())
+                .unwrap_or_else(|e| panic!("{params:?}: {e}"));
+        assert_eq!(cold.to_bits(), warm.to_bits(), "{params:?}");
+    }
+}
+
+#[test]
+fn context_path_fails_wherever_the_allocating_path_fails() {
+    // β = 1e-310 overflows the fold factor u_i/β, and the fallback chain
+    // cannot rescue the farm either. At λ = 1e-313, c = 1e-12 the covered
+    // rate c·λ underflows to zero, which the chain builder rejects. Both
+    // paths must give the same typed error.
+    let paper = TaParameters::paper_defaults();
+    let one_server = TaParameters {
+        web_servers: 1,
+        ..farm(1e-313, 1e-5, 1e-12, paper.reconfiguration_rate_per_hour)
+    };
+    for params in [
+        farm(1.0, paper.repair_rate_per_hour, paper.coverage, 1e-310),
+        one_server,
+    ] {
+        let cold = webservice::redundant_imperfect_availability(&params).unwrap_err();
+        let warm =
+            webservice::redundant_imperfect_availability_with(&params, &mut EvalContext::new())
+                .unwrap_err();
+        assert_eq!(cold.to_string(), warm.to_string(), "{params:?}");
+    }
 }

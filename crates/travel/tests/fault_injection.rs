@@ -26,8 +26,10 @@ use uavail_core::par::{default_threads, Exec, OnFailure};
 use uavail_core::sweep::sweep;
 use uavail_core::CoreError;
 use uavail_travel::evaluation::{figure12, figure_sweep, FigureReport};
-use uavail_travel::webservice::{redundant_imperfect_availability, reset_loss_cache};
-use uavail_travel::{Coverage, TaParameters, TravelError};
+use uavail_travel::webservice::{
+    redundant_imperfect_availability, redundant_imperfect_availability_with, reset_loss_cache,
+};
+use uavail_travel::{Coverage, EvalContext, TaParameters, TravelError};
 
 /// Table 7 headline availability for the paper's reference parameters.
 const HEADLINE: f64 = 0.999995587;
@@ -213,6 +215,36 @@ fn gth_mass_drift_recovers_through_the_fallback_chain() {
     let snap = uavail_obs::snapshot();
     assert!(snap.counter("travel.farm.pi_fallbacks") >= 1, "{snap:?}");
     assert!(snap.counter("travel.farm.pi_recovered") >= 1);
+    assert!(snap.counter("faultinject.fired.markov.gth.mass_drift") >= 1);
+    uavail_obs::reset();
+}
+
+#[test]
+fn gth_mass_drift_on_the_worker_path_recovers_through_the_fallback_chain() {
+    let _guard = InjectionGuard::acquire();
+    uavail_obs::reset();
+    uavail_obs::set_enabled(true);
+    uavail_faultinject::set_seed(7);
+    uavail_faultinject::arm("gth", 1.0).unwrap();
+    uavail_faultinject::set_enabled(true);
+
+    // The `/eval` worker's structured farm solve fires the same site as
+    // dense GTH; its drift check must hand the leaked vector to the same
+    // fallback chain.
+    let a = redundant_imperfect_availability_with(
+        &TaParameters::paper_defaults(),
+        &mut EvalContext::new(),
+    )
+    .unwrap();
+    assert!(
+        (a - HEADLINE).abs() < 1e-8,
+        "A(WS) = {a:.9} through the fallback chain"
+    );
+
+    uavail_faultinject::set_enabled(false);
+    uavail_obs::set_enabled(false);
+    let snap = uavail_obs::snapshot();
+    assert!(snap.counter("travel.farm.pi_fallbacks") >= 1, "{snap:?}");
     assert!(snap.counter("faultinject.fired.markov.gth.mass_drift") >= 1);
     uavail_obs::reset();
 }

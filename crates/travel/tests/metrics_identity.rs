@@ -13,7 +13,7 @@ use uavail_travel::evaluation::{figure11, figure12, figure_sweep, table8};
 use uavail_travel::sim_validation::{
     compressed_parameters, validate_web_service, validate_web_service_streaming,
 };
-use uavail_travel::{webservice, Coverage};
+use uavail_travel::{webservice, Coverage, EvalContext, TaParameters};
 
 static RECORDER_LOCK: Mutex<()> = Mutex::new(());
 
@@ -84,6 +84,53 @@ fn parallel_sweep_is_bit_identical_with_recording_on() {
     }
     assert_eq!(snap.spans["travel.figure_sweep"].count, 1);
     assert_eq!(snap.histograms["travel.figure.point_ns"].count, 90);
+}
+
+/// Distinct farms shaped like the `/eval` benchmark's cold queries: 8 to
+/// 80 servers with a buffer eight slots deeper, λ from 1e-4 to 1e-3 per
+/// hour and α from 50 to 150 per second.
+fn cold_farms() -> Vec<TaParameters> {
+    (0..32)
+        .map(|k| {
+            let servers = 8 + (k * 7) % 73;
+            TaParameters {
+                web_servers: servers,
+                buffer_size: servers + 8,
+                failure_rate_per_hour: 10f64.powf(-4.0 + k as f64 / 31.0),
+                arrival_rate_per_second: 50.0 + 100.0 * ((k * 13) % 32) as f64 / 31.0,
+                ..TaParameters::paper_defaults()
+            }
+        })
+        .collect()
+}
+
+#[test]
+fn worker_farm_solves_are_bit_identical_with_recording_on() {
+    let farms = cold_farms();
+    let (off, on, snap) = with_and_without_recording(|| {
+        let mut ctx = EvalContext::new();
+        farms
+            .iter()
+            .map(|p| webservice::redundant_imperfect_availability_with(p, &mut ctx).unwrap())
+            .collect::<Vec<_>>()
+    });
+    for ((a, b), p) in off.iter().zip(&on).zip(&farms) {
+        assert_eq!(a.to_bits(), b.to_bits(), "{p:?}");
+    }
+    // Every farm was solved once by the structured GTH, which recorded
+    // both of its health gauges, within the tolerances `trace_health.rs`
+    // documents for dense GTH.
+    for (gauge, tolerance) in [
+        ("markov.gth.prob_sum_drift", 1e-12),
+        ("markov.gth.residual", 1e-8),
+    ] {
+        let summary = snap
+            .health
+            .get(gauge)
+            .unwrap_or_else(|| panic!("{gauge} missing"));
+        assert_eq!(summary.count, farms.len() as u64, "{gauge}");
+        assert!(summary.max < tolerance, "{gauge}: {summary:?}");
+    }
 }
 
 #[test]
