@@ -98,19 +98,12 @@ fn bench_extensions(c: &mut Criterion) {
 fn bench_parallel_sweep(c: &mut Criterion) {
     use uavail_core::par::Exec;
     use uavail_travel::evaluation::figure_sweep;
-    use uavail_travel::webservice::reset_loss_cache;
     use uavail_travel::Coverage;
-    // Cold-cache runs so serial and parallel pay identical loss-model
-    // work; the warm-cache benches above stay as-is.
-    c.bench_function("figure_sweep/serial_cold_cache", |bench| {
-        bench.iter(|| {
-            reset_loss_cache();
-            black_box((figure11().unwrap(), figure12().unwrap()))
-        })
+    c.bench_function("figure_sweep/serial", |bench| {
+        bench.iter(|| black_box((figure11().unwrap(), figure12().unwrap())))
     });
-    c.bench_function("figure_sweep/parallel_cold_cache", |bench| {
+    c.bench_function("figure_sweep/parallel", |bench| {
         bench.iter(|| {
-            reset_loss_cache();
             let exec = Exec::parallel();
             black_box((
                 figure_sweep(Coverage::Perfect, &exec).unwrap(),
@@ -121,44 +114,31 @@ fn bench_parallel_sweep(c: &mut Criterion) {
 }
 
 fn bench_metrics_overhead(c: &mut Criterion) {
-    use uavail_travel::webservice::reset_loss_cache;
     // The uavail-obs contract: with the recorder disabled (the default)
     // every instrumentation site is one relaxed atomic load, so this
-    // bench must stay within noise of figure_sweep/serial_cold_cache;
-    // the enabled run bounds the full recording cost.
-    c.bench_function("metrics/disabled_cold_cache", |bench| {
+    // bench must stay within noise of figure_sweep/serial; the enabled
+    // run bounds the full recording cost.
+    c.bench_function("metrics/disabled", |bench| {
         uavail_obs::set_enabled(false);
-        bench.iter(|| {
-            reset_loss_cache();
-            black_box((figure11().unwrap(), figure12().unwrap()))
-        })
+        bench.iter(|| black_box((figure11().unwrap(), figure12().unwrap())))
     });
-    c.bench_function("metrics/enabled_cold_cache", |bench| {
+    c.bench_function("metrics/enabled", |bench| {
         uavail_obs::set_enabled(true);
         uavail_obs::reset();
-        bench.iter(|| {
-            reset_loss_cache();
-            black_box((figure11().unwrap(), figure12().unwrap()))
-        });
+        bench.iter(|| black_box((figure11().unwrap(), figure12().unwrap())));
         uavail_obs::set_enabled(false);
     });
     // Same contract for the trace channel: disabled tracing is one relaxed
     // atomic load per site and must stay within noise of the plain sweep;
     // the enabled run bounds the thread-local ring-push cost.
-    c.bench_function("trace/disabled_cold_cache", |bench| {
+    c.bench_function("trace/disabled", |bench| {
         uavail_obs::set_trace_enabled(false);
-        bench.iter(|| {
-            reset_loss_cache();
-            black_box((figure11().unwrap(), figure12().unwrap()))
-        })
+        bench.iter(|| black_box((figure11().unwrap(), figure12().unwrap())))
     });
-    c.bench_function("trace/enabled_cold_cache", |bench| {
+    c.bench_function("trace/enabled", |bench| {
         uavail_obs::trace::reset();
         uavail_obs::set_trace_enabled(true);
-        bench.iter(|| {
-            reset_loss_cache();
-            black_box((figure11().unwrap(), figure12().unwrap()))
-        });
+        bench.iter(|| black_box((figure11().unwrap(), figure12().unwrap())));
         uavail_obs::set_trace_enabled(false);
         drop(uavail_obs::take_trace());
     });

@@ -39,18 +39,18 @@
 //!
 //! `--metrics <path>` enables the `uavail-obs` recorder for the run and
 //! writes a JSON-lines artifact to `path`: one meta record, then one
-//! record per span (wall-clock tree), counter (sweep points, cache
-//! hits/misses, simulated sessions), gauge, histogram (per-point
-//! latencies) and label (RNG streams), plus a derived loss-cache hit
-//! rate. Instrumentation never changes any reproduced number — the
-//! `metrics_identity` integration test pins bit-for-bit equality with
-//! recording on and off.
+//! record per span (wall-clock tree), counter (sweep points, memo hits,
+//! simulated sessions), gauge, health channel (solver residuals and the
+//! loss family's `queueing.mmck.loss_increase`), histogram (per-point
+//! latencies) and label (RNG streams). Instrumentation never changes any
+//! reproduced number — the `metrics_identity` integration test pins
+//! bit-for-bit equality with recording on and off.
 //!
 //! `--trace <path>` enables trace-event collection for the run and writes
 //! a Chrome-trace JSON timeline to `path` — open it in Perfetto
 //! (<https://ui.perfetto.dev>) or `chrome://tracing`. The timeline shows
 //! one lane per worker thread with `par.worker`/`par.chunk` spans, a span
-//! per figure point, and instant events for memo and loss-cache traffic.
+//! per figure point, and instant events for memo hits and health values.
 //! Like `--metrics`, tracing never changes any reproduced number.
 //!
 //! `--inject <spec>` arms the deterministic `uavail-faultinject` layer for
@@ -771,8 +771,7 @@ fn run_context_benches() -> Result<Vec<BenchMeasurement>, TravelError> {
     }
 
     let mut out = Vec::with_capacity(8);
-    // The paper drivers as `reproduce` runs them, each iteration paying
-    // every loss-model miss.
+    // The paper drivers as `reproduce` runs them.
     type Driver = fn() -> Result<(), TravelError>;
     let drivers: [(&'static str, Driver); 3] = [
         ("figure11", || {
@@ -789,10 +788,7 @@ fn run_context_benches() -> Result<Vec<BenchMeasurement>, TravelError> {
         }),
     ];
     for (name, driver) in drivers {
-        let (mean_ns, iters) = time(|| {
-            webservice::reset_loss_cache();
-            driver()
-        })?;
+        let (mean_ns, iters) = time(driver)?;
         out.push(BenchMeasurement {
             name,
             mode: "cold_build",
@@ -802,9 +798,8 @@ fn run_context_benches() -> Result<Vec<BenchMeasurement>, TravelError> {
     }
     // The `/eval` worker's web-service evaluation as distinct farms reach
     // it: 8 to 80 servers, λ from 1e-4 to 1e-3 per hour, α from 50 to 150
-    // per second. A fresh context and an empty loss memo each iteration,
-    // so every farm pays its farm solve and its M/M/i/K solves; the mean
-    // is per farm.
+    // per second. A fresh context each iteration, so every farm pays its
+    // farm solve and its N_W loss probabilities; the mean is per farm.
     {
         let farms: Vec<TaParameters> = (0..32)
             .map(|k| {
@@ -819,7 +814,6 @@ fn run_context_benches() -> Result<Vec<BenchMeasurement>, TravelError> {
             })
             .collect();
         let (mean_ns, iters) = time(|| {
-            webservice::reset_loss_cache();
             let mut ctx = EvalContext::new();
             for p in &farms {
                 black_box(webservice::redundant_imperfect_availability_with(
@@ -1040,9 +1034,9 @@ fn write_bench_json(path: &str, measurements: &[BenchMeasurement]) -> Result<(),
 }
 
 /// Serializes the global recorder to `path` as JSON lines: a meta record,
-/// the snapshot records (counters, gauges, spans, histograms, labels) and
-/// a derived loss-cache hit rate. The artifact is validated by the
-/// in-tree JSON parser before anything touches the filesystem.
+/// then the snapshot records (counters, gauges, spans, histograms, health
+/// channels, labels). The artifact is validated by the in-tree JSON parser
+/// before anything touches the filesystem.
 fn write_metrics(path: &str, args: &Args) -> Result<(), String> {
     use uavail_obs::json::JsonValue;
     let snap = uavail_obs::snapshot();
@@ -1078,22 +1072,6 @@ fn write_metrics(path: &str, args: &Args) -> Result<(), String> {
             &JsonValue::object(vec![
                 ("type", JsonValue::str("slo")),
                 ("slo", slo.to_json()),
-            ])
-            .to_string(),
-        );
-        out.push('\n');
-    }
-    let hits = snap.counter("travel.loss_cache.hits");
-    let misses = snap.counter("travel.loss_cache.misses");
-    if hits + misses > 0 {
-        out.push_str(
-            &JsonValue::object(vec![
-                ("type", JsonValue::str("derived")),
-                ("name", JsonValue::str("travel.loss_cache.hit_rate")),
-                (
-                    "value",
-                    JsonValue::Float(hits as f64 / (hits + misses) as f64),
-                ),
             ])
             .to_string(),
         );
@@ -1842,14 +1820,10 @@ fn print_speedup(args: &Args) -> Result<(), TravelError> {
         "parallel figure sweep diverged from the serial sweep"
     );
 
-    // Each timed repetition starts from a cold loss-probability memo so
-    // serial and parallel pay identical cache misses — otherwise the
-    // second engine measured would mostly time the warm cache.
     let reps = 30u32;
     let time_sweeps = |parallel: bool| -> Result<f64, TravelError> {
         let start = Instant::now();
         for _ in 0..reps {
-            webservice::reset_loss_cache();
             if parallel {
                 black_box(parallel_sweeps()?);
             } else {

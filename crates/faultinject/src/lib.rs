@@ -4,10 +4,10 @@
 //! what happens when a fault is *not* handled cleanly. This crate turns
 //! that question on the evaluation stack itself: named injection sites
 //! threaded through the solvers (LU pivots, GTH mass, M/M/c/K parameters,
-//! the loss cache, replication streams, parallel workers) can be armed to
-//! fire deterministically, so the hardening layers above them (panic
-//! isolation, resilient sweeps, the steady-state fallback chain) can be
-//! exercised in tests and CI instead of trusted on faith.
+//! the M/M/i/K loss probabilities, replication streams, parallel workers)
+//! can be armed to fire deterministically, so the hardening layers above
+//! them (panic isolation, resilient sweeps, the steady-state fallback
+//! chain) can be exercised in tests and CI instead of trusted on faith.
 //!
 //! # Contract
 //!
@@ -60,9 +60,9 @@ pub const SITES: &[(&str, &str, &str)] = &[
         "corrupts the M/M/c/K arrival rate to NaN",
     ),
     (
-        "cache",
-        "travel.loss_cache.poison",
-        "poisons a loss-cache entry with NaN",
+        "loss",
+        "travel.loss.poison",
+        "poisons an M/M/i/K loss probability p_K(i) with NaN",
     ),
     (
         "drop",

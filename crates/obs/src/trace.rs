@@ -5,8 +5,8 @@
 //! tracing keeps the *sequence*: every begin/end/instant event lands in a
 //! bounded per-thread ring with a monotonic timestamp, so a `figure12
 //! --parallel` run can be opened in Perfetto and read as per-worker
-//! timelines — which worker ran which sweep point, where the loss-cache
-//! stalls are, how long each solver call took.
+//! timelines — which worker ran which sweep point, where the memo hits
+//! are, how long each solver call took.
 //!
 //! The recording path takes no lock and allocates only on the first event
 //! of a thread (the ring itself): one relaxed atomic load while tracing
@@ -26,7 +26,7 @@ use std::time::Instant;
 
 /// Default per-thread ring capacity, in events. At ~64 bytes per event a
 /// full ring is ~4 MiB; a 180-point figure sweep with per-point spans and
-/// cache instants stays well below it.
+/// health instants stays well below it.
 pub const DEFAULT_TRACE_CAPACITY: usize = 65_536;
 
 /// Event kind, mirroring the Chrome `trace_event` phases we emit.

@@ -10,7 +10,9 @@
 //! * [`MM1K`] — the M/M/1/K queue of equation (1): loss probability for the
 //!   basic single-server architecture.
 //! * [`MMcK`] — the M/M/i/K queue of equation (3): loss probability when
-//!   `i` servers share a buffer of size `K`.
+//!   `i` servers share a buffer of size `K`, by the birth–death recurrence.
+//!   [`mmck::loss_probabilities`] gives the same `p_K(1), p_K(2), …` in
+//!   closed form at O(1) per server count; `MMcK` is its test oracle.
 //! * [`MM1`] / [`MMc`] — the corresponding infinite-buffer queues, for
 //!   capacity-planning comparisons (Erlang C delay probability, mean
 //!   response times via Little's law).
@@ -48,7 +50,7 @@ mod mg1;
 mod mm1;
 mod mm1k;
 mod mmc;
-mod mmck;
+pub mod mmck;
 pub mod response_time;
 
 pub use birth_death_queue::BirthDeathQueue;

@@ -45,8 +45,7 @@ const RESCALE_BY: f64 = f64::from_bits((1023 - 512) << 52);
 
 /// Fills `out` with the steady-state distribution `p_0 ..= p_K` by the
 /// birth–death recurrence `p_{n+1} = p_n · a / min(n + 1, c)` on
-/// unnormalized terms, normalized once at the end, reusing `out`'s
-/// allocation.
+/// unnormalized terms, normalized once at the end.
 ///
 /// The terms grow like `(a/c)^n`, which overflows for large `K` under
 /// overload (`a = 10`, `c = 1` at `K = 309`). Whenever the running term
@@ -108,51 +107,9 @@ impl MMcK {
         servers: usize,
         capacity: usize,
     ) -> Result<Self, QueueingError> {
-        Self::with_distribution_buf(arrival_rate, service_rate, servers, capacity, Vec::new())
-    }
-
-    /// Like [`MMcK::new`] but fills `buf` with the state distribution
-    /// instead of allocating, so sweep loops can recycle one buffer across
-    /// many queue evaluations (recover it with
-    /// [`MMcK::into_distribution_buf`]).
-    ///
-    /// # Errors
-    ///
-    /// As for [`MMcK::new`]; on error `buf` is dropped.
-    pub fn with_distribution_buf(
-        arrival_rate: f64,
-        service_rate: f64,
-        servers: usize,
-        capacity: usize,
-        mut buf: Vec<f64>,
-    ) -> Result<Self, QueueingError> {
-        // Injection site (inert unless `uavail-faultinject` is enabled):
-        // a corrupted arrival rate funnels into the typed validation
-        // below, demonstrating that degraded inputs degrade to errors,
-        // not to NaN distributions.
-        let arrival_rate = uavail_faultinject::corrupt_f64("queueing.mmck.corrupt", arrival_rate);
-        if !(arrival_rate.is_finite() && arrival_rate >= 0.0) {
-            return Err(QueueingError::InvalidParameter {
-                name: "arrival_rate",
-                value: arrival_rate,
-                requirement: "finite and non-negative",
-            });
-        }
-        check_rate("service_rate", service_rate)?;
-        if servers == 0 {
-            return Err(QueueingError::InvalidParameter {
-                name: "servers",
-                value: 0.0,
-                requirement: "at least 1",
-            });
-        }
-        if capacity < servers {
-            return Err(QueueingError::InvalidParameter {
-                name: "capacity",
-                value: capacity as f64,
-                requirement: "at least the number of servers",
-            });
-        }
+        let arrival_rate = checked_arrival_rate(arrival_rate, service_rate)?;
+        check_servers(servers, capacity)?;
+        let mut buf = Vec::new();
         fill_distribution(arrival_rate / service_rate, servers, capacity, &mut buf);
         // One pass over the distribution for every derived metric. Each
         // accumulator adds terms in increasing state order, matching the
@@ -188,11 +145,6 @@ impl MMcK {
             wait_accepted,
             mean_customers,
         })
-    }
-
-    /// Consumes the model and returns the distribution buffer for reuse.
-    pub fn into_distribution_buf(self) -> Vec<f64> {
-        self.distribution
     }
 
     /// Arrival rate `α`.
@@ -302,9 +254,191 @@ impl MMcK {
     }
 }
 
+/// Validates an M/M/c/K arrival and service rate pair, firing the
+/// `queueing.mmck.corrupt` injection site on the arrival rate first, and
+/// returns the arrival rate the model runs with.
+fn checked_arrival_rate(arrival_rate: f64, service_rate: f64) -> Result<f64, QueueingError> {
+    // Injection site (inert unless `uavail-faultinject` is enabled): a
+    // corrupted arrival rate funnels into the typed validation below,
+    // demonstrating that degraded inputs degrade to errors, not to NaN
+    // probabilities.
+    let arrival_rate = uavail_faultinject::corrupt_f64("queueing.mmck.corrupt", arrival_rate);
+    if !(arrival_rate.is_finite() && arrival_rate >= 0.0) {
+        return Err(QueueingError::InvalidParameter {
+            name: "arrival_rate",
+            value: arrival_rate,
+            requirement: "finite and non-negative",
+        });
+    }
+    check_rate("service_rate", service_rate)?;
+    Ok(arrival_rate)
+}
+
+/// Checks that an M/M/c/K queue has at least one server and a capacity
+/// of at least `servers` (every server must be usable).
+///
+/// # Errors
+///
+/// [`QueueingError::InvalidParameter`] naming `servers` or `capacity`, as
+/// [`MMcK::new`] returns them.
+pub fn check_servers(servers: usize, capacity: usize) -> Result<(), QueueingError> {
+    if servers == 0 {
+        return Err(QueueingError::InvalidParameter {
+            name: "servers",
+            value: 0.0,
+            requirement: "at least 1",
+        });
+    }
+    if capacity < servers {
+        return Err(QueueingError::InvalidParameter {
+            name: "capacity",
+            value: capacity as f64,
+            requirement: "at least the number of servers",
+        });
+    }
+    Ok(())
+}
+
+/// The blocking probabilities `p_K(1), p_K(2), …, p_K(K)` of equation (3)
+/// for one arrival rate `α`, service rate `ν` and capacity `K`, in closed
+/// form: O(1) per server count and no allocation.
+///
+/// With `a = α/ν` and `i` servers, divide every unnormalized state term
+/// by state `i`'s, `a^i/i!`. The states below `i` then sum to
+/// `R_i = (R_{i−1} + 1)·(i/a)`, `R_0 = 0`, and the states `i ..= K` form
+/// the geometric series `Σ_{j=0}^{m} ρ^j` with `ρ = a/i` and `m = K − i`,
+/// so
+///
+/// `p_K(i) = ρ^m / (R_i + Σ_{j=0}^{m} ρ^j)`.
+///
+/// With `δ = (a − i)/i = ρ − 1` and `l = ln ρ` (taken as `ln_1p(δ)` when
+/// `|δ| < 1/2`, where `a − i` is exact, and as `ln(a/i)` otherwise, where
+/// `ln_1p` near `δ = −1` is ill-conditioned), the series is
+/// `expm1((m+1)·l)/δ`. Four cases:
+///
+/// * `m = 0` (Erlang B): `p = 1/(R + 1)`;
+/// * `δ = 0`: `p = 1/(R + m + 1)`;
+/// * `δ < 0`: `p = e^{m·l} / (R + expm1((m+1)·l)/δ)`;
+/// * `δ > 0`: divided through by `ρ^m`,
+///   `p = 1 / (R·e^{−m·l} + expm1(−(m+1)·l)/expm1(−l))`.
+///
+/// Nothing overflows to NaN: an offered load that underflows to 0 gives
+/// `R = ∞` and `p = 0`, and one that overflows to `∞` gives `R = 0`,
+/// `l = ∞` and `p = 1`. `m = 0` is its own case because `0·∞` is NaN.
+/// [`MMcK`], the O(K) birth–death recurrence, is this family's test
+/// oracle.
+///
+/// While the `uavail-obs` recorder is on, each family records one value
+/// to the health channel `queueing.mmck.loss_increase` when it is
+/// dropped: the largest relative increase `p_K(i)/p_K(i−1) − 1` over the
+/// consecutive items it yielded with `p_K(i−1)` normal. Equation (3) is
+/// decreasing in `i`, so the value is ≤ 0 up to rounding.
+///
+/// # Errors
+///
+/// As [`MMcK::new`] for the arrival and service rates, and it fires the
+/// same `queueing.mmck.corrupt` injection site, once per family.
+///
+/// # Examples
+///
+/// ```
+/// use uavail_queueing::{mmck::loss_probabilities, MMcK};
+///
+/// # fn main() -> Result<(), uavail_queueing::QueueingError> {
+/// // p_K(1) ..= p_K(4) of the paper's farm at full load, buffer 10.
+/// let family: Vec<f64> = loss_probabilities(100.0, 100.0, 10)?.take(4).collect();
+/// let oracle = MMcK::new(100.0, 100.0, 4, 10)?.loss_probability();
+/// assert!((family[3] - oracle).abs() <= 1e-14 * oracle);
+/// assert!(family.windows(2).all(|w| w[1] < w[0]));
+/// # Ok(())
+/// # }
+/// ```
+pub fn loss_probabilities(
+    arrival_rate: f64,
+    service_rate: f64,
+    capacity: usize,
+) -> Result<impl Iterator<Item = f64>, QueueingError> {
+    let arrival_rate = checked_arrival_rate(arrival_rate, service_rate)?;
+    Ok(LossProbabilities {
+        offered_load: arrival_rate / service_rate,
+        capacity,
+        servers: 0,
+        below: 0.0,
+        record: uavail_obs::enabled(),
+        previous: 0.0,
+        max_increase: f64::NEG_INFINITY,
+    })
+}
+
+/// The iterator [`loss_probabilities`] returns.
+struct LossProbabilities {
+    offered_load: f64,
+    capacity: usize,
+    /// Server count of the last item yielded.
+    servers: usize,
+    /// `R_i` for `i = servers`.
+    below: f64,
+    /// Whether to track and record the health value.
+    record: bool,
+    previous: f64,
+    max_increase: f64,
+}
+
+impl Iterator for LossProbabilities {
+    type Item = f64;
+
+    fn next(&mut self) -> Option<f64> {
+        if self.servers == self.capacity {
+            return None;
+        }
+        self.servers += 1;
+        let a = self.offered_load;
+        let i = self.servers as f64;
+        self.below = (self.below + 1.0) * (i / a);
+        let r = self.below;
+        let m = self.capacity - self.servers;
+        let p = if m == 0 {
+            1.0 / (r + 1.0)
+        } else {
+            let m = m as f64;
+            let delta = (a - i) / i;
+            if delta == 0.0 {
+                1.0 / (r + m + 1.0)
+            } else {
+                let l = if delta.abs() < 0.5 {
+                    delta.ln_1p()
+                } else {
+                    (a / i).ln()
+                };
+                if delta < 0.0 {
+                    (m * l).exp() / (r + ((m + 1.0) * l).exp_m1() / delta)
+                } else {
+                    1.0 / (r * (-m * l).exp() + (-(m + 1.0) * l).exp_m1() / (-l).exp_m1())
+                }
+            }
+        };
+        if self.record {
+            if self.previous >= f64::MIN_POSITIVE {
+                self.max_increase = self.max_increase.max(p / self.previous - 1.0);
+            }
+            self.previous = p;
+        }
+        Some(p)
+    }
+}
+
+impl Drop for LossProbabilities {
+    fn drop(&mut self) {
+        if self.record && self.max_increase > f64::NEG_INFINITY {
+            uavail_obs::health_record("queueing.mmck.loss_increase", self.max_increase);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::erlang::erlang_b;
     use crate::MM1K;
 
     #[test]
@@ -601,18 +735,129 @@ mod tests {
         }
     }
 
-    #[test]
-    fn distribution_buf_round_trip_is_bit_identical() {
-        let mut buf = vec![42.0; 3]; // stale contents must be fully replaced
-        for &(alpha, nu, c, k) in &[(100.0, 100.0, 4usize, 10usize), (150.0, 100.0, 2, 6)] {
-            let fresh = MMcK::new(alpha, nu, c, k).unwrap();
-            let reused = MMcK::with_distribution_buf(alpha, nu, c, k, buf).unwrap();
-            assert_eq!(fresh, reused);
-            for (l, r) in fresh.distribution().iter().zip(reused.distribution()) {
-                assert_eq!(l.to_bits(), r.to_bits());
+    /// `4·(K + 1 + |ln q|)·ε·q`. The oracle's recurrence rounds once per
+    /// state (`a/c` itself is rounded once and multiplied in up to K
+    /// times); the closed form's exponentials lose about `|ln p|` ulps.
+    fn oracle_bound(capacity: usize, q: f64) -> f64 {
+        4.0 * (capacity as f64 + 1.0 + q.ln().abs()) * f64::EPSILON * q
+    }
+
+    /// Checks the family's first `servers` items for offered load `a` and
+    /// capacity `K` against [`MMcK`], and returns the largest error as a
+    /// fraction of [`oracle_bound`] wherever the oracle is ≥ 1e-300.
+    fn worst_against_oracle(a: f64, capacity: usize, servers: usize) -> f64 {
+        let mut worst = 0.0f64;
+        let family = loss_probabilities(a, 1.0, capacity).unwrap();
+        for (p, i) in family.take(servers).zip(1..) {
+            let case = format!("a={a} i={i} K={capacity}");
+            assert!(p.is_finite() && (0.0..=1.0).contains(&p), "{case}: {p}");
+            let q = MMcK::new(a, 1.0, i, capacity).unwrap().loss_probability();
+            if q >= 1e-300 {
+                let share = (p - q).abs() / oracle_bound(capacity, q);
+                assert!(share <= 1.0, "{case}: {p:e} vs MMcK {q:e}");
+                worst = worst.max(share);
             }
-            buf = reused.into_distribution_buf();
-            assert_eq!(buf.len(), k + 1);
         }
+        worst
+    }
+
+    #[test]
+    fn closed_form_agrees_with_the_recurrence() {
+        let extra = [0usize, 1, 8, 80, 920, 9_920];
+        let mut worst = 0.0f64;
+        // Offered loads across the `/eval` domain's scale, every item up
+        // to N_W = 80 servers at K = N_W + extra.
+        let loads = [
+            0.01, 0.1, 0.5, 0.9, 1.0, 1.5, 2.0, 3.7, 8.0, 10.0, 25.0, 50.0, 79.5, 100.0, 150.0,
+            400.0, 800.0,
+        ];
+        for a in loads {
+            for servers in [1usize, 4, 80] {
+                for x in extra {
+                    worst = worst.max(worst_against_oracle(a, servers + x, servers));
+                }
+            }
+        }
+        // ρ = a/i at and around 1, where the geometric tail's three cases
+        // meet.
+        let near_one = [
+            1.0,
+            1.0 + 1e-15,
+            1.0 - 1e-15,
+            1.0 + 1e-12,
+            1.0 - 1e-12,
+            1.0 + 1e-9,
+            1.0 - 1e-9,
+            1.0 + 1e-6,
+            1.0 - 1e-6,
+        ];
+        for i in [1usize, 2, 3, 7, 20, 80] {
+            for rho in near_one {
+                for x in extra {
+                    worst = worst.max(worst_against_oracle(i as f64 * rho, i + x, i));
+                }
+            }
+        }
+        eprintln!("worst |p − p_MMcK| = {worst:.3} of the bound");
+    }
+
+    #[test]
+    fn pure_loss_item_is_erlang_b() {
+        // m = K − i = 0 leaves no waiting room: M/M/K/K, Erlang's loss
+        // formula, by its own recurrence.
+        for a in [0.01, 0.5, 1.0, 3.7, 50.0, 800.0] {
+            for capacity in [1usize, 2, 5, 40, 200, 1_000] {
+                let p = loss_probabilities(a, 1.0, capacity)
+                    .unwrap()
+                    .last()
+                    .unwrap();
+                let b = erlang_b(capacity, a).unwrap();
+                assert!(
+                    (p - b).abs() <= 4.0 * (capacity as f64 + 1.0) * f64::EPSILON * b,
+                    "a={a} K={capacity}: {p:e} vs Erlang B {b:e}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn extreme_offered_loads_lose_everything_or_nothing() {
+        // α/ν overflows to ∞: every item is exactly 1, none NaN.
+        assert!(loss_probabilities(1e308, 1e-300, 12)
+            .unwrap()
+            .all(|p| p == 1.0));
+        // 1e302 Erlangs: the loss 1 − i/a rounds to 1.
+        assert!(loss_probabilities(100.0, 1e-300, 12)
+            .unwrap()
+            .all(|p| p == 1.0));
+        // α/ν underflows to 0, or α is 0: nothing is lost.
+        for (alpha, nu) in [(5e-324, 1e300), (0.0, 1.0), (1e-300, 1e10)] {
+            assert!(
+                loss_probabilities(alpha, nu, 12).unwrap().all(|p| p == 0.0),
+                "α={alpha} ν={nu}"
+            );
+        }
+    }
+
+    #[test]
+    fn family_validates_as_the_recurrence_does() {
+        for (alpha, nu) in [
+            (f64::NAN, 1.0),
+            (f64::INFINITY, 1.0),
+            (-1.0, 1.0),
+            (1.0, 0.0),
+            (1.0, -2.0),
+            (1.0, f64::NAN),
+            (1.0, f64::INFINITY),
+        ] {
+            let family = loss_probabilities(alpha, nu, 5)
+                .err()
+                .map(|e| e.to_string());
+            let oracle = MMcK::new(alpha, nu, 1, 5).err().map(|e| e.to_string());
+            assert!(family.is_some(), "α={alpha} ν={nu} accepted");
+            assert_eq!(family, oracle, "α={alpha} ν={nu}");
+        }
+        assert_eq!(loss_probabilities(1.0, 1.0, 7).unwrap().count(), 7);
+        assert_eq!(loss_probabilities(1.0, 1.0, 0).unwrap().count(), 0);
     }
 }

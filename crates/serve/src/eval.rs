@@ -37,10 +37,9 @@ use uavail_travel::{functions, services, user, Architecture, Coverage, EvalConte
 pub const MAX_BATCH: usize = 256;
 
 /// Largest `buffer_size` (the M/M/i/K capacity `K`) a query may set.
-/// Evaluation allocates `K + 1` probabilities per loss model, so an
-/// unbounded `K` lets one query abort the process on allocation failure.
-/// Validation already requires `web_servers ≤ buffer_size`, so this bound
-/// caps the farm size too.
+/// Validation requires `web_servers ≤ buffer_size`, so this bound caps the
+/// farm size too: the farm solve allocates O(N_W), and an unbounded farm
+/// lets one query abort the process on allocation failure.
 pub const MAX_BUFFER_SIZE: usize = 10_000;
 
 /// Cap on the per-query `spin_us` service-time knob (50 ms).

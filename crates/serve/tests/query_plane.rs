@@ -168,6 +168,50 @@ fn eval_batch_matches_direct_computation_bit_for_bit() {
 }
 
 #[test]
+fn overflowing_offered_load_is_answered_not_an_error() {
+    // α/ν = 1e302 and α/ν = ∞: every request is lost, so the web service
+    // serves nothing. α/ν underflowing to 0 loses none. Each must answer
+    // like the direct computation, not fail the query or feed the breaker.
+    let _guard = global_lock();
+    reset_all();
+    let server = ObsServer::start("127.0.0.1:0").expect("bind");
+    use uavail_travel::webservice::redundant_imperfect_availability;
+    use uavail_travel::TaParameters;
+    for (query, alpha, nu) in [
+        (r#"{"service_rate_per_second":1e-300}"#, 100.0, 1e-300),
+        (
+            r#"{"arrival_rate_per_second":1e308,"service_rate_per_second":1e-300}"#,
+            1e308,
+            1e-300,
+        ),
+        (
+            r#"{"arrival_rate_per_second":5e-324,"service_rate_per_second":1e300}"#,
+            5e-324,
+            1e300,
+        ),
+    ] {
+        let (status, _, body) =
+            post_eval(server.addr(), &format!(r#"{{"queries":[{query}]}}"#), None);
+        assert_eq!(status, "HTTP/1.1 200 OK", "{query}: {body}");
+        let params = TaParameters {
+            arrival_rate_per_second: alpha,
+            service_rate_per_second: nu,
+            ..TaParameters::paper_defaults()
+        };
+        let want = redundant_imperfect_availability(&params).expect("direct computation");
+        let got = availability_of(&body, 0);
+        assert!(
+            got.is_finite() && (0.0..=1.0).contains(&got),
+            "{query}: {got}"
+        );
+        assert_eq!(got.to_bits(), want.to_bits(), "{query}");
+        assert!(body.contains("\"degraded\":false"), "{query}: {body}");
+    }
+    server.shutdown();
+    reset_all();
+}
+
+#[test]
 fn protocol_errors_are_answered_not_dropped() {
     let _guard = global_lock();
     reset_all();

@@ -1,13 +1,15 @@
 //! Reusable evaluation scratch for repeated what-if queries.
 //!
 //! Every web-service evaluation fills the same buffers: the web-server
-//! farm's stationary vector and its split into operational and
-//! reconfiguration states, an M/M/c/K state distribution, and a
-//! composite-state list. [`EvalContext`] owns all of those buffers so a
-//! query worker (the `/eval` plane gives each worker one) allocates them
-//! once and reuses them for every subsequent query. The farm itself is
-//! solved in O(N_W) by `uavail_markov::gth_imperfect_coverage_farm`, so
-//! no buffer grows with N_W².
+//! farm's stationary vector, its split into operational and
+//! reconfiguration states, and a composite-state list. [`EvalContext`]
+//! owns all of those buffers so a query worker (the `/eval` plane gives
+//! each worker one) allocates them once and reuses them for every
+//! subsequent query. The farm itself is solved in O(N_W) by
+//! `uavail_markov::gth_imperfect_coverage_farm`, and the N_W loss
+//! probabilities of equation (3) come from its closed form at O(1) each
+//! without allocating, so no buffer grows with N_W² or with the capacity
+//! K.
 //!
 //! The context is transparent: the `*_with` evaluation paths in
 //! [`crate::webservice`] and [`crate::user`] run the exact same
@@ -81,8 +83,6 @@ pub struct EvalContext {
     pub(crate) farm_y: Vec<f64>,
     /// Composite-availability state list.
     pub(crate) states: Vec<CompositeState>,
-    /// M/M/c/K state-distribution buffer.
-    pub(crate) dist_buf: Vec<f64>,
     /// Memoized farm availabilities, keyed by every parameter bit the
     /// result depends on; values are the exact bits of the first
     /// computation.

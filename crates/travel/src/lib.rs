@@ -44,7 +44,6 @@ pub mod extensions;
 pub mod fig2;
 pub mod fta;
 pub mod functions;
-mod loss_cache;
 pub mod maintenance;
 mod model;
 pub mod multisite;

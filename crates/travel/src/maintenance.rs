@@ -10,7 +10,6 @@
 
 use std::fmt;
 
-use uavail_core::composite::{composite_availability, CompositeState};
 use uavail_markov::CtmcBuilder;
 
 use crate::{webservice, TaParameters, TravelError};
@@ -245,18 +244,7 @@ pub fn web_availability(
     strategy: RepairStrategy,
 ) -> Result<f64, TravelError> {
     let (op, y) = farm_distribution(params, strategy)?;
-    let mut states = Vec::with_capacity(op.len() + y.len());
-    states.push(CompositeState::new(op[0], 0.0));
-    for (i, &p) in op.iter().enumerate().skip(1) {
-        states.push(CompositeState::new(
-            p,
-            1.0 - webservice::loss_probability(params, i)?,
-        ));
-    }
-    for &p in &y {
-        states.push(CompositeState::new(p, 0.0));
-    }
-    Ok(composite_availability(&states)?)
+    webservice::farm_availability(params, &op, &y, &mut Vec::with_capacity(op.len() + y.len()))
 }
 
 #[cfg(test)]

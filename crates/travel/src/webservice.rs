@@ -11,6 +11,10 @@
 //!   (6)–(9), the Markov chain of Figure 10 including the manual-
 //!   reconfiguration down states `y_i`.
 //!
+//! Every setting's loss `p_K(i)` comes from equation (3) in closed form,
+//! `uavail_queueing::mmck::loss_probabilities`, at O(1) per server count;
+//! the M/M/c/K recurrence is its test oracle.
+//!
 //! Farms of up to 1 024 composite states, every size the paper uses, are
 //! solved by GTH on the explicit CTMC; larger imperfect-coverage farms
 //! take the product-form closed form of equations (6)–(8) directly. The
@@ -20,63 +24,23 @@
 //! same GTH on the chain's non-zero entries only
 //! ([`gth_imperfect_coverage_farm`]), in O(N_W) and to the same bits.
 
-use std::sync::OnceLock;
-
 use uavail_core::composite::{composite_availability, CompositeState};
 use uavail_markov::{
     gth_imperfect_coverage_farm, steady_state_mass_drift, BirthDeath, Ctmc, CtmcBuilder, StateId,
     STEADY_STATE_DRIFT_TOLERANCE,
 };
-use uavail_queueing::{MMcK, MM1K};
+use uavail_queueing::mmck::{check_servers, loss_probabilities};
+use uavail_queueing::MM1K;
 
 use crate::context::EvalContext;
-use crate::loss_cache::{LossKey, ShardedLossCache};
 use crate::{TaParameters, TravelError};
 
-/// Process-wide memo for [`loss_probability`].
+/// Does nothing: equation (3) is evaluated in closed form, and there is
+/// no loss-probability memo left to empty.
 ///
-/// The farm-availability formulas (equations 5 and 9) evaluate
-/// `p_K(i)` for `i = 1 ..= N_W` at every sweep point, and the figure
-/// sweeps revisit the same `(α, ν, i, K)` combinations across their grid
-/// (the λ axis does not enter the performance model), so the hit rate in
-/// the Figure 11–13 reproductions is high. Values are stored exactly as
-/// first computed, so cached and uncached paths — and therefore serial
-/// and parallel sweeps — return bit-for-bit identical results.
-///
-/// The memo is hash-partitioned into [`crate::loss_cache::SHARD_COUNT`]
-/// independently-locked shards so parallel sweep workers do not serialize
-/// on a single lock; see [`crate::loss_cache`] for the sharding and
-/// eviction policy.
-fn loss_cache() -> &'static ShardedLossCache {
-    static CACHE: OnceLock<ShardedLossCache> = OnceLock::new();
-    CACHE.get_or_init(|| ShardedLossCache::new(LOSS_CACHE_CAP, true))
-}
-
-/// Bound on the memo size; far beyond any figure sweep (which needs a few
-/// hundred entries) but keeps a pathological caller from growing the map
-/// without limit. Overflowing shards evict bounded batches of entries
-/// (counted individually by `travel.loss_cache.evictions`).
-const LOSS_CACHE_CAP: usize = 1 << 16;
-
-/// Empties the [`loss_probability`] memo.
-///
-/// Results are unaffected (the cache is transparent); this exists for
-/// benchmarks that want every timed repetition to pay the same cache
-/// misses instead of measuring a warm cache.
-pub fn reset_loss_cache() {
-    loss_cache().clear();
-}
-
-/// Current number of memoized [`loss_probability`] entries.
-pub fn loss_cache_len() -> usize {
-    loss_cache().len()
-}
-
-/// Size bound of the [`loss_probability`] memo; full shards evict bounded
-/// batches, each discarded entry recorded by `travel.loss_cache.evictions`.
-pub fn loss_cache_capacity() -> usize {
-    loss_cache().capacity()
-}
+/// Kept so that benchmarks written against the memo, which call it
+/// before every cold repetition, still build.
+pub fn reset_loss_cache() {}
 
 /// Loss probability `p_K` of the basic single-server buffer —
 /// equation (1).
@@ -93,55 +57,59 @@ pub fn loss_probability_basic(params: &TaParameters) -> Result<f64, TravelError>
     Ok(q.loss_probability())
 }
 
-/// Loss probability `p_K(i)` with `i` operational servers — equation (3).
+/// Loss probability `p_K(i)` with `i` operational servers — equation (3),
+/// the `i`-th item of [`uavail_queueing::mmck::loss_probabilities`].
 ///
 /// # Errors
 ///
 /// Propagates parameter-domain failures; `i` must satisfy
 /// `1 ≤ i ≤ buffer_size`.
 pub fn loss_probability(params: &TaParameters, operational: usize) -> Result<f64, TravelError> {
-    let key = loss_key(params, operational);
-    if let Some(p) = loss_cache().get(&key) {
-        return Ok(p);
-    }
-    let q = MMcK::new(
-        params.arrival_rate_per_second,
-        params.service_rate_per_second,
-        operational,
-        params.buffer_size,
-    )?;
-    let p = q.loss_probability();
-    loss_cache().insert(key, p);
-    Ok(p)
+    let mut losses = losses(params)?;
+    check_servers(operational, params.buffer_size)?;
+    Ok(losses
+        .nth(operational - 1)
+        .expect("the family has buffer_size items"))
 }
 
-/// Loss probability `p_K(i)` reusing `dist_buf` for the M/M/c/K state
-/// distribution — the allocation-free twin of [`loss_probability`].
-///
-/// Shares the same process-wide memo, so cache hits skip the queueing
-/// model entirely and cached values are bit-for-bit those of the
-/// allocating path (misses run the exact same arithmetic via
-/// [`MMcK::with_distribution_buf`]).
-fn loss_probability_with(
-    params: &TaParameters,
-    operational: usize,
-    dist_buf: &mut Vec<f64>,
-) -> Result<f64, TravelError> {
-    let key = loss_key(params, operational);
-    if let Some(p) = loss_cache().get(&key) {
-        return Ok(p);
-    }
-    let q = MMcK::with_distribution_buf(
+/// `p_K(1), p_K(2), …, p_K(K)` for `params`, by
+/// [`uavail_queueing::mmck::loss_probabilities`] in O(1) each. Every item
+/// passes the `travel.loss.poison` injection site (inert unless
+/// `uavail-faultinject` is enabled), which turns it into NaN.
+fn losses(params: &TaParameters) -> Result<impl Iterator<Item = f64>, TravelError> {
+    Ok(loss_probabilities(
         params.arrival_rate_per_second,
         params.service_rate_per_second,
-        operational,
         params.buffer_size,
-        std::mem::take(dist_buf),
-    )?;
-    let p = q.loss_probability();
-    *dist_buf = q.into_distribution_buf();
-    loss_cache().insert(key, p);
-    Ok(p)
+    )?
+    .map(|p| uavail_faultinject::corrupt_f64("travel.loss.poison", p)))
+}
+
+/// Equations (5) and (9): the availability of a farm whose state
+/// distribution is `op` (`Π_0 ..= Π_{N_W}`, by operational servers) and
+/// `y` (the reconfiguration states, empty under perfect coverage). State
+/// `Π_0` serves nothing, state `Π_i` serves `1 − p_K(i)`, and every `y_i`
+/// is down. The composite states are built in `states`.
+///
+/// # Errors
+///
+/// Propagates parameter-domain failures and the composite's probability
+/// validation.
+pub(crate) fn farm_availability(
+    params: &TaParameters,
+    op: &[f64],
+    y: &[f64],
+    states: &mut Vec<CompositeState>,
+) -> Result<f64, TravelError> {
+    check_servers(op.len() - 1, params.buffer_size)?;
+    states.clear();
+    states.push(CompositeState::new(op[0], 0.0)); // all servers down
+    for (&p, loss) in op[1..].iter().zip(losses(params)?) {
+        states.push(CompositeState::new(p, 1.0 - loss));
+    }
+    // Reconfiguration = down.
+    states.extend(y.iter().map(|&p| CompositeState::new(p, 0.0)));
+    Ok(composite_availability(states)?)
 }
 
 /// Farm state count (`2·N_W + 1`) above which the imperfect-coverage
@@ -150,34 +118,10 @@ fn loss_probability_with(
 /// every pinned paper value keeps its exact bits.
 const DENSE_FARM_CUTOFF: usize = 1024;
 
-/// Stationary mass below which equation (9) treats a farm state's
-/// service contribution as zero instead of evaluating its M/M/i/K loss
-/// probability; applied past [`DENSE_FARM_CUTOFF`] only. The resulting
-/// availability underestimate is bounded by `(2·N_W + 1) × NEGLIGIBLE_MASS`
-/// — at most 2e-11 for the largest farm `/eval` accepts.
-const NEGLIGIBLE_MASS: f64 = 1e-15;
-
 /// Whether a farm of `web_servers` servers has more composite states than
 /// [`DENSE_FARM_CUTOFF`].
 fn past_dense_cutoff(web_servers: usize) -> bool {
     2 * web_servers + 1 > DENSE_FARM_CUTOFF
-}
-
-/// Whether equation (9) counts farm state `Π_i = p` as serving nothing
-/// instead of solving its M/M/i/K model: past the dense cutoff, when `p`
-/// is below [`NEGLIGIBLE_MASS`]. Both equation (9) paths apply this one
-/// rule, so they keep returning the same bits.
-fn loss_solve_skipped(web_servers: usize, p: f64) -> bool {
-    past_dense_cutoff(web_servers) && p < NEGLIGIBLE_MASS
-}
-
-fn loss_key(params: &TaParameters, operational: usize) -> LossKey {
-    (
-        params.arrival_rate_per_second.to_bits(),
-        params.service_rate_per_second.to_bits(),
-        operational,
-        params.buffer_size,
-    )
 }
 
 /// Basic-architecture web-service availability — equation (2):
@@ -417,23 +361,12 @@ pub fn farm_distribution_imperfect_closed_form(
 pub fn redundant_perfect_availability(params: &TaParameters) -> Result<f64, TravelError> {
     params.validate()?;
     let pi = farm_distribution_perfect(params)?;
-    let mut states = Vec::with_capacity(pi.len());
-    states.push(CompositeState::new(pi[0], 0.0)); // all servers down
-    for (i, &p) in pi.iter().enumerate().skip(1) {
-        states.push(CompositeState::new(p, 1.0 - loss_probability(params, i)?));
-    }
-    Ok(composite_availability(&states)?)
+    farm_availability(params, &pi, &[], &mut Vec::with_capacity(pi.len()))
 }
 
 /// Redundant-farm web-service availability with imperfect coverage —
 /// equation (9):
 /// `A(WS) = 1 − [Σ_i Π_i p_K(i) + Σ_i Π_{y_i} + Π_0]`.
-///
-/// On farms past the dense cutoff (`N_W ≥ 512`), a state with
-/// `Π_i < 1e-15` counts as serving nothing and its M/M/i/K model is not
-/// solved, so the cost follows the states that carry mass rather than
-/// `N_W × K`. The availability this underestimates is bounded by
-/// `(2·N_W + 1) × 1e-15`.
 ///
 /// # Errors
 ///
@@ -441,20 +374,7 @@ pub fn redundant_perfect_availability(params: &TaParameters) -> Result<f64, Trav
 pub fn redundant_imperfect_availability(params: &TaParameters) -> Result<f64, TravelError> {
     params.validate()?;
     let (op, y) = farm_distribution_imperfect(params)?;
-    let mut states = Vec::with_capacity(op.len() + y.len());
-    states.push(CompositeState::new(op[0], 0.0));
-    for (i, &p) in op.iter().enumerate().skip(1) {
-        let served = if loss_solve_skipped(params.web_servers, p) {
-            0.0
-        } else {
-            1.0 - loss_probability(params, i)?
-        };
-        states.push(CompositeState::new(p, served));
-    }
-    for &p in &y {
-        states.push(CompositeState::new(p, 0.0)); // reconfiguration = down
-    }
-    Ok(composite_availability(&states)?)
+    farm_availability(params, &op, &y, &mut Vec::with_capacity(op.len() + y.len()))
 }
 
 /// Redundant-farm web-service availability with imperfect coverage,
@@ -476,27 +396,7 @@ pub fn redundant_imperfect_availability_with(
         return Ok(a);
     }
     farm_distribution_imperfect_compute(params, ctx)?;
-    let EvalContext {
-        farm_op,
-        farm_y,
-        states,
-        dist_buf,
-        ..
-    } = ctx;
-    states.clear();
-    states.push(CompositeState::new(farm_op[0], 0.0));
-    for (i, &p) in farm_op.iter().enumerate().skip(1) {
-        let served = if loss_solve_skipped(params.web_servers, p) {
-            0.0
-        } else {
-            1.0 - loss_probability_with(params, i, dist_buf)?
-        };
-        states.push(CompositeState::new(p, served));
-    }
-    for &p in farm_y.iter() {
-        states.push(CompositeState::new(p, 0.0)); // reconfiguration = down
-    }
-    let a = composite_availability(states)?;
+    let a = farm_availability(params, &ctx.farm_op, &ctx.farm_y, &mut ctx.states)?;
     ctx.remember_availability(key, a);
     Ok(a)
 }
@@ -564,42 +464,74 @@ mod tests {
     }
 
     #[test]
-    fn loss_probability_memo_is_transparent() {
+    fn loss_probability_matches_the_mmck_oracle() {
+        // Equation (3) in closed form against the birth–death recurrence,
+        // for every server count of the paper's buffer and at a tenfold
+        // overload.
+        for alpha in [100.0, 1000.0] {
+            let p = TaParameters::builder()
+                .arrival_rate_per_second(alpha)
+                .build()
+                .unwrap();
+            for i in 1..=p.buffer_size {
+                let closed = loss_probability(&p, i).unwrap();
+                let oracle = uavail_queueing::MMcK::new(
+                    p.arrival_rate_per_second,
+                    p.service_rate_per_second,
+                    i,
+                    p.buffer_size,
+                )
+                .unwrap()
+                .loss_probability();
+                assert!(
+                    (closed - oracle).abs() <= 1e-14 * oracle,
+                    "α={alpha} i={i}: {closed:e} vs MMcK {oracle:e}"
+                );
+            }
+        }
+        // The typed errors of the recurrence's constructor.
         let p = params();
-        let first = loss_probability(&p, 3).unwrap();
-        let cached = loss_probability(&p, 3).unwrap();
-        assert_eq!(first.to_bits(), cached.to_bits());
-        let direct = MMcK::new(
-            p.arrival_rate_per_second,
-            p.service_rate_per_second,
-            3,
-            p.buffer_size,
-        )
-        .unwrap()
-        .loss_probability();
-        assert_eq!(first.to_bits(), direct.to_bits());
+        for (i, name) in [(0, "servers"), (p.buffer_size + 1, "capacity")] {
+            assert!(
+                matches!(
+                    loss_probability(&p, i),
+                    Err(TravelError::Queueing(
+                        uavail_queueing::QueueingError::InvalidParameter { name: n, .. }
+                    )) if n == name
+                ),
+                "i={i}"
+            );
+        }
     }
 
     #[test]
-    fn loss_cache_stays_under_cap_with_bounded_eviction() {
-        // Feed more distinct keys than the cap by perturbing the arrival
-        // rate one ulp-ish step at a time; overflowing shards must evict
-        // bounded batches rather than grow without bound. (Other tests
-        // share the process-wide cache, but eviction is transparent to
-        // them.)
-        let cap = loss_cache_capacity();
-        for i in 0..(cap + 16) {
+    fn overflowing_offered_load_loses_every_request_on_every_path() {
+        // α/ν = 1e302, and α/ν = ∞: p_K(i) rounds to 1 for every i, so the
+        // farm serves nothing. The M/M/c/K recurrence turns both into NaN.
+        for (alpha, nu) in [(100.0, 1e-300), (1e308, 1e-300)] {
             let p = TaParameters::builder()
-                .arrival_rate_per_second(50.0 + i as f64 * 1e-7)
+                .arrival_rate_per_second(alpha)
+                .service_rate_per_second(nu)
                 .build()
                 .unwrap();
-            loss_probability(&p, 2).unwrap();
+            let perfect = redundant_perfect_availability(&p).unwrap();
+            let imperfect = redundant_imperfect_availability(&p).unwrap();
+            let with = redundant_imperfect_availability_with(&p, &mut EvalContext::new()).unwrap();
+            for a in [perfect, imperfect, with] {
+                assert_eq!(a.to_bits(), 0.0f64.to_bits(), "α={alpha} ν={nu}");
+            }
         }
-        assert!(
-            loss_cache_len() <= cap,
-            "cache len {} exceeds cap {cap}",
-            loss_cache_len()
-        );
+        // α/ν underflows to 0: no request is lost, and the answer is the
+        // farm's structural availability.
+        let p = TaParameters::builder()
+            .arrival_rate_per_second(5e-324)
+            .service_rate_per_second(1e300)
+            .build()
+            .unwrap();
+        let imperfect = redundant_imperfect_availability(&p).unwrap();
+        let with = redundant_imperfect_availability_with(&p, &mut EvalContext::new()).unwrap();
+        assert_eq!(imperfect.to_bits(), 0.9999993334004552f64.to_bits());
+        assert_eq!(with.to_bits(), imperfect.to_bits());
     }
 
     #[test]
@@ -830,7 +762,10 @@ mod tests {
     }
 
     #[test]
-    fn skipped_loss_solves_stay_within_the_stated_bound() {
+    fn large_farms_sum_every_state_of_equation_9() {
+        // Past the dense cutoff every operational state's loss enters the
+        // composite, however small its mass: the farm availability is
+        // equation (9) summed with `loss_probability` per state, to the bit.
         let nw = 2_000;
         for coverage in [0.0, 0.98] {
             let p = TaParameters::builder()
@@ -839,10 +774,8 @@ mod tests {
                 .coverage(coverage)
                 .build()
                 .unwrap();
-            let skipped = redundant_imperfect_availability(&p).unwrap();
-            // Equation (9) in full: every operational state's M/M/i/K.
             let (op, y) = farm_distribution_imperfect(&p).unwrap();
-            assert!(op.iter().any(|&pi| pi < NEGLIGIBLE_MASS), "nothing skipped");
+            assert!(op.iter().any(|&pi| pi < 1e-15), "no negligible state");
             let mut states = vec![CompositeState::new(op[0], 0.0)];
             for (i, &pi) in op.iter().enumerate().skip(1) {
                 states.push(CompositeState::new(
@@ -851,13 +784,11 @@ mod tests {
                 ));
             }
             states.extend(y.iter().map(|&pi| CompositeState::new(pi, 0.0)));
-            let full = composite_availability(&states).unwrap();
-            let bound = (2 * nw + 1) as f64 * NEGLIGIBLE_MASS;
-            assert!(
-                (full - skipped).abs() <= bound,
-                "c = {coverage}: |ΔA| = {:e} > {bound:e}",
-                (full - skipped).abs()
-            );
+            let summed = composite_availability(&states).unwrap();
+            let cold = redundant_imperfect_availability(&p).unwrap();
+            let warm = redundant_imperfect_availability_with(&p, &mut EvalContext::new()).unwrap();
+            assert_eq!(cold.to_bits(), summed.to_bits(), "c = {coverage}");
+            assert_eq!(warm.to_bits(), summed.to_bits(), "c = {coverage}");
         }
     }
 

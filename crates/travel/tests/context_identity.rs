@@ -1,14 +1,13 @@
 //! Bit-for-bit identity of the context-reusing web-service paths.
 //!
 //! The `EvalContext` plumbing behind the `/eval` query plane
-//! (`redundant_imperfect_availability_with`, the O(N_W)
-//! `gth_imperfect_coverage_farm` farm solve, `MMcK::with_distribution_buf`)
-//! must be pure plumbing: every reuse path executes the same
-//! floating-point operations in the same order as its allocating twin,
-//! and hands any farm its structured solve declines to that twin, so
-//! results agree to the last bit — not merely within tolerance, and
-//! errors are the same errors. These tests compare raw bit patterns,
-//! including the paper's pinned headline values.
+//! (`redundant_imperfect_availability_with` and the O(N_W)
+//! `gth_imperfect_coverage_farm` farm solve) must be pure plumbing: every
+//! reuse path executes the same floating-point operations in the same
+//! order as its allocating twin, and hands any farm its structured solve
+//! declines to that twin, so results agree to the last bit — not merely
+//! within tolerance, and errors are the same errors. These tests compare
+//! raw bit patterns, including the paper's pinned headline values.
 
 use uavail_travel::{webservice, EvalContext, TaParameters};
 

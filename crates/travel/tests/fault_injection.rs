@@ -18,7 +18,7 @@
 //!    health gauge and recovered through the LU fallback, recorded by
 //!    recovery counters.
 //! 4. **Typed degradation** — corrupted queueing parameters and poisoned
-//!    cache entries surface as typed errors, never as NaN results.
+//!    loss probabilities surface as typed errors, never as NaN results.
 
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
@@ -27,7 +27,8 @@ use uavail_core::sweep::sweep;
 use uavail_core::CoreError;
 use uavail_travel::evaluation::{figure12, figure_sweep, FigureReport};
 use uavail_travel::webservice::{
-    redundant_imperfect_availability, redundant_imperfect_availability_with, reset_loss_cache,
+    redundant_imperfect_availability, redundant_imperfect_availability_with,
+    redundant_perfect_availability,
 };
 use uavail_travel::{Coverage, EvalContext, TaParameters, TravelError};
 
@@ -46,7 +47,6 @@ impl InjectionGuard {
             .lock()
             .unwrap_or_else(|e| e.into_inner());
         uavail_faultinject::reset();
-        reset_loss_cache();
         Self(guard)
     }
 }
@@ -54,7 +54,6 @@ impl InjectionGuard {
 impl Drop for InjectionGuard {
     fn drop(&mut self) {
         uavail_faultinject::reset();
-        reset_loss_cache();
     }
 }
 
@@ -86,17 +85,15 @@ fn armed_but_disabled_injection_is_bit_for_bit_inert() {
     // bit-for-bit identical.
     uavail_faultinject::set_seed(42);
     uavail_faultinject::arm_spec(
-        "lu:1.0,singular:1.0,gth:1.0,mmck:1.0,cache:1.0,drop:1.0,dup:1.0,panic:1.0",
+        "lu:1.0,singular:1.0,gth:1.0,mmck:1.0,loss:1.0,drop:1.0,dup:1.0,panic:1.0",
     )
     .unwrap();
     assert!(!uavail_faultinject::enabled());
     assert_eq!(uavail_faultinject::armed_sites().len(), 8);
 
-    reset_loss_cache();
     let rerun = headline_availability();
     assert_eq!(baseline.to_bits(), rerun.to_bits());
 
-    reset_loss_cache();
     for (label, points) in [
         ("serial", figure12().unwrap()),
         (
@@ -188,7 +185,6 @@ fn worker_panic_injection_keeps_resilient_sweeps_alive() {
 
     // Disabling restores the exact baseline.
     uavail_faultinject::reset();
-    reset_loss_cache();
     let a = headline_availability();
     assert!((a - HEADLINE).abs() < 1e-8, "A(WS) = {a:.9} after recovery");
 }
@@ -302,35 +298,80 @@ fn corrupted_queue_parameters_surface_as_typed_errors() {
 }
 
 #[test]
-fn poisoned_cache_entries_are_rejected_not_propagated() {
+fn poisoned_loss_probabilities_are_rejected_not_propagated() {
     let _guard = InjectionGuard::acquire();
+    let clean = headline_availability();
     uavail_faultinject::set_seed(13);
-    uavail_faultinject::arm("cache", 1.0).unwrap();
+    uavail_faultinject::arm("loss", 1.0).unwrap();
     uavail_faultinject::set_enabled(true);
 
-    // First evaluation: every p_K(i) is computed fresh (clean) but cached
-    // poisoned, so the result is still correct.
+    // Every p_K(i) of equation (3) comes out NaN. The composite's
+    // probability validation rejects the first one as a typed error on
+    // every evaluation path, instead of propagating it into a result.
     let params = TaParameters::paper_defaults();
-    let first = redundant_imperfect_availability(&params).unwrap();
-    assert!((first - HEADLINE).abs() < 1e-8);
-
-    // Second evaluation: cache hits serve NaN, which the composite
-    // availability validation rejects as a typed error instead of
-    // propagating into the results.
-    let second = redundant_imperfect_availability(&params);
-    assert!(
-        matches!(
-            second,
-            Err(TravelError::Core(CoreError::InvalidProbability { .. }))
+    for (path, result) in [
+        ("allocating", redundant_imperfect_availability(&params)),
+        (
+            "context",
+            redundant_imperfect_availability_with(&params, &mut EvalContext::new()),
         ),
-        "expected typed rejection of the poisoned entry, got {second:?}"
-    );
+        ("perfect coverage", redundant_perfect_availability(&params)),
+    ] {
+        assert!(
+            matches!(
+                result,
+                Err(TravelError::Core(CoreError::InvalidProbability { .. }))
+            ),
+            "{path}: expected typed rejection of the poisoned loss, got {result:?}"
+        );
+    }
 
-    // Clearing the poisoned cache restores the headline.
+    // Disarming restores the headline bits: nothing poisoned was kept.
     uavail_faultinject::reset();
-    reset_loss_cache();
     let healed = headline_availability();
-    assert_eq!(first.to_bits(), healed.to_bits());
+    assert_eq!(clean.to_bits(), healed.to_bits());
+}
+
+#[test]
+fn poisoned_figure_sweep_reports_the_same_at_every_thread_count() {
+    let _guard = InjectionGuard::acquire();
+    uavail_faultinject::arm("loss", 1.0).unwrap();
+    uavail_faultinject::set_enabled(true);
+
+    // Which points fail must not depend on which worker ran first: every
+    // point needs equation (3), so every point fails, in grid order, at
+    // any thread count.
+    let report = |threads: usize| {
+        let exec = Exec {
+            threads,
+            on_failure: OnFailure::Report,
+        };
+        figure_sweep(Coverage::Imperfect, &exec).expect("a reporting sweep never fails")
+    };
+    let serial = report(1);
+    assert!(
+        serial.points.is_empty(),
+        "{} points survived",
+        serial.points.len()
+    );
+    assert_eq!(serial.failures.len(), 90);
+    for (index, failure) in serial.failures.iter().enumerate() {
+        assert_eq!(failure.index, index);
+        assert!(
+            matches!(
+                failure.error,
+                TravelError::Core(CoreError::InvalidProbability { .. })
+            ),
+            "untyped figure failure: {:?}",
+            failure.error
+        );
+    }
+    let parallel = report(4);
+    assert_eq!(
+        serial.to_json().to_string(),
+        parallel.to_json().to_string(),
+        "1 and 4 threads reported differently"
+    );
 }
 
 #[test]

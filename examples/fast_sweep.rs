@@ -1,9 +1,9 @@
 //! Allocation-free dense sweep: a 10,000-point Figure-11-style grid run
 //! through [`sweep`] on every core, with each worker thread reusing one
-//! [`EvalContext`] and all workers sharing the sharded loss-probability
-//! cache. The `uavail-obs` recorder is switched on so the run prints what
-//! the engine actually did: how often contexts were reused, and how the
-//! cache traffic spread across shards.
+//! [`EvalContext`]. Each point's N_W loss probabilities come from
+//! equation (3) in closed form, so no worker shares any state with
+//! another. The `uavail-obs` recorder is switched on so the run prints
+//! what the engine actually did: how often contexts were reused.
 //!
 //! ```text
 //! cargo run --release --example fast_sweep
@@ -15,12 +15,10 @@ use uavail::travel::{webservice, EvalContext, TaParameters, TravelError};
 
 fn main() -> Result<(), TravelError> {
     uavail::obs::set_enabled(true);
-    webservice::reset_loss_cache();
 
     // Figure 11 plots U(WS) against the arrival rate for several farm
     // sizes. This grid densifies the paper's alpha axis to 2,500 distinct
-    // rates per farm size — distinct rates mean distinct cache keys, so
-    // the traffic exercises many shards of the loss cache.
+    // rates per farm size.
     let farm_sizes = [2usize, 4, 6, 8];
     let alphas: Vec<f64> = (1..=2_500).map(|i| 0.1 * i as f64).collect();
     let exec = Exec::parallel();
@@ -61,22 +59,5 @@ fn main() -> Result<(), TravelError> {
     let created = snap.counter("travel.eval_context.created");
     let reuses = snap.counter("travel.eval_context.reuses");
     println!("\neval contexts: {created} created, {reuses} evaluations served from reused storage");
-    println!(
-        "loss cache: {} hits / {} misses, {} entries resident",
-        snap.counter("travel.loss_cache.hits"),
-        snap.counter("travel.loss_cache.misses"),
-        webservice::loss_cache_len()
-    );
-    println!("per-shard hit spread:");
-    let mut active_shards = 0;
-    for shard in 0..16 {
-        let hits = snap.counter(&format!("travel.loss_cache.shard{shard:02}.hits"));
-        let misses = snap.counter(&format!("travel.loss_cache.shard{shard:02}.misses"));
-        if hits + misses > 0 {
-            active_shards += 1;
-            println!("  shard {shard:02}: {hits:>7} hits, {misses:>5} misses");
-        }
-    }
-    println!("{active_shards} of 16 shards carried traffic");
     Ok(())
 }
