@@ -59,10 +59,11 @@
 //! `--inject-seed <n>` fixing the firing schedule. The exit code reports
 //! what the faults did: 0 means the run completed clean, 2 means it
 //! completed but degraded (a resilient report recorded typed failures, or
-//! a solver fallback had to recover a solve), and 1 remains a fatal error.
-//! Injection runs enable the obs recorder so `--metrics` artifacts carry
-//! the fault and recovery counters (`faultinject.fired.*`,
-//! `travel.farm.pi_fallbacks`, `markov.steady_state.fallbacks`), and they
+//! a drifting farm solve had to be answered by the closed form), and 1
+//! remains a fatal error. Injection runs enable the obs recorder so
+//! `--metrics` artifacts carry the fault and recovery counters
+//! (`faultinject.fired.*`, `travel.farm.pi_fallbacks`,
+//! `travel.farm.pi_recovered`), and they
 //! install a quiet panic hook — injected worker panics are caught and
 //! typed by the resilient layers, so the default per-panic backtrace would
 //! only be noise.
@@ -438,8 +439,8 @@ fn run(args: &Args) -> Result<ExitCode, Box<dyn Error>> {
 /// Exit-code taxonomy: 0 clean, 1 fatal (an error or a failed gate), 2
 /// completed-degraded. This is the code of a clean outcome: degradation
 /// is read from the recorder — which injection runs always enable — as
-/// either a resilient engine that recorded typed failures or a
-/// steady-state fallback that had to rescue a solve.
+/// either a resilient engine that recorded typed failures or a farm
+/// solve whose drifting vector the closed form had to replace.
 fn exit_verdict(injecting: bool) -> ExitCode {
     if !injecting {
         return ExitCode::SUCCESS;
@@ -447,8 +448,7 @@ fn exit_verdict(injecting: bool) -> ExitCode {
     let snap = uavail_obs::snapshot();
     let degraded = snap.counter("core.sweep.resilient.failures") > 0
         || snap.counter("travel.figure.resilient.failures") > 0
-        || snap.counter("travel.farm.pi_fallbacks") > 0
-        || snap.counter("markov.steady_state.fallbacks") > 0;
+        || snap.counter("travel.farm.pi_fallbacks") > 0;
     if degraded {
         ExitCode::from(2)
     } else {

@@ -6,8 +6,9 @@
 //! threaded through the solvers (LU pivots, GTH mass, M/M/c/K parameters,
 //! the M/M/i/K loss probabilities, replication streams, parallel workers)
 //! can be armed to fire deterministically, so the hardening layers above
-//! them (panic isolation, resilient sweeps, the steady-state fallback
-//! chain) can be exercised in tests and CI instead of trusted on faith.
+//! them (panic isolation, resilient sweeps, the farm solve's drift check,
+//! typed errors) can be exercised in tests and CI instead of trusted on
+//! faith.
 //!
 //! # Contract
 //!

@@ -259,87 +259,6 @@ impl Ctmc {
         }
     }
 
-    /// Steady-state distribution through a fallback chain:
-    /// **LU → GTH → scaled GTH retry**, each stage health-checked on the
-    /// probability-mass drift `|Σπ − 1|` (and non-negativity) of its
-    /// candidate vector before it is accepted.
-    ///
-    /// The chain exists for degraded conditions — an injected or genuine
-    /// numerical fault in one solver (see the `linalg.lu.*` and
-    /// `markov.gth.mass_drift` injection sites of `uavail-faultinject`)
-    /// falls through to an independent one instead of aborting the
-    /// evaluation. The final stage rescales the generator by its largest
-    /// exit rate, which leaves the stationary vector unchanged in exact
-    /// arithmetic but reconditions the elimination (and advances any
-    /// injection schedule, clearing transient faults).
-    ///
-    /// Every fallback taken is counted on
-    /// `markov.steady_state.fallbacks`; a solve rescued by a later stage
-    /// is counted on `markov.steady_state.recovered`.
-    ///
-    /// # Errors
-    ///
-    /// [`MarkovError::BadStructure`] when every stage fails or every
-    /// candidate vector is unhealthy — for a well-formed irreducible
-    /// generator this means the chain is genuinely reducible.
-    pub fn steady_state_resilient(&self) -> Result<Vec<f64>, MarkovError> {
-        let healthy =
-            |pi: &[f64]| crate::steady_state_mass_drift(pi) <= crate::STEADY_STATE_DRIFT_TOLERANCE;
-        // A direct LU solve can leave rounding-level negative entries
-        // (within the slack the drift gauge tolerates); strict consumers
-        // reject any negative probability, so accepted candidates are
-        // clamped to zero and renormalized before they leave the chain.
-        fn sanitize(mut pi: Vec<f64>) -> Vec<f64> {
-            if pi.iter().any(|&v| v < 0.0) {
-                for v in pi.iter_mut() {
-                    *v = v.max(0.0);
-                }
-                let total: f64 = pi.iter().sum();
-                for v in pi.iter_mut() {
-                    *v /= total;
-                }
-            }
-            pi
-        }
-        if let Ok(pi) = self.steady_state_lu() {
-            if healthy(&pi) {
-                return Ok(sanitize(pi));
-            }
-        }
-        uavail_obs::counter_add("markov.steady_state.fallbacks", 1);
-        uavail_obs::slo_degraded(1);
-        if let Ok(pi) = gth_steady_state(&self.q) {
-            if healthy(&pi) {
-                uavail_obs::counter_add("markov.steady_state.recovered", 1);
-                return Ok(sanitize(pi));
-            }
-        }
-        uavail_obs::counter_add("markov.steady_state.fallbacks", 1);
-        uavail_obs::slo_degraded(1);
-        let scale = (0..self.num_states())
-            .map(|i| self.q[(i, i)].abs())
-            .fold(0.0f64, f64::max);
-        if scale.is_finite() && scale > 0.0 {
-            let mut scaled = self.q.clone();
-            for r in 0..scaled.rows() {
-                for c in 0..scaled.cols() {
-                    scaled[(r, c)] /= scale;
-                }
-            }
-            if let Ok(pi) = gth_steady_state(&scaled) {
-                if healthy(&pi) {
-                    uavail_obs::counter_add("markov.steady_state.recovered", 1);
-                    return Ok(sanitize(pi));
-                }
-            }
-        }
-        Err(MarkovError::BadStructure {
-            reason: "steady-state fallback chain exhausted: LU, GTH and scaled-GTH \
-                     all failed or produced unhealthy distributions"
-                .into(),
-        })
-    }
-
     fn steady_state_lu(&self) -> Result<Vec<f64>, MarkovError> {
         let n = self.num_states();
         if n == 1 {
@@ -697,40 +616,6 @@ mod tests {
             Ctmc::from_generator(neg),
             Err(MarkovError::InvalidRate { index: 0, .. })
         ));
-    }
-
-    #[test]
-    fn resilient_steady_state_agrees_with_default_solver() {
-        let chain = two_state(1e-4, 2.0);
-        let gth = chain.steady_state().unwrap();
-        let resilient = chain.steady_state_resilient().unwrap();
-        for (a, b) in gth.iter().zip(&resilient) {
-            assert!((a - b).abs() < 1e-12, "{a} vs {b}");
-        }
-        let sum: f64 = resilient.iter().sum();
-        assert!((sum - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn resilient_steady_state_reports_degenerate_chains() {
-        // All-zero generator: LU is singular, GTH sees no transitions,
-        // and the rescale stage has no scale to work with.
-        let chain = Ctmc::from_generator(Matrix::zeros(3, 3)).unwrap();
-        assert!(matches!(
-            chain.steady_state_resilient(),
-            Err(MarkovError::BadStructure { .. })
-        ));
-    }
-
-    #[test]
-    fn resilient_steady_state_solves_absorbing_chains_via_lu() {
-        // GTH demands irreducibility, but the LU stage legitimately
-        // solves a chain with one absorbing state: all mass ends there.
-        let q = Matrix::from_rows(&[&[-1.0, 1.0], &[0.0, 0.0]]).unwrap();
-        let chain = Ctmc::from_generator(q).unwrap();
-        let pi = chain.steady_state_resilient().unwrap();
-        assert!((pi[0]).abs() < 1e-15);
-        assert!((pi[1] - 1.0).abs() < 1e-15);
     }
 
     #[test]

@@ -137,8 +137,11 @@ pub fn gth_steady_state(q: &Matrix) -> Result<Vec<f64>, MarkovError> {
 /// Returns `false`, leaving `pi` unspecified, when a factor `u_i/β` or
 /// `µ/d_k` is not finite, a pivot `d_k` is not finite or not positive, or
 /// a weight or their total is not finite. The dense routine then fails
-/// or yields an unhealthy vector, so callers solve the assembled chain
-/// instead. On success `pi` holds the stationary vector in the layout
+/// or yields an unhealthy vector too, so callers need another solver for
+/// such a farm, such as the chain's closed form. Like the dense routine,
+/// it does not detect a product or quotient that underflows, which loses
+/// precision silently; callers that accept extreme rates check them
+/// first. On success `pi` holds the stationary vector in the layout
 /// above; the `markov.gth.mass_drift` injection site and the health
 /// gauges run as in [`gth_steady_state`], the residual taken over the
 /// chain's edges in O(n).
@@ -222,8 +225,8 @@ pub fn gth_imperfect_coverage_farm(
 ///
 /// The injection site (inert unless `uavail-faultinject` is enabled)
 /// leaks probability mass *after* normalization, exactly the kind of
-/// silent numerical corruption the prob-sum-drift health gauge and the
-/// steady-state fallback chain exist to catch. The leak scales the
+/// silent numerical corruption the prob-sum-drift health gauge and
+/// [`steady_state_mass_drift`] exist to catch. The leak scales the
 /// largest entry so the injected drift is O(1e-3) on every chain —
 /// availability chains concentrate nearly all mass in one state, and
 /// perturbing a tiny entry would vanish below the detection tolerance.
@@ -244,8 +247,8 @@ pub const STEADY_STATE_DRIFT_TOLERANCE: f64 = 1e-9;
 
 /// Probability-mass drift `|Σπ − 1|` of a candidate stationary vector, or
 /// infinity when any entry is non-finite or negative beyond rounding.
-/// This is the inline health check the solver fallback chain is driven
-/// by; the obs gauge `markov.gth.prob_sum_drift` records the same
+/// This is the inline health check a caller runs before it accepts a
+/// vector; the obs gauge `markov.gth.prob_sum_drift` records the same
 /// quantity when the recorder is on.
 pub fn steady_state_mass_drift(pi: &[f64]) -> f64 {
     if pi.is_empty() || pi.iter().any(|v| !v.is_finite() || *v < -1e-12) {

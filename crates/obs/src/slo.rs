@@ -13,10 +13,10 @@
 //! target into a threshold state ([`SloState`]): `Ok` while the target
 //! sits inside the slack-widened interval and no numerical degradation
 //! was seen, `Warn`/`Breach` as the divergence or the degraded-event
-//! count grows. Degraded events are the PR 4 resilience fallbacks
-//! (LU → GTH, power-iteration rescue); they feed the same window, so a
-//! fault burst flips the state and the state recovers once the window
-//! rotates past it.
+//! count grows. Degraded events are numerical fallbacks, such as a farm
+//! solve whose drifting stationary vector had to be replaced; they feed
+//! the same window, so a fault burst flips the state and the state
+//! recovers once the window rotates past it.
 //!
 //! Like everything in `uavail-obs`, the monitor is clock-injected and
 //! deterministic: feeding it only ever *reads* already-computed results,

@@ -654,15 +654,15 @@ fn run_live(
     }
 }
 
-/// Total degraded-fallback events the solvers have recorded — the
-/// health gauges the circuit breaker keys on. Zero while the recorder
-/// is disabled (the breaker then only reacts to errors and panics).
+/// Total degraded-fallback events the solvers have recorded — farm
+/// solves whose drifting vector the closed form replaced — which the
+/// circuit breaker keys on. Zero while the recorder is disabled (the
+/// breaker then only reacts to errors and panics).
 fn degraded_fallback_events() -> u64 {
     if !uavail_obs::enabled() {
         return 0;
     }
-    let snap = uavail_obs::snapshot();
-    snap.counter("travel.farm.pi_fallbacks") + snap.counter("markov.steady_state.fallbacks")
+    uavail_obs::snapshot().counter("travel.farm.pi_fallbacks")
 }
 
 /// The `/slo` `queueing` block: measured admission-queue behavior next

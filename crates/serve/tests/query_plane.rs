@@ -97,8 +97,8 @@ fn eval_batch_matches_direct_computation_bit_for_bit() {
     let _guard = global_lock();
     reset_all();
     let server = ObsServer::start("127.0.0.1:0").expect("bind");
-    // After the paper's queries: a 10 000-server farm past the dense
-    // cutoff, an overloaded M/M/c/K whose unnormalized terms overflow
+    // After the paper's queries: a 10 000-server farm answered by the
+    // closed form, an overloaded M/M/c/K whose unnormalized terms overflow
     // f64, and a zero-probability Browse branch.
     let (status, _, body) = post_eval(
         server.addr(),
@@ -198,6 +198,96 @@ fn overflowing_offered_load_is_answered_not_an_error() {
             service_rate_per_second: nu,
             ..TaParameters::paper_defaults()
         };
+        let want = redundant_imperfect_availability(&params).expect("direct computation");
+        let got = availability_of(&body, 0);
+        assert!(
+            got.is_finite() && (0.0..=1.0).contains(&got),
+            "{query}: {got}"
+        );
+        assert_eq!(got.to_bits(), want.to_bits(), "{query}");
+        assert!(body.contains("\"degraded\":false"), "{query}: {body}");
+    }
+    server.shutdown();
+    reset_all();
+}
+
+#[test]
+fn valid_farms_never_trip_the_breaker() {
+    // Farms whose GTH weights overflow are answered exactly, not as
+    // degraded fallbacks: five of them in a row must leave the breaker
+    // closed, so the paper's own query still answers live. The recorder
+    // is on because it feeds the breaker its degraded signal.
+    let _guard = global_lock();
+    reset_all();
+    uavail_obs::set_enabled(true);
+    let server = ObsServer::start("127.0.0.1:0").expect("bind");
+    let queries = (250..=254)
+        .map(|nw| format!(r#"{{"web_servers":{nw},"buffer_size":300,"coverage":0}}"#))
+        .chain([r#"{"web_servers":5}"#.to_string()]);
+    for query in queries {
+        let (status, _, body) =
+            post_eval(server.addr(), &format!(r#"{{"queries":[{query}]}}"#), None);
+        assert_eq!(status, "HTTP/1.1 200 OK", "{query}: {body}");
+        assert!(body.contains("\"degraded\":false"), "{query}: {body}");
+        assert!(body.contains("\"stale\":false"), "{query}: {body}");
+        assert_eq!(
+            server.queueing_snapshot().breaker_state,
+            "closed",
+            "{query}"
+        );
+    }
+    server.shutdown();
+    reset_all();
+}
+
+#[test]
+fn extreme_farm_rates_are_answered_like_the_direct_computation() {
+    // Rates at which GTH's arithmetic overflows or underflows: each query
+    // must answer from the closed form like the direct computation, not
+    // fail or come back degraded.
+    let _guard = global_lock();
+    reset_all();
+    uavail_obs::set_enabled(true);
+    let server = ObsServer::start("127.0.0.1:0").expect("bind");
+    use uavail_travel::webservice::redundant_imperfect_availability;
+    use uavail_travel::TaParameters;
+    let paper = TaParameters::paper_defaults();
+    let tiny_beta = TaParameters {
+        failure_rate_per_hour: 1.0,
+        reconfiguration_rate_per_hour: 1e-310,
+        ..paper.clone()
+    };
+    for (query, params) in [
+        (
+            r#"{"reconfiguration_rate_per_hour":1e-300}"#,
+            TaParameters {
+                reconfiguration_rate_per_hour: 1e-300,
+                ..paper.clone()
+            },
+        ),
+        (
+            r#"{"reconfiguration_rate_per_hour":1e-310,"failure_rate_per_hour":1}"#,
+            tiny_beta.clone(),
+        ),
+        (
+            r#"{"web_servers":600,"buffer_size":600,"reconfiguration_rate_per_hour":1e-310,"failure_rate_per_hour":1}"#,
+            TaParameters {
+                web_servers: 600,
+                buffer_size: 600,
+                ..tiny_beta
+            },
+        ),
+        (
+            r#"{"repair_rate_per_hour":1e300}"#,
+            TaParameters {
+                repair_rate_per_hour: 1e300,
+                ..paper.clone()
+            },
+        ),
+    ] {
+        let (status, _, body) =
+            post_eval(server.addr(), &format!(r#"{{"queries":[{query}]}}"#), None);
+        assert_eq!(status, "HTTP/1.1 200 OK", "{query}: {body}");
         let want = redundant_imperfect_availability(&params).expect("direct computation");
         let got = availability_of(&body, 0);
         assert!(

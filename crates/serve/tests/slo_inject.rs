@@ -3,13 +3,16 @@
 //! recover once the window rotates past the fault burst.
 //!
 //! GTH faults are injected into the paper-reference farm solve; each
-//! rescued solve records one degraded event into the SLO monitor, which
-//! the `/health` endpoint grades live.
+//! drifting vector records one degraded event into the SLO monitor, which
+//! the `/health` endpoint grades live, and the closed form answers.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use uavail_core::composite::{composite_availability, CompositeState};
 use uavail_serve::ObsServer;
-use uavail_travel::webservice::redundant_imperfect_availability;
+use uavail_travel::webservice::{
+    farm_distribution_imperfect_closed_form, loss_probability, redundant_imperfect_availability,
+};
 use uavail_travel::TaParameters;
 
 const S: u64 = 1_000_000_000;
@@ -27,6 +30,19 @@ fn get(addr: SocketAddr, path: &str) -> String {
         .split_once("\r\n\r\n")
         .map(|(_, body)| body.to_string())
         .unwrap_or_default()
+}
+
+/// Equation (9) over the closed form of equations (6)–(8), summed state
+/// by state through the public API.
+fn closed_form_availability(params: &TaParameters) -> f64 {
+    let (op, y) = farm_distribution_imperfect_closed_form(params).expect("closed form");
+    let mut states = vec![CompositeState::new(op[0], 0.0)];
+    for (i, &pi) in op.iter().enumerate().skip(1) {
+        let loss = loss_probability(params, i).expect("p_K(i)");
+        states.push(CompositeState::new(pi, 1.0 - loss));
+    }
+    states.extend(y.iter().map(|&pi| CompositeState::new(pi, 0.0)));
+    composite_availability(&states).expect("composite")
 }
 
 fn health_state(addr: SocketAddr) -> String {
@@ -62,8 +78,8 @@ fn injected_gth_faults_flip_health_state_and_window_rotation_recovers() {
     uavail_obs::slo_record_outcomes("farm", 1_000_000, 4, 0);
     assert_eq!(health_state(addr), "ok");
 
-    // Arm certain-fire GTH corruption: every farm solve now degrades to
-    // the resilient chain and records one degraded event.
+    // Arm certain-fire GTH corruption: every farm solve now drifts, is
+    // answered by the closed form and records one degraded event.
     uavail_faultinject::reset();
     uavail_faultinject::set_seed(7);
     uavail_faultinject::arm("gth", 1.0).expect("arm gth site");
@@ -73,8 +89,12 @@ fn injected_gth_faults_flip_health_state_and_window_rotation_recovers() {
     let rescued = redundant_imperfect_availability(&params).expect("rescued solve");
     assert_eq!(
         rescued.to_bits(),
-        clean.to_bits(),
-        "the fallback chain must rescue the exact result"
+        closed_form_availability(&params).to_bits(),
+        "the closed form must answer the drifting solve"
+    );
+    assert!(
+        (rescued - 0.999995587).abs() < 1e-8,
+        "A(WS) = {rescued:.9}, expected 0.999995587"
     );
     let slo = uavail_obs::slo_snapshot().expect("monitor live");
     assert!(slo.degraded >= 1, "degraded events: {}", slo.degraded);

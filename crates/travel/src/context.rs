@@ -1,25 +1,21 @@
 //! Reusable evaluation scratch for repeated what-if queries.
 //!
 //! Every web-service evaluation fills the same buffers: the web-server
-//! farm's stationary vector, its split into operational and
-//! reconfiguration states, and a composite-state list. [`EvalContext`]
-//! owns all of those buffers so a query worker (the `/eval` plane gives
-//! each worker one) allocates them once and reuses them for every
-//! subsequent query. The farm itself is solved in O(N_W) by
-//! `uavail_markov::gth_imperfect_coverage_farm`, and the N_W loss
-//! probabilities of equation (3) come from its closed form at O(1) each
-//! without allocating, so no buffer grows with N_W² or with the capacity
-//! K.
+//! farm's stationary vector and a composite-state list. [`EvalContext`]
+//! owns both so a query worker (the `/eval` plane gives each worker one)
+//! allocates them once and reuses them for every subsequent query. The
+//! farm is solved in O(N_W), by GTH on the chain's non-zero entries or by
+//! its closed form, and the N_W loss probabilities of equation (3) come
+//! from their closed form at O(1) each without allocating, so no buffer
+//! grows with N_W² or with the capacity K.
 //!
 //! The context is transparent: the `*_with` evaluation paths in
-//! [`crate::webservice`] and [`crate::user`] run the exact same
-//! floating-point operations as their allocating counterparts, hand any
-//! farm the structured solve declines to the allocating path, fall back
-//! through the same solver chain when a solve is unhealthy, and the
-//! context's two memos replay the exact bits of the first computation,
-//! so results are bit-for-bit identical (pinned in the crate's
-//! integration tests). The memos are the ones measured `/eval` traffic
-//! hits: per-point web availabilities (every repeated ws query)
+//! [`crate::webservice`] and [`crate::user`] call the same farm solve and
+//! run the exact same floating-point operations as their allocating
+//! counterparts, and the context's two memos replay the exact bits of the
+//! first computation, so results are bit-for-bit identical (pinned in the
+//! crate's integration tests). The memos are the ones measured `/eval`
+//! traffic hits: per-point web availabilities (every repeated ws query)
 //! and per-scenario service expansions (every class A/B query). The
 //! paper's figure and table drivers in [`crate::evaluation`] do not use a
 //! context: they run the allocating path. Reuse is instrumented through
@@ -77,10 +73,6 @@ pub struct EvalContext {
     /// Stationary vector of the imperfect-coverage farm, operational
     /// states `0 ..= N_W` then reconfiguration states `y_1 ..= y_{N_W}`.
     pub(crate) pi: Vec<f64>,
-    /// Farm operational-state probabilities `Π_0 ..= Π_{N_W}`.
-    pub(crate) farm_op: Vec<f64>,
-    /// Farm reconfiguration-state probabilities `Π_{y_1} ..= Π_{y_{N_W}}`.
-    pub(crate) farm_y: Vec<f64>,
     /// Composite-availability state list.
     pub(crate) states: Vec<CompositeState>,
     /// Memoized farm availabilities, keyed by every parameter bit the

@@ -15,14 +15,15 @@
 //! `uavail_queueing::mmck::loss_probabilities`, at O(1) per server count;
 //! the M/M/c/K recurrence is its test oracle.
 //!
-//! Farms of up to 1 024 composite states, every size the paper uses, are
-//! solved by GTH on the explicit CTMC; larger imperfect-coverage farms
-//! take the product-form closed form of equations (6)–(8) directly. The
-//! tests check the closed form against GTH at farm sizes up to that
-//! cutoff and against the balance equations past it. The `/eval`
-//! worker's path, [`redundant_imperfect_availability_with`], runs the
-//! same GTH on the chain's non-zero entries only
-//! ([`gth_imperfect_coverage_farm`]), in O(N_W) and to the same bits.
+//! Both evaluation paths, [`redundant_imperfect_availability`] and the
+//! `/eval` worker's [`redundant_imperfect_availability_with`], solve the
+//! imperfect-coverage farm through one routine, in O(N_W) at every size:
+//! GTH on the chain's non-zero entries only
+//! ([`gth_imperfect_coverage_farm`], the bits of dense GTH on the explicit
+//! CTMC), and wherever its weights overflow or its rates leave the normal
+//! floating-point range, the product form of equations (6)–(8). Both
+//! answers are exact, so neither is degraded. Dense GTH and dense LU on
+//! the explicit chain are the tests' oracles.
 
 use uavail_core::composite::{composite_availability, CompositeState};
 use uavail_markov::{
@@ -112,18 +113,6 @@ pub(crate) fn farm_availability(
     Ok(composite_availability(states)?)
 }
 
-/// Farm state count (`2·N_W + 1`) above which the imperfect-coverage
-/// farm is solved by its closed form instead of by GTH on the dense
-/// generator. At or below the cutoff the dense path runs unchanged, so
-/// every pinned paper value keeps its exact bits.
-const DENSE_FARM_CUTOFF: usize = 1024;
-
-/// Whether a farm of `web_servers` servers has more composite states than
-/// [`DENSE_FARM_CUTOFF`].
-fn past_dense_cutoff(web_servers: usize) -> bool {
-    2 * web_servers + 1 > DENSE_FARM_CUTOFF
-}
-
 /// Basic-architecture web-service availability — equation (2):
 /// `A(WS) = A(C_WS) · (1 − p_K)`.
 ///
@@ -158,12 +147,11 @@ pub fn farm_distribution_perfect(params: &TaParameters) -> Result<Vec<f64>, Trav
 /// `reconfiguring[i]` is `Π_{y_i}` for `i = 1 ..= N_W` (stored at
 /// `i - 1`), the down states awaiting manual reconfiguration.
 ///
-/// Farms of up to 1 024 composite states (`N_W ≤ 511`) are solved
-/// numerically with GTH on the explicit chain, which is what every
-/// table and figure of the paper runs. Larger farms return
-/// [`farm_distribution_imperfect_closed_form`], in O(N_W) time and memory:
-/// the dense generator would need O(N_W²) memory and O(N_W³) time. The
-/// tests check the two against each other at sizes up to the cutoff.
+/// Every farm is solved in O(N_W) time and memory by the routine the
+/// `/eval` worker runs: GTH on the chain's non-zero entries, to the bits
+/// of dense GTH on the explicit chain (which every table and figure of
+/// the paper pins), and [`farm_distribution_imperfect_closed_form`]
+/// wherever those weights overflow or GTH would lose precision.
 /// (The paper's printed summation bound `N_W − 2` in equations
 /// (7)–(9) is a typographical slip — reproducing `A(WS) = 0.999995587`
 /// from Table 7 requires including every `y_i` state, which both
@@ -171,39 +159,42 @@ pub fn farm_distribution_perfect(params: &TaParameters) -> Result<Vec<f64>, Trav
 ///
 /// # Errors
 ///
-/// Propagates parameter-domain and chain-construction failures.
+/// Propagates parameter-domain failures.
 pub fn farm_distribution_imperfect(
     params: &TaParameters,
 ) -> Result<(Vec<f64>, Vec<f64>), TravelError> {
     params.validate()?;
-    let n = params.web_servers;
-    if params.coverage >= 1.0 {
-        // Perfect coverage: the y states are unreachable; Figure 10
-        // degenerates to Figure 9.
-        return Ok((farm_distribution_perfect(params)?, vec![0.0; n]));
-    }
-    if past_dense_cutoff(n) {
-        return farm_distribution_imperfect_closed_form(params);
-    }
+    let mut pi = Vec::new();
+    solve_farm(params, &mut pi)?;
+    let reconfiguring = pi.split_off(params.web_servers + 1);
+    Ok((pi, reconfiguring))
+}
 
-    let (chain, op, y) = imperfect_farm_chain(params)?;
-    // Health-gated solve: the default (GTH) solution is accepted only when
-    // its probability mass survived intact; otherwise fall through to the
-    // LU → GTH → scaled-GTH chain. On the healthy path this recomputes
-    // nothing, so results stay bit-for-bit identical to a plain solve.
-    let pi = match chain.steady_state() {
-        Ok(pi) if steady_state_mass_drift(&pi) <= STEADY_STATE_DRIFT_TOLERANCE => pi,
-        _ => {
-            uavail_obs::counter_add("travel.farm.pi_fallbacks", 1);
-            uavail_obs::slo_degraded(1);
-            let pi = chain.steady_state_resilient()?;
-            uavail_obs::counter_add("travel.farm.pi_recovered", 1);
-            pi
-        }
-    };
-    let operational: Vec<f64> = (0..=n).map(|i| pi[op[i].index()]).collect();
-    let reconfiguring: Vec<f64> = (0..n).map(|i| pi[y[i].index()]).collect();
-    Ok((operational, reconfiguring))
+/// Solves the farm of validated `params` into `pi`, in the layout of
+/// [`imperfect_farm_chain`]: `Π_0 ..= Π_{N_W}`, then
+/// `Π_{y_1} ..= Π_{y_{N_W}}`. Both web-service paths call it.
+///
+/// Under perfect coverage the y states are unreachable and Figure 10
+/// degenerates to Figure 9: `pi` is that distribution followed by `N_W`
+/// zeros. Otherwise [`structured_farm_solve`] answers wherever GTH keeps
+/// its precision ([`gth_stays_normal`]), and the closed form everywhere
+/// else. The drift check guards the GTH vector against the
+/// `markov.gth.mass_drift` injection site: a drifting vector counts
+/// `travel.farm.pi_fallbacks` and one SLO degraded event, and the closed
+/// form answers instead (`travel.farm.pi_recovered`).
+fn solve_farm(params: &TaParameters, pi: &mut Vec<f64>) -> Result<(), TravelError> {
+    if params.coverage >= 1.0 {
+        *pi = farm_distribution_perfect(params)?;
+        pi.resize(2 * params.web_servers + 1, 0.0);
+    } else if !gth_stays_normal(params) || !structured_farm_solve(params, pi) {
+        closed_form_into(params, pi);
+    } else if steady_state_mass_drift(pi) > STEADY_STATE_DRIFT_TOLERANCE {
+        uavail_obs::counter_add("travel.farm.pi_fallbacks", 1);
+        uavail_obs::slo_degraded(1);
+        closed_form_into(params, pi);
+        uavail_obs::counter_add("travel.farm.pi_recovered", 1);
+    }
+    Ok(())
 }
 
 /// The imperfect-coverage farm chain of Figure 10 for `c < 1`, with the
@@ -242,12 +233,29 @@ fn failure_rates(params: &TaParameters, i: usize) -> (f64, f64) {
     (covered, i as f64 * (1.0 - c) * lambda)
 }
 
+/// Whether GTH keeps its precision on the farm of `params` (`c < 1`): the
+/// uncovered-failure rate `u_i`, the fold factor `u_i/β` and β must be
+/// normal floats. Then every pivot `d_i ≥ u_i` is normal, and a weight
+/// `w·µ/d_i` or `w·u_i/β` whose product underflows is off by at most
+/// 2^-53 of the total weight. Otherwise GTH loses precision without
+/// noticing, where an overflow makes it decline: a fold factor that
+/// underflows drops the uncovered failures from every pivot, and a
+/// subnormal pivot or β scales the rounding of an underflowed product up
+/// to the size of the weights. `u_i` and `u_i/β` grow with `i`, so the
+/// one-server values are the ones to check.
+fn gth_stays_normal(params: &TaParameters) -> bool {
+    let beta = params.reconfiguration_rate_per_hour;
+    let (_, uncovered) = failure_rates(params, 1);
+    [beta, uncovered, uncovered / beta]
+        .iter()
+        .all(|r| r.is_normal())
+}
+
 /// Solves the farm of `params` (`c < 1`) into `pi` by
 /// [`gth_imperfect_coverage_farm`], in the layout of
 /// [`imperfect_farm_chain`]. Returns `false` when that solve declines, and
-/// also when the builder would reject a failure rate that underflowed to
-/// zero, so every farm this answers is one the allocating path solves,
-/// to the same bits.
+/// also when a failure rate underflowed to zero: that rate drops a
+/// transition the chain has, and the closed form keeps it.
 fn structured_farm_solve(params: &TaParameters, pi: &mut Vec<f64>) -> bool {
     // Both rates grow with i, so the one-server rates are the smallest.
     let (covered, uncovered) = failure_rates(params, 1);
@@ -263,50 +271,14 @@ fn structured_farm_solve(params: &TaParameters, pi: &mut Vec<f64>) -> bool {
     )
 }
 
-/// Solves the imperfect-coverage farm into `ctx.farm_op` / `ctx.farm_y`,
-/// bit-for-bit identical to [`farm_distribution_imperfect`], in O(N_W)
-/// time and without allocating once `ctx` is warm.
-///
-/// The caller must have validated `params` already. The farm is solved by
-/// [`structured_farm_solve`], which runs the same floating-point
-/// operations as GTH on the builder's generator. Perfect coverage, farms
-/// past the dense cutoff and farms the structured solve declines take
-/// the allocating path itself, so every solve fires the
-/// `markov.gth.mass_drift` injection site exactly once.
-fn farm_distribution_imperfect_compute(
-    params: &TaParameters,
-    ctx: &mut EvalContext,
-) -> Result<(), TravelError> {
-    let n = params.web_servers;
-    if params.coverage >= 1.0 || past_dense_cutoff(n) || !structured_farm_solve(params, &mut ctx.pi)
-    {
-        (ctx.farm_op, ctx.farm_y) = farm_distribution_imperfect(params)?;
-        return Ok(());
-    }
-    if steady_state_mass_drift(&ctx.pi) > STEADY_STATE_DRIFT_TOLERANCE {
-        // The same LU → GTH → scaled-GTH chain the allocating path falls
-        // back to, so both paths accept and reject the same farms.
-        uavail_obs::counter_add("travel.farm.pi_fallbacks", 1);
-        uavail_obs::slo_degraded(1);
-        ctx.pi = imperfect_farm_chain(params)?.0.steady_state_resilient()?;
-        uavail_obs::counter_add("travel.farm.pi_recovered", 1);
-    }
-    ctx.farm_op.clear();
-    ctx.farm_op.extend_from_slice(&ctx.pi[..=n]);
-    ctx.farm_y.clear();
-    ctx.farm_y.extend_from_slice(&ctx.pi[n + 1..]);
-    Ok(())
-}
-
 /// Closed-form state probabilities of the imperfect-coverage farm —
 /// the corrected equations (6)–(8): `Π_i = (1/i!)(µ/λ)^i Π_0` and
 /// `Π_{y_i} = µ(1−c)/(β(i−1)!) (µ/λ)^{i−1} Π_0` for `i = 1 ..= N_W`.
 ///
-/// Runs in O(N_W) time, in log space so that extreme `µ/λ` ratios and
-/// large farms neither overflow nor underflow before normalization.
-/// [`farm_distribution_imperfect`] returns it for farms past its dense
-/// cutoff; below the cutoff it is the reference the GTH solution is
-/// tested against.
+/// Runs in O(N_W) time, in log space, and answers every farm that
+/// passes validation. [`farm_distribution_imperfect`] returns it wherever
+/// the structured GTH declines or would lose precision; elsewhere it is
+/// the reference the GTH solution is tested against.
 ///
 /// # Errors
 ///
@@ -315,41 +287,41 @@ pub fn farm_distribution_imperfect_closed_form(
     params: &TaParameters,
 ) -> Result<(Vec<f64>, Vec<f64>), TravelError> {
     params.validate()?;
+    let mut pi = Vec::new();
+    closed_form_into(params, &mut pi);
+    let reconfiguring = pi.split_off(params.web_servers + 1);
+    Ok((pi, reconfiguring))
+}
+
+/// [`farm_distribution_imperfect_closed_form`] of validated `params` into
+/// `pi`, in the layout of [`imperfect_farm_chain`]. Each logarithm is a
+/// sum of the logarithms of single rates, so no product or ratio of rates
+/// overflows or underflows before the weights are normalized.
+fn closed_form_into(params: &TaParameters, pi: &mut Vec<f64>) {
     let n = params.web_servers;
-    let ratio = params.repair_rate_per_hour / params.failure_rate_per_hour;
-    let c = params.coverage;
-    let mu = params.repair_rate_per_hour;
-    let beta = params.reconfiguration_rate_per_hour;
-    // Work relative to Π_0 = 1, normalize at the end.
-    let mut log_op = Vec::with_capacity(n + 1);
-    let mut log_y = Vec::with_capacity(n);
+    let log_mu = params.repair_rate_per_hour.ln();
+    // ln(µ/λ), and ln(µ(1−c)/β): −∞ at c = 1, where every y_i is empty.
+    let log_ratio = log_mu - params.failure_rate_per_hour.ln();
+    let log_y1 = log_mu + (1.0 - params.coverage).ln() - params.reconfiguration_rate_per_hour.ln();
+    // Log weights relative to Π_0 = 1, normalized at the end.
+    pi.clear();
+    pi.resize(2 * n + 1, 0.0);
     // ln(i!) so far; just before ln i is added it holds ln((i−1)!), the
     // factorial Π_{y_i} needs.
     let mut log_fact = 0.0;
-    for i in 0..=n {
-        if i > 0 {
-            // µ(1-c)/β · (µ/λ)^{i-1} / (i-1)!
-            log_y.push(if (1.0 - c) == 0.0 {
-                f64::NEG_INFINITY
-            } else {
-                (mu * (1.0 - c) / beta).ln() + (i as f64 - 1.0) * ratio.ln() - log_fact
-            });
-            log_fact += (i as f64).ln();
-        }
-        log_op.push(i as f64 * ratio.ln() - log_fact);
+    for i in 1..=n {
+        pi[n + i] = log_y1 + (i as f64 - 1.0) * log_ratio - log_fact;
+        log_fact += (i as f64).ln();
+        pi[i] = i as f64 * log_ratio - log_fact;
     }
-    let max = log_op
-        .iter()
-        .chain(log_y.iter())
-        .cloned()
-        .fold(f64::NEG_INFINITY, f64::max);
-    let op: Vec<f64> = log_op.iter().map(|l| (l - max).exp()).collect();
-    let y: Vec<f64> = log_y.iter().map(|l| (l - max).exp()).collect();
-    let total: f64 = op.iter().sum::<f64>() + y.iter().sum::<f64>();
-    Ok((
-        op.into_iter().map(|v| v / total).collect(),
-        y.into_iter().map(|v| v / total).collect(),
-    ))
+    let max = pi.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+    for v in pi.iter_mut() {
+        *v = (*v - max).exp();
+    }
+    let total: f64 = pi.iter().sum();
+    for v in pi.iter_mut() {
+        *v /= total;
+    }
 }
 
 /// Redundant-farm web-service availability with perfect coverage —
@@ -378,8 +350,8 @@ pub fn redundant_imperfect_availability(params: &TaParameters) -> Result<f64, Tr
 }
 
 /// Redundant-farm web-service availability with imperfect coverage,
-/// computed entirely in `ctx`'s reusable buffers — the allocation-free
-/// twin of [`redundant_imperfect_availability`], bit-for-bit identical.
+/// computed in `ctx`'s reusable buffers by the same farm solve as
+/// [`redundant_imperfect_availability`], so bit-for-bit identical to it.
 ///
 /// # Errors
 ///
@@ -395,8 +367,9 @@ pub fn redundant_imperfect_availability_with(
         uavail_obs::trace_instant("travel.eval_context.memo_hit");
         return Ok(a);
     }
-    farm_distribution_imperfect_compute(params, ctx)?;
-    let a = farm_availability(params, &ctx.farm_op, &ctx.farm_y, &mut ctx.states)?;
+    solve_farm(params, &mut ctx.pi)?;
+    let (op, y) = ctx.pi.split_at(params.web_servers + 1);
+    let a = farm_availability(params, op, y, &mut ctx.states)?;
     ctx.remember_availability(key, a);
     Ok(a)
 }
@@ -544,6 +517,19 @@ mod tests {
         assert!(pi[4] > 0.999);
     }
 
+    /// The farm of `p` solved on its assembled generator: dense GTH where
+    /// its vector is healthy, else dense LU, whose elimination carries no
+    /// running weight that could overflow.
+    fn dense_farm_solution(p: &TaParameters) -> Vec<f64> {
+        let (chain, _, _) = imperfect_farm_chain(p).unwrap();
+        match chain.steady_state() {
+            Ok(pi) if steady_state_mass_drift(&pi) <= STEADY_STATE_DRIFT_TOLERANCE => pi,
+            _ => chain
+                .steady_state_with(uavail_markov::SteadyStateMethod::DirectLu)
+                .unwrap(),
+        }
+    }
+
     #[test]
     fn closed_form_matches_gth_solution() {
         for coverage in [0.5, 0.9, 0.98] {
@@ -565,21 +551,21 @@ mod tests {
                 );
             }
         }
-        // Every farm size up to the cutoff's neighbourhood: states with
-        // real mass agree in relative terms, negligible ones absolutely.
+        // Against a solve of the assembled generator at every farm size
+        // up to 511 servers: states with real mass agree in relative
+        // terms, negligible ones absolutely.
         let paper_coverage = (1..=128).chain([256, 511]).map(|nw| (nw, 0.98));
         let no_coverage = (1..=64).map(|nw| (nw, 0.0));
         for (nw, coverage) in paper_coverage.chain(no_coverage) {
-            assert!(!past_dense_cutoff(nw));
             let p = TaParameters::builder()
                 .web_servers(nw)
                 .buffer_size(nw.max(10))
                 .coverage(coverage)
                 .build()
                 .unwrap();
-            let (op, y) = farm_distribution_imperfect(&p).unwrap();
+            let dense = dense_farm_solution(&p);
             let (op_cf, y_cf) = farm_distribution_imperfect_closed_form(&p).unwrap();
-            for (a, b) in op.iter().zip(&op_cf).chain(y.iter().zip(&y_cf)) {
+            for (a, b) in dense.iter().zip(op_cf.iter().chain(&y_cf)) {
                 assert!(
                     (a - b).abs() <= 1e-12,
                     "N_W = {nw}, c = {coverage}: {a} vs {b}"
@@ -618,6 +604,10 @@ mod tests {
         let a = redundant_imperfect_availability(&p).unwrap();
         let b = redundant_perfect_availability(&p).unwrap();
         assert!((a - b).abs() < 1e-12);
+        // Figure 9's distribution, and every y state empty.
+        let (op, y) = farm_distribution_imperfect(&p).unwrap();
+        assert_eq!(op, farm_distribution_perfect(&p).unwrap());
+        assert_eq!(y, vec![0.0; p.web_servers]);
     }
 
     #[test]
@@ -701,11 +691,28 @@ mod tests {
         assert!(mttf(4) > mttf(3));
     }
 
-    /// `(‖πQ‖∞, max exit rate)` of the Figure 10 generator at
+    /// `‖πQ‖∞ / max exit rate` of the Figure 10 generator at
     /// `π = (op, y)`, accumulated transition by transition in O(N_W).
-    fn balance_residual(p: &TaParameters, op: &[f64], y: &[f64]) -> (f64, f64) {
+    ///
+    /// The generator is taken with every rate scaled by the power of two
+    /// that brings the largest of λ, µ and β into [1, 2). The stationary
+    /// vector and the ratio do not change, but rates such as 5e-324 keep
+    /// their precision: unscaled, `i·c·λ` and every flow out of it would
+    /// round to a multiple of the smallest subnormal.
+    fn balance_residual(p: &TaParameters, op: &[f64], y: &[f64]) -> f64 {
+        let largest = p
+            .failure_rate_per_hour
+            .max(p.repair_rate_per_hour)
+            .max(p.reconfiguration_rate_per_hour);
+        let k = -(largest.log2().floor() as i32);
+        // Two steps, so that 2^k itself stays finite for k up to 1 074.
+        let scale = |rate: f64| rate * 2f64.powi(k / 2) * 2f64.powi(k - k / 2);
+        let (lambda, mu, beta) = (
+            scale(p.failure_rate_per_hour),
+            scale(p.repair_rate_per_hour),
+            scale(p.reconfiguration_rate_per_hour),
+        );
         let n = p.web_servers;
-        let lambda = p.failure_rate_per_hour;
         let c = p.coverage;
         let pi: Vec<f64> = op.iter().chain(y).copied().collect();
         let mut flow = vec![0.0; pi.len()];
@@ -722,50 +729,103 @@ mod tests {
             }
             if c < 1.0 {
                 edge(i, n + i, i as f64 * (1.0 - c) * lambda);
-                edge(n + i, i - 1, p.reconfiguration_rate_per_hour);
+                edge(n + i, i - 1, beta);
             }
-            edge(i - 1, i, p.repair_rate_per_hour);
+            edge(i - 1, i, mu);
         }
         let residual = flow.iter().fold(0.0f64, |a, v| a.max(v.abs()));
-        (residual, exit.iter().fold(0.0, |a: f64, &v| a.max(v)))
+        residual / exit.iter().fold(0.0, |a: f64, &v| a.max(v))
     }
 
     #[test]
     fn large_farms_take_the_closed_form_and_satisfy_balance() {
-        for nw in [512, 2_000, 10_000, 50_000] {
-            for coverage in [0.0, 0.98] {
-                let p = TaParameters::builder()
-                    .web_servers(nw)
-                    .buffer_size(nw)
-                    .coverage(coverage)
-                    .build()
-                    .unwrap();
-                let (op, y) = farm_distribution_imperfect(&p).unwrap();
-                let (op_cf, y_cf) = farm_distribution_imperfect_closed_form(&p).unwrap();
-                assert_eq!((op.len(), y.len()), (nw + 1, nw));
-                for (a, b) in op.iter().zip(&op_cf).chain(y.iter().zip(&y_cf)) {
-                    assert_eq!(a.to_bits(), b.to_bits(), "N_W = {nw}, c = {coverage}");
+        // Large farms at the paper's rates, then every combination of
+        // extreme rates. Wherever the structured GTH declines or would
+        // leave the normal range, the route is the closed form, bit for
+        // bit; elsewhere it is the structured GTH, within 1e-12 of the
+        // closed form in every state. Every answer is a distribution that
+        // satisfies the balance equations, and both evaluation paths give
+        // the same availability bits.
+        let paper = params();
+        let rates = [5e-324, 1e-310, 1e-300, 1e-4, 1.0, 1e300];
+        let large = [512, 2_000, 10_000, 50_000].into_iter().flat_map(|nw| {
+            [0.0, 0.98].map(|c| {
+                let (lambda, mu, beta) = (
+                    paper.failure_rate_per_hour,
+                    paper.repair_rate_per_hour,
+                    paper.reconfiguration_rate_per_hour,
+                );
+                (nw, c, lambda, mu, beta)
+            })
+        });
+        let extreme = [1, 64, 511, 512, 2_000].into_iter().flat_map(move |nw| {
+            [0.0, 1e-12, 0.98, 1.0 - 1e-12]
+                .into_iter()
+                .flat_map(move |c| {
+                    rates.into_iter().flat_map(move |lambda| {
+                        rates
+                            .into_iter()
+                            .flat_map(move |mu| rates.map(|beta| (nw, c, lambda, mu, beta)))
+                    })
+                })
+        });
+        let mut ctx = EvalContext::new();
+        let mut structured = Vec::new();
+        let (mut by_gth, mut by_closed_form) = (0, 0);
+        for (nw, c, lambda, mu, beta) in large.chain(extreme) {
+            let p = TaParameters {
+                web_servers: nw,
+                buffer_size: nw,
+                coverage: c,
+                failure_rate_per_hour: lambda,
+                repair_rate_per_hour: mu,
+                reconfiguration_rate_per_hour: beta,
+                ..paper.clone()
+            };
+            let case = format!("N_W={nw} c={c} λ={lambda} µ={mu} β={beta}");
+            let (op, y) = farm_distribution_imperfect(&p).unwrap();
+            assert_eq!((op.len(), y.len()), (nw + 1, nw), "{case}");
+            let route: Vec<f64> = op.iter().chain(&y).copied().collect();
+            let (op_cf, y_cf) = farm_distribution_imperfect_closed_form(&p).unwrap();
+            let closed_form: Vec<f64> = op_cf.into_iter().chain(y_cf).collect();
+            let expected = if gth_stays_normal(&p) && structured_farm_solve(&p, &mut structured) {
+                by_gth += 1;
+                for (k, (s, cf)) in structured.iter().zip(&closed_form).enumerate() {
+                    assert!(
+                        (s - cf).abs() <= 1e-12,
+                        "{case}, state {k}: {s:e} vs {cf:e}"
+                    );
                 }
-                let mass = op.iter().sum::<f64>() + y.iter().sum::<f64>();
-                assert!(
-                    (mass - 1.0).abs() <= 1e-12,
-                    "N_W = {nw}, c = {coverage}: mass {mass}"
-                );
-                let (residual, max_exit) = balance_residual(&p, &op, &y);
-                assert!(
-                    residual / max_exit <= 1e-12,
-                    "N_W = {nw}, c = {coverage}: ‖πQ‖∞ / max exit = {:e}",
-                    residual / max_exit
-                );
+                &structured
+            } else {
+                by_closed_form += 1;
+                &closed_form
+            };
+            for (k, (a, b)) in route.iter().zip(expected).enumerate() {
+                assert_eq!(a.to_bits(), b.to_bits(), "{case}, state {k}");
             }
+            assert!(
+                route.iter().all(|pi| pi.is_finite() && *pi >= 0.0),
+                "{case}"
+            );
+            let mass = route.iter().sum::<f64>();
+            assert!((mass - 1.0).abs() <= 1e-12, "{case}: mass {mass}");
+            let residual = balance_residual(&p, &op, &y);
+            assert!(residual <= 1e-12, "{case}: ‖πQ‖∞ / max exit = {residual:e}");
+            let cold = redundant_imperfect_availability(&p).unwrap();
+            let warm = redundant_imperfect_availability_with(&p, &mut ctx).unwrap();
+            assert!((0.0..=1.0).contains(&cold), "{case}: A(WS) = {cold}");
+            assert_eq!(cold.to_bits(), warm.to_bits(), "{case}");
         }
+        assert!(by_gth > 0 && by_closed_form > 0);
+        eprintln!("{by_gth} farms solved by GTH, {by_closed_form} by the closed form");
     }
 
     #[test]
     fn large_farms_sum_every_state_of_equation_9() {
-        // Past the dense cutoff every operational state's loss enters the
-        // composite, however small its mass: the farm availability is
-        // equation (9) summed with `loss_probability` per state, to the bit.
+        // Every operational state's loss enters the composite, however
+        // small its mass: the farm availability is equation (9) summed
+        // with `loss_probability` per state, to the bit.
         let nw = 2_000;
         for coverage in [0.0, 0.98] {
             let p = TaParameters::builder()
@@ -861,10 +921,14 @@ mod tests {
 
     #[test]
     fn context_solve_recovers_wherever_the_allocating_solve_does() {
-        // Farms whose GTH vector drifts past the mass tolerance: the
-        // allocating path recovers through `steady_state_resilient`, and
-        // the context path must recover through the same chain to the
-        // same bits instead of failing.
+        // Farms whose GTH weights overflow, so that dense GTH's vector
+        // drifts past the mass tolerance: both paths answer from the
+        // closed form, to the same bits, and count no fallback. No test in
+        // this binary arms an injection site, so the counter moves only if
+        // one of these solves falls back.
+        uavail_obs::set_enabled(true);
+        let fallbacks = || uavail_obs::snapshot().counter("travel.farm.pi_fallbacks");
+        let before = fallbacks();
         for (lambda, nw) in [(1e-5, 89), (1e-4, 135), (1e-3, 346)] {
             let p = TaParameters::builder()
                 .web_servers(nw)
@@ -877,6 +941,8 @@ mod tests {
                 .unwrap_or_else(|e| panic!("λ={lambda} N_W={nw}: {e}"));
             assert_eq!(cold.to_bits(), warm.to_bits(), "λ={lambda} N_W={nw}");
         }
+        assert_eq!(fallbacks(), before, "a fallback was counted");
+        uavail_obs::set_enabled(false);
     }
 
     #[test]

@@ -1,14 +1,14 @@
 //! Bit-for-bit identity of the context-reusing web-service paths.
 //!
 //! The `EvalContext` plumbing behind the `/eval` query plane
-//! (`redundant_imperfect_availability_with` and the O(N_W)
-//! `gth_imperfect_coverage_farm` farm solve) must be pure plumbing: every
-//! reuse path executes the same floating-point operations in the same
-//! order as its allocating twin, and hands any farm its structured solve
-//! declines to that twin, so results agree to the last bit — not merely
-//! within tolerance, and errors are the same errors. These tests compare
-//! raw bit patterns, including the paper's pinned headline values.
+//! (`redundant_imperfect_availability_with`) must be pure plumbing: every
+//! reuse path calls the same farm solve and executes the same
+//! floating-point operations in the same order as its allocating twin, so
+//! results agree to the last bit — not merely within tolerance, and
+//! errors are the same errors. These tests compare raw bit patterns,
+//! including the paper's pinned headline values.
 
+use uavail_core::composite::{composite_availability, CompositeState};
 use uavail_travel::{webservice, EvalContext, TaParameters};
 
 /// The paper's reference parameters with the given farm rates.
@@ -20,6 +20,19 @@ fn farm(lambda: f64, mu: f64, coverage: f64, beta: f64) -> TaParameters {
         reconfiguration_rate_per_hour: beta,
         ..TaParameters::paper_defaults()
     }
+}
+
+/// Equation (9) over the closed form of equations (6)–(8), summed state
+/// by state through the public API.
+fn closed_form_availability(params: &TaParameters) -> f64 {
+    let (op, y) = webservice::farm_distribution_imperfect_closed_form(params).unwrap();
+    let mut states = vec![CompositeState::new(op[0], 0.0)];
+    for (i, &pi) in op.iter().enumerate().skip(1) {
+        let loss = webservice::loss_probability(params, i).unwrap();
+        states.push(CompositeState::new(pi, 1.0 - loss));
+    }
+    states.extend(y.iter().map(|&pi| CompositeState::new(pi, 0.0)));
+    composite_availability(&states).unwrap()
 }
 
 #[test]
@@ -72,9 +85,8 @@ fn full_coverage_degenerate_case_matches_on_context_path() {
 
 #[test]
 fn context_path_matches_allocating_path_on_large_farms() {
-    // Past the dense cutoff both paths take the closed form and apply
-    // the same negligible-mass skip rule to the M/M/i/K solves; small
-    // enough that the allocating path stays fast.
+    // A farm whose GTH weights overflow: both paths take the closed form
+    // and evaluate every state's M/M/i/K loss.
     let params = TaParameters::builder()
         .web_servers(700)
         .buffer_size(700)
@@ -93,10 +105,8 @@ fn context_path_matches_allocating_path_on_large_farms() {
 #[test]
 fn context_path_answers_wherever_the_allocating_path_falls_back() {
     // Farms on which dense GTH fails outright — a zero pivot at
-    // λ = 5e-324, an overflowing factor µ/d_k at the other two — are
-    // rescued by the allocating path's LU → GTH → scaled-GTH chain. The
-    // context path must reach the same answer, not return the raw GTH
-    // error.
+    // λ = 5e-324, an overflowing factor µ/d_k at the other two. Both
+    // paths must reach the same answer, not return the raw GTH error.
     let paper = TaParameters::paper_defaults();
     let (mu, c, beta) = (
         paper.repair_rate_per_hour,
@@ -117,11 +127,11 @@ fn context_path_answers_wherever_the_allocating_path_falls_back() {
 }
 
 #[test]
-fn context_path_fails_wherever_the_allocating_path_fails() {
-    // β = 1e-310 overflows the fold factor u_i/β, and the fallback chain
-    // cannot rescue the farm either. At λ = 1e-313, c = 1e-12 the covered
-    // rate c·λ underflows to zero, which the chain builder rejects. Both
-    // paths must give the same typed error.
+fn both_paths_answer_by_the_closed_form_where_gth_cannot() {
+    // β = 1e-310 overflows the fold factor u_i/β. At λ = 1e-313,
+    // c = 1e-12 the covered rate c·λ underflows to zero, which the chain
+    // builder rejects. GTH solves neither farm; both paths answer from the
+    // closed form, to its bits.
     let paper = TaParameters::paper_defaults();
     let one_server = TaParameters {
         web_servers: 1,
@@ -131,10 +141,14 @@ fn context_path_fails_wherever_the_allocating_path_fails() {
         farm(1.0, paper.repair_rate_per_hour, paper.coverage, 1e-310),
         one_server,
     ] {
-        let cold = webservice::redundant_imperfect_availability(&params).unwrap_err();
+        let closed = closed_form_availability(&params);
+        assert!((0.0..=1.0).contains(&closed), "{params:?}: {closed}");
+        let cold = webservice::redundant_imperfect_availability(&params)
+            .unwrap_or_else(|e| panic!("{params:?}: {e}"));
         let warm =
             webservice::redundant_imperfect_availability_with(&params, &mut EvalContext::new())
-                .unwrap_err();
-        assert_eq!(cold.to_string(), warm.to_string(), "{params:?}");
+                .unwrap_or_else(|e| panic!("{params:?}: {e}"));
+        assert_eq!(cold.to_bits(), closed.to_bits(), "{params:?}");
+        assert_eq!(warm.to_bits(), closed.to_bits(), "{params:?}");
     }
 }

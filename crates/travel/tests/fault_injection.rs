@@ -14,11 +14,12 @@
 //! 2. **Panic isolation** — an injected worker panic degrades a
 //!    reporting sweep to a partial report with typed failures; the
 //!    process never aborts.
-//! 3. **Fallback chain** — an injected GTH mass drift is detected by the
-//!    health gauge and recovered through the LU fallback, recorded by
+//! 3. **Drift guard** — an injected GTH mass drift is caught by the drift
+//!    check and answered by the closed form, recorded by the fallback and
 //!    recovery counters.
-//! 4. **Typed degradation** — corrupted queueing parameters and poisoned
-//!    loss probabilities surface as typed errors, never as NaN results.
+//! 4. **Typed degradation** — corrupted queueing parameters, poisoned
+//!    loss probabilities and a forced-singular LU factorization surface as
+//!    typed errors, never as NaN results or panics.
 
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
@@ -27,7 +28,7 @@ use uavail_core::sweep::sweep;
 use uavail_core::CoreError;
 use uavail_travel::evaluation::{figure12, figure_sweep, FigureReport};
 use uavail_travel::webservice::{
-    redundant_imperfect_availability, redundant_imperfect_availability_with,
+    mean_time_to_web_down, redundant_imperfect_availability, redundant_imperfect_availability_with,
     redundant_perfect_availability,
 };
 use uavail_travel::{Coverage, EvalContext, TaParameters, TravelError};
@@ -198,12 +199,12 @@ fn gth_mass_drift_recovers_through_the_fallback_chain() {
     uavail_faultinject::arm("gth", 1.0).unwrap();
     uavail_faultinject::set_enabled(true);
 
-    // Every GTH solve leaks mass; the drift gauge rejects it and the
-    // fallback chain recovers via LU, which never touches the GTH site.
+    // Every GTH solve leaks mass; the drift check rejects it and the
+    // closed form answers, which never touches the GTH site.
     let a = headline_availability();
     assert!(
         (a - HEADLINE).abs() < 1e-8,
-        "A(WS) = {a:.9} through the fallback chain"
+        "A(WS) = {a:.9} through the closed form"
     );
 
     uavail_faultinject::set_enabled(false);
@@ -224,9 +225,8 @@ fn gth_mass_drift_on_the_worker_path_recovers_through_the_fallback_chain() {
     uavail_faultinject::arm("gth", 1.0).unwrap();
     uavail_faultinject::set_enabled(true);
 
-    // The `/eval` worker's structured farm solve fires the same site as
-    // dense GTH; its drift check must hand the leaked vector to the same
-    // fallback chain.
+    // The `/eval` worker runs the same farm solve, so its drift check
+    // must replace the leaked vector by the closed form too.
     let a = redundant_imperfect_availability_with(
         &TaParameters::paper_defaults(),
         &mut EvalContext::new(),
@@ -234,7 +234,7 @@ fn gth_mass_drift_on_the_worker_path_recovers_through_the_fallback_chain() {
     .unwrap();
     assert!(
         (a - HEADLINE).abs() < 1e-8,
-        "A(WS) = {a:.9} through the fallback chain"
+        "A(WS) = {a:.9} through the closed form"
     );
 
     uavail_faultinject::set_enabled(false);
@@ -246,25 +246,27 @@ fn gth_mass_drift_on_the_worker_path_recovers_through_the_fallback_chain() {
 }
 
 #[test]
-fn forced_singular_lu_recovers_through_the_fallback_chain() {
+fn forced_singular_lu_is_a_typed_error_on_the_mttf_path() {
     let _guard = InjectionGuard::acquire();
+    let params = TaParameters::paper_defaults();
+    let clean = mean_time_to_web_down(&params).unwrap();
     uavail_faultinject::set_seed(9);
     uavail_faultinject::arm("singular", 1.0).unwrap();
     uavail_faultinject::set_enabled(true);
 
-    // The default farm solve is GTH, which never factors a matrix — but
-    // the resilient chain's LU stage does, reports the injected
-    // singularity, and falls through to GTH, which solves it.
-    let chain = {
-        let mut b = uavail_markov::CtmcBuilder::new();
-        let up = b.add_state("up");
-        let down = b.add_state("down");
-        b.add_transition(up, down, 0.01).unwrap();
-        b.add_transition(down, up, 1.0).unwrap();
-        b.build().unwrap()
-    };
-    let pi = chain.steady_state_resilient().unwrap();
-    assert!((pi[0] - 1.0 / 1.01).abs() < 1e-12);
+    // The mean time to web-service failure solves the Figure 10 chain's
+    // hitting-time system by LU, which reports the injected singularity:
+    // a typed Markov error, not a panic and not a number.
+    let faulted = mean_time_to_web_down(&params);
+    assert!(
+        matches!(faulted, Err(TravelError::Markov(_))),
+        "expected a typed Markov error, got {faulted:?}"
+    );
+
+    // Disarming restores the exact value.
+    uavail_faultinject::reset();
+    let healed = mean_time_to_web_down(&params).unwrap();
+    assert_eq!(clean.to_bits(), healed.to_bits());
 }
 
 #[test]
