@@ -16,8 +16,9 @@
 //! ```
 //!
 //! Each query starts from [`TaParameters::paper_defaults`] and applies
-//! the named overrides; unknown keys are rejected (a typo must not
-//! silently evaluate the defaults), and so is a `buffer_size` above
+//! the named overrides, one per [`PARAMS`] row; unknown keys are rejected
+//! (a typo must not silently evaluate the defaults). The result must pass
+//! [`TaParameters::validate`] and keep `buffer_size` within
 //! [`MAX_BUFFER_SIZE`]. `class` selects what is computed:
 //! `"ws"` (default) the web-service availability `A(WS)`, `"A"`/`"B"`
 //! the user-perceived availability of the paper's user classes.
@@ -25,13 +26,13 @@
 //! overload experiments (`reproduce loadgen`), capped so a hostile
 //! client cannot park a worker.
 
-use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
 use uavail_obs::json::JsonValue;
+use uavail_travel::params::{Domain, PARAMS};
 use uavail_travel::user::{class_a, class_b};
 use uavail_travel::webservice::redundant_imperfect_availability_with;
-use uavail_travel::{functions, services, user, Architecture, Coverage, EvalContext, TaParameters};
+use uavail_travel::{services, user, Architecture, Coverage, EvalContext, TaParameters};
 
 /// Most queries a single `/eval` batch may carry.
 pub const MAX_BATCH: usize = 256;
@@ -46,7 +47,7 @@ pub const MAX_BUFFER_SIZE: usize = 10_000;
 pub const MAX_SPIN_US: u64 = 50_000;
 
 /// What a query computes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum QueryClass {
     /// Web-service availability `A(WS)` (equation 9).
     WebService,
@@ -57,14 +58,6 @@ pub enum QueryClass {
 }
 
 impl QueryClass {
-    fn tag(self) -> u64 {
-        match self {
-            QueryClass::WebService => 0,
-            QueryClass::ClassA => 1,
-            QueryClass::ClassB => 2,
-        }
-    }
-
     /// The wire name, echoed back in results.
     pub fn name(self) -> &'static str {
         match self {
@@ -174,112 +167,40 @@ fn parse_query(value: &JsonValue) -> Result<EvalQuery, String> {
     Ok(EvalQuery { params, class })
 }
 
+/// Sets the [`PARAMS`] row named `key` from its JSON value: a count from a
+/// non-negative integer, a probability or a rate from any number.
 fn apply_override(params: &mut TaParameters, key: &str, v: &JsonValue) -> Result<(), String> {
-    let float = |v: &JsonValue| {
-        v.as_f64()
-            .ok_or_else(|| format!("{key:?} must be a number"))
+    let row = PARAMS
+        .iter()
+        .find(|row| row.name == key)
+        .ok_or_else(|| format!("unknown parameter {key:?}"))?;
+    let bits = match row.domain {
+        Domain::Count => v
+            .as_u64()
+            .ok_or_else(|| format!("{key:?} must be a non-negative integer"))?,
+        Domain::Probability | Domain::Rate => v
+            .as_f64()
+            .ok_or_else(|| format!("{key:?} must be a number"))?
+            .to_bits(),
     };
-    let count = |v: &JsonValue| {
-        v.as_u64()
-            .map(|n| n as usize)
-            .ok_or_else(|| format!("{key:?} must be a non-negative integer"))
-    };
-    match key {
-        "a_net" => params.a_net = float(v)?,
-        "a_lan" => params.a_lan = float(v)?,
-        "a_cas" => params.a_cas = float(v)?,
-        "a_cds" => params.a_cds = float(v)?,
-        "a_disk" => params.a_disk = float(v)?,
-        "a_cws" => params.a_cws = float(v)?,
-        "a_payment" => params.a_payment = float(v)?,
-        "a_flight_system" => params.a_flight_system = float(v)?,
-        "a_hotel_system" => params.a_hotel_system = float(v)?,
-        "a_car_system" => params.a_car_system = float(v)?,
-        "num_flight_systems" => params.num_flight_systems = count(v)?,
-        "num_hotel_systems" => params.num_hotel_systems = count(v)?,
-        "num_car_systems" => params.num_car_systems = count(v)?,
-        "q23" => params.q23 = float(v)?,
-        "q24" => params.q24 = float(v)?,
-        "q45" => params.q45 = float(v)?,
-        "q47" => params.q47 = float(v)?,
-        "web_servers" => params.web_servers = count(v)?,
-        "failure_rate_per_hour" => params.failure_rate_per_hour = float(v)?,
-        "repair_rate_per_hour" => params.repair_rate_per_hour = float(v)?,
-        "coverage" => params.coverage = float(v)?,
-        "reconfiguration_rate_per_hour" => params.reconfiguration_rate_per_hour = float(v)?,
-        "arrival_rate_per_second" => params.arrival_rate_per_second = float(v)?,
-        "service_rate_per_second" => params.service_rate_per_second = float(v)?,
-        "buffer_size" => params.buffer_size = count(v)?,
-        _ => return Err(format!("unknown parameter {key:?}")),
-    }
+    row.set_bits(params, bits);
     Ok(())
 }
 
-/// A deterministic key over the query's exact parameter bits and class,
-/// for the stale-answer cache. FNV-1a over the field bit patterns: two
-/// queries collide only if every parameter is bit-identical.
-pub fn query_key(query: &EvalQuery) -> u64 {
-    let p = &query.params;
-    let mut h = Fnv::new();
-    for f in [
-        p.a_net,
-        p.a_lan,
-        p.a_cas,
-        p.a_cds,
-        p.a_disk,
-        p.a_cws,
-        p.a_payment,
-        p.a_flight_system,
-        p.a_hotel_system,
-        p.a_car_system,
-        p.q23,
-        p.q24,
-        p.q45,
-        p.q47,
-        p.failure_rate_per_hour,
-        p.repair_rate_per_hour,
-        p.coverage,
-        p.reconfiguration_rate_per_hour,
-        p.arrival_rate_per_second,
-        p.service_rate_per_second,
-    ] {
-        h.write(f.to_bits());
-    }
-    for n in [
-        p.num_flight_systems,
-        p.num_hotel_systems,
-        p.num_car_systems,
-        p.web_servers,
-        p.buffer_size,
-    ] {
-        h.write(n as u64);
-    }
-    h.write(query.class.tag());
-    h.finish()
-}
+/// The stale-answer cache key of a query: the exact bits of every
+/// [`PARAMS`] row, and the class.
+pub type QueryKey = ([u64; PARAMS.len()], QueryClass);
 
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn write(&mut self, v: u64) {
-        for byte in v.to_le_bytes() {
-            self.0 ^= u64::from(byte);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
+/// The stale-answer cache key of `query`. Two queries share a key exactly
+/// when they ask for the same class with bit-identical parameters.
+pub fn query_key(query: &EvalQuery) -> QueryKey {
+    let bits = std::array::from_fn(|i| PARAMS[i].bits(&query.params));
+    (bits, query.class)
 }
 
 /// Evaluates one query on a warm context. `"ws"` queries hit the
 /// context's availability memo directly; class queries additionally
-/// compose the service-level environment (the [`functions`] map) around
+/// compose the service-level environment ([`services::environment`]) around
 /// the memoized web-service availability and replay the context's
 /// scenario expansions.
 ///
@@ -297,23 +218,7 @@ pub fn evaluate_query(
         QueryClass::ClassA => class_a(),
         QueryClass::ClassB => class_b(),
     };
-    let arch = Architecture::Redundant(Coverage::Imperfect);
-    let mut env = HashMap::new();
-    env.insert(functions::SERVICE_NET.to_string(), p.a_net);
-    env.insert(functions::SERVICE_LAN.to_string(), p.a_lan);
-    env.insert(functions::SERVICE_WEB.to_string(), a_ws);
-    env.insert(
-        functions::SERVICE_APP.to_string(),
-        services::application(p, arch)?,
-    );
-    env.insert(
-        functions::SERVICE_DB.to_string(),
-        services::database(p, arch)?,
-    );
-    env.insert(functions::SERVICE_FLIGHT.to_string(), services::flight(p)?);
-    env.insert(functions::SERVICE_HOTEL.to_string(), services::hotel(p)?);
-    env.insert(functions::SERVICE_CAR.to_string(), services::car(p)?);
-    env.insert(functions::SERVICE_PAYMENT.to_string(), services::payment(p));
+    let env = services::environment(p, Architecture::Redundant(Coverage::Imperfect), a_ws)?;
     user::user_availability_with(&class, p, &env, ctx)
 }
 

@@ -26,7 +26,8 @@ use uavail_travel::EvalContext;
 
 use crate::breaker::{Admission, BreakerConfig, CircuitBreaker};
 use crate::eval::{
-    self, evaluate_query, parse_eval_request, query_key, render_results, EvalRequest, QueryResult,
+    self, evaluate_query, parse_eval_request, query_key, render_results, EvalRequest, QueryKey,
+    QueryResult,
 };
 use crate::http::{write_response, Request};
 use crate::queue::AdmissionQueue;
@@ -136,7 +137,7 @@ struct PoolShared {
     breaker: CircuitBreaker,
     stats: PoolStats,
     /// Stale-answer memo: query key → last live result.
-    cache: Mutex<HashMap<u64, f64>>,
+    cache: Mutex<HashMap<QueryKey, f64>>,
     started: Instant,
     shutdown: AtomicBool,
     /// Every worker thread ever spawned (originals and respawns);
@@ -580,7 +581,7 @@ fn run_live(
     admission: Admission,
     ctx: &mut EvalContext,
 ) -> Response {
-    let fallbacks_before = degraded_fallback_events();
+    let fallbacks_before = ctx.fallback_count();
     let mut results = Vec::with_capacity(parsed.queries.len());
     let mut partial = false;
     let mut had_error = false;
@@ -593,10 +594,10 @@ fn run_live(
         evaluated += 1;
         match evaluate_query(q, ctx) {
             Ok(availability) => {
+                let key = query_key(q);
                 let mut cache = shared.cache.lock().unwrap_or_else(|e| e.into_inner());
-                if cache.len() < shared.config.stale_cache_cap || cache.contains_key(&query_key(q))
-                {
-                    cache.insert(query_key(q), availability);
+                if cache.len() < shared.config.stale_cache_cap || cache.contains_key(&key) {
+                    cache.insert(key, availability);
                 }
                 drop(cache);
                 results.push(QueryResult::Ok {
@@ -616,7 +617,9 @@ fn run_live(
     while results.len() < parsed.queries.len() {
         results.push(QueryResult::Skipped);
     }
-    let degraded = degraded_fallback_events() > fallbacks_before;
+    // Degraded: one of this batch's own farm solves fell back, as counted
+    // by this worker's context; other workers' solves never mark it.
+    let degraded = ctx.fallback_count() > fallbacks_before;
     // Breaker health tracks *system* failures: solver errors and
     // degraded fallbacks. A client-imposed deadline is not one — and a
     // batch that evaluated nothing (deadline gone before the first
@@ -652,17 +655,6 @@ fn run_live(
             body,
         }
     }
-}
-
-/// Total degraded-fallback events the solvers have recorded — farm
-/// solves whose drifting vector the closed form replaced — which the
-/// circuit breaker keys on. Zero while the recorder is disabled (the
-/// breaker then only reacts to errors and panics).
-fn degraded_fallback_events() -> u64 {
-    if !uavail_obs::enabled() {
-        return 0;
-    }
-    uavail_obs::snapshot().counter("travel.farm.pi_fallbacks")
 }
 
 /// The `/slo` `queueing` block: measured admission-queue behavior next

@@ -3,146 +3,101 @@
 //! A worker's context memoizes farm availabilities and scenario
 //! expansions across queries. A key that omits a field the answer depends
 //! on would replay a stale answer for a query that differs only in that
-//! field. Each case draws a random base query over all 25 `/eval`
-//! overrides and the three classes, follows it with one variant per field
-//! that changes exactly that field, evaluates them all on one context, and
-//! compares every answer bit for bit with the memo-free computation.
+//! field. Each case draws a random base query over every row of the
+//! `PARAMS` table and the three classes, follows it with one variant per
+//! row that changes exactly that field, evaluates them all on one
+//! context, and compares every answer bit for bit with the memo-free
+//! computation. Nothing here lists the parameters: a row added to the
+//! table is drawn and varied like the others.
 
 use proptest::prelude::*;
 use uavail_serve::eval::{evaluate_query, EvalQuery, QueryClass};
+use uavail_travel::params::{Domain, Param, PARAMS};
 use uavail_travel::user::{class_a, class_b};
 use uavail_travel::webservice::redundant_imperfect_availability;
 use uavail_travel::{Architecture, Coverage, EvalContext, TaParameters, TravelAgencyModel};
 
-/// How far a branch probability may move alone: half the `1e-9` slack
-/// validation allows on `q23 + q24` and `q45 + q47`.
+/// How far a probability bound by a sum rule may move alone: half the
+/// `1e-9` slack validation allows on `q23 + q24` and `q45 + q47`.
 const Q_STEP: f64 = 5e-10;
 
-fn lerp(u: f64, lo: f64, hi: f64) -> f64 {
-    lo + u * (hi - lo)
-}
+const CLASSES: [QueryClass; 3] = [
+    QueryClass::WebService,
+    QueryClass::ClassA,
+    QueryClass::ClassB,
+];
 
-fn log_uniform(u: f64, lo: f64, hi: f64) -> f64 {
-    (lo.ln() + u * (hi.ln() - lo.ln())).exp()
-}
-
-fn count(u: f64, lo: usize, hi: usize) -> usize {
-    lo + (u * (hi - lo + 1) as f64) as usize
-}
-
-/// A valid query from 24 uniform draws in `[0, 1)`.
-fn base_query(u: &[f64]) -> EvalQuery {
-    let web_servers = count(u[15], 1, 10);
-    let q23 = u[13];
-    let q45 = u[14];
-    let params = TaParameters {
-        a_net: lerp(u[0], 0.9, 1.0),
-        a_lan: lerp(u[1], 0.9, 1.0),
-        a_cas: lerp(u[2], 0.9, 1.0),
-        a_cds: lerp(u[3], 0.9, 1.0),
-        a_disk: lerp(u[4], 0.5, 1.0),
-        a_cws: lerp(u[5], 0.9, 1.0),
-        a_payment: lerp(u[6], 0.5, 1.0),
-        a_flight_system: lerp(u[7], 0.5, 1.0),
-        a_hotel_system: lerp(u[8], 0.5, 1.0),
-        a_car_system: lerp(u[9], 0.5, 1.0),
-        num_flight_systems: count(u[10], 1, 6),
-        num_hotel_systems: count(u[11], 1, 6),
-        num_car_systems: count(u[12], 1, 6),
-        q23,
-        q24: 1.0 - q23,
-        q45,
-        q47: 1.0 - q45,
-        web_servers,
-        // At least one slot above N_W, so N_W + 1 stays valid.
-        buffer_size: count(u[16], web_servers + 1, web_servers + 12),
-        failure_rate_per_hour: log_uniform(u[17], 1e-5, 1e-1),
-        repair_rate_per_hour: log_uniform(u[18], 0.1, 10.0),
-        coverage: u[19],
-        reconfiguration_rate_per_hour: lerp(u[20], 1.0, 50.0),
-        arrival_rate_per_second: lerp(u[21], 1.0, 300.0),
-        service_rate_per_second: lerp(u[22], 10.0, 200.0),
+/// `params` with `row`'s field set to `value` (rounded down for a count).
+fn with(params: &TaParameters, row: &Param, value: f64) -> TaParameters {
+    let mut p = params.clone();
+    let bits = match row.domain {
+        Domain::Count => value as u64,
+        Domain::Probability | Domain::Rate => value.to_bits(),
     };
-    let class = [
-        QueryClass::WebService,
-        QueryClass::ClassA,
-        QueryClass::ClassB,
-    ][count(u[23], 0, 2)];
+    row.set_bits(&mut p, bits);
+    p
+}
+
+/// A valid query from one uniform draw in `[0, 1)` per row, plus one for
+/// the class. A probability is the draw itself, a rate lies within a
+/// factor of ten of its paper value (log-uniform), and a count between 1
+/// and twice its paper value. The cross-field rules then fix the partners
+/// of the sum rules, and leave one buffer slot above `N_W` so `N_W + 1`
+/// stays valid.
+fn base_query(u: &[f64]) -> EvalQuery {
+    let paper = TaParameters::paper_defaults();
+    let mut params = paper.clone();
+    for (row, &u) in PARAMS.iter().zip(u) {
+        let default = row.value(&paper);
+        let value = match row.domain {
+            Domain::Probability => u,
+            Domain::Rate => default * 10f64.powf(2.0 * u - 1.0),
+            Domain::Count => 1.0 + (u * 2.0 * default).floor(),
+        };
+        params = with(&params, row, value);
+    }
+    params.q24 = 1.0 - params.q23;
+    params.q47 = 1.0 - params.q45;
+    params.buffer_size = params.buffer_size.max(params.web_servers + 1);
+    let class = CLASSES[(u[PARAMS.len()] * 3.0) as usize];
     EvalQuery { params, class }
 }
 
-/// A probability moved by 0.01, staying inside `[0, 1]`.
-fn nudge(v: f64) -> f64 {
-    if v > 0.5 {
-        v - 0.01
-    } else {
-        v + 0.01
+/// `params` with `row`'s field moved a little inside its domain: a
+/// probability by 0.01, or by [`Q_STEP`] where 0.01 would break a sum
+/// rule; a rate scaled by 1.5; a count up by 1.
+fn vary(params: &TaParameters, row: &Param) -> TaParameters {
+    let v = row.value(params);
+    match row.domain {
+        Domain::Probability => {
+            let nudged = with(params, row, if v > 0.5 { v - 0.01 } else { v + 0.01 });
+            if nudged.validate().is_ok() {
+                nudged
+            } else {
+                let step = if v + Q_STEP <= 1.0 { Q_STEP } else { -Q_STEP };
+                with(params, row, v + step)
+            }
+        }
+        Domain::Rate => with(params, row, v * 1.5),
+        Domain::Count => {
+            let mut p = params.clone();
+            row.set_bits(&mut p, row.bits(params) + 1);
+            p
+        }
     }
 }
 
-/// A branch probability moved by [`Q_STEP`], staying inside `[0, 1]`.
-fn q_step(v: f64) -> f64 {
-    if v + Q_STEP <= 1.0 {
-        v + Q_STEP
-    } else {
-        v - Q_STEP
-    }
-}
-
-/// One variant per override and per other class, each differing from
-/// `base` in exactly that field.
+/// One variant per row and per other class, each differing from `base`
+/// in exactly that field.
 fn variants(base: &EvalQuery) -> Vec<(&'static str, EvalQuery)> {
-    type Edit = fn(&mut TaParameters);
-    let edits: [(&str, Edit); 25] = [
-        ("a_net", |p| p.a_net = nudge(p.a_net)),
-        ("a_lan", |p| p.a_lan = nudge(p.a_lan)),
-        ("a_cas", |p| p.a_cas = nudge(p.a_cas)),
-        ("a_cds", |p| p.a_cds = nudge(p.a_cds)),
-        ("a_disk", |p| p.a_disk = nudge(p.a_disk)),
-        ("a_cws", |p| p.a_cws = nudge(p.a_cws)),
-        ("a_payment", |p| p.a_payment = nudge(p.a_payment)),
-        ("a_flight_system", |p| {
-            p.a_flight_system = nudge(p.a_flight_system)
-        }),
-        ("a_hotel_system", |p| {
-            p.a_hotel_system = nudge(p.a_hotel_system)
-        }),
-        ("a_car_system", |p| p.a_car_system = nudge(p.a_car_system)),
-        ("num_flight_systems", |p| p.num_flight_systems += 1),
-        ("num_hotel_systems", |p| p.num_hotel_systems += 1),
-        ("num_car_systems", |p| p.num_car_systems += 1),
-        ("q23", |p| p.q23 = q_step(p.q23)),
-        ("q24", |p| p.q24 = q_step(p.q24)),
-        ("q45", |p| p.q45 = q_step(p.q45)),
-        ("q47", |p| p.q47 = q_step(p.q47)),
-        ("web_servers", |p| p.web_servers += 1),
-        ("failure_rate_per_hour", |p| p.failure_rate_per_hour *= 1.5),
-        ("repair_rate_per_hour", |p| p.repair_rate_per_hour *= 1.5),
-        ("coverage", |p| p.coverage = nudge(p.coverage)),
-        ("reconfiguration_rate_per_hour", |p| {
-            p.reconfiguration_rate_per_hour *= 1.5
-        }),
-        ("arrival_rate_per_second", |p| {
-            p.arrival_rate_per_second *= 1.5
-        }),
-        ("service_rate_per_second", |p| {
-            p.service_rate_per_second *= 1.5
-        }),
-        ("buffer_size", |p| p.buffer_size += 1),
-    ];
-    let mut out: Vec<(&'static str, EvalQuery)> = edits
+    let mut out: Vec<(&'static str, EvalQuery)> = PARAMS
         .iter()
-        .map(|&(name, edit)| {
-            let mut q = base.clone();
-            edit(&mut q.params);
-            (name, q)
+        .map(|row| {
+            let params = vary(&base.params, row);
+            (row.name, EvalQuery { params, ..*base })
         })
         .collect();
-    for class in [
-        QueryClass::WebService,
-        QueryClass::ClassA,
-        QueryClass::ClassB,
-    ] {
+    for class in CLASSES {
         if class != base.class {
             out.push((
                 "class",
@@ -177,7 +132,7 @@ fn memo_free(q: &EvalQuery) -> f64 {
 proptest! {
     #[test]
     fn memo_keys_cover_every_field_that_changes_an_answer(
-        u in prop::collection::vec(0.0f64..1.0, 24)
+        u in prop::collection::vec(0.0f64..1.0, PARAMS.len() + 1)
     ) {
         let base = base_query(&u);
         let mut ctx = EvalContext::new();

@@ -302,6 +302,50 @@ fn extreme_farm_rates_are_answered_like_the_direct_computation() {
 }
 
 #[test]
+fn overflowing_failure_rate_is_a_400_and_leaves_the_breaker_closed() {
+    // N_W·λ = 4e308 overflows: every farm chain would carry an infinite
+    // failure rate. Validation rejects the query by name, so five of them
+    // neither fail an evaluation nor open the breaker, and the next query
+    // still answers live. The rule holds at any coverage.
+    let _guard = global_lock();
+    reset_all();
+    let server = ObsServer::start("127.0.0.1:0").expect("bind");
+    let overflow = |coverage: &str| {
+        let query = format!(r#"{{"failure_rate_per_hour":1e308,"coverage":{coverage}}}"#);
+        let (status, _, body) =
+            post_eval(server.addr(), &format!(r#"{{"queries":[{query}]}}"#), None);
+        assert_eq!(status, "HTTP/1.1 400 Bad Request", "{query}: {body}");
+        assert!(body.contains("failure_rate_per_hour"), "{query}: {body}");
+    };
+    for _ in 0..5 {
+        overflow("1");
+    }
+    let snap = server.queueing_snapshot();
+    assert_eq!(snap.breaker_state, "closed");
+    assert_eq!((snap.bad_requests, snap.eval_errors), (5, 0));
+
+    let (status, _, body) = post_eval(server.addr(), r#"{"queries":[{"web_servers":7}]}"#, None);
+    assert_eq!(status, "HTTP/1.1 200 OK", "{body}");
+    let params = uavail_travel::TaParameters {
+        web_servers: 7,
+        ..uavail_travel::TaParameters::paper_defaults()
+    };
+    let want = uavail_travel::webservice::redundant_imperfect_availability(&params)
+        .expect("direct computation");
+    assert_eq!(
+        availability_of(&body, 0).to_bits(),
+        want.to_bits(),
+        "{body}"
+    );
+    assert!(body.contains("\"stale\":false"), "{body}");
+    overflow("0.98");
+    overflow("0");
+
+    server.shutdown();
+    reset_all();
+}
+
+#[test]
 fn protocol_errors_are_answered_not_dropped() {
     let _guard = global_lock();
     reset_all();

@@ -16,26 +16,33 @@
 //! first computation, so results are bit-for-bit identical (pinned in the
 //! crate's integration tests). The memos are the ones measured `/eval`
 //! traffic hits: per-point web availabilities (every repeated ws query)
-//! and per-scenario service expansions (every class A/B query). The
-//! paper's figure and table drivers in [`crate::evaluation`] do not use a
-//! context: they run the allocating path. Reuse is instrumented through
-//! the `uavail-obs` counters `travel.eval_context.created` and
-//! `travel.eval_context.reuses`.
+//! and per-scenario service expansions (every class A/B query), keyed on
+//! the exact bits of one [`Layer`] of [`PARAMS`] each. The paper's figure
+//! and table drivers in [`crate::evaluation`] do not use a context: they
+//! run the allocating path. Reuse is instrumented through the
+//! `uavail-obs` counters `travel.eval_context.created` and
+//! `travel.eval_context.reuses`; drift fallbacks are counted per context
+//! ([`EvalContext::fallback_count`]), recorder or not.
 
 use std::collections::HashMap;
 
 use uavail_core::composite::CompositeState;
 
+use crate::params::{Layer, PARAMS};
 use crate::TaParameters;
 
-/// Memo key for an imperfect-coverage farm availability: the bit patterns
-/// of every parameter the result depends on.
-pub(crate) type AvailKey = (usize, usize, [u64; 6]);
+/// Memo key for a farm availability: the bits of the web-farm parameters.
+pub(crate) type AvailKey = [u64; Layer::WebFarm.width()];
 
-/// Memo key for a user-scenario service expansion: the scenario's function
-/// list plus the path-choice probabilities (`q23`, `q24`, `q45`, `q47`)
-/// the interaction diagrams branch on.
-pub(crate) type ScenarioKey = (Vec<String>, [u64; 4]);
+/// The bits of the profile parameters a scenario expansion depends on.
+pub(crate) type ProfileKey = [u64; Layer::Profile.width()];
+
+/// Memo key for a scenario expansion: its function list and profile bits.
+pub(crate) type ScenarioKey = (Vec<String>, ProfileKey);
+
+const WEB_FARM_ROWS: [usize; Layer::WebFarm.width()] = Layer::WebFarm.rows();
+
+const PROFILE_ROWS: [usize; Layer::Profile.width()] = Layer::Profile.rows();
 
 /// Bound on the per-context availability memo; dense custom sweeps can
 /// exceed it, at which point it simply starts over.
@@ -83,6 +90,8 @@ pub struct EvalContext {
     /// [`crate::user::scenario_availability`] in exact pop order, so a
     /// replay multiplies the same factors in the same order.
     pub(crate) scenario_memo: HashMap<ScenarioKey, Vec<(f64, Vec<String>)>>,
+    /// See [`EvalContext::fallback_count`].
+    pub(crate) fallbacks: u64,
     /// Whether this context has served at least one evaluation.
     used: bool,
     /// Evaluations served beyond the first (storage actually reused).
@@ -101,20 +110,20 @@ impl EvalContext {
         self.reuses
     }
 
+    /// Farm solves of this context whose drifting vector (only an
+    /// injected fault makes one) the closed form replaced.
+    pub fn fallback_count(&self) -> u64 {
+        self.fallbacks
+    }
+
     /// Memo key for one farm-availability evaluation.
     pub(crate) fn avail_key(params: &TaParameters) -> AvailKey {
-        (
-            params.web_servers,
-            params.buffer_size,
-            [
-                params.failure_rate_per_hour.to_bits(),
-                params.repair_rate_per_hour.to_bits(),
-                params.arrival_rate_per_second.to_bits(),
-                params.service_rate_per_second.to_bits(),
-                params.coverage.to_bits(),
-                params.reconfiguration_rate_per_hour.to_bits(),
-            ],
-        )
+        WEB_FARM_ROWS.map(|i| PARAMS[i].bits(params))
+    }
+
+    /// The profile half of every scenario memo key for `params`.
+    pub(crate) fn profile_key(params: &TaParameters) -> ProfileKey {
+        PROFILE_ROWS.map(|i| PARAMS[i].bits(params))
     }
 
     /// Stores a freshly computed availability, restarting the memo when it

@@ -15,7 +15,7 @@
 //! | Table 4 (application/database services) | [`services`] |
 //! | Table 5 / eqs. 1–9 (web service) | [`webservice`] |
 //! | Table 6 (function availabilities) | [`functions`] |
-//! | Table 7 (parameters) | [`TaParameters::paper_defaults`] |
+//! | Table 7 (parameters) | [`TaParameters::paper_defaults`], [`params::PARAMS`] |
 //! | Table 8, Figures 11–13, §5.2 revenue | [`evaluation`] |
 //! | Figures 7–8 (architectures) | [`Architecture`] |
 //! | Simulation cross-validation (ours) | [`sim_validation`] |
@@ -47,7 +47,7 @@ pub mod functions;
 pub mod maintenance;
 mod model;
 pub mod multisite;
-mod params;
+pub mod params;
 pub mod report;
 pub mod services;
 pub mod session_sim;

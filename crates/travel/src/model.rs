@@ -84,24 +84,7 @@ impl TravelAgencyModel {
     ///
     /// Propagates solver failures.
     pub fn service_availabilities(&self) -> Result<HashMap<String, f64>, TravelError> {
-        let p = &self.params;
-        let mut env = HashMap::new();
-        env.insert(functions::SERVICE_NET.to_string(), p.a_net);
-        env.insert(functions::SERVICE_LAN.to_string(), p.a_lan);
-        env.insert(functions::SERVICE_WEB.to_string(), self.web_availability()?);
-        env.insert(
-            functions::SERVICE_APP.to_string(),
-            services::application(p, self.architecture)?,
-        );
-        env.insert(
-            functions::SERVICE_DB.to_string(),
-            services::database(p, self.architecture)?,
-        );
-        env.insert(functions::SERVICE_FLIGHT.to_string(), services::flight(p)?);
-        env.insert(functions::SERVICE_HOTEL.to_string(), services::hotel(p)?);
-        env.insert(functions::SERVICE_CAR.to_string(), services::car(p)?);
-        env.insert(functions::SERVICE_PAYMENT.to_string(), services::payment(p));
-        Ok(env)
+        services::environment(&self.params, self.architecture, self.web_availability()?)
     }
 
     /// Availability of one function (a Table 6 row).

@@ -1,3 +1,9 @@
+//! The model's 25 inputs (Table 7 and the §5.1 web-farm setting): the
+//! [`TaParameters`] struct, and the [`PARAMS`] table that declares each
+//! one's name, domain, layer and field once. Validation, the `/eval`
+//! parser and every memo key read the table; the rules that tie fields
+//! together stay explicit in [`TaParameters::validate`].
+
 use crate::TravelError;
 
 /// The full parameter set of the TA study — Table 7 of the paper plus the
@@ -129,99 +135,54 @@ impl TaParameters {
         }
     }
 
-    /// Validates all parameter domains.
+    /// Validates every parameter against its [`PARAMS`] domain, then the
+    /// cross-field rules: `q23 + q24 = 1` and `q45 + q47 = 1` (each within
+    /// `1e-9`), `buffer_size ≥ web_servers`, and a finite
+    /// `web_servers · failure_rate_per_hour`, so every failure rate `i·λ`
+    /// the farm chains build is finite.
     ///
     /// # Errors
     ///
-    /// [`TravelError::InvalidParameter`] naming the first violated field.
+    /// [`TravelError::InvalidParameter`] naming the first violated field,
+    /// in table order, or else the first violated rule.
     pub fn validate(&self) -> Result<(), TravelError> {
-        let probabilities: [(&'static str, f64); 12] = [
-            ("a_net", self.a_net),
-            ("a_lan", self.a_lan),
-            ("a_cas", self.a_cas),
-            ("a_cds", self.a_cds),
-            ("a_disk", self.a_disk),
-            ("a_cws", self.a_cws),
-            ("a_payment", self.a_payment),
-            ("a_flight_system", self.a_flight_system),
-            ("a_hotel_system", self.a_hotel_system),
-            ("a_car_system", self.a_car_system),
-            ("coverage", self.coverage),
-            ("q23", self.q23),
-        ];
-        for (name, v) in probabilities {
-            if !(v.is_finite() && (0.0..=1.0).contains(&v)) {
-                return Err(TravelError::InvalidParameter {
-                    name,
-                    value: v,
-                    requirement: "within [0, 1]",
-                });
-            }
+        let sum_rule = |name, sum: f64| ((sum - 1.0).abs() <= 1e-9, name, sum, "equal to 1");
+        let violation = PARAMS
+            .iter()
+            .map(|row| {
+                let value = row.value(self);
+                let (ok, requirement) = match row.domain {
+                    Domain::Probability => ((0.0..=1.0).contains(&value), "within [0, 1]"),
+                    Domain::Rate => (value.is_finite() && value > 0.0, "finite and > 0"),
+                    Domain::Count => (value >= 1.0, "at least 1"),
+                };
+                (ok, row.name, value, requirement)
+            })
+            .chain([
+                sum_rule("q23 + q24", self.q23 + self.q24),
+                sum_rule("q45 + q47", self.q45 + self.q47),
+                (
+                    self.buffer_size >= self.web_servers,
+                    "buffer_size",
+                    self.buffer_size as f64,
+                    "at least web_servers",
+                ),
+                (
+                    (self.web_servers as f64 * self.failure_rate_per_hour).is_finite(),
+                    "failure_rate_per_hour",
+                    self.failure_rate_per_hour,
+                    "finite when multiplied by web_servers",
+                ),
+            ])
+            .find(|&(ok, ..)| !ok);
+        match violation {
+            Some((_, name, value, requirement)) => Err(TravelError::InvalidParameter {
+                name,
+                value,
+                requirement,
+            }),
+            None => Ok(()),
         }
-        for (name, v) in [("q24", self.q24), ("q45", self.q45), ("q47", self.q47)] {
-            if !(v.is_finite() && (0.0..=1.0).contains(&v)) {
-                return Err(TravelError::InvalidParameter {
-                    name,
-                    value: v,
-                    requirement: "within [0, 1]",
-                });
-            }
-        }
-        if (self.q23 + self.q24 - 1.0).abs() > 1e-9 {
-            return Err(TravelError::InvalidParameter {
-                name: "q23 + q24",
-                value: self.q23 + self.q24,
-                requirement: "equal to 1",
-            });
-        }
-        if (self.q45 + self.q47 - 1.0).abs() > 1e-9 {
-            return Err(TravelError::InvalidParameter {
-                name: "q45 + q47",
-                value: self.q45 + self.q47,
-                requirement: "equal to 1",
-            });
-        }
-        for (name, v) in [
-            ("failure_rate_per_hour", self.failure_rate_per_hour),
-            ("repair_rate_per_hour", self.repair_rate_per_hour),
-            (
-                "reconfiguration_rate_per_hour",
-                self.reconfiguration_rate_per_hour,
-            ),
-            ("arrival_rate_per_second", self.arrival_rate_per_second),
-            ("service_rate_per_second", self.service_rate_per_second),
-        ] {
-            if !(v.is_finite() && v > 0.0) {
-                return Err(TravelError::InvalidParameter {
-                    name,
-                    value: v,
-                    requirement: "finite and > 0",
-                });
-            }
-        }
-        for (name, v) in [
-            ("web_servers", self.web_servers),
-            ("num_flight_systems", self.num_flight_systems),
-            ("num_hotel_systems", self.num_hotel_systems),
-            ("num_car_systems", self.num_car_systems),
-            ("buffer_size", self.buffer_size),
-        ] {
-            if v == 0 {
-                return Err(TravelError::InvalidParameter {
-                    name,
-                    value: 0.0,
-                    requirement: "at least 1",
-                });
-            }
-        }
-        if self.buffer_size < self.web_servers {
-            return Err(TravelError::InvalidParameter {
-                name: "buffer_size",
-                value: self.buffer_size as f64,
-                requirement: "at least the number of web servers",
-            });
-        }
-        Ok(())
     }
 
     /// Sets the same count for `N_F`, `N_H` and `N_C`, the sweep used by
@@ -239,6 +200,145 @@ impl Default for TaParameters {
         TaParameters::paper_defaults()
     }
 }
+
+/// The values a parameter may take.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Domain {
+    /// A probability in `[0, 1]`.
+    Probability,
+    /// A rate that is finite and `> 0`.
+    Rate,
+    /// A count `≥ 1`.
+    Count,
+}
+
+/// The part of the model a parameter feeds, which decides the memo key
+/// that must carry it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Layer {
+    /// The web farm and its buffers: the inputs of `A(WS)` and of the
+    /// context's availability memo key.
+    WebFarm,
+    /// The interaction diagrams' branch probabilities: the inputs of a
+    /// scenario's service expansion and of the scenario memo key.
+    Profile,
+    /// Every other parameter, read afresh by each evaluation.
+    Services,
+}
+
+impl Layer {
+    /// How many rows of [`PARAMS`] feed this layer.
+    pub(crate) const fn width(self) -> usize {
+        let (mut i, mut n) = (0, 0);
+        while i < PARAMS.len() {
+            if PARAMS[i].layer as u8 == self as u8 {
+                n += 1;
+            }
+            i += 1;
+        }
+        n
+    }
+
+    /// The [`PARAMS`] indices of this layer's rows, in table order; `N`
+    /// must be [`Layer::width`].
+    pub(crate) const fn rows<const N: usize>(self) -> [usize; N] {
+        let mut rows = [0; N];
+        let (mut i, mut n) = (0, 0);
+        while i < PARAMS.len() {
+            if PARAMS[i].layer as u8 == self as u8 {
+                rows[n] = i;
+                n += 1;
+            }
+            i += 1;
+        }
+        assert!(n == N, "N must be the layer's width");
+        rows
+    }
+}
+
+/// One row of [`PARAMS`]. Its accessor reads and writes the field as 64
+/// bits: `f64::to_bits` of a probability or a rate, the value of a count.
+#[derive(Debug, Clone, Copy)]
+pub struct Param {
+    /// The [`TaParameters`] field, which is also the `/eval` override key.
+    pub name: &'static str,
+    pub domain: Domain,
+    pub layer: Layer,
+    get: fn(&TaParameters) -> u64,
+    set: fn(&mut TaParameters, u64),
+}
+
+impl Param {
+    /// The field's exact bits in `params`.
+    pub fn bits(&self, params: &TaParameters) -> u64 {
+        (self.get)(params)
+    }
+
+    /// Sets the field from bits in the encoding of [`Param::bits`].
+    pub fn set_bits(&self, params: &mut TaParameters, bits: u64) {
+        (self.set)(params, bits)
+    }
+
+    /// The field's value as a float; a count past 2^53 rounds.
+    pub fn value(&self, params: &TaParameters) -> f64 {
+        let bits = self.bits(params);
+        match self.domain {
+            Domain::Count => bits as f64,
+            Domain::Probability | Domain::Rate => f64::from_bits(bits),
+        }
+    }
+}
+
+/// The [`PARAMS`] row of field `$field`.
+macro_rules! param {
+    ($field:ident, Count, $layer:ident) => {
+        Param {
+            name: stringify!($field),
+            domain: Domain::Count,
+            layer: Layer::$layer,
+            get: |p| p.$field as u64,
+            set: |p, bits| p.$field = bits as usize,
+        }
+    };
+    ($field:ident, $domain:ident, $layer:ident) => {
+        Param {
+            name: stringify!($field),
+            domain: Domain::$domain,
+            layer: Layer::$layer,
+            get: |p| p.$field.to_bits(),
+            set: |p, bits| p.$field = f64::from_bits(bits),
+        }
+    };
+}
+
+/// The 25 model parameters, one row each, in [`TaParameters`] field order.
+pub const PARAMS: &[Param] = &[
+    param!(a_net, Probability, Services),
+    param!(a_lan, Probability, Services),
+    param!(a_cas, Probability, Services),
+    param!(a_cds, Probability, Services),
+    param!(a_disk, Probability, Services),
+    param!(a_cws, Probability, Services),
+    param!(a_payment, Probability, Services),
+    param!(a_flight_system, Probability, Services),
+    param!(a_hotel_system, Probability, Services),
+    param!(a_car_system, Probability, Services),
+    param!(num_flight_systems, Count, Services),
+    param!(num_hotel_systems, Count, Services),
+    param!(num_car_systems, Count, Services),
+    param!(q23, Probability, Profile),
+    param!(q24, Probability, Profile),
+    param!(q45, Probability, Profile),
+    param!(q47, Probability, Profile),
+    param!(web_servers, Count, WebFarm),
+    param!(failure_rate_per_hour, Rate, WebFarm),
+    param!(repair_rate_per_hour, Rate, WebFarm),
+    param!(coverage, Probability, WebFarm),
+    param!(reconfiguration_rate_per_hour, Rate, WebFarm),
+    param!(arrival_rate_per_second, Rate, WebFarm),
+    param!(service_rate_per_second, Rate, WebFarm),
+    param!(buffer_size, Count, WebFarm),
+];
 
 /// Builder for [`TaParameters`], seeded with the paper defaults.
 #[derive(Debug, Clone)]
@@ -360,6 +460,82 @@ mod tests {
         let mut p = TaParameters::paper_defaults();
         p.buffer_size = 2; // < web_servers
         assert!(p.validate().is_err());
+        let mut p = TaParameters::paper_defaults();
+        p.failure_rate_per_hour = 1e308; // N_W·λ overflows
+        assert!(p.validate().is_err());
+    }
+
+    /// The fields of `p` as its derived Debug output prints them.
+    fn debug_fields(p: &TaParameters) -> Vec<String> {
+        let debug = format!("{p:?}");
+        let inner = debug
+            .trim_start_matches("TaParameters { ")
+            .trim_end_matches(" }");
+        inner.split(", ").map(String::from).collect()
+    }
+
+    #[test]
+    fn rows_are_the_struct_fields_in_order_and_each_writes_its_own() {
+        let defaults = TaParameters::paper_defaults();
+        let fields = debug_fields(&defaults);
+        let names: Vec<&str> = fields
+            .iter()
+            .map(|f| f.split(':').next().unwrap())
+            .collect();
+        assert_eq!(names, PARAMS.iter().map(|row| row.name).collect::<Vec<_>>());
+        for (i, row) in PARAMS.iter().enumerate() {
+            // One more than the default's bits: the next float up, or the
+            // next count.
+            let bits = row.bits(&defaults) + 1;
+            let mut p = defaults.clone();
+            row.set_bits(&mut p, bits);
+            assert_eq!(row.bits(&p), bits, "{}", row.name);
+            let changed: Vec<usize> = (0..fields.len())
+                .filter(|&k| debug_fields(&p)[k] != fields[k])
+                .collect();
+            assert_eq!(changed, [i], "{}", row.name);
+        }
+    }
+
+    #[test]
+    fn layer_rows_partition_the_table() {
+        let farm: [usize; Layer::WebFarm.width()] = Layer::WebFarm.rows();
+        let profile: [usize; Layer::Profile.width()] = Layer::Profile.rows();
+        let services: [usize; Layer::Services.width()] = Layer::Services.rows();
+        let mut all: Vec<usize> = [&farm[..], &profile, &services].concat();
+        all.sort_unstable();
+        assert_eq!(all, (0..PARAMS.len()).collect::<Vec<_>>());
+        assert!(farm.iter().all(|&i| PARAMS[i].layer == Layer::WebFarm));
+        assert!(profile.iter().all(|&i| PARAMS[i].layer == Layer::Profile));
+    }
+
+    #[test]
+    fn every_row_rejects_values_outside_its_domain() {
+        for row in PARAMS {
+            let outside: &[u64] = match row.domain {
+                Domain::Probability => &[
+                    (-0.1f64).to_bits(),
+                    1.5f64.to_bits(),
+                    f64::NAN.to_bits(),
+                    f64::INFINITY.to_bits(),
+                ],
+                Domain::Rate => &[
+                    0.0f64.to_bits(),
+                    (-1.0f64).to_bits(),
+                    f64::NAN.to_bits(),
+                    f64::INFINITY.to_bits(),
+                ],
+                Domain::Count => &[0],
+            };
+            for &bits in outside {
+                let mut p = TaParameters::paper_defaults();
+                row.set_bits(&mut p, bits);
+                match p.validate() {
+                    Err(TravelError::InvalidParameter { name, .. }) => assert_eq!(name, row.name),
+                    other => panic!("{} = {:e}: {other:?}", row.name, row.value(&p)),
+                }
+            }
+        }
     }
 
     #[test]

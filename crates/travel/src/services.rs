@@ -5,9 +5,38 @@
 //! depend on the architecture. The web service lives in
 //! [`crate::webservice`] because of its composite model.
 
+use std::collections::HashMap;
+
 use uavail_rbd::{component, parallel, series, BlockDiagram};
 
-use crate::{Architecture, TaParameters, TravelError};
+use crate::{functions, Architecture, TaParameters, TravelError};
+
+/// Every service availability of `arch` by [`functions`] `SERVICE_*` name,
+/// with the caller's web-service availability `a_ws`.
+///
+/// # Errors
+///
+/// Propagates parameter failures.
+pub fn environment(
+    params: &TaParameters,
+    arch: Architecture,
+    a_ws: f64,
+) -> Result<HashMap<String, f64>, TravelError> {
+    Ok(HashMap::from([
+        (functions::SERVICE_NET.to_string(), params.a_net),
+        (functions::SERVICE_LAN.to_string(), params.a_lan),
+        (functions::SERVICE_WEB.to_string(), a_ws),
+        (
+            functions::SERVICE_APP.to_string(),
+            application(params, arch)?,
+        ),
+        (functions::SERVICE_DB.to_string(), database(params, arch)?),
+        (functions::SERVICE_FLIGHT.to_string(), flight(params)?),
+        (functions::SERVICE_HOTEL.to_string(), hotel(params)?),
+        (functions::SERVICE_CAR.to_string(), car(params)?),
+        (functions::SERVICE_PAYMENT.to_string(), payment(params)),
+    ]))
+}
 
 /// Availability of a parallel bank of `n` identical systems each with
 /// availability `a` — Table 3's `1 − (1 − A)^n`. Counts that fit an `i32`

@@ -126,40 +126,12 @@ pub fn scenario_availability(
     params: &TaParameters,
     services: &HashMap<String, f64>,
 ) -> Result<f64, TravelError> {
-    // Path lists per function in the scenario.
-    let mut per_function: Vec<Vec<(f64, Vec<String>)>> = Vec::new();
-    for fname in &scenario.functions {
-        let function = parse_function(fname)?;
-        per_function.push(functions::function_scenarios(function, params)?);
-    }
-    // Cartesian expansion over the functions' path choices.
-    let mut total = 0.0;
-    let mut stack: Vec<(usize, f64, BTreeSet<String>)> = vec![(0, 1.0, BTreeSet::new())];
-    while let Some((depth, prob, used)) = stack.pop() {
-        if depth == per_function.len() {
-            let mut product = prob;
-            for svc in &used {
-                let a = services.get(svc).copied().ok_or_else(|| {
-                    TravelError::Core(uavail_core::CoreError::Undefined { name: svc.clone() })
-                })?;
-                product *= a;
-            }
-            total += product;
-            continue;
-        }
-        for (p, svcs) in &per_function[depth] {
-            let mut next = used.clone();
-            next.extend(svcs.iter().cloned());
-            stack.push((depth + 1, prob * p, next));
-        }
-    }
-    Ok(total)
+    replay(&expand_scenario(scenario, params)?, services)
 }
 
-/// The Cartesian service expansion of one scenario: the DFS terminals of
-/// [`scenario_availability`]'s stack loop, recorded in exact pop order so
-/// a replay multiplies the same factors in the same order and reproduces
-/// the cold result bit for bit.
+/// The Cartesian service expansion of one scenario: a `(probability,
+/// distinct services)` term per combination of its functions' path
+/// choices, in depth-first pop order, services sorted.
 fn expand_scenario(
     scenario: &Scenario,
     params: &TaParameters,
@@ -173,8 +145,6 @@ fn expand_scenario(
     let mut stack: Vec<(usize, f64, BTreeSet<String>)> = vec![(0, 1.0, BTreeSet::new())];
     while let Some((depth, prob, used)) = stack.pop() {
         if depth == per_function.len() {
-            // BTreeSet iterates sorted, so the stored Vec preserves the
-            // cold path's multiplication order.
             terms.push((prob, used.into_iter().collect()));
             continue;
         }
@@ -187,34 +157,12 @@ fn expand_scenario(
     Ok(terms)
 }
 
-/// [`scenario_availability`] backed by `ctx`'s scenario-expansion memo:
-/// the Cartesian expansion over function path choices — which depends only
-/// on the scenario's function list and the `q23`/`q24`/`q45`/`q47` branch
-/// probabilities, not on the service environment — is computed once and
-/// replayed for every subsequent environment, bit-for-bit.
-fn scenario_availability_with(
-    scenario: &Scenario,
-    params: &TaParameters,
+/// `Σ_terms p · Π_services A(s)` over an [`expand_scenario`] expansion, in
+/// its order, so a memoized expansion reproduces a fresh one bit for bit.
+fn replay(
+    terms: &[(f64, Vec<String>)],
     services: &HashMap<String, f64>,
-    ctx: &mut EvalContext,
 ) -> Result<f64, TravelError> {
-    let key: ScenarioKey = (
-        scenario.functions.clone(),
-        [
-            params.q23.to_bits(),
-            params.q24.to_bits(),
-            params.q45.to_bits(),
-            params.q47.to_bits(),
-        ],
-    );
-    if !ctx.scenario_memo.contains_key(&key) {
-        let terms = expand_scenario(scenario, params)?;
-        ctx.remember_scenario(key.clone(), terms);
-    }
-    let terms = ctx
-        .scenario_memo
-        .get(&key)
-        .expect("expansion just memoized");
     let mut total = 0.0;
     for (prob, svcs) in terms {
         let mut product = *prob;
@@ -229,10 +177,9 @@ fn scenario_availability_with(
     Ok(total)
 }
 
-/// [`user_availability`] backed by `ctx`'s scenario-expansion memo: each
-/// scenario's expansion over function path choices is computed once per
-/// `(functions, q23, q24, q45, q47)` and replayed for every later service
-/// environment, bit-for-bit.
+/// [`user_availability`] backed by `ctx`'s scenario-expansion memo: an
+/// expansion depends only on the scenario's functions and the profile
+/// parameters, so it is computed once and replayed, bit for bit.
 ///
 /// # Errors
 ///
@@ -243,9 +190,19 @@ pub fn user_availability_with(
     services: &HashMap<String, f64>,
     ctx: &mut EvalContext,
 ) -> Result<f64, TravelError> {
+    let profile = EvalContext::profile_key(params);
     let mut total = 0.0;
     for s in class.table.scenarios() {
-        total += s.probability * scenario_availability_with(s, params, services, ctx)?;
+        let key: ScenarioKey = (s.functions.clone(), profile);
+        if !ctx.scenario_memo.contains_key(&key) {
+            let terms = expand_scenario(s, params)?;
+            ctx.remember_scenario(key.clone(), terms);
+        }
+        let terms = ctx
+            .scenario_memo
+            .get(&key)
+            .expect("expansion just memoized");
+        total += s.probability * replay(terms, services)?;
     }
     Ok(total)
 }

@@ -181,8 +181,9 @@ pub fn farm_distribution_imperfect(
 /// else. The drift check guards the GTH vector against the
 /// `markov.gth.mass_drift` injection site: a drifting vector counts
 /// `travel.farm.pi_fallbacks` and one SLO degraded event, and the closed
-/// form answers instead (`travel.farm.pi_recovered`).
-fn solve_farm(params: &TaParameters, pi: &mut Vec<f64>) -> Result<(), TravelError> {
+/// form answers instead (`travel.farm.pi_recovered`). Returns whether
+/// that fallback ran.
+fn solve_farm(params: &TaParameters, pi: &mut Vec<f64>) -> Result<bool, TravelError> {
     if params.coverage >= 1.0 {
         *pi = farm_distribution_perfect(params)?;
         pi.resize(2 * params.web_servers + 1, 0.0);
@@ -193,8 +194,9 @@ fn solve_farm(params: &TaParameters, pi: &mut Vec<f64>) -> Result<(), TravelErro
         uavail_obs::slo_degraded(1);
         closed_form_into(params, pi);
         uavail_obs::counter_add("travel.farm.pi_recovered", 1);
+        return Ok(true);
     }
-    Ok(())
+    Ok(false)
 }
 
 /// The imperfect-coverage farm chain of Figure 10 for `c < 1`, with the
@@ -352,6 +354,7 @@ pub fn redundant_imperfect_availability(params: &TaParameters) -> Result<f64, Tr
 /// Redundant-farm web-service availability with imperfect coverage,
 /// computed in `ctx`'s reusable buffers by the same farm solve as
 /// [`redundant_imperfect_availability`], so bit-for-bit identical to it.
+/// A drift fallback counts in [`EvalContext::fallback_count`].
 ///
 /// # Errors
 ///
@@ -367,7 +370,9 @@ pub fn redundant_imperfect_availability_with(
         uavail_obs::trace_instant("travel.eval_context.memo_hit");
         return Ok(a);
     }
-    solve_farm(params, &mut ctx.pi)?;
+    if solve_farm(params, &mut ctx.pi)? {
+        ctx.fallbacks += 1;
+    }
     let (op, y) = ctx.pi.split_at(params.web_servers + 1);
     let a = farm_availability(params, op, y, &mut ctx.states)?;
     ctx.remember_availability(key, a);
