@@ -75,12 +75,13 @@
 //!
 //! `bench` times the cold Figure 11, Figure 12 and Table 8 drivers, the
 //! cold Figure 2 fit, the `/eval` worker's web-service evaluation on
-//! distinct farms (`ws_context/cold`), a cold/reuse pair for the
-//! `sim.farm_replication` kernel and two telemetry hot paths, in-process,
-//! and prints the means;
-//! no timed row replays a memo. `--bench-json <path>` additionally writes the
-//! measurements as a JSON-lines artifact (schema `uavail-bench/v1`: one
-//! meta record, one record per benchmark with
+//! distinct farms (`ws_context/cold`), its class A/B queries on warm
+//! memos (`class_eval/warm`, the shape of one uabench `eval-user`
+//! request), a cold/reuse pair for the `sim.farm_replication` kernel and
+//! two telemetry hot paths, in-process, and prints the means; only
+//! `class_eval/warm` replays a memo. `--bench-json <path>` additionally
+//! writes the measurements as a JSON-lines artifact (schema
+//! `uavail-bench/v1`: one meta record, one record per benchmark with
 //! `name`/`mode`/`mean_ns`/`iters`, and one derived
 //! `<name>.context_speedup` record per cold/reuse pair). `bench` is
 //! excluded from `all` because it is a timing run, not a paper artifact.
@@ -733,8 +734,8 @@ fn print_loadgen(
 }
 
 /// One in-process benchmark measurement: a named case in `cold_build`,
-/// `context_reuse` (a warm `SimContext`) or (memo-free paths) `cold`
-/// mode.
+/// `context_reuse` (a warm `SimContext`), (memo-free paths) `cold` or
+/// (every memo warm) `warm` mode.
 struct BenchMeasurement {
     name: &'static str,
     mode: &'static str,
@@ -744,7 +745,8 @@ struct BenchMeasurement {
 
 /// Times the Figure 11, Figure 12 and Table 8 drivers cold (the loss
 /// memo reset before every iteration) in-process, the `/eval` worker's
-/// web-service evaluation on distinct farms, plus a
+/// web-service evaluation on distinct farms, its class queries on warm
+/// memos, plus a
 /// `sim.farm_replication` pair that times the per-event replication
 /// baseline against the epoch-resolvent streaming path. Cold iterations
 /// allocate everything fresh; the reuse iteration runs on one long-lived
@@ -826,6 +828,39 @@ fn run_context_benches() -> Result<Vec<BenchMeasurement>, TravelError> {
             name: "ws_context",
             mode: "cold",
             mean_ns: mean_ns / farms.len() as f64,
+            iters,
+        });
+    }
+    // A batch shaped like uabench's `eval-user` request: 16 class A/B
+    // queries on the 24-point hot farm grid, through the `/eval` worker's
+    // `evaluate_query` on one context. The calibration call warms it, so
+    // every timed farm and scenario lookup hits its memo; the mean is per
+    // query.
+    {
+        use uavail_serve::eval::{evaluate_query, EvalQuery, QueryClass};
+        let queries: Vec<EvalQuery> = (0..16)
+            .map(|k| EvalQuery {
+                params: TaParameters {
+                    web_servers: 1 + k % 8,
+                    failure_rate_per_hour: [1e-4, 5e-4, 1e-3][k % 3],
+                    num_flight_systems: 1 + k % 5,
+                    a_payment: 0.99 + 0.0099 * k as f64 / 16.0,
+                    ..TaParameters::paper_defaults()
+                },
+                class: [QueryClass::ClassA, QueryClass::ClassB][k % 2],
+            })
+            .collect();
+        let mut ctx = EvalContext::new();
+        let (mean_ns, iters) = time(|| {
+            for q in &queries {
+                black_box(evaluate_query(q, &mut ctx)?);
+            }
+            Ok(())
+        })?;
+        out.push(BenchMeasurement {
+            name: "class_eval",
+            mode: "warm",
+            mean_ns: mean_ns / queries.len() as f64,
             iters,
         });
     }

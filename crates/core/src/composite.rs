@@ -37,9 +37,9 @@ impl CompositeState {
 
 /// Combines availability-state probabilities with per-state service
 /// probabilities into the composite service availability
-/// `Σ_i π_i · service_i`, accumulated in one pass in slice order. Every
-/// farm size of equations (5) and (9) goes through it, from the paper's
-/// 9 states to the 20 001 of a 10 000-server farm.
+/// `Σ_i π_i · service_i`, accumulated in one pass in slice order and
+/// capped at 1. Every farm size of equations (5) and (9) goes through it,
+/// from the paper's 9 states to the 20 001 of a 10 000-server farm.
 ///
 /// # Errors
 ///
@@ -115,7 +115,9 @@ pub fn composite_availability(states: &[CompositeState]) -> Result<f64, CoreErro
         // the tolerance cliff.
         uavail_obs::health_record("core.composite.tolerance_headroom", tolerance - drift);
     }
-    Ok(availability)
+    // Probabilities that pass the tolerance may still sum to a few ulps
+    // above 1, and the weighted sum inherits them.
+    Ok(availability.min(1.0))
 }
 
 /// Checks the quasi-steady-state separation assumption behind the
@@ -188,6 +190,13 @@ mod tests {
     #[test]
     fn perfect_and_zero_states() {
         let a = composite_availability(&[CompositeState::new(1.0, 1.0)]).unwrap();
+        assert_eq!(a, 1.0);
+        // Probabilities within the tolerance but above 1 still answer 1.
+        let a = composite_availability(&[
+            CompositeState::new(0.5 + 1e-12, 1.0),
+            CompositeState::new(0.5, 1.0),
+        ])
+        .unwrap();
         assert_eq!(a, 1.0);
     }
 

@@ -18,7 +18,8 @@ use uavail_travel::webservice::redundant_imperfect_availability;
 use uavail_travel::{Architecture, Coverage, EvalContext, TaParameters, TravelAgencyModel};
 
 /// How far a probability bound by a sum rule may move alone: half the
-/// `1e-9` slack validation allows on `q23 + q24` and `q45 + q47`.
+/// `1e-9` slack below 1 that validation allows on `q23 + q24` and
+/// `q45 + q47`.
 const Q_STEP: f64 = 5e-10;
 
 const CLASSES: [QueryClass; 3] = [
@@ -64,8 +65,9 @@ fn base_query(u: &[f64]) -> EvalQuery {
 }
 
 /// `params` with `row`'s field moved a little inside its domain: a
-/// probability by 0.01, or by [`Q_STEP`] where 0.01 would break a sum
-/// rule; a rate scaled by 1.5; a count up by 1.
+/// probability by 0.01, or down by [`Q_STEP`] where 0.01 would break a
+/// sum rule (a sum may fall short of 1 but not exceed it); a rate scaled
+/// by 1.5; a count up by 1.
 fn vary(params: &TaParameters, row: &Param) -> TaParameters {
     let v = row.value(params);
     match row.domain {
@@ -74,8 +76,7 @@ fn vary(params: &TaParameters, row: &Param) -> TaParameters {
             if nudged.validate().is_ok() {
                 nudged
             } else {
-                let step = if v + Q_STEP <= 1.0 { Q_STEP } else { -Q_STEP };
-                with(params, row, v + step)
+                with(params, row, v - Q_STEP)
             }
         }
         Domain::Rate => with(params, row, v * 1.5),

@@ -244,7 +244,9 @@ fn valid_farms_never_trip_the_breaker() {
 fn extreme_farm_rates_are_answered_like_the_direct_computation() {
     // Rates at which GTH's arithmetic overflows or underflows: each query
     // must answer from the closed form like the direct computation, not
-    // fail or come back degraded.
+    // fail or come back degraded. Last, a large farm at full coverage,
+    // whose normalized distribution sums a few ulps above 1: its answer
+    // must still lie in [0, 1].
     let _guard = global_lock();
     reset_all();
     uavail_obs::set_enabled(true);
@@ -284,6 +286,15 @@ fn extreme_farm_rates_are_answered_like_the_direct_computation() {
                 ..paper.clone()
             },
         ),
+        (
+            r#"{"web_servers":113,"buffer_size":113,"coverage":1}"#,
+            TaParameters {
+                web_servers: 113,
+                buffer_size: 113,
+                coverage: 1.0,
+                ..paper.clone()
+            },
+        ),
     ] {
         let (status, _, body) =
             post_eval(server.addr(), &format!(r#"{{"queries":[{query}]}}"#), None);
@@ -315,7 +326,10 @@ fn overflowing_failure_rate_is_a_400_and_leaves_the_breaker_closed() {
         let (status, _, body) =
             post_eval(server.addr(), &format!(r#"{{"queries":[{query}]}}"#), None);
         assert_eq!(status, "HTTP/1.1 400 Bad Request", "{query}: {body}");
-        assert!(body.contains("failure_rate_per_hour"), "{query}: {body}");
+        assert!(
+            body.contains("parameter failure_rate_per_hour = 1e308 must"),
+            "{query}: {body}"
+        );
     };
     for _ in 0..5 {
         overflow("1");
@@ -341,6 +355,41 @@ fn overflowing_failure_rate_is_a_400_and_leaves_the_breaker_closed() {
     overflow("0.98");
     overflow("0");
 
+    server.shutdown();
+    reset_all();
+}
+
+#[test]
+fn sum_rule_slack_above_one_is_a_400() {
+    // With every other factor at 1, q23 + q24 = 1 + 9e-10 would lift a
+    // class answer above 1, so the sum rules allow slack below 1 only.
+    let _guard = global_lock();
+    reset_all();
+    let server = ObsServer::start("127.0.0.1:0").expect("bind");
+    let ones = [
+        "a_net",
+        "a_lan",
+        "a_cas",
+        "a_cds",
+        "a_disk",
+        "a_cws",
+        "a_payment",
+        "a_flight_system",
+        "a_hotel_system",
+        "a_car_system",
+        "coverage",
+    ]
+    .map(|name| format!(r#""{name}":1,"#))
+    .concat();
+    for class in ["A", "B"] {
+        let query = format!(
+            r#"{{{ones}"failure_rate_per_hour":5e-324,"arrival_rate_per_second":5e-324,"q24":0.8000000009,"class":"{class}"}}"#
+        );
+        let (status, _, body) =
+            post_eval(server.addr(), &format!(r#"{{"queries":[{query}]}}"#), None);
+        assert_eq!(status, "HTTP/1.1 400 Bad Request", "{query}: {body}");
+        assert!(body.contains("q23 + q24"), "{query}: {body}");
+    }
     server.shutdown();
     reset_all();
 }

@@ -17,7 +17,16 @@
 //! crate's integration tests). The memos are the ones measured `/eval`
 //! traffic hits: per-point web availabilities (every repeated ws query)
 //! and per-scenario service expansions (every class A/B query), keyed on
-//! the exact bits of one [`Layer`] of [`PARAMS`] each. The paper's figure
+//! the exact bits of one [`Layer`] of [`PARAMS`] each.
+//!
+//! Neither memo builds, clones or hashes a string. A scenario's key is
+//! its ordered function list packed three bits to a function (a code of
+//! 1 + the function's index, so order, repeats and length all count)
+//! beside the profile bits; a list too long to pack, or naming no
+//! function, is expanded without being stored. Each stored term is a
+//! probability and a `u16` set of distinct services, one bit per service
+//! in the order of the services' names, so a replay multiplies a term's
+//! availabilities in the order a sorted name set would. The paper's figure
 //! and table drivers in [`crate::evaluation`] do not use a context: they
 //! run the allocating path. Reuse is instrumented through the
 //! `uavail-obs` counters `travel.eval_context.created` and
@@ -28,7 +37,9 @@ use std::collections::HashMap;
 
 use uavail_core::composite::CompositeState;
 
+use crate::functions::TaFunction;
 use crate::params::{Layer, PARAMS};
+use crate::user::Term;
 use crate::TaParameters;
 
 /// Memo key for a farm availability: the bits of the web-farm parameters.
@@ -37,8 +48,12 @@ pub(crate) type AvailKey = [u64; Layer::WebFarm.width()];
 /// The bits of the profile parameters a scenario expansion depends on.
 pub(crate) type ProfileKey = [u64; Layer::Profile.width()];
 
-/// Memo key for a scenario expansion: its function list and profile bits.
-pub(crate) type ScenarioKey = (Vec<String>, ProfileKey);
+/// Memo key for a scenario expansion: its function list, packed by
+/// [`EvalContext::functions_key`], and its profile bits.
+pub(crate) type ScenarioKey = (u64, ProfileKey);
+
+/// Bits per function in a packed function list.
+const FUNCTION_BITS: usize = 3;
 
 const WEB_FARM_ROWS: [usize; Layer::WebFarm.width()] = Layer::WebFarm.rows();
 
@@ -89,7 +104,7 @@ pub struct EvalContext {
     /// Memoized user-scenario service expansions: the DFS terminals of
     /// [`crate::user::scenario_availability`] in exact pop order, so a
     /// replay multiplies the same factors in the same order.
-    pub(crate) scenario_memo: HashMap<ScenarioKey, Vec<(f64, Vec<String>)>>,
+    pub(crate) scenario_memo: HashMap<ScenarioKey, Vec<Term>>,
     /// See [`EvalContext::fallback_count`].
     pub(crate) fallbacks: u64,
     /// Whether this context has served at least one evaluation.
@@ -126,6 +141,25 @@ impl EvalContext {
         PROFILE_ROWS.map(|i| PARAMS[i].bits(params))
     }
 
+    /// The function half of a scenario memo key: each function as
+    /// [`FUNCTION_BITS`] bits holding 1 + its index in [`TaFunction::all`],
+    /// the first function lowest. Codes start at 1, so lists that differ
+    /// in order, in repeats or in length pack differently. `None` for a
+    /// list too long to pack or a name that is no function; such a
+    /// scenario is expanded without being stored.
+    pub(crate) fn functions_key(functions: &[String]) -> Option<u64> {
+        if functions.len() > u64::BITS as usize / FUNCTION_BITS {
+            return None;
+        }
+        functions
+            .iter()
+            .enumerate()
+            .try_fold(0, |packed, (i, name)| {
+                let index = TaFunction::all().iter().position(|f| f.name() == name)?;
+                Some(packed | (index as u64 + 1) << (FUNCTION_BITS * i))
+            })
+    }
+
     /// Stores a freshly computed availability, restarting the memo when it
     /// reaches its bound so dense open-ended sweeps cannot grow it forever.
     pub(crate) fn remember_availability(&mut self, key: AvailKey, value: f64) {
@@ -137,7 +171,7 @@ impl EvalContext {
 
     /// Stores a freshly expanded scenario, bounded like the availability
     /// memo.
-    pub(crate) fn remember_scenario(&mut self, key: ScenarioKey, terms: Vec<(f64, Vec<String>)>) {
+    pub(crate) fn remember_scenario(&mut self, key: ScenarioKey, terms: Vec<Term>) {
         if self.scenario_memo.len() >= SCENARIO_MEMO_CAP {
             self.scenario_memo.clear();
         }

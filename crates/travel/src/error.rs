@@ -15,7 +15,8 @@ pub enum TravelError {
     InvalidParameter {
         /// Parameter name.
         name: &'static str,
-        /// The offending value.
+        /// The offending value, displayed in its shortest round-trip form
+        /// (`1e308`).
         value: f64,
         /// The violated requirement.
         requirement: &'static str,
@@ -41,7 +42,7 @@ impl fmt::Display for TravelError {
                 name,
                 value,
                 requirement,
-            } => write!(f, "parameter {name} = {value} must be {requirement}"),
+            } => write!(f, "parameter {name} = {value:?} must be {requirement}"),
             TravelError::Core(e) => write!(f, "modeling failure: {e}"),
             TravelError::Markov(e) => write!(f, "markov failure: {e}"),
             TravelError::Queueing(e) => write!(f, "queueing failure: {e}"),

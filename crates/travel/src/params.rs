@@ -136,8 +136,9 @@ impl TaParameters {
     }
 
     /// Validates every parameter against its [`PARAMS`] domain, then the
-    /// cross-field rules: `q23 + q24 = 1` and `q45 + q47 = 1` (each within
-    /// `1e-9`), `buffer_size ≥ web_servers`, and a finite
+    /// cross-field rules: `q23 + q24 = 1` and `q45 + q47 = 1` (each in
+    /// `[1 − 1e-9, 1]`, so no class answer can exceed 1 through them),
+    /// `buffer_size ≥ web_servers`, and a finite
     /// `web_servers · failure_rate_per_hour`, so every failure rate `i·λ`
     /// the farm chains build is finite.
     ///
@@ -146,7 +147,8 @@ impl TaParameters {
     /// [`TravelError::InvalidParameter`] naming the first violated field,
     /// in table order, or else the first violated rule.
     pub fn validate(&self) -> Result<(), TravelError> {
-        let sum_rule = |name, sum: f64| ((sum - 1.0).abs() <= 1e-9, name, sum, "equal to 1");
+        let sum_rule =
+            |name, sum: f64| ((1.0 - 1e-9..=1.0).contains(&sum), name, sum, "equal to 1");
         let violation = PARAMS
             .iter()
             .map(|row| {
@@ -463,6 +465,31 @@ mod tests {
         let mut p = TaParameters::paper_defaults();
         p.failure_rate_per_hour = 1e308; // N_W·λ overflows
         assert!(p.validate().is_err());
+        let mut p = TaParameters::paper_defaults();
+        p.q24 = 0.8 + 9e-10; // a sum above 1 could lift a class answer above 1
+        assert!(p.validate().is_err());
+        p.q24 = 0.8 - 9e-10; // slack below 1 stays
+        assert!(p.validate().is_ok());
+    }
+
+    #[test]
+    fn decimal_pairs_that_sum_to_one_pass_the_sum_rules() {
+        // k/10^d and (10^d − k)/10^d as `/eval` parses them, for every
+        // decimal with up to five places: each pair sums to 1.0 exactly.
+        for d in 1..=5 {
+            let scale = 10f64.powi(d);
+            for k in 0..=scale as u64 {
+                let (x, y) = (k as f64 / scale, (scale as u64 - k) as f64 / scale);
+                let p = TaParameters {
+                    q23: x,
+                    q24: y,
+                    q45: y,
+                    q47: x,
+                    ..TaParameters::paper_defaults()
+                };
+                assert!(p.validate().is_ok(), "{x} + {y}");
+            }
+        }
     }
 
     /// The fields of `p` as its derived Debug output prints them.

@@ -12,11 +12,11 @@
 //!   equation (10) exactly (shared services counted once; Browse's
 //!   conditional availability collapsing to 1 in Search scenarios).
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 
 use uavail_profile::{Scenario, ScenarioCategory, ScenarioTable};
 
-use crate::context::{EvalContext, ScenarioKey};
+use crate::context::EvalContext;
 use crate::functions::{self, TaFunction};
 use crate::{TaParameters, TravelError};
 
@@ -114,6 +114,46 @@ fn parse_function(name: &str) -> Result<TaFunction, TravelError> {
         })
 }
 
+/// The nine services in `str` order: bit `i` of a [`Term`]'s service set
+/// stands for `SERVICES[i]`, so multiplying a term's services in
+/// ascending bit order multiplies them in the order of their sorted names.
+const SERVICES: [&str; 9] = [
+    functions::SERVICE_APP,
+    functions::SERVICE_CAR,
+    functions::SERVICE_DB,
+    functions::SERVICE_FLIGHT,
+    functions::SERVICE_HOTEL,
+    functions::SERVICE_PAYMENT,
+    functions::SERVICE_WEB,
+    functions::SERVICE_LAN,
+    functions::SERVICE_NET,
+];
+
+/// One term of a scenario's service expansion: the probability of one
+/// combination of its functions' path choices, and the distinct services
+/// that combination uses, as bits over [`SERVICES`].
+pub(crate) type Term = (f64, u16);
+
+fn undefined(name: &str) -> TravelError {
+    TravelError::Core(uavail_core::CoreError::Undefined { name: name.into() })
+}
+
+/// The [`SERVICES`] bits of a function path's service names.
+fn service_mask(names: &[String]) -> Result<u16, TravelError> {
+    names.iter().try_fold(0, |mask, name| {
+        let bit = SERVICES
+            .iter()
+            .position(|s| s == name)
+            .ok_or_else(|| undefined(name))?;
+        Ok(mask | 1 << bit)
+    })
+}
+
+/// The caller's service availabilities looked up once, by [`SERVICES`] bit.
+fn resolve(services: &HashMap<String, f64>) -> [Option<f64>; SERVICES.len()] {
+    SERVICES.map(|name| services.get(name).copied())
+}
+
 /// Availability of one user scenario given per-service availabilities:
 /// the expectation, over the functions' internal path choices, of the
 /// probability that every *distinct* service used is available.
@@ -126,51 +166,47 @@ pub fn scenario_availability(
     params: &TaParameters,
     services: &HashMap<String, f64>,
 ) -> Result<f64, TravelError> {
-    replay(&expand_scenario(scenario, params)?, services)
+    replay(&expand_scenario(scenario, params)?, &resolve(services))
 }
 
-/// The Cartesian service expansion of one scenario: a `(probability,
-/// distinct services)` term per combination of its functions' path
-/// choices, in depth-first pop order, services sorted.
-fn expand_scenario(
-    scenario: &Scenario,
-    params: &TaParameters,
-) -> Result<Vec<(f64, Vec<String>)>, TravelError> {
-    let mut per_function: Vec<Vec<(f64, Vec<String>)>> = Vec::new();
+/// The Cartesian service expansion of one scenario: a [`Term`] per
+/// combination of its functions' path choices, in depth-first pop order.
+fn expand_scenario(scenario: &Scenario, params: &TaParameters) -> Result<Vec<Term>, TravelError> {
+    let mut per_function: Vec<Vec<Term>> = Vec::with_capacity(scenario.functions.len());
     for fname in &scenario.functions {
         let function = parse_function(fname)?;
-        per_function.push(functions::function_scenarios(function, params)?);
+        per_function.push(
+            functions::function_scenarios(function, params)?
+                .iter()
+                .map(|(p, svcs)| Ok((*p, service_mask(svcs)?)))
+                .collect::<Result<_, TravelError>>()?,
+        );
     }
     let mut terms = Vec::new();
-    let mut stack: Vec<(usize, f64, BTreeSet<String>)> = vec![(0, 1.0, BTreeSet::new())];
+    let mut stack: Vec<(usize, f64, u16)> = vec![(0, 1.0, 0)];
     while let Some((depth, prob, used)) = stack.pop() {
         if depth == per_function.len() {
-            terms.push((prob, used.into_iter().collect()));
+            terms.push((prob, used));
             continue;
         }
-        for (p, svcs) in &per_function[depth] {
-            let mut next = used.clone();
-            next.extend(svcs.iter().cloned());
-            stack.push((depth + 1, prob * p, next));
+        for &(p, svcs) in &per_function[depth] {
+            stack.push((depth + 1, prob * p, used | svcs));
         }
     }
     Ok(terms)
 }
 
 /// `Σ_terms p · Π_services A(s)` over an [`expand_scenario`] expansion, in
-/// its order, so a memoized expansion reproduces a fresh one bit for bit.
-fn replay(
-    terms: &[(f64, Vec<String>)],
-    services: &HashMap<String, f64>,
-) -> Result<f64, TravelError> {
+/// its order and with each term's services in ascending bit order, so a
+/// memoized expansion reproduces a fresh one bit for bit.
+fn replay(terms: &[Term], services: &[Option<f64>; SERVICES.len()]) -> Result<f64, TravelError> {
     let mut total = 0.0;
-    for (prob, svcs) in terms {
-        let mut product = *prob;
-        for svc in svcs {
-            let a = services.get(svc).copied().ok_or_else(|| {
-                TravelError::Core(uavail_core::CoreError::Undefined { name: svc.clone() })
-            })?;
-            product *= a;
+    for &(prob, mut svcs) in terms {
+        let mut product = prob;
+        while svcs != 0 {
+            let bit = svcs.trailing_zeros() as usize;
+            svcs &= svcs - 1;
+            product *= services[bit].ok_or_else(|| undefined(SERVICES[bit]))?;
         }
         total += product;
     }
@@ -190,19 +226,23 @@ pub fn user_availability_with(
     services: &HashMap<String, f64>,
     ctx: &mut EvalContext,
 ) -> Result<f64, TravelError> {
+    let services = resolve(services);
     let profile = EvalContext::profile_key(params);
     let mut total = 0.0;
     for s in class.table.scenarios() {
-        let key: ScenarioKey = (s.functions.clone(), profile);
-        if !ctx.scenario_memo.contains_key(&key) {
-            let terms = expand_scenario(s, params)?;
-            ctx.remember_scenario(key.clone(), terms);
-        }
-        let terms = ctx
-            .scenario_memo
-            .get(&key)
-            .expect("expansion just memoized");
-        total += s.probability * replay(terms, services)?;
+        let key = EvalContext::functions_key(&s.functions).map(|f| (f, profile));
+        let a = match key.as_ref().and_then(|k| ctx.scenario_memo.get(k)) {
+            Some(terms) => replay(terms, &services)?,
+            None => {
+                let terms = expand_scenario(s, params)?;
+                let a = replay(&terms, &services);
+                if let Some(key) = key {
+                    ctx.remember_scenario(key, terms);
+                }
+                a?
+            }
+        };
+        total += s.probability * a;
     }
     Ok(total)
 }
@@ -236,11 +276,7 @@ pub fn equation_10(
     params: &TaParameters,
     services: &HashMap<String, f64>,
 ) -> Result<f64, TravelError> {
-    let get = |name: &str| -> Result<f64, TravelError> {
-        services.get(name).copied().ok_or_else(|| {
-            TravelError::Core(uavail_core::CoreError::Undefined { name: name.into() })
-        })
-    };
+    let get = |name: &str| services.get(name).copied().ok_or_else(|| undefined(name));
     let a_net = get(functions::SERVICE_NET)?;
     let a_lan = get(functions::SERVICE_LAN)?;
     let a_ws = get(functions::SERVICE_WEB)?;
@@ -282,6 +318,11 @@ pub fn equation_10(
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeSet;
+
+    use proptest::prelude::*;
+    use uavail_core::CoreError;
+
     use super::*;
     use crate::functions::{
         SERVICE_APP, SERVICE_CAR, SERVICE_DB, SERVICE_FLIGHT, SERVICE_HOTEL, SERVICE_LAN,
@@ -413,7 +454,174 @@ mod tests {
         let mut bad_env = env();
         bad_env.remove(SERVICE_DB);
         let mut ctx = EvalContext::new();
-        assert!(user_availability_with(&class_a(), &params, &bad_env, &mut ctx).is_err());
+        // The first call expands and stores; the second replays the memo.
+        for _ in 0..2 {
+            let err = user_availability_with(&class_a(), &params, &bad_env, &mut ctx).unwrap_err();
+            assert!(
+                matches!(&err, TravelError::Core(CoreError::Undefined { name }) if name == SERVICE_DB),
+                "{err}"
+            );
+        }
+    }
+
+    #[test]
+    fn distinct_function_lists_get_distinct_keys() {
+        // Every list of up to four functions, repeats and orders included.
+        let names = TaFunction::all().map(|f| f.name().to_string());
+        let mut lists: Vec<Vec<String>> = vec![vec![]];
+        for len in 1..=4 {
+            let longer: Vec<Vec<String>> = lists
+                .iter()
+                .filter(|l| l.len() == len - 1)
+                .flat_map(|l| {
+                    names.iter().map(move |n| {
+                        let mut l = l.clone();
+                        l.push(n.clone());
+                        l
+                    })
+                })
+                .collect();
+            lists.extend(longer);
+        }
+        assert_eq!(lists.len(), 1 + 5 + 25 + 125 + 625);
+        let keys: std::collections::HashSet<u64> = lists
+            .iter()
+            .map(|l| EvalContext::functions_key(l).expect("packs"))
+            .collect();
+        assert_eq!(keys.len(), lists.len());
+
+        let homes = |n| vec!["Home".to_string(); n];
+        assert!(EvalContext::functions_key(&homes(21)).is_some());
+        assert_eq!(EvalContext::functions_key(&homes(22)), None);
+        assert_eq!(EvalContext::functions_key(&["Checkout".to_string()]), None);
+    }
+
+    #[test]
+    fn unpackable_lists_are_expanded_without_being_stored() {
+        let params = TaParameters::paper_defaults();
+        let env = env();
+        let long: Vec<&str> = std::iter::repeat_n("Home", 21).chain(["Browse"]).collect();
+        let class = UserClass::new(
+            "long",
+            ScenarioTable::new(vec![
+                Scenario::new("long", long, 0.5),
+                Scenario::new("short", vec!["Browse"], 0.5),
+            ])
+            .unwrap(),
+        );
+        let mut ctx = EvalContext::new();
+        for _ in 0..2 {
+            let warm = user_availability_with(&class, &params, &env, &mut ctx).unwrap();
+            let reference = reference_user(&class, &params, &env).unwrap();
+            assert_eq!(warm.to_bits(), reference.to_bits());
+            assert_eq!(ctx.scenario_memo.len(), 1);
+        }
+        let bad = UserClass::new(
+            "bad",
+            ScenarioTable::new(vec![Scenario::new("bad", vec!["Checkout"], 1.0)]).unwrap(),
+        );
+        assert!(user_availability_with(&bad, &params, &env, &mut ctx).is_err());
+        assert_eq!(ctx.scenario_memo.len(), 1);
+    }
+
+    /// The string expansion the bitmask terms replaced: each term's
+    /// distinct services as a sorted set of names, each looked up by name.
+    fn reference_scenario(
+        s: &Scenario,
+        params: &TaParameters,
+        services: &HashMap<String, f64>,
+    ) -> Result<f64, TravelError> {
+        let mut per_function = Vec::new();
+        for fname in &s.functions {
+            per_function.push(functions::function_scenarios(
+                parse_function(fname)?,
+                params,
+            )?);
+        }
+        let mut total = 0.0;
+        let mut stack: Vec<(usize, f64, BTreeSet<String>)> = vec![(0, 1.0, BTreeSet::new())];
+        while let Some((depth, prob, used)) = stack.pop() {
+            if depth == per_function.len() {
+                let mut product = prob;
+                for svc in &used {
+                    product *= services.get(svc).copied().ok_or_else(|| undefined(svc))?;
+                }
+                total += product;
+                continue;
+            }
+            for (p, svcs) in &per_function[depth] {
+                let mut next = used.clone();
+                next.extend(svcs.iter().cloned());
+                stack.push((depth + 1, prob * p, next));
+            }
+        }
+        Ok(total)
+    }
+
+    fn reference_user(
+        class: &UserClass,
+        params: &TaParameters,
+        services: &HashMap<String, f64>,
+    ) -> Result<f64, TravelError> {
+        let mut total = 0.0;
+        for s in class.table().scenarios() {
+            total += s.probability * reference_scenario(s, params, services)?;
+        }
+        Ok(total)
+    }
+
+    /// A class over one drawn function list `l`: `l`, `l` reversed, `l`
+    /// twice over and `l`'s first function alone, a quarter each.
+    fn custom_class(picks: &[usize]) -> UserClass {
+        let all = TaFunction::all();
+        let l: Vec<&str> = picks.iter().map(|&i| all[i].name()).collect();
+        let reversed: Vec<&str> = l.iter().rev().copied().collect();
+        let twice: Vec<&str> = l.iter().chain(&l).copied().collect();
+        UserClass::new(
+            "custom",
+            ScenarioTable::new(vec![
+                Scenario::new("l", l.clone(), 0.25),
+                Scenario::new("reversed", reversed, 0.25),
+                Scenario::new("twice", twice, 0.25),
+                Scenario::new("first", vec![l[0]], 0.25),
+            ])
+            .unwrap(),
+        )
+    }
+
+    proptest! {
+        #[test]
+        fn bitmask_expansion_matches_the_string_reference(
+            q in (0.0f64..=1.0, 0.0f64..=1.0),
+            a in prop::collection::vec(0.0f64..=1.0, 9),
+            picks in prop::collection::vec(0usize..5, 1..5),
+        ) {
+            let params = TaParameters {
+                q23: q.0,
+                q24: 1.0 - q.0,
+                q45: q.1,
+                q47: 1.0 - q.1,
+                ..TaParameters::paper_defaults()
+            };
+            prop_assert!(params.validate().is_ok(), "{params:?}");
+            let env: HashMap<String, f64> = SERVICES
+                .iter()
+                .zip(&a)
+                .map(|(name, &a)| (name.to_string(), a))
+                .collect();
+            let mut ctx = EvalContext::new();
+            // Twice round, so the second pass replays every stored expansion.
+            for _ in 0..2 {
+                for class in [class_a(), class_b(), custom_class(&picks)] {
+                    let reference = reference_user(&class, &params, &env).unwrap();
+                    let warm = user_availability_with(&class, &params, &env, &mut ctx).unwrap();
+                    let cold = user_availability(&class, &params, &env).unwrap();
+                    let name = class.name();
+                    prop_assert_eq!(warm.to_bits(), reference.to_bits(), "class {name}: memo {warm} vs reference {reference}");
+                    prop_assert_eq!(cold.to_bits(), reference.to_bits(), "class {name}: cold {cold} vs reference {reference}");
+                }
+            }
+        }
     }
 
     #[test]
