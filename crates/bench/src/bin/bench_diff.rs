@@ -16,7 +16,7 @@
 
 use std::process::ExitCode;
 
-use uavail_bench::diff::diff_artifacts_with_budgets;
+use uavail_bench::diff::diff_artifacts;
 
 /// Default slowdown ratio: loose enough for same-machine run-to-run noise
 /// on the short `reproduce bench` measurements, tight enough to catch a
@@ -118,7 +118,7 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    match diff_artifacts_with_budgets(&baseline, &candidate, threshold, &budgets) {
+    match diff_artifacts(&baseline, &candidate, threshold, &budgets) {
         Ok(report) => {
             print!("{}", report.render(csv));
             if report.has_regressions() {

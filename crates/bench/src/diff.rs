@@ -14,7 +14,7 @@
 //! generous one. On top of the default threshold, callers can assign
 //! per-benchmark **budgets** (`name/mode` → ratio) so the benchmarks that
 //! guard a specific optimization get a tight bound without squeezing the
-//! noisy ones — see [`diff_artifacts_with_budgets`]. Benchmarks present
+//! noisy ones — see [`diff_artifacts`]. Benchmarks present
 //! in only one artifact are reported (renames and deletions should be
 //! visible) but never fail the diff; budgets that match no baseline
 //! benchmark are likewise reported, so a renamed case cannot silently
@@ -222,21 +222,7 @@ pub fn parse_artifact(text: &str) -> Result<Vec<BenchRecord>, String> {
 }
 
 /// Diffs two artifact texts, matching records by `(name, mode)`, with
-/// every benchmark held to the same default threshold.
-///
-/// # Errors
-///
-/// Propagates [`parse_artifact`] failures (prefixed with which side was
-/// malformed) and rejects a non-finite or non-positive threshold.
-pub fn diff_artifacts(
-    baseline: &str,
-    candidate: &str,
-    threshold: f64,
-) -> Result<DiffReport, String> {
-    diff_artifacts_with_budgets(baseline, candidate, threshold, &[])
-}
-
-/// Diffs two artifact texts with per-benchmark regression budgets.
+/// per-benchmark regression budgets.
 ///
 /// Each budget is a `("name/mode", ratio)` pair; a matched benchmark is
 /// held to its budget when one exists and to `threshold` otherwise.
@@ -249,7 +235,7 @@ pub fn diff_artifacts(
 /// Propagates [`parse_artifact`] failures (prefixed with which side was
 /// malformed) and rejects a non-finite or non-positive threshold, a
 /// non-finite or non-positive budget ratio, or a duplicated budget key.
-pub fn diff_artifacts_with_budgets(
+pub fn diff_artifacts(
     baseline: &str,
     candidate: &str,
     threshold: f64,
@@ -332,7 +318,7 @@ mod tests {
             ("figure11", "cold_build", 2e6),
             ("figure11", "context_reuse", 1e6),
         ]);
-        let report = diff_artifacts(&a, &a, 1.5).unwrap();
+        let report = diff_artifacts(&a, &a, 1.5, &[]).unwrap();
         assert_eq!(report.entries.len(), 2);
         assert!(!report.has_regressions());
         assert!(report.entries.iter().all(|e| e.ratio == 1.0));
@@ -349,7 +335,7 @@ mod tests {
             ("figure12", "cold_build", 8e6), // 2x slower: must trip a 1.5x bound
             ("table8", "context_reuse", 1.05e6), // 5% jitter: must not
         ]);
-        let report = diff_artifacts(&old, &new, 1.5).unwrap();
+        let report = diff_artifacts(&old, &new, 1.5, &[]).unwrap();
         assert!(report.has_regressions());
         let regressed: Vec<&DiffEntry> = report.regressions().collect();
         assert_eq!(regressed.len(), 1);
@@ -362,7 +348,7 @@ mod tests {
     fn speedups_never_regress() {
         let old = artifact(&[("figure11", "cold_build", 4e6)]);
         let new = artifact(&[("figure11", "cold_build", 1e6)]);
-        let report = diff_artifacts(&old, &new, 1.5).unwrap();
+        let report = diff_artifacts(&old, &new, 1.5, &[]).unwrap();
         assert!(!report.has_regressions());
         assert!((report.entries[0].ratio - 0.25).abs() < 1e-12);
     }
@@ -371,7 +357,7 @@ mod tests {
     fn unmatched_benchmarks_are_reported_not_failed() {
         let old = artifact(&[("gone", "cold_build", 1e6), ("kept", "cold_build", 1e6)]);
         let new = artifact(&[("kept", "cold_build", 1e6), ("added", "cold_build", 9e9)]);
-        let report = diff_artifacts(&old, &new, 1.5).unwrap();
+        let report = diff_artifacts(&old, &new, 1.5, &[]).unwrap();
         assert_eq!(report.only_old, vec!["gone/cold_build"]);
         assert_eq!(report.only_new, vec!["added/cold_build"]);
         assert!(!report.has_regressions());
@@ -393,7 +379,7 @@ mod tests {
             ("figure11", "cold_build", 3e6),
         ]);
         let budgets = vec![("sim.farm_replication/context_reuse".to_string(), 2.0)];
-        let report = diff_artifacts_with_budgets(&old, &new, 10.0, &budgets).unwrap();
+        let report = diff_artifacts(&old, &new, 10.0, &budgets).unwrap();
         let regressed: Vec<&DiffEntry> = report.regressions().collect();
         assert_eq!(regressed.len(), 1);
         assert_eq!(regressed[0].name, "sim.farm_replication");
@@ -412,7 +398,7 @@ mod tests {
         // 2.5x would trip the 1.5x default, but the case's own budget
         // allows 4x.
         let budgets = vec![("noisy/cold_build".to_string(), 4.0)];
-        let report = diff_artifacts_with_budgets(&old, &new, 1.5, &budgets).unwrap();
+        let report = diff_artifacts(&old, &new, 1.5, &budgets).unwrap();
         assert!(!report.has_regressions());
     }
 
@@ -420,7 +406,7 @@ mod tests {
     fn stale_budget_keys_are_reported_not_fatal() {
         let a = artifact(&[("figure11", "cold_build", 1e6)]);
         let budgets = vec![("renamed_case/cold_build".to_string(), 2.0)];
-        let report = diff_artifacts_with_budgets(&a, &a, 1.5, &budgets).unwrap();
+        let report = diff_artifacts(&a, &a, 1.5, &budgets).unwrap();
         assert_eq!(report.unused_budgets, vec!["renamed_case/cold_build"]);
         assert!(!report.has_regressions());
         assert!(report
@@ -432,16 +418,16 @@ mod tests {
     fn invalid_budgets_are_rejected() {
         let a = artifact(&[("figure11", "cold_build", 1e6)]);
         let zero = vec![("figure11/cold_build".to_string(), 0.0)];
-        assert!(diff_artifacts_with_budgets(&a, &a, 1.5, &zero)
+        assert!(diff_artifacts(&a, &a, 1.5, &zero)
             .unwrap_err()
             .contains("positive"));
         let nan = vec![("figure11/cold_build".to_string(), f64::NAN)];
-        assert!(diff_artifacts_with_budgets(&a, &a, 1.5, &nan).is_err());
+        assert!(diff_artifacts(&a, &a, 1.5, &nan).is_err());
         let dup = vec![
             ("figure11/cold_build".to_string(), 2.0),
             ("figure11/cold_build".to_string(), 3.0),
         ];
-        assert!(diff_artifacts_with_budgets(&a, &a, 1.5, &dup)
+        assert!(diff_artifacts(&a, &a, 1.5, &dup)
             .unwrap_err()
             .contains("more than once"));
     }
@@ -484,7 +470,7 @@ mod tests {
         assert!(parse_artifact(&zero).unwrap_err().contains("positive"));
         // Bad threshold.
         let a = artifact(&[]);
-        assert!(diff_artifacts(&a, &a, 0.0).is_err());
-        assert!(diff_artifacts(&a, &a, f64::NAN).is_err());
+        assert!(diff_artifacts(&a, &a, 0.0, &[]).is_err());
+        assert!(diff_artifacts(&a, &a, f64::NAN, &[]).is_err());
     }
 }

@@ -1,14 +1,14 @@
 //! # uavail-bench
 //!
 //! Reproduction harness for the DSN 2003 travel-agency paper: the
-//! `reproduce` binary regenerates every table and figure, and the Criterion
-//! benches (`tables`, `figures`, `solvers`) time the underlying analytics.
+//! `reproduce` binary regenerates every table and figure and writes the
+//! `--bench-json` timing ledger, and `bench-diff` compares two ledgers.
 //!
 //! ```text
 //! cargo run -p uavail-bench --bin reproduce            # everything
 //! cargo run -p uavail-bench --bin reproduce table8     # one artifact
 //! cargo run -p uavail-bench --bin reproduce fig12 --csv
-//! cargo bench -p uavail-bench
+//! cargo run -p uavail-bench --bin reproduce -- --bench-json bench.jsonl
 //! ```
 
 use uavail_travel::report::Table;

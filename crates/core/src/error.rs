@@ -1,7 +1,5 @@
 use std::fmt;
 
-use uavail_obs::json::JsonValue;
-
 /// Errors produced by the hierarchical modeling framework.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
@@ -41,12 +39,12 @@ pub enum CoreError {
         /// Explanation.
         reason: String,
     },
-    /// A sweep or tornado evaluation failed at a specific point. Wraps the
-    /// underlying error with enough context (the swept value, or the
-    /// tornado parameter and its value) to identify the failing point.
+    /// A sweep evaluation failed at a specific point. Wraps the underlying
+    /// error with enough context (the swept value) to identify the failing
+    /// point.
     EvalAt {
         /// Human-readable description of the failing point, e.g.
-        /// `x = 0.001` or `parameter "nu" = 0.25`.
+        /// `sweep point x = 0.001`.
         context: String,
         /// The underlying error.
         source: Box<CoreError>,
@@ -92,131 +90,6 @@ pub fn panic_payload_text(payload: &(dyn std::any::Any + Send)) -> String {
         s.clone()
     } else {
         "non-string panic payload".to_string()
-    }
-}
-
-/// Encodes an `f64` so every value — including the non-finite ones the
-/// strict artifact JSON cannot carry as numbers — survives a round trip.
-fn f64_to_json(value: f64) -> JsonValue {
-    if value.is_finite() {
-        JsonValue::Float(value)
-    } else if value.is_nan() {
-        JsonValue::str("NaN")
-    } else if value > 0.0 {
-        JsonValue::str("inf")
-    } else {
-        JsonValue::str("-inf")
-    }
-}
-
-fn f64_from_json(value: &JsonValue) -> Result<f64, String> {
-    match value {
-        JsonValue::Str(s) => match s.as_str() {
-            "NaN" => Ok(f64::NAN),
-            "inf" => Ok(f64::INFINITY),
-            "-inf" => Ok(f64::NEG_INFINITY),
-            other => Err(format!("unknown f64 encoding {other:?}")),
-        },
-        other => other.as_f64().ok_or_else(|| "expected a number".into()),
-    }
-}
-
-fn str_field(value: &JsonValue, key: &str) -> Result<String, String> {
-    value
-        .get(key)
-        .and_then(JsonValue::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| format!("missing string field {key:?}"))
-}
-
-impl CoreError {
-    /// Serializes this error as a tagged JSON object, the form used inside
-    /// [`crate::sweep::SweepReport`] artifacts.
-    pub fn to_json(&self) -> JsonValue {
-        match self {
-            CoreError::Undefined { name } => JsonValue::object(vec![
-                ("kind", JsonValue::str("undefined")),
-                ("name", JsonValue::str(name.clone())),
-            ]),
-            CoreError::Redefined { name } => JsonValue::object(vec![
-                ("kind", JsonValue::str("redefined")),
-                ("name", JsonValue::str(name.clone())),
-            ]),
-            CoreError::InvalidProbability { context, value } => JsonValue::object(vec![
-                ("kind", JsonValue::str("invalid_probability")),
-                ("context", JsonValue::str(context.clone())),
-                ("value", f64_to_json(*value)),
-            ]),
-            CoreError::BadDependency { reason } => JsonValue::object(vec![
-                ("kind", JsonValue::str("bad_dependency")),
-                ("reason", JsonValue::str(reason.clone())),
-            ]),
-            CoreError::BadDiagram { reason } => JsonValue::object(vec![
-                ("kind", JsonValue::str("bad_diagram")),
-                ("reason", JsonValue::str(reason.clone())),
-            ]),
-            CoreError::BadWeights { reason } => JsonValue::object(vec![
-                ("kind", JsonValue::str("bad_weights")),
-                ("reason", JsonValue::str(reason.clone())),
-            ]),
-            CoreError::EvalAt { context, source } => JsonValue::object(vec![
-                ("kind", JsonValue::str("eval_at")),
-                ("context", JsonValue::str(context.clone())),
-                ("source", source.to_json()),
-            ]),
-            CoreError::WorkerPanicked { index, payload } => JsonValue::object(vec![
-                ("kind", JsonValue::str("worker_panicked")),
-                ("index", JsonValue::UInt(*index as u64)),
-                ("payload", JsonValue::str(payload.clone())),
-            ]),
-        }
-    }
-
-    /// Decodes an error previously produced by [`CoreError::to_json`].
-    ///
-    /// # Errors
-    ///
-    /// A description of the first malformed or missing field.
-    pub fn from_json(value: &JsonValue) -> Result<Self, String> {
-        let kind = value
-            .get("kind")
-            .and_then(JsonValue::as_str)
-            .ok_or_else(|| "error object has no \"kind\" tag".to_string())?;
-        match kind {
-            "undefined" => Ok(CoreError::Undefined {
-                name: str_field(value, "name")?,
-            }),
-            "redefined" => Ok(CoreError::Redefined {
-                name: str_field(value, "name")?,
-            }),
-            "invalid_probability" => Ok(CoreError::InvalidProbability {
-                context: str_field(value, "context")?,
-                value: f64_from_json(value.get("value").ok_or("missing field \"value\"")?)?,
-            }),
-            "bad_dependency" => Ok(CoreError::BadDependency {
-                reason: str_field(value, "reason")?,
-            }),
-            "bad_diagram" => Ok(CoreError::BadDiagram {
-                reason: str_field(value, "reason")?,
-            }),
-            "bad_weights" => Ok(CoreError::BadWeights {
-                reason: str_field(value, "reason")?,
-            }),
-            "eval_at" => Ok(CoreError::EvalAt {
-                context: str_field(value, "context")?,
-                source: Box::new(CoreError::from_json(
-                    value.get("source").ok_or("missing field \"source\"")?,
-                )?),
-            }),
-            "worker_panicked" => Ok(CoreError::WorkerPanicked {
-                index: value
-                    .get("index")
-                    .and_then(JsonValue::as_u64)
-                    .ok_or("missing integer field \"index\"")? as usize,
-                payload: str_field(value, "payload")?,
-            }),
-            other => Err(format!("unknown error kind {other:?}")),
-        }
     }
 }
 
@@ -314,58 +187,5 @@ mod tests {
             panic_payload_text(other.as_ref()),
             "non-string panic payload"
         );
-    }
-
-    #[test]
-    fn every_variant_round_trips_through_json() {
-        let variants = vec![
-            CoreError::Undefined { name: "λ".into() },
-            CoreError::Redefined {
-                name: "x\"y".into(),
-            },
-            CoreError::InvalidProbability {
-                context: "test".into(),
-                value: 1.5,
-            },
-            CoreError::BadDependency {
-                reason: "cycle".into(),
-            },
-            CoreError::BadDiagram {
-                reason: "dangling".into(),
-            },
-            CoreError::BadWeights {
-                reason: "negative".into(),
-            },
-            CoreError::EvalAt {
-                context: "x = 0.5".into(),
-                source: Box::new(CoreError::WorkerPanicked {
-                    index: 3,
-                    payload: "boom".into(),
-                }),
-            },
-        ];
-        for e in variants {
-            let text = e.to_json().to_string();
-            let parsed = uavail_obs::json::parse(&text).unwrap();
-            assert_eq!(CoreError::from_json(&parsed).unwrap(), e, "{text}");
-        }
-    }
-
-    #[test]
-    fn non_finite_probability_values_survive_json() {
-        for v in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
-            let e = CoreError::InvalidProbability {
-                context: "nan".into(),
-                value: v,
-            };
-            let parsed = uavail_obs::json::parse(&e.to_json().to_string()).unwrap();
-            let back = CoreError::from_json(&parsed).unwrap();
-            match back {
-                CoreError::InvalidProbability { value, .. } => {
-                    assert_eq!(value.to_bits(), v.to_bits());
-                }
-                other => panic!("wrong variant {other:?}"),
-            }
-        }
     }
 }

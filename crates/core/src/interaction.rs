@@ -96,33 +96,6 @@ impl InteractionDiagram {
         NodeId(self.stages.len() - 1)
     }
 
-    /// Number of stages.
-    pub fn num_stages(&self) -> usize {
-        self.stages.len()
-    }
-
-    /// Services used by each stage, indexed by stage id.
-    pub fn stage_services(&self) -> Vec<Vec<String>> {
-        self.stages.iter().map(|s| s.services.clone()).collect()
-    }
-
-    /// Edges out of Begin, as `(target stage index, probability)`.
-    pub fn begin_edge_list(&self) -> Vec<(usize, f64)> {
-        self.begin_edges.clone()
-    }
-
-    /// All stage edges as `(from, to, probability)` with `None` meaning
-    /// End.
-    pub fn edge_list(&self) -> Vec<(usize, Option<usize>, f64)> {
-        let mut out = Vec::new();
-        for (from, stage) in self.stages.iter().enumerate() {
-            for &(to, p) in &stage.edges {
-                out.push((from, to, p));
-            }
-        }
-        out
-    }
-
     /// Accepts `0 ≤ p ≤ 1` (with 1e-12 of slack above 1), the rule the
     /// profile graph and the travel parameters apply. A zero-probability
     /// edge is kept and its scenarios add an exact `+0.0` term.

@@ -32,12 +32,12 @@
 //!   operator used by the paper's web service (equations 5 and 9).
 //! * [`downtime`] — availability ↔ downtime conversions and the revenue
 //!   -loss model of Section 5.2.
-//! * [`sweep`] — the parameter sweep and tornado sensitivity drivers used
-//!   by the evaluation section. Each is one function that takes a
-//!   [`par::Exec`] (worker threads, abort-or-report failure policy); every
-//!   option produces bit-for-bit the same points.
-//! * [`par`] — the order-preserving scoped-thread map and fold those
-//!   drivers are built on, reusable for any embarrassingly parallel
+//! * [`sweep`] — the parameter sweep driver used by the evaluation
+//!   section. It is one function that takes a [`par::Exec`] (worker
+//!   threads, abort-or-report failure policy); every option produces
+//!   bit-for-bit the same points.
+//! * [`par`] — the order-preserving scoped-thread map and fold that
+//!   driver is built on, reusable for any embarrassingly parallel
 //!   evaluation (the simulation crates use them for independent
 //!   replications).
 //!
@@ -67,7 +67,6 @@
 //! ```
 
 pub mod composite;
-mod dot;
 pub mod downtime;
 mod dual;
 mod error;

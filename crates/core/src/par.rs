@@ -1,7 +1,7 @@
 //! Order-preserving parallel map and fold on `std::thread::scope`.
 //!
-//! The evaluation workloads in this workspace — figure sweeps, tornado
-//! diagrams, Monte-Carlo replications — are embarrassingly parallel maps
+//! The evaluation workloads in this workspace — figure sweeps and
+//! Monte-Carlo replications — are embarrassingly parallel maps
 //! over independent points. This module provides the two primitives they
 //! share, both built on scoped threads so they need no external
 //! dependencies and no `'static` bounds on the closure or its captures:

@@ -1,16 +1,14 @@
-//! Parameter-sweep and tornado-analysis utilities.
+//! Parameter-sweep utilities.
 //!
 //! Every figure in the paper's evaluation section is a parameter sweep
 //! (web-server count, failure rate, arrival rate, number of reservation
 //! systems). This module provides small, composable helpers for generating
-//! sweep grids and running sensitivity studies over arbitrary models.
+//! sweep grids and running them over arbitrary models.
 //!
-//! There is one sweep and one tornado driver. How they run — serially or
-//! on worker threads, aborting at the first failure or reporting every
-//! failing point — is an [`Exec`] value, never a different function, and
-//! no option changes a result's bits.
-
-use uavail_obs::json::JsonValue;
+//! There is one sweep driver. How it runs — serially or on worker
+//! threads, aborting at the first failure or reporting every failing
+//! point — is an [`Exec`] value, never a different function, and no
+//! option changes a result's bits.
 
 use crate::par::{par_map, Exec, OnFailure};
 use crate::CoreError;
@@ -29,15 +27,6 @@ pub struct SweepPoint {
 fn at_sweep_point(x: f64, source: CoreError) -> CoreError {
     CoreError::EvalAt {
         context: format!("sweep point x = {x}"),
-        source: Box::new(source),
-    }
-}
-
-/// Wraps a model error with the tornado parameter and value it occurred
-/// at.
-fn at_tornado_point(name: &str, value: f64, source: CoreError) -> CoreError {
-    CoreError::EvalAt {
-        context: format!("tornado parameter {name:?} = {value}"),
         source: Box::new(source),
     }
 }
@@ -151,97 +140,6 @@ impl SweepReport {
     pub fn is_complete(&self) -> bool {
         self.failures.is_empty()
     }
-
-    /// Serializes the report as one JSON object (schema
-    /// `uavail-sweep-report/v1`).
-    pub fn to_json(&self) -> JsonValue {
-        JsonValue::object(vec![
-            ("schema", JsonValue::str("uavail-sweep-report/v1")),
-            (
-                "points",
-                JsonValue::Array(
-                    self.points
-                        .iter()
-                        .map(|p| {
-                            JsonValue::object(vec![
-                                ("x", JsonValue::Float(p.x)),
-                                ("y", JsonValue::Float(p.y)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "failures",
-                JsonValue::Array(
-                    self.failures
-                        .iter()
-                        .map(|fail| {
-                            JsonValue::object(vec![
-                                ("index", JsonValue::UInt(fail.index as u64)),
-                                ("x", JsonValue::Float(fail.x)),
-                                ("error", fail.error.to_json()),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-
-    /// Parses a report serialized by [`SweepReport::to_json`].
-    ///
-    /// # Errors
-    ///
-    /// A description of the first malformed field, unknown schema tag, or
-    /// JSON syntax error.
-    pub fn from_json_str(text: &str) -> Result<Self, String> {
-        let value = uavail_obs::json::parse(text)?;
-        let schema = value
-            .get("schema")
-            .and_then(JsonValue::as_str)
-            .ok_or("report has no \"schema\" field")?;
-        if schema != "uavail-sweep-report/v1" {
-            return Err(format!("unknown sweep-report schema {schema:?}"));
-        }
-        let point_of = |v: &JsonValue, key: &str| -> Result<f64, String> {
-            v.get(key)
-                .and_then(JsonValue::as_f64)
-                .ok_or_else(|| format!("missing numeric field {key:?}"))
-        };
-        let points = value
-            .get("points")
-            .and_then(JsonValue::as_array)
-            .ok_or("report has no \"points\" array")?
-            .iter()
-            .map(|p| {
-                Ok(SweepPoint {
-                    x: point_of(p, "x")?,
-                    y: point_of(p, "y")?,
-                })
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-        let failures = value
-            .get("failures")
-            .and_then(JsonValue::as_array)
-            .ok_or("report has no \"failures\" array")?
-            .iter()
-            .map(|fail| {
-                Ok(SweepFailure {
-                    index: fail
-                        .get("index")
-                        .and_then(JsonValue::as_u64)
-                        .ok_or("failure has no integer \"index\"")?
-                        as usize,
-                    x: point_of(fail, "x")?,
-                    error: CoreError::from_json(
-                        fail.get("error").ok_or("failure has no \"error\" object")?,
-                    )?,
-                })
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-        Ok(SweepReport { points, failures })
-    }
 }
 
 /// Logarithmically spaced grid from `start` to `end` (inclusive), the
@@ -289,75 +187,6 @@ pub fn linear_grid(start: f64, end: f64, points: usize) -> Result<Vec<f64>, Core
     Ok((0..points)
         .map(|i| start + (end - start) * i as f64 / (points - 1) as f64)
         .collect())
-}
-
-/// One bar of a tornado diagram: how far the output moves when one
-/// parameter swings across its plausible range.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TornadoBar {
-    /// Parameter name.
-    pub name: String,
-    /// Output at the low end of the parameter range.
-    pub low_output: f64,
-    /// Output at the high end of the parameter range.
-    pub high_output: f64,
-}
-
-impl TornadoBar {
-    /// Total output swing of this bar.
-    pub fn swing(&self) -> f64 {
-        (self.high_output - self.low_output).abs()
-    }
-}
-
-/// Builds a tornado diagram: for each `(name, low, high)` parameter range,
-/// evaluates `f(name, value)` at both ends while other parameters stay at
-/// their baseline (handled inside `f`), and ranks bars by swing.
-///
-/// The `2 × ranges.len()` endpoint evaluations run on `exec`, in the
-/// order a serial loop performs them (low then high per range), so the
-/// bars — and the error — are the same for any thread count.
-///
-/// # Errors
-///
-/// The first error in that order, wrapped in [`CoreError::EvalAt`] naming
-/// the failing parameter and its value. A diagram needs every endpoint,
-/// so [`OnFailure::Report`] only changes how many endpoints are evaluated
-/// before the error is returned.
-pub fn tornado(
-    ranges: &[(&str, f64, f64)],
-    exec: &Exec,
-    f: impl Fn(&str, f64) -> Result<f64, CoreError> + Sync,
-) -> Result<Vec<TornadoBar>, CoreError> {
-    let _span = uavail_obs::span("core.tornado");
-    uavail_obs::counter_add("core.tornado.evaluations", 2 * ranges.len() as u64);
-    let endpoints: Vec<(&str, f64)> = ranges
-        .iter()
-        .flat_map(|&(name, low, high)| [(name, low), (name, high)])
-        .collect();
-    let outputs = par_map(
-        &endpoints,
-        exec,
-        || (),
-        |(), &(name, value)| f(name, value).map_err(|e| at_tornado_point(name, value, e)),
-    )
-    .into_iter()
-    .collect::<Result<Vec<f64>, _>>()?;
-    let mut bars: Vec<TornadoBar> = ranges
-        .iter()
-        .zip(outputs.chunks_exact(2))
-        .map(|(&(name, _, _), pair)| TornadoBar {
-            name: name.to_string(),
-            low_output: pair[0],
-            high_output: pair[1],
-        })
-        .collect();
-    bars.sort_by(|a, b| {
-        b.swing()
-            .partial_cmp(&a.swing())
-            .expect("finite tornado outputs")
-    });
-    Ok(bars)
 }
 
 #[cfg(test)]
@@ -480,53 +309,6 @@ mod tests {
     }
 
     #[test]
-    fn tornado_error_names_failing_parameter() {
-        let err = tornado(
-            &[("ok", 0.0, 1.0), ("bad", 0.0, 2.0)],
-            &Exec::serial(),
-            |_, v| {
-                if v > 1.5 {
-                    Err(CoreError::BadWeights {
-                        reason: "out of range".into(),
-                    })
-                } else {
-                    Ok(v)
-                }
-            },
-        )
-        .unwrap_err();
-        let text = err.to_string();
-        assert!(text.contains("\"bad\""), "{text}");
-        assert!(text.contains('2'), "{text}");
-    }
-
-    #[test]
-    fn parallel_tornado_matches_serial_including_errors() {
-        let ranges: Vec<(&str, f64, f64)> = vec![
-            ("a", 0.0, 1.0),
-            ("b", -1.0, 1.0),
-            ("c", 0.2, 0.3),
-            ("d", 0.0, 5.0),
-        ];
-        let f = |name: &str, v: f64| -> Result<f64, CoreError> {
-            if name == "d" && v > 4.0 {
-                Err(CoreError::Undefined { name: name.into() })
-            } else {
-                Ok(v * v + name.len() as f64)
-            }
-        };
-        let serial_ok = tornado(&ranges[..3], &Exec::serial(), f).unwrap();
-        let serial_err = tornado(&ranges, &Exec::serial(), f).unwrap_err();
-        for threads in [1, 2, 8] {
-            for on_failure in [OnFailure::Abort, OnFailure::Report] {
-                let exec = exec(threads, on_failure);
-                assert_eq!(serial_ok, tornado(&ranges[..3], &exec, f).unwrap());
-                assert_eq!(serial_err, tornado(&ranges, &exec, f).unwrap_err());
-            }
-        }
-    }
-
-    #[test]
     fn resilient_sweep_keeps_partial_results_and_typed_failures() {
         let xs: Vec<f64> = (0..100).map(|i| i as f64).collect();
         let f = |x: f64| -> Result<f64, CoreError> {
@@ -591,28 +373,6 @@ mod tests {
     }
 
     #[test]
-    fn sweep_report_round_trips_through_json() {
-        let xs: Vec<f64> = (0..20).map(|i| i as f64 * 0.1).collect();
-        let report = plain(&xs, 1, OnFailure::Report, |x| {
-            if x > 1.5 {
-                Err(CoreError::InvalidProbability {
-                    context: "demo".into(),
-                    value: x,
-                })
-            } else {
-                Ok(x.exp())
-            }
-        })
-        .unwrap();
-        assert!(!report.is_complete());
-        let text = report.to_json().to_string();
-        let back = SweepReport::from_json_str(&text).unwrap();
-        assert_eq!(report, back);
-        assert!(SweepReport::from_json_str("{\"schema\":\"nope\"}").is_err());
-        assert!(SweepReport::from_json_str("not json").is_err());
-    }
-
-    #[test]
     fn log_grid_endpoints_and_spacing() {
         let g = log_grid(1e-4, 1e-2, 3).unwrap();
         assert!((g[0] - 1e-4).abs() < 1e-18);
@@ -628,19 +388,5 @@ mod tests {
         assert_eq!(g, vec![0.0, 2.5, 5.0, 7.5, 10.0]);
         assert!(linear_grid(f64::NAN, 1.0, 2).is_err());
         assert!(linear_grid(0.0, 1.0, 0).is_err());
-    }
-
-    #[test]
-    fn tornado_ranks_by_swing() {
-        // Output = value for "big", value/10 for "small".
-        let bars = tornado(
-            &[("small", 0.0, 1.0), ("big", 0.0, 1.0)],
-            &Exec::serial(),
-            |name, v| Ok(if name == "big" { v } else { v / 10.0 }),
-        )
-        .unwrap();
-        assert_eq!(bars[0].name, "big");
-        assert!((bars[0].swing() - 1.0).abs() < 1e-15);
-        assert!((bars[1].swing() - 0.1).abs() < 1e-15);
     }
 }

@@ -298,144 +298,4 @@ proptest! {
         }
     }
 
-    /// Same equivalence for the tornado diagram, including the swing
-    /// ranking and the failing-parameter error context.
-    #[test]
-    fn tornado_parallel_equals_tornado(
-        lows in prop::collection::vec(-10.0f64..10.0, 1..8),
-        spans in prop::collection::vec(0.0f64..5.0, 1..8),
-        threads in 1usize..9,
-        fail_above in 0.0f64..20.0
-    ) {
-        use uavail_core::par::OnFailure;
-        let names: Vec<String> = (0..lows.len().min(spans.len()))
-            .map(|i| format!("param{i}"))
-            .collect();
-        let ranges: Vec<(&str, f64, f64)> = names
-            .iter()
-            .zip(lows.iter().zip(&spans))
-            .map(|(n, (&lo, &span))| (n.as_str(), lo, lo + span))
-            .collect();
-        let f = |name: &str, v: f64| -> Result<f64, uavail_core::CoreError> {
-            if v.abs() > fail_above {
-                Err(uavail_core::CoreError::Undefined { name: name.into() })
-            } else {
-                Ok(v * v + name.len() as f64)
-            }
-        };
-        let serial = uavail_core::sweep::tornado(&ranges, &exec(1, OnFailure::Abort), f);
-        let parallel =
-            uavail_core::sweep::tornado(&ranges, &exec(threads, OnFailure::Abort), f);
-        match (serial, parallel) {
-            (Ok(s), Ok(p)) => prop_assert_eq!(s, p),
-            (Err(a), Err(b)) => prop_assert_eq!(a, b),
-            (s, p) => prop_assert!(false, "serial {:?} vs parallel {:?}", s, p),
-        }
-    }
-}
-
-/// Strategy: short strings with the characters that stress JSON escaping
-/// (quotes, backslashes, control chars, multi-byte UTF-8).
-fn nasty_text() -> impl Strategy<Value = String> {
-    const CHARS: &[char] = &[
-        'a', 'Z', '"', '\\', '\n', '\t', '\u{1}', 'é', '😀', ' ', ':',
-    ];
-    prop::collection::vec(0usize..CHARS.len(), 0..10)
-        .prop_map(|picks| picks.into_iter().map(|i| CHARS[i]).collect())
-}
-
-/// Strategy: every `CoreError` variant, with `EvalAt` nesting and the
-/// non-finite probability values the error encoder handles specially.
-fn core_error() -> proptest::strategy::BoxedStrategy<uavail_core::CoreError> {
-    use uavail_core::CoreError;
-    let value = prop_oneof![
-        Just(f64::NAN),
-        Just(f64::INFINITY),
-        Just(f64::NEG_INFINITY),
-        -1.0e12f64..1.0e12,
-    ];
-    let leaf = prop_oneof![
-        nasty_text().prop_map(|name| CoreError::Undefined { name }),
-        nasty_text().prop_map(|name| CoreError::Redefined { name }),
-        (nasty_text(), value)
-            .prop_map(|(context, value)| CoreError::InvalidProbability { context, value }),
-        nasty_text().prop_map(|reason| CoreError::BadDependency { reason }),
-        nasty_text().prop_map(|reason| CoreError::BadDiagram { reason }),
-        nasty_text().prop_map(|reason| CoreError::BadWeights { reason }),
-        (any::<u64>(), nasty_text()).prop_map(|(i, payload)| CoreError::WorkerPanicked {
-            index: i as usize,
-            payload,
-        }),
-    ];
-    leaf.prop_recursive(3, 8, 2, |inner| {
-        (nasty_text(), inner).prop_map(|(context, source)| CoreError::EvalAt {
-            context,
-            source: Box::new(source),
-        })
-    })
-}
-
-proptest! {
-    #[test]
-    fn sweep_reports_round_trip_through_json(
-        points in prop::collection::vec((-1.0e12f64..1.0e12, -1.0e12f64..1.0e12), 0..10),
-        failures in prop::collection::vec(
-            (any::<u64>(), -1.0e12f64..1.0e12, core_error()),
-            0..6
-        )
-    ) {
-        use uavail_core::sweep::{SweepFailure, SweepPoint, SweepReport};
-        let report = SweepReport {
-            points: points
-                .into_iter()
-                .map(|(x, y)| SweepPoint { x, y })
-                .collect(),
-            failures: failures
-                .into_iter()
-                .map(|(index, x, error)| SweepFailure {
-                    index: index as usize,
-                    x,
-                    error,
-                })
-                .collect(),
-        };
-        let text = report.to_json().to_string();
-        let back = SweepReport::from_json_str(&text)
-            .unwrap_or_else(|e| panic!("report failed to re-parse: {e}\n{text}"));
-        // NaN inside `InvalidProbability` breaks `PartialEq`, so the
-        // round-trip is pinned on the re-encoded form instead.
-        prop_assert_eq!(back.to_json().to_string(), text);
-        prop_assert_eq!(back.points.len(), report.points.len());
-        prop_assert_eq!(back.failures.len(), report.failures.len());
-    }
-
-    #[test]
-    fn corrupted_sweep_reports_error_not_panic(
-        error in core_error(),
-        cut in 0usize..600,
-        flip in 0usize..600
-    ) {
-        use uavail_core::sweep::{SweepFailure, SweepReport};
-        let report = SweepReport {
-            points: vec![],
-            failures: vec![SweepFailure { index: 1, x: 0.5, error }],
-        };
-        let text = report.to_json().to_string();
-        // Truncations and single-byte corruptions must be parse errors or
-        // (for benign flips) a report — never a panic.
-        let cut = text
-            .char_indices()
-            .map(|(i, _)| i)
-            .take_while(|&i| i <= cut)
-            .last()
-            .unwrap_or(0);
-        let _ = SweepReport::from_json_str(&text[..cut]);
-        let mut bytes = text.clone().into_bytes();
-        let at = flip % bytes.len();
-        if bytes[at].is_ascii() {
-            bytes[at] = b'!';
-            let corrupted = String::from_utf8(bytes).expect("ascii flip");
-            let _ = SweepReport::from_json_str(&corrupted);
-        }
-    }
 }

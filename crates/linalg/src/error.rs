@@ -28,17 +28,8 @@ pub enum LinalgError {
         /// Index of the failing pivot.
         pivot: usize,
     },
-    /// An iterative method failed to reach the requested tolerance.
-    NotConverged {
-        /// Number of iterations performed.
-        iterations: usize,
-        /// Residual norm at the last iteration.
-        residual: f64,
-        /// Requested tolerance.
-        tolerance: f64,
-    },
-    /// Construction input was invalid (e.g. ragged rows, NaN entries,
-    /// out-of-bounds indices for sparse triplets).
+    /// Construction input was invalid (e.g. ragged rows, NaN entries, a
+    /// data length that does not match the shape).
     InvalidInput {
         /// Explanation of what was wrong.
         reason: String,
@@ -68,15 +59,6 @@ impl fmt::Display for LinalgError {
                     "matrix is singular to working precision at pivot {pivot}"
                 )
             }
-            LinalgError::NotConverged {
-                iterations,
-                residual,
-                tolerance,
-            } => write!(
-                f,
-                "iteration did not converge after {iterations} steps \
-                 (residual {residual:.3e} > tolerance {tolerance:.3e})"
-            ),
             LinalgError::InvalidInput { reason } => write!(f, "invalid input: {reason}"),
             LinalgError::Empty => write!(f, "empty matrix or vector"),
         }
@@ -99,12 +81,6 @@ mod tests {
         assert_eq!(err.to_string(), "shape mismatch in mul: 2x3 vs 2x2");
         let err = LinalgError::Singular { pivot: 4 };
         assert!(err.to_string().contains("pivot 4"));
-        let err = LinalgError::NotConverged {
-            iterations: 10,
-            residual: 1e-3,
-            tolerance: 1e-9,
-        };
-        assert!(err.to_string().contains("10 steps"));
     }
 
     #[test]

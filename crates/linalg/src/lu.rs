@@ -358,8 +358,6 @@ pub struct LuWorkspace {
     factors: Matrix,
     perm: Vec<usize>,
     sign: f64,
-    /// Scratch for the permuted right-hand side of transposed solves.
-    rhs: Vec<f64>,
     factored: bool,
 }
 
@@ -376,7 +374,6 @@ impl LuWorkspace {
             factors: Matrix::zeros(0, 0),
             perm: Vec::new(),
             sign: 1.0,
-            rhs: Vec::new(),
             factored: false,
         }
     }
@@ -409,11 +406,6 @@ impl LuWorkspace {
         }
     }
 
-    /// Whether the workspace currently holds a valid factorization.
-    pub fn is_factored(&self) -> bool {
-        self.factored
-    }
-
     /// Solves `A·x = b` into `x` using the stored factorization.
     ///
     /// # Errors
@@ -427,31 +419,6 @@ impl LuWorkspace {
         x.extend(self.perm.iter().map(|&p| b[p]));
         debug_assert_eq!(x.len(), n);
         substitute_in_place(&self.factors, x);
-        Ok(())
-    }
-
-    /// Solves `xᵀ·A = bᵀ` (equivalently `Aᵀ·x = b`) into `x`.
-    ///
-    /// Takes `&mut self` because the permuted intermediate lives in the
-    /// workspace's scratch vector.
-    ///
-    /// # Errors
-    ///
-    /// As for [`LuWorkspace::solve_into`].
-    pub fn solve_transposed_into(
-        &mut self,
-        b: &[f64],
-        x: &mut Vec<f64>,
-    ) -> Result<(), LinalgError> {
-        let n = self.checked_dim(b.len(), "lu_workspace_solve_transposed")?;
-        self.rhs.clear();
-        self.rhs.extend_from_slice(b);
-        substitute_transposed_in_place(&self.factors, &mut self.rhs);
-        x.clear();
-        x.resize(n, 0.0);
-        for (i, &p) in self.perm.iter().enumerate() {
-            x[p] = self.rhs[i];
-        }
         Ok(())
     }
 
@@ -600,7 +567,6 @@ mod tests {
     fn workspace_matches_owned_factorization_bit_for_bit() {
         let mut ws = LuWorkspace::new();
         let mut x = Vec::new();
-        let mut xt = Vec::new();
         // Reuse one workspace across systems of different sizes and scales.
         for scale in [1.0, 0.5, 1e-6, 3.0e4] {
             let a = Matrix::from_rows(&[
@@ -612,14 +578,9 @@ mod tests {
             let b = [1.0, 2.0, 3.0];
             let lu = Lu::new(&a).unwrap();
             ws.factor(&a).unwrap();
-            assert!(ws.is_factored());
             assert_eq!(ws.dim(), 3);
             ws.solve_into(&b, &mut x).unwrap();
             for (l, r) in lu.solve(&b).unwrap().iter().zip(&x) {
-                assert_eq!(l.to_bits(), r.to_bits());
-            }
-            ws.solve_transposed_into(&b, &mut xt).unwrap();
-            for (l, r) in lu.solve_transposed(&b).unwrap().iter().zip(&xt) {
                 assert_eq!(l.to_bits(), r.to_bits());
             }
             assert_eq!(
@@ -659,7 +620,7 @@ mod tests {
         // A failed factorization invalidates the previous one.
         let singular = Matrix::from_rows(&[&[1.0, 2.0], &[2.0, 4.0]]).unwrap();
         assert!(ws.factor(&singular).is_err());
-        assert!(!ws.is_factored());
+        assert_eq!(ws.dim(), 0);
     }
 
     #[test]

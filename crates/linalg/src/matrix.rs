@@ -204,16 +204,6 @@ impl Matrix {
         &self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// Returns a mutable view of row `r` as a slice.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r >= self.rows()`.
-    pub fn row_mut(&mut self, r: usize) -> &mut [f64] {
-        assert!(r < self.rows, "row index {r} out of bounds ({})", self.rows);
-        &mut self.data[r * self.cols..(r + 1) * self.cols]
-    }
-
     /// Returns column `c` as an owned vector.
     ///
     /// # Panics
@@ -233,11 +223,6 @@ impl Matrix {
     /// Returns the underlying row-major data as a slice.
     pub fn as_slice(&self) -> &[f64] {
         &self.data
-    }
-
-    /// Consumes the matrix and returns the underlying row-major data.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
     }
 
     /// Copies `other`'s shape and contents into `self`, reusing the existing
@@ -468,11 +453,6 @@ impl Matrix {
         self.data.iter().fold(0.0, |acc, v| acc.max(v.abs()))
     }
 
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data.iter().map(|v| v * v).sum::<f64>().sqrt()
-    }
-
     /// Returns `true` if every row sums to `target` within `tol`.
     ///
     /// Useful to validate stochastic matrices (`target = 1.0`) and CTMC
@@ -659,7 +639,6 @@ mod tests {
     fn norms() {
         let m = Matrix::from_rows(&[&[3.0, -4.0]]).unwrap();
         assert_eq!(m.max_abs(), 4.0);
-        assert!((m.frobenius_norm() - 5.0).abs() < 1e-14);
     }
 
     #[test]

@@ -1,7 +1,5 @@
-//! Small vector utilities shared across the workspace: norms, normalization
-//! and comparisons used by probability vectors.
-
-use crate::LinalgError;
+//! Small vector utilities shared across the workspace: norms and the
+//! comparisons used by probability vectors.
 
 /// L1 norm (sum of absolute values).
 ///
@@ -65,36 +63,6 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).map(|(l, r)| l * r).sum()
 }
 
-/// Normalizes `x` in place so its entries sum to one.
-///
-/// # Errors
-///
-/// Returns [`LinalgError::InvalidInput`] when the entry sum is zero,
-/// non-finite, or negative — a probability vector cannot be recovered then.
-///
-/// # Examples
-///
-/// ```
-/// # fn main() -> Result<(), uavail_linalg::LinalgError> {
-/// let mut v = vec![2.0, 2.0];
-/// uavail_linalg::vector::normalize_probability(&mut v)?;
-/// assert_eq!(v, vec![0.5, 0.5]);
-/// # Ok(())
-/// # }
-/// ```
-pub fn normalize_probability(x: &mut [f64]) -> Result<(), LinalgError> {
-    let sum: f64 = x.iter().sum();
-    if !(sum.is_finite() && sum > 0.0) {
-        return Err(LinalgError::InvalidInput {
-            reason: format!("cannot normalize vector with sum {sum}"),
-        });
-    }
-    for v in x.iter_mut() {
-        *v /= sum;
-    }
-    Ok(())
-}
-
 /// Checks that `x` is a probability vector: entries in `[0, 1]` (within
 /// `tol` slack) summing to one (within `tol`).
 pub fn is_probability_vector(x: &[f64], tol: f64) -> bool {
@@ -120,22 +88,6 @@ mod tests {
     fn diff_and_dot() {
         assert_eq!(max_abs_diff(&[1.0, 5.0], &[2.0, 5.5]), 1.0);
         assert_eq!(dot(&[1.0, 0.0], &[0.0, 1.0]), 0.0);
-    }
-
-    #[test]
-    fn normalize_happy_path() {
-        let mut v = vec![1.0, 3.0];
-        normalize_probability(&mut v).unwrap();
-        assert_eq!(v, vec![0.25, 0.75]);
-        assert!(is_probability_vector(&v, 1e-12));
-    }
-
-    #[test]
-    fn normalize_rejects_zero_sum() {
-        let mut v = vec![0.0, 0.0];
-        assert!(normalize_probability(&mut v).is_err());
-        let mut v = vec![1.0, -1.0];
-        assert!(normalize_probability(&mut v).is_err());
     }
 
     #[test]

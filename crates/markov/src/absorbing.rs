@@ -252,6 +252,12 @@ mod tests {
         // Known result: expected duration from fortune i is i(N - i) = 2.
         assert!((analysis.expected_steps_to_absorption(1).unwrap() - 2.0).abs() < 1e-12);
         assert!((analysis.expected_steps_to_absorption(2).unwrap() - 2.0).abs() < 1e-12);
+        // N = (I - Q)⁻¹ with Q = [[0, ½], [½, 0]]: 4/3 visits to the start
+        // fortune and 2/3 to the other, which sum to the duration.
+        let n = analysis.fundamental_matrix();
+        for (i, j, expected) in [(0, 0, 4.0 / 3.0), (0, 1, 2.0 / 3.0), (1, 0, 2.0 / 3.0)] {
+            assert!((n[(i, j)] - expected).abs() < 1e-12, "N[{i}][{j}]");
+        }
     }
 
     #[test]

@@ -1,9 +1,8 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use uavail_linalg::iterative::{power_stationary, IterOptions};
 use uavail_linalg::vector::is_probability_vector;
-use uavail_linalg::{CsrBuilder, CsrMatrix, Lu, Matrix};
+use uavail_linalg::{Lu, Matrix};
 
 use crate::{gth_steady_state, MarkovError};
 
@@ -36,8 +35,6 @@ pub enum SteadyStateMethod {
     Gth,
     /// Dense LU solve of the balance equations with a normalization row.
     DirectLu,
-    /// Power iteration on the uniformized DTMC.
-    PowerUniformized,
 }
 
 /// Builder for [`Ctmc`] with human-readable state labels.
@@ -245,17 +242,15 @@ impl Ctmc {
     }
 
     /// Steady-state distribution with an explicit method, letting callers
-    /// cross-validate solvers (see the `solvers` bench).
+    /// cross-validate GTH against a dense LU solve.
     ///
     /// # Errors
     ///
-    /// Structural errors as for [`Ctmc::steady_state`]; power iteration may
-    /// additionally report non-convergence via [`MarkovError::Linalg`].
+    /// Structural errors as for [`Ctmc::steady_state`].
     pub fn steady_state_with(&self, method: SteadyStateMethod) -> Result<Vec<f64>, MarkovError> {
         match method {
             SteadyStateMethod::Gth => gth_steady_state(&self.q),
             SteadyStateMethod::DirectLu => self.steady_state_lu(),
-            SteadyStateMethod::PowerUniformized => self.steady_state_power(1e-13),
         }
     }
 
@@ -279,21 +274,12 @@ impl Ctmc {
         Ok(x)
     }
 
-    fn steady_state_power(&self, tol: f64) -> Result<Vec<f64>, MarkovError> {
-        let (sparse, _) = self.uniformized_csr(None)?;
-        let sol = power_stationary(
-            &sparse,
-            IterOptions::new().tolerance(tol).max_iterations(10_000_000),
-        )?;
-        Ok(sol.x)
-    }
-
     /// Uniformized DTMC `P = I + Q/Λ`. When `rate` is `None`, Λ is chosen as
     /// 1.02 × the largest exit rate, which guarantees aperiodicity. An
     /// explicit `rate` must *strictly* exceed the largest exit rate —
     /// equality would zero the self-loop of the bottleneck state and can
-    /// make the uniformized chain periodic, so power iteration on it
-    /// oscillates forever.
+    /// make the uniformized chain periodic, so its powers oscillate
+    /// instead of converging.
     ///
     /// # Errors
     ///
@@ -301,40 +287,23 @@ impl Ctmc {
     /// not strictly exceed the largest exit rate.
     pub fn uniformized(&self, rate: Option<f64>) -> Result<Matrix, MarkovError> {
         let n = self.num_states();
-        let lambda = uniformization_rate(self.max_exit_rate(), rate)?;
+        let max_exit = self.max_exit_rate();
+        let lambda = match rate {
+            Some(l) if l <= max_exit => {
+                return Err(MarkovError::InvalidValue {
+                    context: "uniformization rate must strictly exceed max exit rate".into(),
+                    value: l,
+                })
+            }
+            Some(l) => l,
+            None if max_exit == 0.0 => 1.0,
+            None => max_exit * 1.02,
+        };
         let mut p = self.q.scale(1.0 / lambda);
         for i in 0..n {
             p[(i, i)] += 1.0;
         }
         Ok(p)
-    }
-
-    /// Uniformized DTMC `P = I + Q/Λ` assembled directly in CSR form,
-    /// returning `(P, Λ)`. Entry for entry bit-identical to sparsifying
-    /// [`Ctmc::uniformized`], but the intermediate dense `n×n` matrix is
-    /// never allocated — peak extra memory is proportional to `nnz(Q) + n`.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Ctmc::uniformized`].
-    pub fn uniformized_csr(&self, rate: Option<f64>) -> Result<(CsrMatrix, f64), MarkovError> {
-        let n = self.num_states();
-        let lambda = uniformization_rate(self.max_exit_rate(), rate)?;
-        let recip = 1.0 / lambda;
-        let mut b = CsrBuilder::with_capacity(n, n, n);
-        for r in 0..n {
-            for c in 0..n {
-                let v = if r == c {
-                    self.q[(r, c)] * recip + 1.0
-                } else {
-                    self.q[(r, c)] * recip
-                };
-                if v != 0.0 {
-                    b.push(r, c, v)?;
-                }
-            }
-        }
-        Ok((b.finish()?, lambda))
     }
 
     /// Largest exit rate `max_i −q_ii`.
@@ -496,30 +465,6 @@ impl Ctmc {
     }
 }
 
-/// Uniformization-rate selection with the strict-margin rule shared by
-/// [`Ctmc::uniformized`] and [`Ctmc::uniformized_csr`].
-fn uniformization_rate(max_exit: f64, rate: Option<f64>) -> Result<f64, MarkovError> {
-    match rate {
-        Some(l) => {
-            if l <= max_exit {
-                Err(MarkovError::InvalidValue {
-                    context: "uniformization rate must strictly exceed max exit rate".into(),
-                    value: l,
-                })
-            } else {
-                Ok(l)
-            }
-        }
-        None => {
-            if max_exit == 0.0 {
-                Ok(1.0)
-            } else {
-                Ok(max_exit * 1.02)
-            }
-        }
-    }
-}
-
 /// Health gauge for the sojourn-time LU solve: the residual
 /// `‖s·Q_TT − rhs‖∞` of the transposed system, reported on the shared
 /// `linalg.lu.residual` channel. Only reached while recording is on —
@@ -594,12 +539,12 @@ mod tests {
         let lu = chain
             .steady_state_with(SteadyStateMethod::DirectLu)
             .unwrap();
-        let pw = chain
-            .steady_state_with(SteadyStateMethod::PowerUniformized)
-            .unwrap();
+        // Third leg: the uniformized transient solve at a horizon long
+        // past the chain's mixing time.
+        let late = chain.transient(&[1.0, 0.0, 0.0], 200.0).unwrap();
         for i in 0..3 {
             assert!((gth[i] - lu[i]).abs() < 1e-12);
-            assert!((gth[i] - pw[i]).abs() < 1e-9);
+            assert!((gth[i] - late[i]).abs() < 1e-9);
         }
     }
 
@@ -728,41 +673,13 @@ mod tests {
     #[test]
     fn uniformized_rejects_rate_equal_to_max_exit() {
         // With equal rates, Λ = max exit zeroes both self-loops: the
-        // uniformized chain is periodic and power iteration oscillates.
-        // The margin must therefore be strict.
+        // uniformized chain is periodic. The margin must therefore be
+        // strict.
         let chain = two_state(1.0, 1.0);
         assert!(matches!(
             chain.uniformized(Some(1.0)),
             Err(MarkovError::InvalidValue { .. })
         ));
         assert!(chain.uniformized(Some(1.0 + 1e-9)).is_ok());
-        // PowerUniformized keeps converging on the equal-rate chain
-        // through the default 1.02 margin.
-        let pi = chain
-            .steady_state_with(SteadyStateMethod::PowerUniformized)
-            .unwrap();
-        assert!((pi[0] - 0.5).abs() < 1e-10);
-    }
-
-    #[test]
-    fn uniformized_csr_matches_dense_bits_without_dense_alloc() {
-        let q = Matrix::from_rows(&[
-            &[-3.0, 2.0, 1.0, 0.0],
-            &[4.0, -5.0, 1.0, 0.0],
-            &[1.0, 1.0, -2.0, 0.0],
-            &[0.5, 0.0, 0.0, -0.5],
-        ])
-        .unwrap();
-        let chain = Ctmc::from_generator(q).unwrap();
-        let (sparse, lambda) = chain.uniformized_csr(None).unwrap();
-        let dense = chain.uniformized(None).unwrap();
-        // Same entries, same bits as sparsifying the dense uniformization…
-        assert_eq!(sparse, CsrMatrix::from_dense(&dense, 0.0));
-        // …and the buffers stay nnz-proportional: exactly the generator's
-        // structural non-zeros plus the diagonal, not n².
-        let expected_nnz = CsrMatrix::from_dense(chain.generator(), 0.0).nnz();
-        assert_eq!(sparse.nnz(), expected_nnz);
-        assert!(sparse.nnz() < chain.num_states() * chain.num_states());
-        assert!(lambda > chain.max_exit_rate());
     }
 }

@@ -367,12 +367,16 @@ mod tests {
         q
     }
 
+    /// A farm case: per-server (covered, uncovered) failure rates, µ, β,
+    /// and whether the structured solve should accept it.
+    type FarmCase<'a> = (&'a [(f64, f64)], f64, f64, bool);
+
     #[test]
     fn imperfect_coverage_farm_matches_dense_gth_or_declines() {
         let paper: Vec<(f64, f64)> = (1..=4)
             .map(|i| (i as f64 * 0.98 * 1e-4, i as f64 * 0.02 * 1e-4))
             .collect();
-        let cases: [(&[(f64, f64)], f64, f64, bool); 4] = [
+        let cases: [FarmCase; 4] = [
             // The paper's farm: λ = 1e-4/h, c = 0.98, µ = 1/h, β = 12/h.
             (&paper, 1.0, 12.0, true),
             // No coverage, and rates that fall with i.

@@ -12,13 +12,12 @@
 //! ## Components
 //!
 //! * [`Dtmc`] — discrete-time chains: validation, stationary distributions
-//!   (direct and power iteration), n-step transient distributions.
+//!   (GTH and direct LU), n-step transient distributions.
 //! * [`AbsorbingDtmc`] — absorbing-chain analysis: fundamental matrix,
 //!   absorption probabilities, expected visit counts.
 //! * [`Ctmc`] / [`CtmcBuilder`] — continuous-time chains over labeled state
-//!   spaces: steady-state solutions via GTH (default), LU, or power
-//!   iteration on the uniformized chain; transient solutions via
-//!   uniformization.
+//!   spaces: steady-state solutions via GTH (default) or LU; transient
+//!   solutions via uniformization.
 //! * [`BirthDeath`] — closed-form steady state for birth–death processes,
 //!   the shape of every repairable-redundancy model in the paper.
 //! * [`reward`] — steady-state expected reward (performability) on top of

@@ -1,9 +1,9 @@
 //! # uavail-obs
 //!
 //! Zero-dependency, in-tree observability for the evaluation and
-//! simulation engine — the same spirit as the vendored `rand` /
-//! `proptest` / `criterion` shims: the build environment cannot reach
-//! crates.io, so the workspace carries its own minimal metrics layer.
+//! simulation engine — the same spirit as the vendored `rand` and
+//! `proptest` shims: the build environment cannot reach crates.io, so
+//! the workspace carries its own minimal metrics layer.
 //!
 //! The design contract, in order of importance:
 //!

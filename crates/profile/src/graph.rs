@@ -64,36 +64,9 @@ impl ProfileGraph {
         })
     }
 
-    /// Function names in declaration order.
-    pub fn function_names(&self) -> &[String] {
-        &self.functions
-    }
-
     /// Number of functions.
     pub fn num_functions(&self) -> usize {
         self.functions.len()
-    }
-
-    /// Probability that a session starts at function index `j`
-    /// (0 for out-of-range indices).
-    pub fn start_probability(&self, j: usize) -> f64 {
-        self.start.get(j).copied().unwrap_or(0.0)
-    }
-
-    /// Probability of moving from function index `i` to function index `j`
-    /// (0 for out-of-range indices).
-    pub fn transition_probability(&self, i: usize, j: usize) -> f64 {
-        self.trans
-            .get(i)
-            .and_then(|row| row.get(j))
-            .copied()
-            .unwrap_or(0.0)
-    }
-
-    /// Probability of exiting the site from function index `i`
-    /// (0 for out-of-range indices).
-    pub fn exit_probability(&self, i: usize) -> f64 {
-        self.exit.get(i).copied().unwrap_or(0.0)
     }
 
     fn resolve(&self, name: &str) -> Result<usize, ProfileError> {
@@ -254,8 +227,8 @@ impl ProfileGraph {
         Ok(Dtmc::new(p)?)
     }
 
-    /// Probability that a session visits each function at least once,
-    /// indexed like [`ProfileGraph::function_names`].
+    /// Probability that a session visits each function at least once, in
+    /// declaration order.
     ///
     /// # Errors
     ///
@@ -358,8 +331,8 @@ impl ProfileGraph {
     }
 
     /// Probability that a session reaches Exit while invoking only
-    /// functions from `allowed` (a bitmask-like slice of booleans indexed
-    /// like [`ProfileGraph::function_names`]).
+    /// functions from `allowed` (a bitmask-like slice of booleans over the
+    /// functions in declaration order).
     ///
     /// # Errors
     ///
@@ -421,7 +394,7 @@ impl ProfileGraph {
     ///
     /// Returns `(mask, probability)` pairs for classes with probability
     /// above `threshold`, sorted by decreasing probability. `mask` is a
-    /// bitmask over [`ProfileGraph::function_names`] indices.
+    /// bitmask over the functions' declaration-order indices.
     ///
     /// Computed by inclusion–exclusion over taboo-chain probabilities:
     /// `P(= S) = Σ_{T ⊆ S} (-1)^{|S \ T|} P(⊆ T)`. The graph is validated

@@ -39,7 +39,6 @@
 //! ```
 
 #![allow(clippy::needless_range_loop)] // index loops mirror the math
-mod dot;
 mod error;
 mod graph;
 mod scenario;

@@ -39,7 +39,6 @@
 //! ```
 
 mod block;
-mod dot;
 mod error;
 mod importance;
 mod sets;

@@ -123,11 +123,6 @@ impl<E> EventQueue<E> {
         Some((s.time, s.event))
     }
 
-    /// Peeks at the earliest pending event time.
-    pub fn next_time(&self) -> Option<f64> {
-        self.heap.peek().map(|s| s.time)
-    }
-
     /// Drops every pending event (the clock is unchanged).
     pub fn clear(&mut self) {
         self.heap.clear();
@@ -173,7 +168,7 @@ mod tests {
         q.pop();
         assert_eq!(q.now(), 5.0);
         q.schedule_in(2.5, "y");
-        assert_eq!(q.next_time(), Some(7.5));
+        assert_eq!(q.pop(), Some((7.5, "y")));
     }
 
     #[test]

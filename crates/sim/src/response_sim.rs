@@ -60,11 +60,6 @@ impl ResponseObservation {
         Proportion::new(self.deadline_misses, self.completions).estimate()
     }
 
-    /// Binomial confidence interval on the deadline-miss fraction.
-    pub fn deadline_confidence_interval(&self, z: f64) -> (f64, f64) {
-        Proportion::new(self.deadline_misses, self.completions).confidence_interval(z)
-    }
-
     /// Observed loss fraction.
     pub fn loss_fraction(&self) -> f64 {
         Proportion::new(self.losses, self.arrivals).estimate()

@@ -13,7 +13,7 @@
 /// }
 /// assert_eq!(s.count(), 8);
 /// assert!((s.mean() - 5.0).abs() < 1e-12);
-/// assert!((s.population_variance() - 4.0).abs() < 1e-12);
+/// assert!((s.sample_variance() - 32.0 / 7.0).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct OnlineStats {
@@ -45,15 +45,6 @@ impl OnlineStats {
     /// Sample mean (0 when empty).
     pub fn mean(&self) -> f64 {
         self.mean
-    }
-
-    /// Population variance (divides by `n`).
-    pub fn population_variance(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
-        }
     }
 
     /// Sample variance (divides by `n - 1`; 0 when fewer than two points).
@@ -384,7 +375,7 @@ mod tests {
         let s = OnlineStats::new();
         assert_eq!(s.mean(), 0.0);
         assert_eq!(s.standard_error(), 0.0);
-        assert_eq!(s.population_variance(), 0.0);
+        assert_eq!(s.sample_variance(), 0.0);
     }
 
     #[test]

@@ -5,7 +5,6 @@ use std::collections::HashMap;
 
 use uavail_core::downtime::{RevenueModel, HOURS_PER_YEAR};
 use uavail_core::par::{par_map, Exec, OnFailure};
-use uavail_obs::json::JsonValue;
 use uavail_profile::ScenarioCategory;
 
 use crate::user::{class_a, class_b, scenario_availability, UserClass};
@@ -167,57 +166,6 @@ impl FigureReport {
     /// `true` when every grid point evaluated successfully.
     pub fn is_complete(&self) -> bool {
         self.failures.is_empty()
-    }
-
-    /// Serializes the report as one JSON object (schema
-    /// `uavail-figure-report/v1`); failures carry their grid coordinates
-    /// and the error rendered as text.
-    pub fn to_json(&self) -> JsonValue {
-        let point_json = |lambda: f64, alpha: f64, nw: usize| {
-            vec![
-                ("lambda", JsonValue::Float(lambda)),
-                ("alpha", JsonValue::Float(alpha)),
-                ("web_servers", JsonValue::UInt(nw as u64)),
-            ]
-        };
-        JsonValue::object(vec![
-            ("schema", JsonValue::str("uavail-figure-report/v1")),
-            (
-                "points",
-                JsonValue::Array(
-                    self.points
-                        .iter()
-                        .map(|p| {
-                            let mut fields = point_json(
-                                p.failure_rate_per_hour,
-                                p.arrival_rate_per_second,
-                                p.web_servers,
-                            );
-                            fields.push(("unavailability", JsonValue::Float(p.unavailability)));
-                            JsonValue::object(fields)
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "failures",
-                JsonValue::Array(
-                    self.failures
-                        .iter()
-                        .map(|fail| {
-                            let mut fields = vec![("index", JsonValue::UInt(fail.index as u64))];
-                            fields.extend(point_json(
-                                fail.failure_rate_per_hour,
-                                fail.arrival_rate_per_second,
-                                fail.web_servers,
-                            ));
-                            fields.push(("error", JsonValue::Str(fail.error.to_string())));
-                            JsonValue::object(fields)
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
     }
 }
 
@@ -629,20 +577,6 @@ mod tests {
             assert_eq!(r.web_servers, p.web_servers);
             assert_eq!(r.unavailability.to_bits(), p.unavailability.to_bits());
         }
-        // The JSON artifact parses back and keeps the schema + counts.
-        let text = report.to_json().to_string();
-        let parsed = uavail_obs::json::parse(&text).unwrap();
-        assert_eq!(
-            parsed.get("schema").and_then(JsonValue::as_str),
-            Some("uavail-figure-report/v1")
-        );
-        assert_eq!(
-            parsed
-                .get("points")
-                .and_then(JsonValue::as_array)
-                .map(|a| a.len()),
-            Some(plain.len())
-        );
     }
 
     #[test]

@@ -130,10 +130,7 @@ impl TravelAgencyModel {
             // distinct services, as in `user::scenario_availability`.
             let mut per_function = Vec::new();
             for fname in &s.functions {
-                let f = TaFunction::all()
-                    .into_iter()
-                    .find(|f| f.name() == fname)
-                    .expect("Table 1 functions are valid");
+                let f = user::parse_function(fname)?;
                 per_function.push(functions::function_scenarios(f, &self.params)?);
             }
             let mut stack: Vec<(usize, f64, std::collections::BTreeSet<String>)> =
@@ -254,9 +251,11 @@ impl TravelAgencyModel {
 
 #[cfg(test)]
 mod tests {
+    use uavail_profile::{Scenario, ScenarioTable};
+
     use super::*;
     use crate::user::{class_a, class_b};
-    use crate::Coverage;
+    use crate::{Coverage, EvalContext};
 
     fn model() -> TravelAgencyModel {
         TravelAgencyModel::new(
@@ -349,6 +348,29 @@ mod tests {
         let a = m.user_availability(&class_a()).unwrap();
         let u = m.user_unavailability(&class_a()).unwrap();
         assert!((a + u - 1.0).abs() < 1e-15);
+    }
+
+    #[test]
+    fn unknown_scenario_function_is_an_error_naming_it() {
+        // A class whose one scenario calls a function Table 1 lacks: every
+        // user-level entry point must name it, and no message may carry
+        // a NaN.
+        let table =
+            ScenarioTable::new(vec![Scenario::new("St-Hone-Ex", vec!["Hone"], 1.0)]).unwrap();
+        let class = UserClass::new("typo", table);
+        let m = model();
+        let env = m.service_availabilities().unwrap();
+        let errors = [
+            user::user_availability(&class, m.params(), &env).unwrap_err(),
+            user::user_availability_with(&class, m.params(), &env, &mut EvalContext::new())
+                .unwrap_err(),
+            m.user_expression(&class).unwrap_err(),
+            m.hierarchical(&class).unwrap_err(),
+        ];
+        for error in errors {
+            let text = error.to_string();
+            assert!(text.contains("Hone") && !text.contains("NaN"), "{text}");
+        }
     }
 
     #[test]

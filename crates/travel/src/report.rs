@@ -54,11 +54,6 @@ impl Table {
         &self.title
     }
 
-    /// Number of data rows.
-    pub fn num_rows(&self) -> usize {
-        self.rows.len()
-    }
-
     /// CSV rendering (header line first). Fields containing commas or
     /// quotes are quoted.
     pub fn to_csv(&self) -> String {
@@ -139,7 +134,6 @@ mod tests {
         let s = t.to_string();
         assert!(s.contains("== T =="));
         assert!(s.contains("long_header"));
-        assert_eq!(t.num_rows(), 2);
         assert_eq!(t.title(), "T");
     }
 

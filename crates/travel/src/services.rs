@@ -214,19 +214,47 @@ mod tests {
         assert!(redundant > basic);
     }
 
+    /// The availability of each part of [`database_block_diagram`].
+    fn database_parts(p: &TaParameters) -> HashMap<String, f64> {
+        [
+            ("db_host_1", p.a_cds),
+            ("db_host_2", p.a_cds),
+            ("disk_1", p.a_disk),
+            ("disk_2", p.a_disk),
+        ]
+        .into_iter()
+        .map(|(name, a)| (name.to_string(), a))
+        .collect()
+    }
+
     #[test]
     fn database_rbd_agrees_with_formula() {
         let p = params();
         let d = database_block_diagram();
-        let mut probs = HashMap::new();
-        probs.insert("db_host_1".to_string(), p.a_cds);
-        probs.insert("db_host_2".to_string(), p.a_cds);
-        probs.insert("disk_1".to_string(), p.a_disk);
-        probs.insert("disk_2".to_string(), p.a_disk);
-        let rbd_avail = d.availability(&probs).unwrap();
+        let rbd_avail = d.availability(&database_parts(&p)).unwrap();
         let formula = database(&p, Architecture::paper_reference()).unwrap();
         assert!((rbd_avail - formula).abs() < 1e-15);
         // No single point of failure in the redundant database.
         assert!(d.single_points_of_failure().is_empty());
+    }
+
+    #[test]
+    fn database_fault_tree_agrees_with_formula() {
+        // Table 4's redundant database through the RBD ↔ fault-tree
+        // duality: the service is up unless the dual tree's top event
+        // occurs, each part failing with probability 1 − a.
+        let p = params();
+        let tree =
+            uavail_faulttree::convert::fault_tree_of(&database_block_diagram().to_spec()).unwrap();
+        let failures: HashMap<String, f64> = database_parts(&p)
+            .into_iter()
+            .map(|(name, a)| (name, 1.0 - a))
+            .collect();
+        let via_tree = 1.0 - tree.top_event_probability(&failures).unwrap();
+        let formula = database(&p, Architecture::paper_reference()).unwrap();
+        assert!(
+            (via_tree - formula).abs() < 1e-15,
+            "{via_tree} vs {formula}"
+        );
     }
 }

@@ -103,15 +103,12 @@ pub fn class_b() -> UserClass {
     )
 }
 
-fn parse_function(name: &str) -> Result<TaFunction, TravelError> {
+/// The function a scenario names, or an [`undefined`] error naming it.
+pub(crate) fn parse_function(name: &str) -> Result<TaFunction, TravelError> {
     TaFunction::all()
         .into_iter()
         .find(|f| f.name() == name)
-        .ok_or(TravelError::InvalidParameter {
-            name: "scenario function",
-            value: f64::NAN,
-            requirement: "one of Home/Browse/Search/Book/Pay",
-        })
+        .ok_or_else(|| undefined(name))
 }
 
 /// The nine services in `str` order: bit `i` of a [`Term`]'s service set

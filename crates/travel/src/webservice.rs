@@ -586,6 +586,60 @@ mod tests {
     }
 
     #[test]
+    fn availability_is_the_steady_state_reward_of_figure_10() {
+        // Equation (9) as a Markov reward (Meyer's performability view):
+        // on the assembled Figure 10 chain, up_i earns the share of
+        // requests served, 1 − p_K(i) from the M/M/i/K recurrence, while
+        // up_0 and every y_i earn nothing. The expected steady-state
+        // reward must be A(WS), at Table 7's point and at every point of
+        // Figure 12.
+        let (lambdas, alphas) = crate::evaluation::figure_grid();
+        let mut points = vec![params()];
+        for &lambda in &lambdas {
+            for &alpha in &alphas {
+                for nw in 1..=10 {
+                    points.push(
+                        TaParameters::builder()
+                            .web_servers(nw)
+                            .failure_rate_per_hour(lambda)
+                            .arrival_rate_per_second(alpha)
+                            .build()
+                            .unwrap(),
+                    );
+                }
+            }
+        }
+        assert_eq!(points.len(), 91);
+        for p in &points {
+            let (chain, op, _) = imperfect_farm_chain(p).unwrap();
+            let mut rates = vec![0.0; chain.num_states()];
+            for (i, state) in op.iter().enumerate().skip(1) {
+                let loss = uavail_queueing::MMcK::new(
+                    p.arrival_rate_per_second,
+                    p.service_rate_per_second,
+                    i,
+                    p.buffer_size,
+                )
+                .unwrap()
+                .loss_probability();
+                rates[state.index()] = 1.0 - loss;
+            }
+            let reward = uavail_markov::reward::RewardModel::new(rates)
+                .unwrap()
+                .steady_state_reward(&chain)
+                .unwrap();
+            let a = redundant_imperfect_availability(p).unwrap();
+            assert!(
+                (reward - a).abs() <= 1e-12,
+                "N_W = {}, λ = {}, α = {}: reward {reward} vs A(WS) {a}",
+                p.web_servers,
+                p.failure_rate_per_hour,
+                p.arrival_rate_per_second
+            );
+        }
+    }
+
+    #[test]
     fn paper_headline_ws_availability() {
         // Table 7: A(WS) = 0.999995587 for the reference parameters.
         let a = redundant_imperfect_availability(&params()).unwrap();

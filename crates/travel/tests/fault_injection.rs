@@ -164,11 +164,6 @@ fn worker_panic_injection_keeps_resilient_sweeps_alive() {
     for point in &report.points {
         assert_eq!(point.y.to_bits(), (point.x * 2.0).to_bits());
     }
-    // The report serializes and round-trips with its failures intact.
-    let json = report.to_json().to_string();
-    let back = uavail_core::sweep::SweepReport::from_json_str(&json).unwrap();
-    assert_eq!(back.failures.len(), report.failures.len());
-
     // Travel-level: the resilient figure sweep partitions the 90-point
     // grid into evaluated points and typed panic failures.
     let fig = figure12_report();
@@ -370,8 +365,8 @@ fn poisoned_figure_sweep_reports_the_same_at_every_thread_count() {
     }
     let parallel = report(4);
     assert_eq!(
-        serial.to_json().to_string(),
-        parallel.to_json().to_string(),
+        format!("{serial:?}"),
+        format!("{parallel:?}"),
         "1 and 4 threads reported differently"
     );
 }

@@ -9,8 +9,7 @@
 //!
 //! This facade crate re-exports the workspace members:
 //!
-//! * [`linalg`] — dense linear algebra (LU, GTH support), CSR matrices
-//!   and iterative solvers.
+//! * [`linalg`] — dense linear algebra (LU, GTH support).
 //! * [`markov`] — DTMC/CTMC engines, birth–death chains, reward models.
 //! * [`queueing`] — M/M/1/K, M/M/c/K, Erlang B/C, M/G/1.
 //! * [`rbd`] — reliability block diagrams, cut sets, importance.
