@@ -87,15 +87,15 @@
 //! excluded from `all` because it is a timing run, not a paper artifact.
 //!
 //! `simgate` is the simulation statistical gate: it runs the joint farm
-//! simulator (streaming batch-means replication) and the M/M/c/K queue
-//! simulator against their analytic twins and exits nonzero unless the
-//! analytic value falls inside every simulation confidence interval —
-//! the pooled Wilson interval at z = 3.9 and, for the farm, the
-//! batch-means interval as well. The farm validator also feeds its
-//! pooled request outcomes into the live SLO monitor, whose independent
-//! verdict must agree with the gate's — simgate doubles as the
-//! end-to-end SLO-monitor test. Like `bench` it is excluded from `all`;
-//! CI runs it as a standalone gate.
+//! simulator (epoch-kernel replications with batch means) and the
+//! M/M/c/K queue simulator against their analytic twins and exits
+//! nonzero unless the analytic value falls inside every simulation
+//! confidence interval — the pooled Wilson interval at z = 3.9 and, for
+//! the farm, the batch-means interval as well. The farm validator also
+//! feeds its pooled request outcomes into the live SLO monitor, whose
+//! independent verdict must agree with the gate's — simgate doubles as
+//! the end-to-end SLO-monitor test. Like `bench` it is excluded from
+//! `all`; CI runs it as a standalone gate.
 //!
 //! `serve` attaches the live telemetry plane: it binds the std-only
 //! `uavail-serve` HTTP listener on `--port <p>` (0 for an ephemeral
@@ -221,9 +221,15 @@ const FLAGS: &[Flag] = &[
         Value::Int(1, USIZE_MAX, "at least one worker"),
         SERVE,
     ),
+    // The `/slo` self-model solves an M/M/c/K over every slot, so the
+    // queue takes the K cap `/eval` enforces on `buffer_size`.
     Flag(
         "--queue",
-        Value::Int(0, USIZE_MAX, "a waiting-slot count"),
+        Value::Int(
+            0,
+            uavail_serve::eval::MAX_BUFFER_SIZE as u64,
+            "a waiting-slot count of at most 10000",
+        ),
         SERVE,
     ),
     Flag("--addr", Value::Text("a host:port"), LOADGEN),
@@ -748,7 +754,7 @@ struct BenchMeasurement {
 /// web-service evaluation on distinct farms, its class queries on warm
 /// memos, plus a
 /// `sim.farm_replication` pair that times the per-event replication
-/// baseline against the epoch-resolvent streaming path. Cold iterations
+/// baseline against the epoch-resolvent kernel. Cold iterations
 /// allocate everything fresh; the reuse iteration runs on one long-lived
 /// `SimContext`, whose epoch tables are storage, not a result memo.
 fn run_context_benches() -> Result<Vec<BenchMeasurement>, TravelError> {
@@ -865,22 +871,30 @@ fn run_context_benches() -> Result<Vec<BenchMeasurement>, TravelError> {
         });
     }
     // Simulation replication throughput: cold is the per-event
-    // linear-scan farm DES with a materialized replication history fed to
-    // one-shot batch means; reuse is the epoch-resolvent counting kernel
-    // streamed through fold replication on one warm `SimContext` into
-    // one-pass batch means. Same model, same seeds, same estimator — the
-    // kernel replaces O(requests) event work per replication with
-    // O(slow-chain transitions) resolvent lookups.
+    // linear-scan farm DES; reuse is the epoch-resolvent counting kernel
+    // on one `SimContext` warmed outside the timed loop (each timed batch
+    // locks it as its single worker's workspace). Both rows run the same
+    // serial `replicate` batch and reduce its loss fractions by batch
+    // means. Same model, same seeds, same estimator — the kernel replaces
+    // O(requests) event work per replication with O(slow-chain
+    // transitions) resolvent lookups.
     {
-        use uavail_sim::replicate::{replicate, replicate_fold};
-        use uavail_sim::stats::{batch_means, StreamingBatchMeans};
-        use uavail_sim::{FarmSimulation, SimContext, SimError};
+        use std::sync::Mutex;
+        use uavail_sim::replicate::replicate;
+        use uavail_sim::stats::batch_means;
+        use uavail_sim::{FarmSimulation, SimContext};
 
         let farm = FarmSimulation::new(3, 0.02, 1.0, 0.9, 6.0, 300.0, 150.0, 8)?;
         let reps = 4usize;
         let horizon = 1_000.0;
         let (mean_ns, iters) = time(|| {
-            let obs = replicate(20240601, reps, 1, |rng, _| farm.run(rng, horizon))?;
+            let obs = replicate(
+                20240601,
+                reps,
+                1,
+                || (),
+                |(), rng, _| farm.run(rng, horizon),
+            )?;
             let fractions: Vec<f64> = obs.iter().map(|o| o.loss_fraction()).collect();
             black_box(batch_means(&fractions, reps));
             Ok(())
@@ -891,24 +905,23 @@ fn run_context_benches() -> Result<Vec<BenchMeasurement>, TravelError> {
             mean_ns,
             iters,
         });
-        let mut ctx = SimContext::new();
-        let mut streaming = || {
-            let stats = replicate_fold(
+        let ctx = Mutex::new(SimContext::new());
+        let warm = || {
+            let fractions = replicate(
                 20240601,
                 reps,
-                |rng, _| {
-                    farm.run_counts_with(&mut ctx, rng, horizon)
+                1,
+                || ctx.lock().expect("no poisoned context"),
+                |ctx, rng, _| {
+                    farm.run_counts_with(ctx, rng, horizon)
                         .map(|c| c.loss_fraction())
                 },
-                StreamingBatchMeans::new(reps, reps)
-                    .ok_or(TravelError::Sim(SimError::NoObservations))?,
-                |acc, x| acc.push(x),
             )?;
-            black_box(stats.finish());
+            black_box(batch_means(&fractions, reps));
             Ok(())
         };
-        streaming()?; // warm the context outside the timed loop
-        let (mean_ns, iters) = time(streaming)?;
+        warm()?; // warm the context outside the timed loop
+        let (mean_ns, iters) = time(warm)?;
         out.push(BenchMeasurement {
             name: "sim.farm_replication",
             mode: "context_reuse",
@@ -1898,7 +1911,7 @@ fn print_speedup(args: &Args) -> Result<(), TravelError> {
 /// The simulation statistical gate behind `reproduce simgate`.
 ///
 /// Gate 1 runs the joint farm simulator on the time-compressed
-/// parameters through the streaming batch-means replication path and
+/// parameters through the epoch-kernel replications with batch means and
 /// checks the paper's analytic unavailability (eq. 9, imperfect
 /// coverage) against both the pooled Wilson interval and the
 /// batch-means interval. Gate 2 runs the M/M/c/K queue simulator and
@@ -1908,8 +1921,8 @@ fn print_speedup(args: &Args) -> Result<(), TravelError> {
 /// its simulation interval.
 fn run_simgate(args: &Args) -> Result<Outcome, Box<dyn Error>> {
     use uavail_queueing::BirthDeathQueue;
-    use uavail_sim::replicate::replicate_fold_threads;
-    use uavail_sim::stats::{Proportion, StreamingBatchMeans};
+    use uavail_sim::replicate::replicate;
+    use uavail_sim::stats::{batch_means, Proportion};
     use uavail_sim::{QueueSimulation, SimError};
 
     let threads = default_threads();
@@ -1972,36 +1985,23 @@ fn run_simgate(args: &Args) -> Result<Outcome, Box<dyn Error>> {
     let qsim = QueueSimulation::new(alpha, nu, servers, capacity)?;
     let reps = 8usize;
     let per_rep = 200_000u64;
-    struct QueueAcc {
-        arrivals: u64,
-        losses: u64,
-        reducer: StreamingBatchMeans,
-    }
-    let acc = replicate_fold_threads(
+    let observations = replicate(
         20240602,
         reps,
         threads,
         || (),
         |(), rng, _| qsim.run(rng, per_rep),
-        QueueAcc {
-            arrivals: 0,
-            losses: 0,
-            reducer: StreamingBatchMeans::new(reps, reps)
-                .ok_or(TravelError::Sim(SimError::NoObservations))?,
-        },
-        |acc, obs| {
-            acc.arrivals += obs.arrivals;
-            acc.losses += obs.losses;
-            acc.reducer.push(obs.loss_fraction());
-        },
     )?;
-    let pooled = Proportion::new(acc.losses, acc.arrivals);
+    // One batch per replication: the batch means are the per-replication
+    // loss fractions.
+    let fractions: Vec<f64> = observations.iter().map(|o| o.loss_fraction()).collect();
+    let queue_stats = batch_means(&fractions, fractions.len())
+        .ok_or(TravelError::Sim(SimError::NoObservations))?;
+    let arrivals: u64 = observations.iter().map(|o| o.arrivals).sum();
+    let losses: u64 = observations.iter().map(|o| o.losses).sum();
+    let pooled = Proportion::new(losses, arrivals);
     let (queue_lo, queue_hi) = pooled.confidence_interval(3.9);
     let queue_ok = analytic >= queue_lo && analytic <= queue_hi;
-    let queue_stats = acc
-        .reducer
-        .finish()
-        .ok_or(TravelError::Sim(SimError::NoObservations))?;
 
     let mut t = Table::new(
         "Simgate — M/M/c/K simulator vs analytic blocking probability",
@@ -2027,7 +2027,7 @@ fn run_simgate(args: &Args) -> Result<Outcome, Box<dyn Error>> {
         "per-replication spread (std err)".into(),
         format!("{:.2e}", queue_stats.standard_error()),
     ]);
-    t.add_row(vec!["requests simulated".into(), acc.arrivals.to_string()]);
+    t.add_row(vec!["requests simulated".into(), arrivals.to_string()]);
     t.add_row(vec!["agreement".into(), queue_ok.to_string()]);
     print!("{}", render(&t, csv));
 

@@ -101,6 +101,12 @@ fn malformed_flags_fail_before_running_anything() {
             &["table1", "--metrics", first_text, "--metrics", second_text],
             "--metrics given twice",
         ),
+        // The queue takes the `/eval` buffer cap, so no slot count can
+        // exhaust memory before a socket is bound.
+        (
+            &["serve", "--queue", "18446744073709551615"],
+            "--queue requires a waiting-slot count of at most 10000",
+        ),
     ] {
         let err = rejected(args);
         assert!(err.contains(message), "{args:?}: {err}");
@@ -142,4 +148,22 @@ fn unknown_artifact_fails_before_running_anything() {
     {
         assert!(err.contains(name), "{name} missing from: {err}");
     }
+}
+
+#[test]
+fn simgate_ends_in_a_typed_outcome_under_replication_faults() {
+    // Every replication dropped is no evidence: a typed error, exit 1.
+    let out = reproduce(&["simgate", "--inject", "drop:1.0"]);
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("no observations"), "{stderr}");
+    // Duplicated replications are folded like any others: the gate
+    // passes clean or degraded.
+    let out = reproduce(&["simgate", "--inject", "dup:0.3", "--inject-seed", "1"]);
+    assert!(
+        matches!(out.status.code(), Some(0 | 2)),
+        "{:?}: {}",
+        out.status,
+        String::from_utf8_lossy(&out.stderr)
+    );
 }

@@ -36,10 +36,9 @@
 //!   section. It is one function that takes a [`par::Exec`] (worker
 //!   threads, abort-or-report failure policy); every option produces
 //!   bit-for-bit the same points.
-//! * [`par`] — the order-preserving scoped-thread map and fold that
-//!   driver is built on, reusable for any embarrassingly parallel
-//!   evaluation (the simulation crates use them for independent
-//!   replications).
+//! * [`par`] — the order-preserving scoped-thread map that driver is
+//!   built on, reusable for any embarrassingly parallel evaluation (the
+//!   simulation crates use it for independent replications).
 //!
 //! # Examples
 //!

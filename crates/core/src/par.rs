@@ -1,19 +1,14 @@
-//! Order-preserving parallel map and fold on `std::thread::scope`.
+//! Order-preserving parallel map on `std::thread::scope`.
 //!
 //! The evaluation workloads in this workspace — figure sweeps and
 //! Monte-Carlo replications — are embarrassingly parallel maps
-//! over independent points. This module provides the two primitives they
-//! share, both built on scoped threads so they need no external
-//! dependencies and no `'static` bounds on the closure or its captures:
-//!
-//! * [`par_map`], a chunked, work-stealing map that returns one outcome
-//!   per item in input order. How it runs is data, not a choice of
-//!   function: an [`Exec`] names the worker-thread cap and the
-//!   [`OnFailure`] policy (abort at the first failure, or report every
-//!   item's outcome).
-//! * [`par_fold`], which streams the same ordered result sequence through
-//!   a bounded ring into a fold on the calling thread, for reductions too
-//!   large to materialize.
+//! over independent points. This module provides the one primitive they
+//! share, [`par_map`], built on scoped threads so it needs no external
+//! dependencies and no `'static` bounds on the closure or its captures.
+//! It is a chunked, work-stealing map that returns one outcome per item
+//! in input order. How it runs is data, not a choice of function: an
+//! [`Exec`] names the worker-thread cap and the [`OnFailure`] policy
+//! (abort at the first failure, or report every item's outcome).
 //!
 //! # Determinism
 //!
@@ -39,7 +34,7 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::Mutex;
 
 use crate::error::{panic_payload_text, FromWorkerPanic};
 
@@ -235,164 +230,6 @@ where
         }
     }
     out
-}
-
-/// Streaming ordered reduction: maps `f` over `items` on up to `threads`
-/// workers and folds every result into `init` **in input order** on the
-/// calling thread, without ever materializing the full output vector.
-///
-/// This is the reducer under high-volume Monte-Carlo replication: workers
-/// write completed results into a bounded ring (a fixed window of slots,
-/// sized from the chunk geometry), and the calling thread drains the ring
-/// in index order, folding each value and freeing its slot. A worker that
-/// runs ahead of the consumer by more than the window blocks until the
-/// consumer catches up, so peak memory is `O(threads)` results regardless
-/// of `items.len()`.
-///
-/// # Determinism
-///
-/// The fold sees exactly the sequence `f(ws, &items[0]), f(ws, &items[1]),
-/// …` — the same sequence the serial loop would produce — so for any
-/// `fold` the final accumulator is bit-for-bit identical across thread
-/// counts, including `threads <= 1` (which runs serially on the calling
-/// thread with a single workspace and no ring).
-///
-/// Each worker gets a private workspace from `make`, created on the worker
-/// thread and reused across every item that worker evaluates, exactly as
-/// in [`par_map`]; the workspace must not influence results.
-///
-/// # Errors
-///
-/// The consumer folds in index order and stops at the first `Err` it
-/// meets, so the error at the **lowest** failing input index is returned —
-/// serial first-error semantics. All indices below it were evaluated and
-/// folded; results above it are discarded. Panicking evaluations become
-/// typed errors via [`FromWorkerPanic`] and compete on index like ordinary
-/// errors. A fold has nothing to report a failure into, so it always
-/// aborts and takes a plain thread cap rather than an [`Exec`].
-pub fn par_fold<T, U, E, W, A, M, F, G>(
-    items: &[T],
-    threads: usize,
-    make: M,
-    f: F,
-    init: A,
-    mut fold: G,
-) -> Result<A, E>
-where
-    T: Sync,
-    U: Send,
-    E: Send + FromWorkerPanic,
-    M: Fn() -> W + Sync,
-    F: Fn(&mut W, &T) -> Result<U, E> + Sync,
-    G: FnMut(&mut A, U),
-{
-    let n = items.len();
-    let threads = threads.clamp(1, n.max(1));
-    if threads <= 1 || n < 2 {
-        let mut workspace = Some(make());
-        let mut acc = init;
-        for (i, item) in items.iter().enumerate() {
-            fold(&mut acc, eval_isolated(&mut workspace, &make, &f, i, item)?);
-        }
-        return Ok(acc);
-    }
-
-    let chunk = n.div_ceil(threads * 4).max(1);
-    // The window must let every worker hold one full in-flight chunk ahead
-    // of the consumer; one extra chunk of slack keeps workers from
-    // thrashing on the condvar at the boundary.
-    let window = (chunk * (threads + 1)).min(n);
-    let next = AtomicUsize::new(0);
-    struct Ring<U, E> {
-        slots: Vec<Option<Result<U, E>>>,
-        /// Next index the consumer will fold; slot `i` may be written only
-        /// once `i - consumed < window`.
-        consumed: usize,
-        /// Set by the consumer on first error so blocked workers bail out.
-        failed: bool,
-    }
-    let ring = Mutex::new(Ring::<U, E> {
-        slots: (0..window).map(|_| None).collect(),
-        consumed: 0,
-        failed: false,
-    });
-    let space = Condvar::new();
-    let ready = Condvar::new();
-
-    std::thread::scope(|scope| {
-        for worker in 0..threads {
-            let (next, ring, space, ready, make, f) = (&next, &ring, &space, &ready, &make, &f);
-            scope.spawn(move || {
-                {
-                    let _worker_span = uavail_obs::TraceSpan::enter_with_arg(
-                        "par.worker",
-                        "worker",
-                        worker as f64,
-                    );
-                    let mut workspace = None;
-                    'claims: loop {
-                        let start = next.fetch_add(chunk, Ordering::Relaxed);
-                        if start >= n || ring.lock().expect("no poisoned ring").failed {
-                            break;
-                        }
-                        let _chunk_span = uavail_obs::TraceSpan::enter_with_arg(
-                            "par.chunk",
-                            "start",
-                            start as f64,
-                        );
-                        let end = (start + chunk).min(n);
-                        for (i, item) in items.iter().enumerate().take(end).skip(start) {
-                            let result = eval_isolated(&mut workspace, make, f, i, item);
-                            let mut st = ring.lock().expect("no poisoned ring");
-                            while !st.failed && i >= st.consumed + window {
-                                st = space.wait(st).expect("no poisoned ring");
-                            }
-                            if st.failed {
-                                break 'claims;
-                            }
-                            st.slots[i % window] = Some(result);
-                            drop(st);
-                            ready.notify_all();
-                        }
-                    }
-                }
-                // See par_map: flush this worker's trace ring
-                // before the scope join observes the closure returning.
-                uavail_obs::trace::flush_current_thread();
-            });
-        }
-
-        // The calling thread is the consumer: fold strictly in index
-        // order, freeing each slot as it goes.
-        let mut acc = init;
-        for i in 0..n {
-            let mut st = ring.lock().expect("no poisoned ring");
-            let value = loop {
-                match st.slots[i % window].take() {
-                    Some(result) => break result,
-                    None => st = ready.wait(st).expect("no poisoned ring"),
-                }
-            };
-            st.consumed = i + 1;
-            match value {
-                Ok(value) => {
-                    drop(st);
-                    space.notify_all();
-                    fold(&mut acc, value);
-                }
-                Err(e) => {
-                    // First error met in index order is the lowest failing
-                    // index. Release every blocked worker so the scope can
-                    // join, then surface it.
-                    st.failed = true;
-                    drop(st);
-                    space.notify_all();
-                    return Err(e);
-                }
-            }
-        }
-        Ok(acc)
-    })
 }
 
 #[cfg(test)]
@@ -689,123 +526,16 @@ mod tests {
     }
 
     #[test]
-    fn fold_matches_serial_fold_bit_for_bit() {
-        // The ordered fold must reproduce the serial map-then-fold result
-        // exactly, including for a non-commutative accumulator where any
-        // reordering would change the bits.
-        let items: Vec<f64> = (0..1213).map(|i| i as f64 * 0.41).collect();
-        let f = |x: &f64| (x.sin() * 1e3).exp().ln_1p();
-        let mut serial = 0.0f64;
-        for x in &items {
-            serial = serial * 0.875 + f(x);
-        }
-        for threads in [1, 2, 3, 8] {
-            let folded = par_fold(
-                &items,
-                threads,
-                || (),
-                |(), x| Ok::<_, CoreError>(f(x)),
-                0.0f64,
-                |acc, v| *acc = *acc * 0.875 + v,
-            )
-            .unwrap();
-            assert_eq!(serial.to_bits(), folded.to_bits(), "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn fold_lowest_index_error_wins_and_prefix_is_folded() {
-        let items: Vec<usize> = (0..500).collect();
-        let f = |_ws: &mut (), &i: &usize| -> Result<usize, CoreError> {
-            if i % 100 == 61 {
-                Err(CoreError::Undefined {
-                    name: format!("item-{i}"),
-                })
-            } else {
-                Ok(i)
-            }
-        };
-        for threads in [1, 4, 16] {
-            let mut seen = Vec::new();
-            let err = par_fold(&items, threads, || (), f, (), |(), i| seen.push(i)).unwrap_err();
-            assert_eq!(
-                err,
-                CoreError::Undefined {
-                    name: "item-61".into()
-                },
-                "threads={threads}"
-            );
-            // Exactly the items below the failing index were folded, in order.
-            assert_eq!(seen, (0..61).collect::<Vec<_>>(), "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn fold_panic_becomes_typed_error() {
-        let items: Vec<usize> = (0..300).collect();
-        for threads in [1, 4] {
-            let err = par_fold(
-                &items,
-                threads,
-                || (),
-                |(), &i| -> Result<usize, CoreError> {
-                    if i == 123 {
-                        panic!("fold worker died at {i}");
-                    }
-                    Ok(i)
-                },
-                0usize,
-                |acc, i| *acc += i,
-            )
-            .unwrap_err();
-            assert_eq!(
-                err,
-                CoreError::WorkerPanicked {
-                    index: 123,
-                    payload: "fold worker died at 123".into()
-                },
-                "threads={threads}"
-            );
-        }
-    }
-
-    #[test]
-    fn fold_empty_and_single_inputs() {
-        let none: Vec<u32> = vec![];
-        let sum = par_fold(
-            &none,
-            4,
-            || (),
-            |(), &x| Ok::<_, CoreError>(x),
-            0u32,
-            |acc, x| *acc += x,
-        )
-        .unwrap();
-        assert_eq!(sum, 0);
-        let one = par_fold(
-            &[5u32],
-            4,
-            || (),
-            |(), &x| Ok::<_, CoreError>(x * 2),
-            0u32,
-            |acc, x| *acc += x,
-        )
-        .unwrap();
-        assert_eq!(one, 10);
-    }
-
-    #[test]
-    fn fold_workspace_is_reused_across_items() {
+    fn map_builds_at_most_one_workspace_per_worker() {
         // Count workspace constructions: with `threads` workers at most
-        // `threads` workspaces exist over the whole fold, however many
+        // `threads` workspaces exist over the whole map, however many
         // items pass through.
-        use std::sync::atomic::AtomicUsize;
         let built = AtomicUsize::new(0);
         let items: Vec<usize> = (0..4000).collect();
         let threads = 3;
-        let total = par_fold(
+        let out = par_map(
             &items,
-            threads,
+            &abort(threads),
             || {
                 built.fetch_add(1, Ordering::Relaxed);
                 Vec::<usize>::with_capacity(8)
@@ -815,11 +545,11 @@ mod tests {
                 ws.push(i);
                 Ok(ws[0])
             },
-            0usize,
-            |acc, i| *acc += i,
         )
+        .into_iter()
+        .collect::<Result<Vec<_>, _>>()
         .unwrap();
-        assert_eq!(total, items.iter().sum::<usize>());
+        assert_eq!(out, items);
         assert!(
             built.load(Ordering::Relaxed) <= threads,
             "workspaces rebuilt per item"

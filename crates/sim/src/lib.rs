@@ -15,14 +15,14 @@
 //!   [`FarmSimulation::run_counts_with`] so steady-state replication runs
 //!   allocation-free.
 //! * [`stats`] — online statistics: Welford mean/variance, binomial
-//!   confidence intervals, batch means (one-shot and streaming).
+//!   confidence intervals, batch means.
 //! * [`rng`] — sampling helpers on top of any [`rand::Rng`]: exponential
 //!   inversion and O(1) Walker/Vose alias tables.
 //! * [`replicate`] — deterministic independent replications on any
 //!   number of worker threads with bit-for-bit identical results (each
 //!   replication owns an RNG stream derived from the base seed): one
-//!   history driver, plus streaming fold drivers that never materialize
-//!   per-replication histories.
+//!   driver that returns the observations in index order, reusing one
+//!   workspace per worker.
 //! * [`AlternatingRenewal`] — up/down component simulation; validates
 //!   two-state availability `µ/(λ+µ)`.
 //! * [`QueueSimulation`] — M/M/c/K loss simulation; validates the

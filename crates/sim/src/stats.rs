@@ -209,116 +209,6 @@ pub fn batch_means(series: &[f64], batches: usize) -> Option<OnlineStats> {
     Some(stats)
 }
 
-/// One-pass [`batch_means`]: same batch geometry, same statistics, but fed
-/// one observation at a time so the series never has to be materialized.
-///
-/// The planned series length and batch count are fixed at construction;
-/// observations are then [`push`](StreamingBatchMeans::push)ed in order and
-/// folded into the current batch's running sum. Batch boundaries follow the
-/// [`batch_means`] rule exactly — the first `len % batches` batches take
-/// `⌈len/batches⌉` observations, the rest `⌊len/batches⌋` — and each batch
-/// mean is accumulated left-to-right in the same order as
-/// `chunk.iter().sum()`, so the final [`OnlineStats`] is **bit-for-bit
-/// identical** to `batch_means(&series, batches)` on the same values.
-///
-/// # Examples
-///
-/// ```
-/// use uavail_sim::stats::{batch_means, StreamingBatchMeans};
-///
-/// let series: Vec<f64> = (0..103).map(|i| (i as f64).sin()).collect();
-/// let mut streaming = StreamingBatchMeans::new(series.len(), 7).unwrap();
-/// for &x in &series {
-///     streaming.push(x);
-/// }
-/// assert_eq!(streaming.finish(), batch_means(&series, 7));
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StreamingBatchMeans {
-    stats: OnlineStats,
-    batch_sum: f64,
-    /// Observations folded into the current batch so far.
-    filled: usize,
-    /// Index of the current batch.
-    batch: usize,
-    base: usize,
-    remainder: usize,
-    pushed: usize,
-    planned: usize,
-}
-
-impl StreamingBatchMeans {
-    /// Creates a reducer for a series of exactly `planned` observations
-    /// split into `batches` batches.
-    ///
-    /// Returns `None` exactly when `batch_means` would: `batches == 0` or
-    /// fewer planned observations than batches.
-    pub fn new(planned: usize, batches: usize) -> Option<Self> {
-        if batches == 0 || planned < batches {
-            return None;
-        }
-        Some(StreamingBatchMeans {
-            stats: OnlineStats::new(),
-            batch_sum: 0.0,
-            filled: 0,
-            batch: 0,
-            base: planned / batches,
-            remainder: planned % batches,
-            pushed: 0,
-            planned,
-        })
-    }
-
-    /// Size of batch `b` under the `batch_means` partition rule.
-    fn batch_size(&self, b: usize) -> usize {
-        self.base + usize::from(b < self.remainder)
-    }
-
-    /// Adds the next observation of the series.
-    ///
-    /// # Panics
-    ///
-    /// Panics when called more than the planned number of times — the
-    /// batch geometry was fixed at construction and cannot absorb extras.
-    pub fn push(&mut self, x: f64) {
-        assert!(
-            self.pushed < self.planned,
-            "pushed more than the {} planned observations",
-            self.planned
-        );
-        self.pushed += 1;
-        self.batch_sum += x;
-        self.filled += 1;
-        if self.filled == self.batch_size(self.batch) {
-            self.stats.push(self.batch_sum / self.filled as f64);
-            self.batch_sum = 0.0;
-            self.filled = 0;
-            self.batch += 1;
-        }
-    }
-
-    /// Observations pushed so far.
-    pub fn pushed(&self) -> usize {
-        self.pushed
-    }
-
-    /// Planned series length fixed at construction.
-    pub fn planned(&self) -> usize {
-        self.planned
-    }
-
-    /// Whether every planned observation has been pushed.
-    pub fn is_complete(&self) -> bool {
-        self.pushed == self.planned
-    }
-
-    /// The batch-mean statistics, `None` unless every planned observation
-    /// was pushed (a partial series would silently bias the interval).
-    pub fn finish(self) -> Option<OnlineStats> {
-        self.is_complete().then_some(self.stats)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -478,54 +368,6 @@ mod tests {
         assert_eq!(start, series.len());
         let total: f64 = series.iter().sum();
         assert!((weighted - total).abs() < 1e-9);
-    }
-
-    #[test]
-    fn streaming_batch_means_is_bit_identical_to_one_shot() {
-        // Divisible and non-divisible lengths, several batch counts; the
-        // streaming reducer must reproduce batch_means exactly, bit for
-        // bit (OnlineStats is PartialEq over raw f64 fields).
-        for (len, batches) in [(60, 6), (103, 7), (5, 2), (7, 7), (1000, 32), (97, 13)] {
-            let series: Vec<f64> = (0..len).map(|i| (i as f64 * 0.73).sin() * 1e3).collect();
-            let mut streaming = StreamingBatchMeans::new(len, batches).unwrap();
-            for &x in &series {
-                streaming.push(x);
-            }
-            assert!(streaming.is_complete());
-            assert_eq!(
-                streaming.finish(),
-                batch_means(&series, batches),
-                "len={len} batches={batches}"
-            );
-        }
-    }
-
-    #[test]
-    fn streaming_batch_means_rejects_what_batch_means_rejects() {
-        assert!(StreamingBatchMeans::new(1, 2).is_none());
-        assert!(StreamingBatchMeans::new(2, 0).is_none());
-        assert!(StreamingBatchMeans::new(2, 2).is_some());
-    }
-
-    #[test]
-    fn streaming_batch_means_incomplete_finish_is_none() {
-        let mut s = StreamingBatchMeans::new(10, 2).unwrap();
-        for i in 0..9 {
-            s.push(i as f64);
-        }
-        assert!(!s.is_complete());
-        assert_eq!(s.pushed(), 9);
-        assert_eq!(s.planned(), 10);
-        assert_eq!(s.finish(), None);
-    }
-
-    #[test]
-    #[should_panic(expected = "planned observations")]
-    fn streaming_batch_means_rejects_overflow() {
-        let mut s = StreamingBatchMeans::new(2, 2).unwrap();
-        s.push(1.0);
-        s.push(2.0);
-        s.push(3.0);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use uavail_sim::replicate::{replicate_fold, replicate_fold_threads};
+use uavail_sim::replicate::replicate;
 use uavail_sim::rng::{weighted_index, AliasTable};
 use uavail_sim::stats::{batch_means, OnlineStats, Proportion};
 use uavail_sim::{AlternatingRenewal, EventQueue, FarmSimulation, QueueSimulation, SimContext};
@@ -150,42 +150,24 @@ proptest! {
     }
 
     #[test]
-    fn streaming_fold_serial_parallel_bit_identical(
+    fn warm_workspace_replication_serial_parallel_bit_identical(
         seed in 0u64..500,
         reps in 1usize..10,
         threads in 1usize..5
     ) {
-        // The streaming replication path must return the same bits no
-        // matter how the replications are scheduled: per-replication RNG
-        // streams are derived from (seed, index) alone and the fold
-        // consumes results in index order.
+        // The replication driver must return the same bits no matter how
+        // the replications are scheduled: per-replication RNG streams are
+        // derived from (seed, index) alone, and each worker's warm
+        // `SimContext` only provides storage.
         let sim = FarmSimulation::new(3, 0.02, 1.0, 0.9, 6.0, 300.0, 150.0, 8).unwrap();
-        let mut ctx = SimContext::new();
-        let serial = replicate_fold(
-            seed,
-            reps,
-            |rng, _| {
-                sim.run_counts_with(&mut ctx, rng, 200.0)
-                    .map(|c| c.loss_fraction())
-            },
-            OnlineStats::new(),
-            |acc, x| acc.push(x),
-        )
-        .unwrap();
-        let parallel = replicate_fold_threads(
-            seed,
-            reps,
-            threads,
-            SimContext::new,
-            |ctx, rng, _| {
+        let run = |threads: usize| -> Vec<u64> {
+            replicate(seed, reps, threads, SimContext::new, |ctx, rng, _| {
                 sim.run_counts_with(ctx, rng, 200.0)
-                    .map(|c| c.loss_fraction())
-            },
-            OnlineStats::new(),
-            |acc: &mut OnlineStats, x| acc.push(x),
-        )
-        .unwrap();
-        prop_assert_eq!(serial, parallel);
+                    .map(|c| c.loss_fraction().to_bits())
+            })
+            .unwrap()
+        };
+        prop_assert_eq!(run(1), run(threads));
     }
 
     #[test]

@@ -251,9 +251,15 @@ pub fn simulate_user_availability_replicated(
         });
     }
     let _span = uavail_obs::span("travel.session_sim");
-    let observations = replicate(base_seed, replications, threads, |rng, _| {
-        simulate_user_availability(rng, class, params, architecture, sessions_per_replication)
-    })?;
+    let observations = replicate(
+        base_seed,
+        replications,
+        threads,
+        || (),
+        |(), rng, _| {
+            simulate_user_availability(rng, class, params, architecture, sessions_per_replication)
+        },
+    )?;
     // Fault injection can drop every replication of the schedule.
     let analytic = observations
         .first()

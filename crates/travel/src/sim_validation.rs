@@ -12,8 +12,8 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use uavail_sim::replicate::{replicate, replicate_fold_threads};
-use uavail_sim::stats::{OnlineStats, StreamingBatchMeans};
+use uavail_sim::replicate::replicate;
+use uavail_sim::stats::{batch_means, OnlineStats};
 use uavail_sim::{FarmObservation, FarmSimulation, SimContext, SimError};
 
 use crate::{webservice, TaParameters, TravelError};
@@ -146,9 +146,13 @@ pub fn validate_web_service_replicated(
     let _span = uavail_obs::span("travel.validate");
     let analytic = 1.0 - webservice::redundant_imperfect_availability(params)?;
     let sim = farm_simulation(params)?;
-    let observations = replicate(base_seed, replications, threads, |rng, _| {
-        sim.run(rng, horizon)
-    })?;
+    let observations = replicate(
+        base_seed,
+        replications,
+        threads,
+        || (),
+        |(), rng, _| sim.run(rng, horizon),
+    )?;
     if observations.is_empty() {
         return Err(TravelError::Sim(SimError::NoObservations));
     }
@@ -168,9 +172,10 @@ pub struct StreamingValidationReport {
     pub report: ValidationReport,
     /// Batch means over the per-replication loss fractions.
     pub batch_stats: OnlineStats,
-    /// Replications folded.
+    /// Replications folded (more or fewer than requested when fault
+    /// injection duplicates or drops some).
     pub replications: usize,
-    /// Batch count used by the streaming reducer.
+    /// Batch count of the batch-means statistics.
     pub batches: usize,
 }
 
@@ -195,12 +200,12 @@ impl StreamingValidationReport {
     }
 }
 
-/// Production-scale streaming validator: replicated farm runs through the
+/// Production-scale validator: replicated farm runs through the
 /// epoch-resolvent counting kernel
 /// ([`FarmSimulation::run_counts_with`][uavail_sim::FarmSimulation]), one
-/// [`SimContext`] per worker thread, observations folded into streaming
-/// reducers ([`StreamingBatchMeans`] plus pooled expected counts) without
-/// ever materializing a per-replication history.
+/// warm [`SimContext`] per worker thread, folded in replication-index
+/// order into pooled expected counts and batch means ([`batch_means`])
+/// over the per-replication loss fractions.
 ///
 /// The fold order is the replication-index order, so the resulting report
 /// is **bit-for-bit identical** for any `threads` value, including the
@@ -208,8 +213,10 @@ impl StreamingValidationReport {
 ///
 /// # Errors
 ///
-/// Propagates analytic and simulation failures;
-/// [`SimError::NoObservations`] when `replications == 0`.
+/// Propagates analytic and simulation failures (the error of the lowest
+/// failing replication index); [`SimError::NoObservations`] when no
+/// replication ran (`replications == 0`, or fault injection dropped every
+/// one).
 pub fn validate_web_service_streaming(
     params: &TaParameters,
     horizon: f64,
@@ -220,34 +227,20 @@ pub fn validate_web_service_streaming(
     let _span = uavail_obs::span("travel.validate_streaming");
     let analytic = 1.0 - webservice::redundant_imperfect_availability(params)?;
     let sim = farm_simulation(params)?;
-    // At most 10 batches, never more than one replication per batch.
-    let batches = replications.clamp(1, 10);
-    let reducer = StreamingBatchMeans::new(replications, batches)
-        .ok_or(TravelError::Sim(SimError::NoObservations))?;
-    struct Acc {
-        arrivals: f64,
-        losses: f64,
-        reducer: StreamingBatchMeans,
-    }
-    let acc = replicate_fold_threads(
+    let observations = replicate(
         base_seed,
         replications,
         threads,
         SimContext::new,
         |ctx, rng, _| sim.run_counts_with(ctx, rng, horizon),
-        Acc {
-            arrivals: 0.0,
-            losses: 0.0,
-            reducer,
-        },
-        |acc, counts| {
-            acc.arrivals += counts.arrivals;
-            acc.losses += counts.losses;
-            acc.reducer.push(counts.loss_fraction());
-        },
     )?;
-    let arrivals = acc.arrivals.round() as u64;
-    let losses = acc.losses.round() as u64;
+    // At most 10 batches, never more than one replication per batch.
+    let batches = observations.len().clamp(1, 10);
+    let fractions: Vec<f64> = observations.iter().map(|c| c.loss_fraction()).collect();
+    let batch_stats =
+        batch_means(&fractions, batches).ok_or(TravelError::Sim(SimError::NoObservations))?;
+    let arrivals = observations.iter().map(|c| c.arrivals).sum::<f64>().round() as u64;
+    let losses = observations.iter().map(|c| c.losses).sum::<f64>().round() as u64;
     uavail_obs::counter_add("travel.validate.arrivals", arrivals);
     uavail_obs::counter_add("travel.validate.losses", losses);
     // Feed the live SLO monitor the same observed outcomes the report is
@@ -255,10 +248,6 @@ pub fn validate_web_service_streaming(
     // already-computed counts, so recording cannot perturb the report.
     uavail_obs::slo_record_outcomes("farm", arrivals.saturating_sub(losses), losses, 0);
     let pooled = uavail_sim::stats::Proportion::new(losses, arrivals);
-    let batch_stats = acc
-        .reducer
-        .finish()
-        .expect("every replication was folded exactly once");
     Ok(StreamingValidationReport {
         report: ValidationReport {
             analytic_unavailability: analytic,
@@ -268,7 +257,7 @@ pub fn validate_web_service_streaming(
             separation_ratio: separation_ratio(params),
         },
         batch_stats,
-        replications,
+        replications: observations.len(),
         batches,
     })
 }

@@ -379,9 +379,13 @@ fn replication_drop_and_dup_reshape_the_schedule_deterministically() {
     uavail_faultinject::set_enabled(true);
 
     let run = |threads: usize| -> Vec<usize> {
-        uavail_sim::replicate::replicate(99, 64, threads, |_rng, i| {
-            Ok::<usize, uavail_sim::SimError>(i)
-        })
+        uavail_sim::replicate::replicate(
+            99,
+            64,
+            threads,
+            || (),
+            |(), _rng, i| Ok::<usize, uavail_sim::SimError>(i),
+        )
         .unwrap()
     };
     // Drops shrink the schedule; serial and parallel agree because the
@@ -399,9 +403,14 @@ fn replication_drop_and_dup_reshape_the_schedule_deterministically() {
     uavail_faultinject::set_seed(19);
     uavail_faultinject::arm("dup", 0.3).unwrap();
     uavail_faultinject::set_enabled(true);
-    let duped =
-        uavail_sim::replicate::replicate(7, 64, 1, |_rng, i| Ok::<usize, uavail_sim::SimError>(i))
-            .unwrap();
+    let duped = uavail_sim::replicate::replicate(
+        7,
+        64,
+        1,
+        || (),
+        |(), _rng, i| Ok::<usize, uavail_sim::SimError>(i),
+    )
+    .unwrap();
     assert!(duped.len() > 64, "dup rate 0.3 duplicated nothing in 64");
 }
 
@@ -409,7 +418,9 @@ fn replication_drop_and_dup_reshape_the_schedule_deterministically() {
 fn replicated_validators_reject_a_fully_dropped_schedule() {
     use uavail_sim::SimError;
     use uavail_travel::session_sim::simulate_user_availability_replicated;
-    use uavail_travel::sim_validation::{compressed_parameters, validate_web_service_replicated};
+    use uavail_travel::sim_validation::{
+        compressed_parameters, validate_web_service_replicated, validate_web_service_streaming,
+    };
     use uavail_travel::user::class_a;
     use uavail_travel::Architecture;
 
@@ -425,6 +436,12 @@ fn replicated_validators_reject_a_fully_dropped_schedule() {
             matches!(report, Err(TravelError::Sim(SimError::NoObservations))),
             "threads={threads}: {report:?}"
         );
+        let streaming =
+            validate_web_service_streaming(&compressed_parameters(), 100.0, 1, 32, threads);
+        assert!(
+            matches!(streaming, Err(TravelError::Sim(SimError::NoObservations))),
+            "threads={threads}: {streaming:?}"
+        );
         let sessions = simulate_user_availability_replicated(
             1,
             &class_a(),
@@ -438,5 +455,41 @@ fn replicated_validators_reject_a_fully_dropped_schedule() {
             matches!(sessions, Err(TravelError::Sim(SimError::NoObservations))),
             "threads={threads}: {sessions:?}"
         );
+    }
+}
+
+#[test]
+fn streaming_validator_folds_a_dropped_or_duplicated_schedule() {
+    use uavail_travel::sim_validation::{compressed_parameters, validate_web_service_streaming};
+
+    let _guard = InjectionGuard::acquire();
+    // The batch partition follows the observations the schedule produced,
+    // never the 32 requested: fewer under drops, more under duplicates.
+    for (site, rate) in [("drop", 0.5), ("dup", 0.3)] {
+        uavail_faultinject::reset();
+        uavail_faultinject::set_seed(1);
+        uavail_faultinject::arm(site, rate).unwrap();
+        uavail_faultinject::set_enabled(true);
+        for threads in [1, 4] {
+            let report =
+                validate_web_service_streaming(&compressed_parameters(), 1_000.0, 1, 32, threads)
+                    .unwrap_or_else(|e| panic!("{site} threads={threads}: {e}"));
+            let folded = report.replications;
+            match site {
+                "drop" => assert!(folded < 32, "threads={threads}: {folded}"),
+                _ => assert!(folded > 32, "threads={threads}: {folded}"),
+            }
+            assert_eq!(
+                report.batches,
+                folded.clamp(1, 10),
+                "{site} threads={threads}"
+            );
+            assert_eq!(report.batch_stats.count(), report.batches as u64);
+            let simulated = report.report.simulated_unavailability;
+            assert!(
+                simulated.is_finite() && (0.0..=1.0).contains(&simulated),
+                "{site} threads={threads}: {simulated}"
+            );
+        }
     }
 }

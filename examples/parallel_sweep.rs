@@ -72,9 +72,9 @@ fn main() -> Result<(), TravelError> {
         sim_params.service_rate_per_second,
         sim_params.buffer_size,
     )?;
-    let run = |rng: &mut rand::rngs::StdRng, _: usize| sim.run(rng, 500.0);
-    let serial = replicate(42, 8, 1, run)?;
-    let parallel = replicate(42, 8, default_threads(), run)?;
+    let run = |(): &mut (), rng: &mut rand::rngs::StdRng, _: usize| sim.run(rng, 500.0);
+    let serial = replicate(42, 8, 1, || (), run)?;
+    let parallel = replicate(42, 8, default_threads(), || (), run)?;
     assert_eq!(serial.len(), parallel.len());
     assert!(serial.iter().zip(&parallel).all(|(s, p)| s == p));
     let losses: u64 = parallel.iter().map(|o| o.losses).sum();
