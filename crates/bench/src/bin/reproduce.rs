@@ -4,7 +4,6 @@
 //! reproduce [ARTIFACT] [--csv]
 //!           [--metrics <path>] [--trace <path>]
 //!           [--inject <spec>] [--inject-seed <n>]        (all but loadgen)
-//!           [--parallel]                  (fig11 fig12 validate session all)
 //!           [--bench-json <path>]                                  (bench)
 //!           [--port <p>] [--iterations <n>] [--workers <n>]
 //!           [--queue <n>]                                          (serve)
@@ -29,13 +28,20 @@
 //! * a value may not be empty and may not start with `--`, so a flag
 //!   whose value is missing never swallows the flag after it.
 //!
-//! `--parallel` runs the artifacts that have a multi-threaded form
-//! (fig11, fig12, validate, session — and `all`, which includes the two
-//! figures) on every core. The figures are the one `figure_sweep` driver
-//! with more worker threads, so their output is bit-for-bit identical to
-//! the serial run; the simulations pool deterministic independent
-//! replications instead of one long stream. `speedup` times serial vs
-//! parallel on the Figure 11/12 sweep and reports the ratio.
+//! The thread count is not a flag. The simulations (`validate`,
+//! `session`, `simgate` and `serve`'s rounds) and `resilient` run on
+//! every core, and their output is bit-for-bit identical at any thread
+//! count: each replication owns an RNG stream derived from its seed and
+//! index, and results are pooled in index order. The figures and `all`
+//! run serially; a Figure 11/12 sweep takes about a millisecond, less
+//! than starting worker threads saves. `speedup` times the serial and
+//! the parallel Figure 11/12 sweep and reports the ratio.
+//!
+//! `validate` prints the farm plan simgate gates on: equation (9)
+//! against 32 epoch-kernel replications of 10 000 time units at the
+//! time-compressed parameters, with the pooled Wilson interval and the
+//! batch-means interval. `session` checks equation (10) against 4
+//! replications of 50 000 simulated user sessions per class.
 //!
 //! `--metrics <path>` enables the `uavail-obs` recorder for the run and
 //! writes a JSON-lines artifact to `path`: one meta record, then one
@@ -83,7 +89,8 @@
 //! writes the measurements as a JSON-lines artifact (schema
 //! `uavail-bench/v1`: one meta record, one record per benchmark with
 //! `name`/`mode`/`mean_ns`/`iters`, and one derived
-//! `<name>.context_speedup` record per cold/reuse pair). `bench` is
+//! `<name>.kernel_speedup` record per cold/reuse pair: per-event
+//! stepping against the epoch kernel). `bench` is
 //! excluded from `all` because it is a timing run, not a paper artifact.
 //!
 //! `simgate` is the simulation statistical gate: it runs the joint farm
@@ -102,7 +109,7 @@
 //! port; the bound address is printed as
 //! `uavail-serve listening on http://…`), then runs `--iterations <n>`
 //! evaluation rounds of the paper-parameter farm through the
-//! epoch-resolvent streaming validator — one telemetry-clock second per
+//! epoch-resolvent farm validator — one telemetry-clock second per
 //! round, each round's pooled request outcomes fed into the SLO monitor
 //! against the analytic `A(WS)` target and its wall-clock cost recorded
 //! into a sliding window. After the rounds the logical clock freezes so
@@ -140,12 +147,9 @@ use uavail_travel::evaluation::{
 use uavail_travel::fig2::Fig2Probabilities;
 use uavail_travel::functions::{self, TaFunction};
 use uavail_travel::report::{fmt_availability, fmt_unavailability, Table};
-use uavail_travel::session_sim::{
-    simulate_user_availability, simulate_user_availability_replicated,
-};
+use uavail_travel::session_sim::simulate_user_availability;
 use uavail_travel::sim_validation::{
-    compressed_parameters, validate_web_service, validate_web_service_replicated,
-    validate_web_service_streaming, ValidationReport,
+    compressed_parameters, validate_web_service, ValidationReport,
 };
 use uavail_travel::user::{class_a, class_b};
 use uavail_travel::{
@@ -184,11 +188,6 @@ const USIZE_MAX: u64 = usize::MAX as u64;
 /// Every flag `reproduce` accepts.
 const FLAGS: &[Flag] = &[
     Flag("--csv", Value::Switch, Scope::Except(&[])),
-    Flag(
-        "--parallel",
-        Value::Switch,
-        Scope::Only(&["fig11", "fig12", "validate", "session", "all"]),
-    ),
     Flag("--metrics", Value::Text("a file path"), NOT_LOADGEN),
     Flag("--trace", Value::Text("a file path"), NOT_LOADGEN),
     Flag(
@@ -538,7 +537,7 @@ fn write_trace(path: &str) -> Result<(), String> {
 }
 
 /// Pinned-seed serve scenario: the paper-parameter farm evaluated
-/// through the epoch-resolvent streaming validator. The kernel's
+/// through the epoch-resolvent farm validator. The kernel's
 /// conditional-expectation estimates keep a paper-scale horizon cheap
 /// (the per-replication cost is the slow failure/repair chain, not the
 /// ~10⁷ requests the counters report), and the seed is pinned so the CI
@@ -587,7 +586,7 @@ fn run_serve(args: &Args) -> Result<Outcome, Box<dyn Error>> {
         // the wall clock.
         uavail_obs::clock_advance_to((round as u64 + 1) * EPOCH_NS);
         let started = Instant::now();
-        validate_web_service_streaming(
+        validate_web_service(
             &params,
             SERVE_HORIZON,
             SERVE_SEED.wrapping_add(round as u64),
@@ -1009,8 +1008,8 @@ fn run_bench(args: &Args) -> Result<Outcome, Box<dyn Error>> {
         ]);
     }
     print!("{}", render(&t, args.has("--csv")));
-    for (name, speedup) in context_speedups(&measurements) {
-        println!("{name}: context reuse is {speedup:.2}x faster than cold build");
+    for (name, speedup) in kernel_speedups(&measurements) {
+        println!("{name}: the epoch kernel is {speedup:.2}x faster than per-event stepping");
     }
     if let Some(path) = args.text("--bench-json") {
         write_bench_json(path, &measurements)?;
@@ -1020,7 +1019,7 @@ fn run_bench(args: &Args) -> Result<Outcome, Box<dyn Error>> {
 
 /// `(name, cold_mean / reuse_mean)` for every case measured in both
 /// `cold_build` and `context_reuse` mode.
-fn context_speedups(measurements: &[BenchMeasurement]) -> Vec<(&str, f64)> {
+fn kernel_speedups(measurements: &[BenchMeasurement]) -> Vec<(&str, f64)> {
     let mut out = Vec::new();
     for m in measurements.iter().filter(|m| m.mode == "cold_build") {
         if let Some(other) = measurements
@@ -1035,7 +1034,7 @@ fn context_speedups(measurements: &[BenchMeasurement]) -> Vec<(&str, f64)> {
 
 /// Serializes bench measurements to `path` as JSON lines under the
 /// `uavail-bench/v1` schema: one meta record, one record per measurement,
-/// and a derived `<name>.context_speedup` per cold/reuse pair. Validated
+/// and a derived `<name>.kernel_speedup` per cold/reuse pair. Validated
 /// by the in-tree JSON parser before anything touches the filesystem.
 fn write_bench_json(path: &str, measurements: &[BenchMeasurement]) -> Result<(), String> {
     use uavail_obs::json::JsonValue;
@@ -1063,11 +1062,11 @@ fn write_bench_json(path: &str, measurements: &[BenchMeasurement]) -> Result<(),
         );
         out.push('\n');
     }
-    for (name, speedup) in context_speedups(measurements) {
+    for (name, speedup) in kernel_speedups(measurements) {
         out.push_str(
             &JsonValue::object(vec![
                 ("type", JsonValue::str("derived")),
-                ("name", JsonValue::str(format!("{name}.context_speedup"))),
+                ("name", JsonValue::str(format!("{name}.kernel_speedup"))),
                 ("value", JsonValue::Float(speedup)),
             ])
             .to_string(),
@@ -1093,7 +1092,6 @@ fn write_metrics(path: &str, args: &Args) -> Result<(), String> {
         ("type", JsonValue::str("meta")),
         ("schema", JsonValue::str("uavail-obs/v1")),
         ("artifact", JsonValue::str(&args.artifact)),
-        ("parallel", JsonValue::Bool(args.has("--parallel"))),
         ("threads", JsonValue::UInt(default_threads() as u64)),
     ];
     if let Some(spec) = args.text("--inject") {
@@ -1389,38 +1387,20 @@ fn figure_table(title: &str, points: &[FigurePoint], csv: bool) {
 }
 
 fn print_fig11(args: &Args) -> Result<(), TravelError> {
-    print_figure(
+    figure_table(
         "Figure 11 — web service unavailability vs N_W (perfect coverage)",
-        Coverage::Perfect,
-        args,
-    )
+        &figure11()?,
+        args.has("--csv"),
+    );
+    Ok(())
 }
 
 fn print_fig12(args: &Args) -> Result<(), TravelError> {
-    print_figure(
+    figure_table(
         "Figure 12 — web service unavailability vs N_W (imperfect coverage)",
-        Coverage::Imperfect,
-        args,
-    )
-}
-
-/// One figure sweep, on every core under `--parallel`: the points are
-/// bit-for-bit those of the serial sweep.
-fn print_figure(title: &str, coverage: Coverage, args: &Args) -> Result<(), TravelError> {
-    let parallel = args.has("--parallel");
-    let exec = if parallel {
-        Exec::parallel()
-    } else {
-        Exec::serial()
-    };
-    let points = figure_sweep(coverage, &exec)?.points;
-    figure_table(title, &points, args.has("--csv"));
-    if parallel {
-        println!(
-            "(computed on {} threads; identical to the serial sweep)",
-            exec.threads
-        );
-    }
+        &figure12()?,
+        args.has("--csv"),
+    );
     Ok(())
 }
 
@@ -1774,38 +1754,24 @@ fn print_mttf(args: &Args) -> Result<(), TravelError> {
     Ok(())
 }
 
-/// Under `--parallel` the same total session count (4 × 50 000) is
-/// pooled from deterministic replications on every core.
+/// Equation (10) against 4 replications of 50 000 simulated sessions
+/// per class, on every core.
 fn print_session(args: &Args) -> Result<(), TravelError> {
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-    let parallel = args.has("--parallel");
-    let threads = default_threads();
     let params = TaParameters::paper_defaults();
-    let architecture = Architecture::paper_reference();
     let mut t = Table::new(
-        if parallel {
-            "Validation — equation (10) vs pooled parallel session simulation"
-        } else {
-            "Validation — equation (10) vs end-to-end session simulation"
-        },
+        "Validation — equation (10) vs end-to-end session simulation",
         vec!["class", "analytic A(user)", "simulated", "99.99% CI"],
     );
     for class in [class_a(), class_b()] {
-        let obs = if parallel {
-            simulate_user_availability_replicated(
-                20240601,
-                &class,
-                &params,
-                architecture,
-                50_000,
-                4,
-                threads,
-            )?
-        } else {
-            let mut rng = StdRng::seed_from_u64(20240601);
-            simulate_user_availability(&mut rng, &class, &params, architecture, 200_000)?
-        };
+        let obs = simulate_user_availability(
+            20240601,
+            &class,
+            &params,
+            Architecture::paper_reference(),
+            50_000,
+            4,
+            default_threads(),
+        )?;
         let (lo, hi) = obs.confidence_interval(3.9);
         t.add_row(vec![
             class.name().to_string(),
@@ -1815,36 +1781,40 @@ fn print_session(args: &Args) -> Result<(), TravelError> {
         ]);
     }
     print!("{}", render(&t, args.has("--csv")));
-    if parallel {
-        println!("(4 replications of 50000 sessions on {threads} threads)");
-    }
+    println!("(4 replications of 50000 sessions)");
     Ok(())
 }
 
-/// Under `--parallel` the same simulated time budget (4 × 7 500 = 30 000
-/// units) is split into deterministic independent replications that run
-/// on every core and pool into one confidence interval.
 fn print_validate(args: &Args) -> Result<(), TravelError> {
-    let params = compressed_parameters();
-    let csv = args.has("--csv");
-    if !args.has("--parallel") {
-        let report = validate_web_service(&params, 30_000.0, 20240601)?;
-        validation_table(
-            "Validation — analytic (eq. 9) vs joint discrete-event simulation",
-            &report,
-            csv,
-        );
-        return Ok(());
-    }
-    let threads = default_threads();
-    let report = validate_web_service_replicated(&params, 7_500.0, 20240601, 4, threads)?;
-    validation_table(
-        "Validation — analytic (eq. 9) vs 4 pooled parallel replications",
-        &report,
-        csv,
-    );
-    println!("(4 replications of 7500 time units on {threads} threads)");
+    farm_validation(
+        "Validation — analytic (eq. 9) vs joint farm simulation",
+        args.has("--csv"),
+    )?;
     Ok(())
+}
+
+/// The farm plan `validate` prints and simgate gates on: equation (9)
+/// against 32 epoch-kernel replications of 10 000 time units at the
+/// time-compressed parameters, on every core. Prints the report under
+/// `title` and the batch-means line after it.
+fn farm_validation(title: &str, csv: bool) -> Result<ValidationReport, TravelError> {
+    let report = validate_web_service(
+        &compressed_parameters(),
+        10_000.0,
+        20240601,
+        32,
+        default_threads(),
+    )?;
+    validation_table(title, &report, csv);
+    let (lo, hi) = report.batch_interval(3.9);
+    println!(
+        "batch-means 99.99% CI ({} batches over {} replications): [{}, {}]",
+        report.batches,
+        report.replications,
+        fmt_unavailability(lo),
+        fmt_unavailability(hi)
+    );
+    Ok(report)
 }
 
 fn print_speedup(args: &Args) -> Result<(), TravelError> {
@@ -1945,22 +1915,11 @@ fn run_simgate(args: &Args) -> Result<Outcome, Box<dyn Error>> {
     uavail_obs::clock_advance_to(1_000_000_000);
 
     // Gate 1: farm simulator vs the analytic web-service unavailability.
-    let farm =
-        validate_web_service_streaming(&compressed_parameters(), 10_000.0, 20240601, 32, threads)?;
-    validation_table(
+    let farm = farm_validation(
         "Simgate — farm simulator vs analytic unavailability (streaming)",
-        &farm.report,
         csv,
-    );
-    let (batch_lo, batch_hi) = farm.batch_interval(3.9);
-    println!(
-        "batch-means 99.99% CI ({} batches over {} replications): [{}, {}]",
-        farm.batches,
-        farm.replications,
-        fmt_unavailability(batch_lo),
-        fmt_unavailability(batch_hi)
-    );
-    let farm_ok = farm.report.agrees(0.15) && farm.batch_agrees(3.9, 0.15);
+    )?;
+    let farm_ok = farm.agrees(0.15) && farm.batch_agrees(3.9, 0.15);
     let slo = uavail_obs::slo_snapshot();
     let slo_ok = slo.as_ref().is_some_and(|s| {
         // Degraded (fallback) events only happen under injection; they

@@ -45,22 +45,45 @@ const PRINTED_BY_ALL: [&str; 21] = [
 ];
 
 #[test]
-fn parallel_is_accepted_where_it_runs_the_figure_on_worker_threads() {
-    let serial = reproduce(&["fig12"]);
-    let parallel = reproduce(&["fig12", "--parallel"]);
-    assert!(serial.status.success() && parallel.status.success());
-    // Same table, plus one line naming the thread count.
-    let serial = String::from_utf8(serial.stdout).unwrap();
-    let parallel = String::from_utf8(parallel.stdout).unwrap();
-    let table: String = parallel
-        .lines()
-        .filter(|l| !l.starts_with("(computed on"))
-        .map(|l| format!("{l}\n"))
-        .collect();
-    assert_eq!(table, serial);
+fn validate_prints_the_farm_plan_simgate_gates_on() {
+    let validate = reproduce(&["validate"]);
+    let simgate = reproduce(&["simgate"]);
+    assert!(validate.status.success() && simgate.status.success());
+    let validate = String::from_utf8(validate.stdout).unwrap();
+    let simgate = String::from_utf8(simgate.stdout).unwrap();
+    // Everything after each title, up to and including the batch-means
+    // line: the same table rows and the same batch-means interval.
+    let farm = |out: &str| -> Vec<String> {
+        let lines: Vec<&str> = out.lines().collect();
+        let end = lines
+            .iter()
+            .position(|l| l.starts_with("batch-means 99.99% CI"))
+            .unwrap_or_else(|| panic!("no batch-means line in {out}"));
+        lines[1..=end].iter().map(|l| l.to_string()).collect()
+    };
+    assert!(validate.starts_with("== Validation"), "{validate}");
     assert!(
-        parallel.contains("identical to the serial sweep"),
-        "{parallel}"
+        simgate.starts_with("== Simgate — farm simulator"),
+        "{simgate}"
+    );
+    assert_eq!(farm(&validate), farm(&simgate));
+    assert!(validate.contains("agreement (15% slack)"), "{validate}");
+}
+
+#[test]
+fn session_prints_one_row_per_class() {
+    let out = reproduce(&["session"]);
+    assert!(out.status.success());
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    let classes: Vec<&str> = stdout
+        .lines()
+        .filter_map(|l| l.split_whitespace().next())
+        .filter(|first| ["A", "B"].contains(first))
+        .collect();
+    assert_eq!(classes, ["A", "B"], "{stdout}");
+    assert!(
+        stdout.ends_with("(4 replications of 50000 sessions)\n"),
+        "{stdout}"
     );
 }
 
@@ -71,9 +94,6 @@ fn a_flag_outside_its_scope_fails_before_running_and_names_the_flag() {
         (&["table1", "--addr", "x"], "--addr"),
         (&["fig12", "--bench-json", "x"], "--bench-json"),
         (&["loadgen", "--addr", "x", "--metrics", "m"], "--metrics"),
-        (&["table8", "--parallel"], "--parallel only applies to"),
-        (&["capacity", "--parallel"], "--parallel only applies to"),
-        (&["resilient", "--parallel"], "--parallel only applies to"),
     ] {
         let err = rejected(args);
         assert!(err.contains(flag), "{args:?}: {err}");
@@ -88,6 +108,8 @@ fn malformed_flags_fail_before_running_anything() {
     let (first_text, second_text) = (first.to_str().unwrap(), second.to_str().unwrap());
     for (args, message) in [
         (&["fig12", "--batch", "10"][..], "unknown flag \"--batch\""),
+        // The thread count is not a flag.
+        (&["fig12", "--parallel"], "unknown flag \"--parallel\""),
         // A value flag never swallows the flag after it, and an empty
         // value is no value.
         (

@@ -3,10 +3,10 @@
 //!
 //! Where the metric layer (`counter_add`, [`crate::span`]) aggregates,
 //! tracing keeps the *sequence*: every begin/end/instant event lands in a
-//! bounded per-thread ring with a monotonic timestamp, so a `figure12
-//! --parallel` run can be opened in Perfetto and read as per-worker
-//! timelines — which worker ran which sweep point, where the memo hits
-//! are, how long each solver call took.
+//! bounded per-thread ring with a monotonic timestamp, so a multi-threaded
+//! Figure 12 sweep (`reproduce resilient --trace`) can be opened in
+//! Perfetto and read as per-worker timelines — which worker ran which
+//! sweep point, where the memo hits are, how long each solver call took.
 //!
 //! The recording path takes no lock and allocates only on the first event
 //! of a thread (the ring itself): one relaxed atomic load while tracing

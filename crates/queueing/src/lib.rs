@@ -61,6 +61,15 @@ pub use mm1k::MM1K;
 pub use mmc::MMc;
 pub use mmck::MMcK;
 
+/// `x^n` for a `usize` exponent: `powi` while `n` fits an `i32`, `powf`
+/// beyond that, since `powi` takes an `i32` and a cast would wrap.
+pub(crate) fn powu(x: f64, n: usize) -> f64 {
+    match i32::try_from(n) {
+        Ok(n) => x.powi(n),
+        Err(_) => x.powf(n as f64),
+    }
+}
+
 /// Validates that a rate is finite and strictly positive.
 pub(crate) fn check_rate(name: &'static str, value: f64) -> Result<(), QueueingError> {
     if value.is_finite() && value > 0.0 {

@@ -1,4 +1,4 @@
-use crate::{check_rate, QueueingError};
+use crate::{check_rate, powu, QueueingError};
 
 /// The M/M/1 queue with infinite buffer.
 ///
@@ -53,7 +53,7 @@ impl MM1 {
     /// Steady-state probability of `n` customers: `(1 - ρ) ρⁿ`.
     pub fn state_probability(&self, n: usize) -> f64 {
         let rho = self.rho();
-        (1.0 - rho) * rho.powi(n as i32)
+        (1.0 - rho) * powu(rho, n)
     }
 
     /// Mean number in system `L = ρ / (1 - ρ)`.

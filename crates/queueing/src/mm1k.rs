@@ -1,4 +1,4 @@
-use crate::{check_rate, QueueingError};
+use crate::{check_rate, powu, QueueingError};
 
 /// The M/M/1/K queue — equation (1) of the paper.
 ///
@@ -88,7 +88,8 @@ impl MM1K {
     }
 
     /// Full steady-state distribution `p_0 ..= p_K`, computed by normalized
-    /// powers to remain stable both for `ρ < 1` and `ρ ≥ 1`.
+    /// powers to remain stable both for `ρ < 1` and `ρ ≥ 1`. When `ρ^K`
+    /// overflows, the weights are filled downward from state `K` instead.
     pub fn state_distribution(&self) -> Vec<f64> {
         let rho = self.rho();
         let k = self.capacity;
@@ -101,6 +102,15 @@ impl MM1K {
             weights.push(w);
             max = max.max(w);
         }
+        if max.is_infinite() {
+            // ρ > 1: weigh every state against state K, w_n = ρ^(n − K).
+            w = 1.0;
+            for weight in weights.iter_mut().rev() {
+                *weight = w;
+                w /= rho;
+            }
+            max = 1.0;
+        }
         // Normalize by the max weight first to avoid overflow at large rho.
         let total: f64 = weights.iter().map(|v| v / max).sum();
         weights.into_iter().map(|v| (v / max) / total).collect()
@@ -110,15 +120,22 @@ impl MM1K {
     ///
     /// By PASTA this is both the fraction of time the system is full and
     /// the fraction of arrivals that are rejected. At `ρ = 1` the formula
-    /// degenerates to `1 / (K + 1)`.
+    /// degenerates to `1 / (K + 1)`. Where `ρ^(K+1)` overflows (`ρ > 1`),
+    /// numerator and denominator are divided by it: with `r = 1 / ρ`,
+    /// `p_K = (1 − r) / (1 − r^(K+1))`, which tends to `1 − 1/ρ`.
     pub fn loss_probability(&self) -> f64 {
         let rho = self.rho();
-        let k = self.capacity as i32;
+        let k = self.capacity;
         if (rho - 1.0).abs() < 1e-12 {
-            return 1.0 / (self.capacity as f64 + 1.0);
+            return 1.0 / (k as f64 + 1.0);
         }
-        // Evaluate in a form stable for both rho < 1 and rho > 1.
-        rho.powi(k) * (1.0 - rho) / (1.0 - rho.powi(k + 1))
+        let top = powu(rho, k.saturating_add(1));
+        if top.is_finite() {
+            powu(rho, k) * (1.0 - rho) / (1.0 - top)
+        } else {
+            let r = rho.recip();
+            (1.0 - r) / (1.0 - powu(r, k.saturating_add(1)))
+        }
     }
 
     /// Effective throughput: accepted-arrival rate `α (1 - p_K)`.
@@ -179,12 +196,58 @@ mod tests {
 
     #[test]
     fn distribution_sums_to_one_and_matches_pk() {
-        for &(a, v, k) in &[(1.0, 2.0, 5usize), (3.0, 1.0, 8), (7.0, 7.0, 10)] {
+        let mut cases = vec![(1.0, 2.0, 5usize), (3.0, 1.0, 8), (7.0, 7.0, 10)];
+        // Around and past the K where ρ^K overflows at ρ = 1.5 and 1 000.
+        for (a, v) in [
+            (50.0, 100.0),
+            (100.0, 100.0),
+            (150.0, 100.0),
+            (1_000.0, 1.0),
+        ] {
+            for k in [1_749, 1_750, 1_751, 10_000] {
+                cases.push((a, v, k));
+            }
+        }
+        for (a, v, k) in cases {
             let q = MM1K::new(a, v, k).unwrap();
             let dist = q.state_distribution();
             let sum: f64 = dist.iter().sum();
-            assert!((sum - 1.0).abs() < 1e-12);
-            assert!((dist[k] - q.loss_probability()).abs() < 1e-12);
+            assert!((sum - 1.0).abs() < 1e-12, "{a}/{v}, K {k}: sum {sum}");
+            assert!(
+                (dist[k] - q.loss_probability()).abs() < 1e-12,
+                "{a}/{v}, K {k}: {} vs {}",
+                dist[k],
+                q.loss_probability()
+            );
+        }
+    }
+
+    #[test]
+    fn loss_probability_holds_its_limit_where_rho_to_the_k_overflows() {
+        // At ρ = 1.5, ρ^(K+1) overflows from K = 1 750; at ρ = 1 000 from
+        // K = 102. K ≥ 2³¹ does not fit `powi`'s `i32` exponent.
+        let ks = [1_749, 1_750, 1_751, 10_000, (1 << 31) - 1, 1 << 31, 1 << 32];
+        for (alpha, nu) in [
+            (50.0, 100.0),
+            (100.0, 100.0),
+            (150.0, 100.0),
+            (1_000.0, 1.0),
+        ] {
+            let rho: f64 = alpha / nu;
+            for k in ks {
+                let limit = if rho < 1.0 {
+                    0.0
+                } else if rho > 1.0 {
+                    1.0 - 1.0 / rho
+                } else {
+                    1.0 / (k as f64 + 1.0)
+                };
+                let p = MM1K::new(alpha, nu, k).unwrap().loss_probability();
+                assert!(
+                    (p - limit).abs() < 1e-12,
+                    "rho {rho}, K {k}: {p} vs {limit}"
+                );
+            }
         }
     }
 

@@ -17,7 +17,7 @@
 //! `P(E_k(a) + Exp(b) > t) = P(E_k(a) > t) + e^{-bt} (a/(a−b))^k F_{E_k(a−b)}(t)`,
 //! which is numerically stable for every parameter this crate accepts.
 
-use crate::{MMcK, MM1K};
+use crate::{powu, MMcK, MM1K};
 
 /// Tail of the Erlang(`k`, `rate`) distribution:
 /// `P(X > t) = e^{-rt} Σ_{j<k} (rt)^j / j!`.
@@ -75,7 +75,7 @@ pub fn erlang_plus_exp_tail(k: usize, a: f64, b: f64, t: f64) -> f64 {
         return erlang_tail(k + 1, a, t);
     }
     if a > b {
-        let ratio = (a / (a - b)).powi(k as i32);
+        let ratio = powu(a / (a - b), k);
         (erlang_tail(k, a, t) + (-b * t).exp() * ratio * erlang_cdf(k, a - b, t)).clamp(0.0, 1.0)
     } else {
         // Symmetric form with the roles swapped: X + Y is symmetric.

@@ -79,7 +79,7 @@ impl FarmObservation {
 }
 
 /// Allocation-free summary of a [`FarmSimulation`] replication — what the
-/// streaming replication path folds, instead of materializing a
+/// replicated farm validator pools, instead of materializing a
 /// [`FarmObservation`] (whose per-state time vector allocates) per
 /// replication.
 ///
@@ -441,7 +441,9 @@ impl FarmSimulation {
         })
     }
 
-    /// The streaming-replication entry point: the epoch-resolvent kernel.
+    /// The replicated validator's entry point: the epoch-resolvent kernel.
+    /// Per-event [`FarmSimulation::run`] estimates the same loss fraction
+    /// and serves as its oracle.
     ///
     /// The farm's failure/repair/reconfiguration chain is *autonomous* —
     /// none of its rates depend on the request queue — so the joint model

@@ -290,6 +290,26 @@ mod tests {
     }
 
     #[test]
+    fn basic_architecture_holds_its_loss_limit_where_rho_to_the_k_overflows() {
+        // ρ = 1.5 and K = 2 000: ρ^(K+1) overflows, and p_K = 1 − 1/ρ.
+        let mut p = TaParameters::paper_defaults();
+        p.arrival_rate_per_second = 150.0;
+        p.service_rate_per_second = 100.0;
+        p.buffer_size = 2_000;
+        let basic = TravelAgencyModel::new(p.clone(), Architecture::Basic).unwrap();
+        let web = basic.web_availability().unwrap();
+        assert!((web - p.a_cws * (1.0 - 1.0 / 3.0)).abs() < 1e-12, "{web}");
+        for class in [class_a(), class_b()] {
+            let user = basic.user_availability(&class).unwrap();
+            assert!(
+                (0.0..=1.0).contains(&user),
+                "class {}: {user}",
+                class.name()
+            );
+        }
+    }
+
+    #[test]
     fn hierarchical_model_agrees_with_direct_computation() {
         let m = model();
         for class in [class_a(), class_b()] {

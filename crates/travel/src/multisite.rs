@@ -13,9 +13,8 @@
 
 use std::collections::HashMap;
 
-use crate::functions;
 use crate::user::{self, UserClass};
-use crate::{Architecture, TaParameters, TravelAgencyModel, TravelError};
+use crate::{functions, services, Architecture, TaParameters, TravelAgencyModel, TravelError};
 
 /// A multi-site deployment: `sites` identical replicas of the single-site
 /// architecture.
@@ -86,7 +85,7 @@ impl MultiSiteModel {
             functions::SERVICE_DB,
         ];
         let site_platform: f64 = internal.iter().map(|s| env[*s]).product();
-        let multi_platform = 1.0 - (1.0 - site_platform).powi(self.sites as i32);
+        let multi_platform = services::parallel_bank(self.sites, site_platform)?;
         // Equivalent environment: fold the whole platform into the "net"
         // factor (every function uses all internal services of a site
         // together once a request is routed there; Browse's partial paths

@@ -64,31 +64,48 @@ struct ServiceProcess {
     repair_rate: f64,
 }
 
-/// Simulates `sessions` user sessions of `class` against dynamically
-/// failing services, on the given architecture.
+/// Simulates `replications` independent batches of
+/// `sessions_per_replication` user sessions of `class` against
+/// dynamically failing services, on the given architecture, on up to
+/// `threads` workers (`threads <= 1` runs them serially), and pools the
+/// success counts.
 ///
-/// `mean_cycles` controls how many failure/repair cycles each service goes
-/// through across the run (higher = less correlated samples). Services
-/// with analytic availability exactly 1.0 never fail.
+/// The model, the calibrated service processes and the per-function path
+/// tables are built once; each replication starts from every service up.
+/// Services with analytic availability exactly 1.0 never fail. Each
+/// replication owns a deterministic RNG stream derived from `base_seed`
+/// (see [`uavail_sim::replicate`]), so the pooled observation is
+/// identical regardless of thread count or scheduling.
 ///
 /// # Errors
 ///
-/// * [`TravelError::InvalidParameter`] for `sessions == 0`.
+/// * [`TravelError::InvalidParameter`] for `sessions_per_replication == 0`
+///   or `replications == 0`.
+/// * [`SimError::NoObservations`] when fault injection drops every
+///   replication.
 /// * Propagated model failures.
-pub fn simulate_user_availability<R: Rng + ?Sized>(
-    rng: &mut R,
+pub fn simulate_user_availability(
+    base_seed: u64,
     class: &UserClass,
     params: &TaParameters,
     architecture: Architecture,
-    sessions: u64,
+    sessions_per_replication: u64,
+    replications: usize,
+    threads: usize,
 ) -> Result<SessionObservation, TravelError> {
-    if sessions == 0 {
-        return Err(TravelError::InvalidParameter {
-            name: "sessions",
-            value: 0.0,
-            requirement: "at least 1",
-        });
+    for (name, count) in [
+        ("sessions", sessions_per_replication),
+        ("replications", replications as u64),
+    ] {
+        if count == 0 {
+            return Err(TravelError::InvalidParameter {
+                name,
+                value: 0.0,
+                requirement: "at least 1",
+            });
+        }
     }
+    let _span = uavail_obs::span("travel.session_sim");
     let model = TravelAgencyModel::new(params.clone(), architecture)?;
     let env = model.service_availabilities()?;
     let analytic = model.user_availability(class)?;
@@ -124,14 +141,6 @@ pub fn simulate_user_availability<R: Rng + ?Sized>(
             .collect();
         paths_per_function.insert(f.name(), resolved);
     }
-
-    // Session arrivals: Poisson with rate chosen so the expected number of
-    // service failure/repair events between sessions is small but nonzero,
-    // giving each session a fresh-ish service state.
-    let session_rate = 2.0;
-
-    let mut successes = 0u64;
-    let mut completed = 0u64;
     let scenario_probs: Vec<f64> = class
         .table()
         .scenarios()
@@ -139,8 +148,53 @@ pub fn simulate_user_availability<R: Rng + ?Sized>(
         .map(|s| s.probability)
         .collect();
 
-    let mut clock = 0.0f64;
-    while completed < sessions {
+    let per_replication = replicate(
+        base_seed,
+        replications,
+        threads,
+        || (),
+        |(), rng, _| {
+            Ok::<_, TravelError>(run_sessions(
+                rng,
+                class,
+                &scenario_probs,
+                &paths_per_function,
+                services.clone(),
+                sessions_per_replication,
+            ))
+        },
+    )?;
+    // Fault injection can drop every replication of the schedule.
+    if per_replication.is_empty() {
+        return Err(TravelError::Sim(SimError::NoObservations));
+    }
+    let sessions = sessions_per_replication * per_replication.len() as u64;
+    let successes = per_replication.iter().sum();
+    uavail_obs::counter_add("travel.session_sim.sessions", sessions);
+    uavail_obs::counter_add("travel.session_sim.successes", successes);
+    Ok(SessionObservation {
+        sessions,
+        successes,
+        analytic,
+    })
+}
+
+/// One replication: plays `sessions` sessions against `services`, which
+/// start all up, and returns how many succeeded.
+fn run_sessions<R: Rng + ?Sized>(
+    rng: &mut R,
+    class: &UserClass,
+    scenario_probs: &[f64],
+    paths_per_function: &HashMap<&'static str, Vec<(f64, Vec<usize>)>>,
+    mut services: Vec<ServiceProcess>,
+    sessions: u64,
+) -> u64 {
+    // Session arrivals: Poisson with rate chosen so the expected number of
+    // service failure/repair events between sessions is small but nonzero,
+    // giving each session a fresh-ish service state.
+    let session_rate = 2.0;
+    let mut successes = 0u64;
+    for _ in 0..sessions {
         // Advance the world to the next session arrival, playing service
         // transitions in between (race of exponentials).
         let mut until_session = exponential(rng, session_rate);
@@ -157,7 +211,6 @@ pub fn simulate_user_availability<R: Rng + ?Sized>(
                 break;
             }
             until_session -= dt;
-            clock += dt;
             // Pick the transitioning service.
             let mut u: f64 = rng.random::<f64>() * total_rate;
             for s in services.iter_mut() {
@@ -169,7 +222,6 @@ pub fn simulate_user_availability<R: Rng + ?Sized>(
                 u -= rate;
             }
         }
-        clock += until_session;
 
         // Sample a scenario.
         let mut u: f64 = rng.random();
@@ -206,101 +258,39 @@ pub fn simulate_user_availability<R: Rng + ?Sized>(
         if ok {
             successes += 1;
         }
-        completed += 1;
     }
-    let _ = clock; // simulated time; kept for debugging symmetry
-    uavail_obs::counter_add("travel.session_sim.sessions", sessions);
-    uavail_obs::counter_add("travel.session_sim.successes", successes);
-    Ok(SessionObservation {
-        sessions,
-        successes,
-        analytic,
-    })
-}
-
-/// Replicated [`simulate_user_availability`]: runs `replications`
-/// independent batches of `sessions_per_replication` sessions on up to
-/// `threads` workers (`threads <= 1` runs them serially) and pools the
-/// success counts.
-///
-/// Each replication owns a deterministic RNG stream derived from
-/// `base_seed` (see [`uavail_sim::replicate`]), so the pooled observation
-/// is identical regardless of thread count or scheduling.
-///
-/// # Errors
-///
-/// * [`TravelError::InvalidParameter`] for `replications == 0` or
-///   `sessions_per_replication == 0`.
-/// * [`SimError::NoObservations`] when fault injection drops every
-///   replication.
-/// * Propagated model failures.
-pub fn simulate_user_availability_replicated(
-    base_seed: u64,
-    class: &UserClass,
-    params: &TaParameters,
-    architecture: Architecture,
-    sessions_per_replication: u64,
-    replications: usize,
-    threads: usize,
-) -> Result<SessionObservation, TravelError> {
-    if replications == 0 {
-        return Err(TravelError::InvalidParameter {
-            name: "replications",
-            value: 0.0,
-            requirement: "at least 1",
-        });
-    }
-    let _span = uavail_obs::span("travel.session_sim");
-    let observations = replicate(
-        base_seed,
-        replications,
-        threads,
-        || (),
-        |(), rng, _| {
-            simulate_user_availability(rng, class, params, architecture, sessions_per_replication)
-        },
-    )?;
-    // Fault injection can drop every replication of the schedule.
-    let analytic = observations
-        .first()
-        .ok_or(TravelError::Sim(SimError::NoObservations))?
-        .analytic;
-    Ok(SessionObservation {
-        sessions: observations.iter().map(|o| o.sessions).sum(),
-        successes: observations.iter().map(|o| o.successes).sum(),
-        analytic,
-    })
+    successes
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::user::{class_a, class_b};
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     #[test]
     fn rejects_zero_sessions() {
-        let mut rng = StdRng::seed_from_u64(0);
         assert!(simulate_user_availability(
-            &mut rng,
+            0,
             &class_a(),
             &TaParameters::paper_defaults(),
             Architecture::paper_reference(),
             0,
+            1,
+            1,
         )
         .is_err());
     }
 
     #[test]
     fn converges_to_equation_10_class_a() {
-        let mut rng = StdRng::seed_from_u64(42);
         let obs = simulate_user_availability(
-            &mut rng,
+            42,
             &class_a(),
             &TaParameters::paper_defaults(),
             Architecture::paper_reference(),
             150_000,
+            1,
+            1,
         )
         .unwrap();
         assert!(
@@ -314,13 +304,14 @@ mod tests {
 
     #[test]
     fn converges_to_equation_10_class_b_basic_architecture() {
-        let mut rng = StdRng::seed_from_u64(7);
         let obs = simulate_user_availability(
-            &mut rng,
+            7,
             &class_b(),
             &TaParameters::paper_defaults(),
             Architecture::Basic,
             150_000,
+            1,
+            1,
         )
         .unwrap();
         assert!(
@@ -335,7 +326,7 @@ mod tests {
     #[test]
     fn replicated_sessions_parallel_matches_serial() {
         let params = TaParameters::paper_defaults();
-        let serial = simulate_user_availability_replicated(
+        let serial = simulate_user_availability(
             3,
             &class_a(),
             &params,
@@ -346,7 +337,7 @@ mod tests {
         )
         .unwrap();
         for threads in [2, 4] {
-            let parallel = simulate_user_availability_replicated(
+            let parallel = simulate_user_availability(
                 3,
                 &class_a(),
                 &params,
@@ -364,7 +355,7 @@ mod tests {
 
     #[test]
     fn replicated_sessions_reject_zero_replications() {
-        assert!(simulate_user_availability_replicated(
+        assert!(simulate_user_availability(
             1,
             &class_a(),
             &TaParameters::paper_defaults(),
@@ -380,24 +371,18 @@ mod tests {
     fn ordering_preserved_in_simulation() {
         // Class A must beat class B in simulation too.
         let params = TaParameters::paper_defaults();
-        let mut rng = StdRng::seed_from_u64(99);
-        let a = simulate_user_availability(
-            &mut rng,
-            &class_a(),
-            &params,
-            Architecture::paper_reference(),
-            60_000,
-        )
-        .unwrap();
-        let mut rng = StdRng::seed_from_u64(99);
-        let b = simulate_user_availability(
-            &mut rng,
-            &class_b(),
-            &params,
-            Architecture::paper_reference(),
-            60_000,
-        )
-        .unwrap();
+        let [a, b] = [class_a(), class_b()].map(|class| {
+            simulate_user_availability(
+                99,
+                &class,
+                &params,
+                Architecture::paper_reference(),
+                60_000,
+                1,
+                1,
+            )
+            .unwrap()
+        });
         assert!(a.availability() > b.availability());
     }
 }

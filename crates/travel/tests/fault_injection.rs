@@ -417,10 +417,8 @@ fn replication_drop_and_dup_reshape_the_schedule_deterministically() {
 #[test]
 fn replicated_validators_reject_a_fully_dropped_schedule() {
     use uavail_sim::SimError;
-    use uavail_travel::session_sim::simulate_user_availability_replicated;
-    use uavail_travel::sim_validation::{
-        compressed_parameters, validate_web_service_replicated, validate_web_service_streaming,
-    };
+    use uavail_travel::session_sim::simulate_user_availability;
+    use uavail_travel::sim_validation::{compressed_parameters, validate_web_service};
     use uavail_travel::user::class_a;
     use uavail_travel::Architecture;
 
@@ -430,19 +428,12 @@ fn replicated_validators_reject_a_fully_dropped_schedule() {
     // Every replication dropped is no evidence: a typed error, never an
     // agreeing report built from zero requests or an index panic.
     for threads in [1, 4] {
-        let report =
-            validate_web_service_replicated(&compressed_parameters(), 100.0, 1, 4, threads);
+        let report = validate_web_service(&compressed_parameters(), 100.0, 1, 32, threads);
         assert!(
             matches!(report, Err(TravelError::Sim(SimError::NoObservations))),
             "threads={threads}: {report:?}"
         );
-        let streaming =
-            validate_web_service_streaming(&compressed_parameters(), 100.0, 1, 32, threads);
-        assert!(
-            matches!(streaming, Err(TravelError::Sim(SimError::NoObservations))),
-            "threads={threads}: {streaming:?}"
-        );
-        let sessions = simulate_user_availability_replicated(
+        let sessions = simulate_user_availability(
             1,
             &class_a(),
             &TaParameters::paper_defaults(),
@@ -460,7 +451,7 @@ fn replicated_validators_reject_a_fully_dropped_schedule() {
 
 #[test]
 fn streaming_validator_folds_a_dropped_or_duplicated_schedule() {
-    use uavail_travel::sim_validation::{compressed_parameters, validate_web_service_streaming};
+    use uavail_travel::sim_validation::{compressed_parameters, validate_web_service};
 
     let _guard = InjectionGuard::acquire();
     // The batch partition follows the observations the schedule produced,
@@ -471,9 +462,8 @@ fn streaming_validator_folds_a_dropped_or_duplicated_schedule() {
         uavail_faultinject::arm(site, rate).unwrap();
         uavail_faultinject::set_enabled(true);
         for threads in [1, 4] {
-            let report =
-                validate_web_service_streaming(&compressed_parameters(), 1_000.0, 1, 32, threads)
-                    .unwrap_or_else(|e| panic!("{site} threads={threads}: {e}"));
+            let report = validate_web_service(&compressed_parameters(), 1_000.0, 1, 32, threads)
+                .unwrap_or_else(|e| panic!("{site} threads={threads}: {e}"));
             let folded = report.replications;
             match site {
                 "drop" => assert!(folded < 32, "threads={threads}: {folded}"),
@@ -485,7 +475,7 @@ fn streaming_validator_folds_a_dropped_or_duplicated_schedule() {
                 "{site} threads={threads}"
             );
             assert_eq!(report.batch_stats.count(), report.batches as u64);
-            let simulated = report.report.simulated_unavailability;
+            let simulated = report.simulated_unavailability;
             assert!(
                 simulated.is_finite() && (0.0..=1.0).contains(&simulated),
                 "{site} threads={threads}: {simulated}"

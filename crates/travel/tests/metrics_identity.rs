@@ -10,9 +10,7 @@ use std::sync::Mutex;
 
 use uavail_core::par::Exec;
 use uavail_travel::evaluation::{figure11, figure12, figure_sweep, table8};
-use uavail_travel::sim_validation::{
-    compressed_parameters, validate_web_service, validate_web_service_streaming,
-};
+use uavail_travel::sim_validation::{compressed_parameters, validate_web_service};
 use uavail_travel::{webservice, Coverage, EvalContext, TaParameters};
 
 static RECORDER_LOCK: Mutex<()> = Mutex::new(());
@@ -132,7 +130,7 @@ fn worker_farm_solves_are_bit_identical_with_recording_on() {
 fn simulation_is_bit_identical_with_recording_on() {
     let params = compressed_parameters();
     let (off, on, snap) =
-        with_and_without_recording(|| validate_web_service(&params, 500.0, 11).unwrap());
+        with_and_without_recording(|| validate_web_service(&params, 500.0, 11, 1, 1).unwrap());
     assert_eq!(off, on, "recording must not perturb the RNG stream");
     assert_eq!(snap.counter("travel.validate.arrivals"), on.arrivals);
     assert_eq!(snap.spans["travel.validate"].count, 1);
@@ -149,13 +147,13 @@ fn slo_and_window_recording_is_bit_identical_and_fed_by_the_validator() {
     uavail_obs::slo_reset();
     uavail_obs::window_reset();
     uavail_obs::window::clock_reset();
-    let off = validate_web_service_streaming(&params, 2_000.0, 20240601, 4, 2).unwrap();
+    let off = validate_web_service(&params, 2_000.0, 20240601, 4, 2).unwrap();
     assert!(
         uavail_obs::slo_snapshot().is_none(),
         "disabled: the validator must not create an SLO monitor"
     );
 
-    // On: the streaming validator feeds the monitor and windows rotate.
+    // On: the farm validator feeds the monitor and windows rotate.
     uavail_obs::set_enabled(true);
     uavail_obs::reset();
     uavail_obs::slo_configure(uavail_obs::SloConfig {
@@ -164,18 +162,18 @@ fn slo_and_window_recording_is_bit_identical_and_fed_by_the_validator() {
     });
     uavail_obs::clock_advance_to(1_000_000_000);
     uavail_obs::window_record("validate.run_ns", 1);
-    let on = validate_web_service_streaming(&params, 2_000.0, 20240601, 4, 2).unwrap();
+    let on = validate_web_service(&params, 2_000.0, 20240601, 4, 2).unwrap();
     let slo = uavail_obs::slo_snapshot().expect("validator fed the monitor");
     uavail_obs::set_enabled(false);
 
     // The reproduced numbers are bit-identical, recording on or off.
     assert_eq!(
-        off.report.simulated_unavailability.to_bits(),
-        on.report.simulated_unavailability.to_bits()
+        off.simulated_unavailability.to_bits(),
+        on.simulated_unavailability.to_bits()
     );
     assert_eq!(
-        off.report.confidence_interval.0.to_bits(),
-        on.report.confidence_interval.0.to_bits()
+        off.confidence_interval.0.to_bits(),
+        on.confidence_interval.0.to_bits()
     );
     assert_eq!(
         off.batch_stats.mean().to_bits(),
@@ -183,14 +181,14 @@ fn slo_and_window_recording_is_bit_identical_and_fed_by_the_validator() {
     );
 
     // And the monitor saw exactly the pooled outcome counts.
-    assert_eq!(slo.total, on.report.arrivals);
+    assert_eq!(slo.total, on.arrivals);
     assert_eq!(
         slo.losses,
-        on.report.arrivals - slo.successes,
+        on.arrivals - slo.successes,
         "losses + successes partition the arrivals"
     );
-    assert!((slo.availability - (1.0 - on.report.simulated_unavailability)).abs() < 1e-12);
-    assert_eq!(slo.classes["farm"].total, on.report.arrivals);
+    assert!((slo.availability - (1.0 - on.simulated_unavailability)).abs() < 1e-12);
+    assert_eq!(slo.classes["farm"].total, on.arrivals);
 
     uavail_obs::slo_reset();
     uavail_obs::window_reset();
